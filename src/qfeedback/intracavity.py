@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import operators as ops
 from .errors import (
@@ -100,6 +99,7 @@ def conditioned_variance_trajectory(params: LinearCavityParams, u_init: float,
         raise ValueError("U_init must be >= -1")
     if isinstance(params.measurement, Qnd) and u_init < 0.0:
         raise ValueError("V_init must be >= 0")
+    from scipy.integrate import solve_ivp     # not at import time: it is slow
     sol = solve_ivp(
         lambda _, y: conditioned_variance_rhs(params, y[0]),
         (t_grid[0], t_grid[-1]), [u_init], t_eval=t_grid,

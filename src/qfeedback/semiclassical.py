@@ -14,7 +14,9 @@ from typing import Optional
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy import signal
+
+# scipy.signal is imported inside the functions that use it, so that
+# `import qfeedback` loads numpy only
 
 from .errors import (
     DegenerateSplit,
@@ -141,6 +143,7 @@ def simulate(sim: SemiclassicalSim) -> SimRecord:
     delta I_k / sqrt(I_k) = X_k^cl + xi_k; the first 10 slow time constants
     are discarded as burn-in. Deterministic for a fixed seed.
     """
+    from scipy import signal
     if not is_stable(sim.filter):
         raise UnstableLoop(f"g = {sim.filter.g} loop is unstable")
     filt, dt = sim.filter, sim.dt
@@ -184,6 +187,7 @@ def simulate(sim: SemiclassicalSim) -> SimRecord:
 def diverges(filt: LoopFilter, dt: float, duration: float) -> bool:
     """Brute-force stability probe: drive the closed loop with an impulse and
     compare late-time to early-time energy. Independent of the Nyquist test."""
+    from scipy import signal
     b, a = _loop_difference_eq(filt, dt)
     n = int(round(duration / dt))
     imp = np.zeros(n)
@@ -201,6 +205,7 @@ def diverges(filt: LoopFilter, dt: float, duration: float) -> bool:
 def estimate_psd(series: np.ndarray, dt: float, n_segments: int) -> Spectrum:
     """Averaged periodogram (Hann window, 50% overlap), normalized so unit
     white noise has expected density 1. Returns standard errors."""
+    from scipy import signal
     series = np.asarray(series, dtype=float)
     if n_segments < 1:
         raise ValueError("n_segments must be >= 1")

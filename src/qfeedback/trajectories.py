@@ -1,10 +1,40 @@
-"""Conditioned (stochastic) evolution engines with and without feedback.
+"""Conditioned (stochastic) evolution with and without feedback.
 
-All stochastic master equations are integrated with Euler-Maruyama plus trace
-renormalization each step; ensemble averages reproduce the corresponding
-deterministic master equation. Randomness comes from the counter-based Philox
-generator; trajectory i of an ensemble uses the stream keyed by seed XOR i, so
-results are independent of worker count and scheduling.
+Every unraveling runs through one batched kernel, :class:`_Kernel`. A batch of
+B conditioned states is held as the rows of r in C^{B x d^2}, row b being the
+column-stacked vec(rho_b), and a step is one matrix product
+
+    r @ [A^T | S^T | vec(x^T)]      (the last column only for diffusive detection)
+
+with d^2 x d^2 superoperators A and S fixed per unraveling and dt:
+
+* diffusive homodyne (Euler-Maruyama): A = I + dt (L + feedback drift) and
+  S = sqrt(eta) (c . + . c†) - (i / sqrt(eta)) [F, .]; the extra column gives
+  <x>_c = vec(x^T) . r, and rho' = A rho + dW (S rho - sqrt(eta) <x>_c rho).
+  Delayed feedback instead adds one more product, against [F, .] and
+  [F, [F, .]], driven by the current from one delay earlier.
+* jump unravelings (photon counting, finite local oscillator beta): A is the
+  no-jump Kraus map M0 . M0† with M0 = I - dt (iH + beta c + c†c/2), plus dt D
+  for unmonitored collapses, and S is the jump map J . J† with J = c + beta.
+  Tr[S rho] dt is the detection probability; rho' = S rho on a detection and
+  A rho otherwise, so the no-jump branch stays positive.
+
+Each step hermitizes and renormalizes the trace. A collapsed trace, a jump from
+a state with Tr[J rho J†] <= TOL_JUMP, or an eigenvalue below the tolerance
+(checked every POSITIVITY_CHECK_EVERY steps and at the end) marks the row
+failed. Rows that failed on positivity are rerun together in one batch at
+dt/2, their records averaged (currents) or summed (counts) back onto the
+configured grid; a second failure is reported as the trajectory's result.
+
+Randomness comes from the counter-based Philox generator; trajectory i of an
+ensemble uses the stream keyed by seed XOR i, drawn in time chunks (array draws
+continue a stream exactly, so chunking does not change it). Every product runs
+on a row count padded to a multiple of _ROW_PAD: with OpenBLAS, each row of
+such a product came out bit-identical whatever the batch it was computed in
+(d = 2-12, batches of 1-1100 rows), while unpadded products of very few rows
+take other code paths that round differently. A trajectory therefore gets
+bit-identical records and states whether it runs alone (run_trajectory, the
+step_* functions), in any batch, or in the retry.
 """
 
 from __future__ import annotations
@@ -16,21 +46,28 @@ from typing import Optional, Union
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.integrate import trapezoid
 
 from . import operators as ops
-from .errors import EmptyDelayBuffer, PositivityViolation
+from .errors import EmptyDelayBuffer, JumpFromDarkState, PositivityViolation
 from .loop import Spectrum
 from .operators import LindbladModel, steady_state, two_time_correlation
 from .semiclassical import estimate_psd
 
-# The no-jump drift of the jump unravelings preserves positivity up to
-# integration error, so it gets a strict tolerance. Diffusive Euler-Maruyama
-# states transiently dip O(sqrt(dt)) negative by construction (the ensemble
-# mean is still exact to O(dt)), so only genuine blow-up is flagged there.
+# The jump unravelings' Kraus maps preserve positivity (up to O(dt^2) from the
+# dt D term of unmonitored collapses), so they get a strict tolerance.
+# Diffusive Euler-Maruyama states transiently dip O(sqrt(dt)) negative by
+# construction (the ensemble mean is still exact to O(dt)), so only genuine
+# blow-up is flagged there.
 POSITIVITY_TOL = -1e-8
 DIFFUSIVE_POSITIVITY_TOL = -0.5
 POSITIVITY_CHECK_EVERY = 50
+
+_ROW_PAD = 8                 # products run on a multiple of this many rows
+_NOISE_CHUNK = 1 << 18       # noise values drawn at once per batch
+_SEED_MASK = 0xFFFFFFFFFFFFFFFF
+
+# per-row failure codes
+_COLLAPSED, _DARK_JUMP, _NEGATIVE = 1, 2, 3
 
 # ---------------------------------------------------------------------------
 # configuration types
@@ -136,30 +173,149 @@ class TrajectoryResult:
 
 
 # ---------------------------------------------------------------------------
-# cached per-model matrices
+# superoperator kernel
 
 
-class _StepCtx:
-    """Matrices reused every step (cheap to build, hot in the loop)."""
-
-    def __init__(self, model: LindbladModel):
-        self.model = model
-        self.c = model.collapses[0][1]
-        self.cd = self.c.conj().T
-        self.cdc = self.cd @ self.c
-        self.x = self.c + self.cd
-        self.h = model.hamiltonian
-        self.extras = model.collapses[1:]
-
-    def extra_dissipation(self, rho):
-        out = 0.0
-        for rate, op in self.extras:
-            out = out + rate * ops.superop_D(op, rho)
-        return out
+def _vec(rho: np.ndarray) -> np.ndarray:
+    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
 
 
-def _ctx(model: LindbladModel, ctx: Optional[_StepCtx]) -> _StepCtx:
-    return ctx if ctx is not None else _StepCtx(model)
+def _unvec(r: np.ndarray, dim: int) -> np.ndarray:
+    """Rows of column-stacked states -> (..., d, d) density matrices."""
+    return np.ascontiguousarray(
+        r.reshape(r.shape[:-1] + (dim, dim)).swapaxes(-1, -2))
+
+
+def _sandwich(a: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> a rho a†."""
+    return np.kron(a.conj(), a)
+
+
+class _Kernel:
+    """One unraveling at one dt: its superoperators and its step on rows."""
+
+    def __init__(self, model: LindbladModel, dt: float,
+                 eta: Optional[float] = None, beta: float = 0.0,
+                 f_op: Optional[np.ndarray] = None, delayed: bool = False):
+        dim = model.dim
+        c = model.collapses[0][1]
+        cd = c.conj().T
+        eye = np.eye(dim * dim)
+        self.dim, self.n2, self.dt = dim, dim * dim, dt
+        self.diffusive = eta is not None
+        # float view of vec(rho): (re, im) pairs; vec(rho†) is the view
+        # permuted by `transpose` and multiplied by `conj_sign`
+        pairs = np.arange(dim * dim).reshape(dim, dim).T.ravel()
+        self.transpose = (2 * pairs[:, None] + np.arange(2)).ravel()
+        self.conj_sign = np.tile([1.0, -1.0], dim * dim)
+        self.kick = None
+        if not self.diffusive:
+            m0 = np.eye(dim) - dt * (1j * model.hamiltonian + beta * c
+                                     + 0.5 * cd @ c)
+            unmonitored = LindbladModel(np.zeros_like(model.hamiltonian),
+                                        model.collapses[1:])
+            a = _sandwich(m0) + dt * unmonitored.liouvillian
+            s = _sandwich(c + beta * np.eye(dim))
+            self.gemm = np.hstack([a.T, s.T])
+            self.idle_noise = np.inf            # a uniform draw that never jumps
+            return
+        self.sqrt_eta = math.sqrt(eta)
+        meas = ops.spre(c) + ops.spost(cd)
+        drift = model.liouvillian
+        s = self.sqrt_eta * meas
+        if f_op is not None:
+            comm = ops.spre(f_op) - ops.spost(f_op)
+            comm2 = comm @ comm
+            if delayed:
+                self.kick = np.hstack([(eye - (0.5 * dt / eta) * comm2).T,
+                                       -1j * comm.T])
+            else:
+                drift = drift - 1j * comm @ meas - (0.5 / eta) * comm2
+                s = s - (1j / self.sqrt_eta) * comm
+        x_col = _vec((c + cd).T)
+        self.gemm = np.hstack([(eye + dt * drift).T, s.T, x_col[:, None]])
+        self.idle_noise = 0.0
+
+    @classmethod
+    def for_config(cls, config: SmeConfig, dt: float) -> "_Kernel":
+        det, fb = config.detection, config.feedback
+        if not isinstance(det, HomodyneDiffusive):
+            beta = det.beta if isinstance(det, HomodyneJump) else 0.0
+            return cls(config.model, dt, beta=beta)
+        return cls(config.model, dt, eta=det.eta,
+                   f_op=None if fb is None else fb.operator,
+                   delayed=fb is not None and isinstance(fb.mode, Delayed))
+
+    def step(self, r: np.ndarray, noise: np.ndarray, old=None):
+        """Advance the rows r by one step.
+
+        noise holds one uniform draw per row (jumps) or dW (diffusive); old is
+        (dW, <x>_c) per row from one delay earlier, or None. Returns
+        (r', record, <x>_c, bad): <x>_c is None for jumps, and bad is None or
+        per-row failure codes (0 for rows that stepped cleanly).
+        """
+        # elementwise work runs on float views (re, im pairs) of the rows:
+        # w floats per d^2 block, the real diagonal every `diag` floats
+        w, diag = 2 * self.n2, 2 * (self.dim + 1)
+        out = (r @ self.gemm).view(np.float64)
+        bad = None
+        xbar = None
+        if self.diffusive:
+            xbar = out[:, 2 * w]
+            sx = self.sqrt_eta * xbar
+            record = sx + noise / self.dt
+            new = out[:, w:2 * w] - sx[:, None] * r.view(np.float64)
+            new *= noise[:, None]
+            new += out[:, :w]
+            if old is not None:
+                dw_old, xbar_old = old
+                kicked = (new.view(complex) @ self.kick).view(np.float64)
+                theta = self.dt * xbar_old + dw_old / self.sqrt_eta
+                new = kicked[:, :w] + theta[:, None] * kicked[:, w:]
+        else:
+            emit = out[:, w::diag].sum(axis=1)           # Tr[J rho J†]
+            jump = noise < emit * self.dt
+            record = jump.astype(float)
+            new = out[:, :w]
+            if jump.any():
+                new = np.where(jump[:, None], out[:, w:], new)
+                dark = jump & (emit <= ops.TOL_JUMP)
+                if dark.any():
+                    bad = np.where(dark, _DARK_JUMP, 0)
+        # rho + rho† (the factor 1/2 cancels in the trace renormalization)
+        herm = np.take(new, self.transpose, axis=1)
+        herm *= self.conj_sign
+        herm += new
+        tr = herm[:, ::diag].sum(axis=1)
+        ok = np.isfinite(tr) & (tr > 0)
+        if not ok.all():
+            bad = np.where(ok, 0 if bad is None else bad, _COLLAPSED)
+            tr = np.where(ok, tr, 1.0)
+        herm /= tr[:, None]
+        return herm.view(complex), record, xbar, bad
+
+    def step_one(self, rho_c: np.ndarray, noise: float, old=None):
+        """One step of a single state, run as a full block of rows. Raises
+        the row's failure; returns (rho', record, <x>_c)."""
+        rows = np.tile(_vec(rho_c), (_ROW_PAD, 1))
+        noise_rows = np.full(_ROW_PAD, self.idle_noise)
+        noise_rows[0] = noise
+        if old is not None:
+            old = tuple(np.full(_ROW_PAD, v, dtype=float) for v in old)
+        r, record, xbar, bad = self.step(rows, noise_rows, old)
+        if bad is not None and bad[0]:
+            raise _failure(bad[0], POSITIVITY_TOL)
+        return (_unvec(r[0], self.dim), record[0],
+                None if xbar is None else xbar[0])
+
+
+def _failure(code: int, tol: float) -> Exception:
+    if code == _DARK_JUMP:
+        return JumpFromDarkState(
+            f"detection from a state with Tr[J rho J†] <= {ops.TOL_JUMP}")
+    if code == _COLLAPSED:
+        return PositivityViolation("trace collapsed during the step")
+    return PositivityViolation(f"conditioned state eigenvalue < {tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -167,69 +323,39 @@ def _ctx(model: LindbladModel, ctx: Optional[_StepCtx]) -> _StepCtx:
 
 
 def step_photon_counting(rho_c: np.ndarray, model: LindbladModel, dt: float,
-                         rng: Generator, _ctx_cache: Optional[_StepCtx] = None):
-    """One Euler step of the direct-detection jump unraveling.
+                         rng: Generator):
+    """One step of the direct-detection jump unraveling.
 
-    Returns (rho', dN). P(dN=1) = Tr[c†c rho] dt; a jump applies G[c], no jump
-    applies the drift -dt H[iH + c†c/2] (plus unmonitored dissipation).
+    Returns (rho', dN). P(dN=1) = Tr[c†c rho] dt; a jump applies c . c†, no
+    jump the Kraus map M0 . M0† with M0 = I - dt (iH + c†c/2) (plus dt D for
+    unmonitored collapses), each renormalized.
     """
-    return step_homodyne_jump(rho_c, model, 0.0, dt, rng, _ctx_cache=_ctx_cache)
+    return step_homodyne_jump(rho_c, model, 0.0, dt, rng)
 
 
 def step_homodyne_jump(rho_c: np.ndarray, model: LindbladModel, beta: float,
-                       dt: float, rng: Generator,
-                       _ctx_cache: Optional[_StepCtx] = None):
+                       dt: float, rng: Generator):
     """Jump unraveling with the local oscillator folded into the jump operator
     c + beta; detection rate Tr[(beta^2 + beta x + c†c) rho] dt."""
-    ctx = _ctx(model, _ctx_cache)
-    c = ctx.c
-    rate = (beta * beta
-            + beta * np.trace(ctx.x @ rho_c).real
-            + np.trace(ctx.cdc @ rho_c).real) * dt
-    if rng.random() < rate:
-        if beta == 0.0:
-            rho = rho_c + ops.superop_G(c, rho_c)
-        else:
-            jop = c + beta * np.eye(c.shape[0])
-            rho = rho_c + ops.superop_G(jop, rho_c)
-        dn = 1
-    else:
-        # drift H[-iH - beta c - c†c/2]
-        k = -1j * ctx.h - beta * c - 0.5 * ctx.cdc
-        m = k @ rho_c + rho_c @ k.conj().T
-        rho = rho_c + dt * (m - np.trace(m) * rho_c + ctx.extra_dissipation(rho_c))
-        dn = 0
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
-    if not math.isfinite(tr) or tr <= 0:
-        raise PositivityViolation("trace collapsed during jump step")
-    return rho / tr, dn
+    rho, record, _ = _Kernel(model, dt, beta=beta).step_one(rho_c, rng.random())
+    return rho, int(record)
 
 
 def step_homodyne_diffusive(rho_c: np.ndarray, model: LindbladModel, eta: float,
-                            dt: float, rng: Generator,
-                            _ctx_cache: Optional[_StepCtx] = None):
+                            dt: float, rng: Generator):
     """Diffusive homodyne unraveling.
 
     d rho = -i[H, rho] dt + D[c] rho dt + sqrt(eta) dW H[c] rho,
     I = sqrt(eta) <x>_c + dW / dt, with dW ~ Normal(0, dt).
     """
-    ctx = _ctx(model, _ctx_cache)
     dw = rng.standard_normal() * math.sqrt(dt)
-    xbar = np.trace(ctx.x @ rho_c).real
-    i_sample = math.sqrt(eta) * xbar + dw / dt
-    m = ctx.c @ rho_c + rho_c @ ctx.cd
-    rho = (rho_c + dt * model.rhs(rho_c)
-           + math.sqrt(eta) * dw * (m - xbar * rho_c))
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
+    rho, i_sample, _ = _Kernel(model, dt, eta=eta).step_one(rho_c, dw)
     return rho, i_sample
 
 
 def step_homodyne_feedback(rho_c: np.ndarray, model: LindbladModel,
                            f_op: np.ndarray, eta: float, dt: float,
-                           rng: Generator, delay_buffer: Optional[deque] = None,
-                           _ctx_cache: Optional[_StepCtx] = None):
+                           rng: Generator, delay_buffer: Optional[deque] = None):
     """Diffusive homodyne step with photocurrent feedback Hamiltonian ~ F I.
 
     Markovian (delay_buffer is None): the Ito form with the feedback acting
@@ -238,44 +364,24 @@ def step_homodyne_feedback(rho_c: np.ndarray, model: LindbladModel,
               + dW H[sqrt(eta) c - i F / sqrt(eta)] rho.
 
     Delayed: delay_buffer is a deque with maxlen = T/dt holding (dW, <x>_c)
-    pairs; the feedback at this step is driven by the record from one delay
-    ago once the buffer is full, and held at zero during warm-up. The step
+    pairs. Once it is full, the measured state gets the kick
+    -i (<x>_old dt + dW_old / sqrt(eta)) [F, .] - dt [F, [F, .]] / (2 eta)
+    from the record one delay ago; during warm-up there is no kick. The step
     pushes the current (dW, <x>_c) onto the buffer.
     """
-    ctx = _ctx(model, _ctx_cache)
+    delayed = delay_buffer is not None
+    if delayed and (delay_buffer.maxlen is None or delay_buffer.maxlen < 1):
+        raise EmptyDelayBuffer("delay buffer must have maxlen = T/dt >= 1")
     dw = rng.standard_normal() * math.sqrt(dt)
-    xbar = np.trace(ctx.x @ rho_c).real
-    i_sample = math.sqrt(eta) * xbar + dw / dt
-    base = rho_c + dt * model.rhs(rho_c)
-    m = ctx.c @ rho_c + rho_c @ ctx.cd
-
-    if delay_buffer is None:
-        # Markovian limit
-        fterm = f_op @ m - m @ f_op                      # [F, c rho + rho c†]
-        ff = f_op @ rho_c - rho_c @ f_op                 # [F, rho]
-        ffterm = f_op @ ff - ff @ f_op                   # [F, [F, rho]]
-        stoch_lin = math.sqrt(eta) * m - (1j / math.sqrt(eta)) * ff
-        rho = (base
-               + dt * (-1j * fterm - 0.5 * ffterm / eta)
-               + dw * (stoch_lin - math.sqrt(eta) * xbar * rho_c))
-    else:
-        if delay_buffer.maxlen is None or delay_buffer.maxlen < 1:
-            raise EmptyDelayBuffer("delay buffer must have maxlen = T/dt >= 1")
-        rho = base + math.sqrt(eta) * dw * (m - xbar * rho_c)
-        if len(delay_buffer) == delay_buffer.maxlen:
-            dw_old, xbar_old = delay_buffer[0]
-            ff = f_op @ rho_c - rho_c @ f_op
-            ffterm = f_op @ ff - ff @ f_op
-            rho = (rho
-                   + dt * (-1j * xbar_old * ff - 0.5 * ffterm / eta)
-                   - 1j * (dw_old / math.sqrt(eta)) * ff)
+    old = None
+    if delayed and len(delay_buffer) == delay_buffer.maxlen:
+        old = delay_buffer[0]
+    kernel = _Kernel(model, dt, eta=eta, f_op=np.asarray(f_op, dtype=complex),
+                     delayed=delayed)
+    rho, i_sample, xbar = kernel.step_one(rho_c, dw, old)
+    if delayed:
         delay_buffer.append((dw, xbar))
-
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
-    if not math.isfinite(tr) or tr <= 0:
-        raise PositivityViolation("trace collapsed during feedback step")
-    return rho / tr, i_sample
+    return rho, i_sample
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +450,7 @@ def in_loop_correlation_spectrum(model_fb: LindbladModel, c: np.ndarray,
     corr = eta * two_time_correlation(model_fb, x_op, dev, tau,
                                       dt=min(dtau, 0.05 / fast))
     smooth = np.real(corr)
-    vals = 1.0 + 2.0 * trapezoid(
+    vals = 1.0 + 2.0 * np.trapezoid(
         np.cos(np.outer(omega_grid, tau)) * smooth[None, :], tau, axis=1)
     return Spectrum(omega_grid, vals)
 
@@ -353,73 +459,104 @@ def in_loop_correlation_spectrum(model_fb: LindbladModel, c: np.ndarray,
 # trajectory and ensemble drivers
 
 
-def _run_with_dt(config: SmeConfig, rho0: np.ndarray, seed: int,
-                 refine: int) -> TrajectoryResult:
-    """One trajectory at dt/2^refine; record coarse-grained back onto the
-    configured grid (pair-averaged currents, pair-summed counts)."""
+def _integrate(config: SmeConfig, rho0: np.ndarray, seeds, refine: int) -> list:
+    """Advance the trajectories keyed by seeds in lock-step at dt/2^refine.
+
+    Returns, ordered like seeds, a TrajectoryResult or the exception that
+    ended the trajectory. Records are coarse-grained back onto the configured
+    grid (pair-averaged currents, pair-summed counts).
+    """
     sub = 2 ** refine
     dt = config.dt / sub
     n = config.steps * sub
-    model = config.model
-    ctx = _StepCtx(model)
-    rng = Generator(Philox(key=seed & 0xFFFFFFFFFFFFFFFF))
-    rho = np.asarray(rho0, dtype=complex).copy()
-    record = np.empty(n)
-    counting = isinstance(config.detection, (PhotonCounting, HomodyneJump))
+    dim = config.model.dim
+    kernel = _Kernel.for_config(config, dt)
+    tol = DIFFUSIVE_POSITIVITY_TOL if kernel.diffusive else POSITIVITY_TOL
+    b_sz = len(seeds)
+    rows = -(-b_sz // _ROW_PAD) * _ROW_PAD
+    r0 = _vec(rho0)
+    r = np.tile(r0, (rows, 1))
+    fail = np.zeros(rows, dtype=np.int8)
+    records = np.empty((rows, n))
+    snap = config.snapshot_every * sub
+    snaps, snap_times = [], []
 
     fb = config.feedback
-    buf = None
-    if fb is not None and isinstance(fb.mode, Delayed):
-        buf = deque(maxlen=int(round(fb.mode.delay / dt)))
+    lag = (int(round(fb.mode.delay / dt))
+           if fb is not None and isinstance(fb.mode, Delayed) else 0)
+    if lag:
+        # (dW, <x>_c) of the last `lag` steps, indexed by step mod lag
+        hist_dw, hist_x = np.zeros((lag, rows)), np.zeros((lag, rows))
 
-    snap = config.snapshot_every * sub if config.snapshot_every else 0
-    states = [] if snap else None
-    state_times = [] if snap else None
+    gens = [Generator(Philox(key=s & _SEED_MASK)) for s in seeds]
+    chunk = min(n, max(1, _NOISE_CHUNK // rows))
+    draws = np.full((chunk, rows), kernel.idle_noise)     # padding rows idle
 
-    if isinstance(config.detection, PhotonCounting):
-        def do_step(r):
-            return step_homodyne_jump(r, model, 0.0, dt, rng, _ctx_cache=ctx)
-    elif isinstance(config.detection, HomodyneJump):
-        beta = config.detection.beta
+    def mark(bad):
+        hit = bad != 0
+        first = hit & (fail == 0)
+        fail[first] = bad[first]
+        r[hit] = r0                      # keep failed rows finite
 
-        def do_step(r):
-            return step_homodyne_jump(r, model, beta, dt, rng, _ctx_cache=ctx)
-    elif fb is None:
-        eta = config.detection.eta
-
-        def do_step(r):
-            return step_homodyne_diffusive(r, model, eta, dt, rng, _ctx_cache=ctx)
-    else:
-        eta = config.detection.eta
-        f_op = fb.operator
-
-        def do_step(r):
-            return step_homodyne_feedback(r, model, f_op, eta, dt, rng,
-                                          delay_buffer=buf, _ctx_cache=ctx)
-
-    tol = POSITIVITY_TOL if counting else DIFFUSIVE_POSITIVITY_TOL
-    for k in range(n):
-        rho, record[k] = do_step(rho)
-        if (k + 1) % POSITIVITY_CHECK_EVERY == 0:
-            if np.linalg.eigvalsh(rho).min() < tol:
-                raise PositivityViolation(
-                    f"conditioned state eigenvalue < {tol} at step {k}")
-        if snap and (k + 1) % snap == 0:
-            states.append(rho.copy())
-            state_times.append((k + 1) * dt)
-
-    if np.linalg.eigvalsh(rho).min() < tol:
-        raise PositivityViolation("final conditioned state not positive")
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            j = k % chunk
+            if j == 0:
+                m = min(chunk, n - k)
+                for i, g in enumerate(gens):
+                    draws[:m, i] = (g.standard_normal(m) if kernel.diffusive
+                                    else g.random(m))
+                noise = draws * math.sqrt(dt) if kernel.diffusive else draws
+            old = None
+            if lag:
+                slot = k % lag
+                if k >= lag:
+                    old = (hist_dw[slot], hist_x[slot])
+            r, records[:, k], xbar, bad = kernel.step(r, noise[j], old)
+            if lag:
+                hist_dw[slot], hist_x[slot] = noise[j], xbar
+            if bad is not None:
+                mark(bad)
+            if (k + 1) % POSITIVITY_CHECK_EVERY == 0 or k + 1 == n:
+                low = np.linalg.eigvalsh(r.reshape(rows, dim, dim))[:, 0] < tol
+                if low.any():
+                    mark(np.where(low, _NEGATIVE, 0))
+            if snap and (k + 1) % snap == 0:
+                snaps.append(r[:b_sz])
+                snap_times.append((k + 1) * dt)
 
     if sub > 1:
-        shaped = record.reshape(config.steps, sub)
-        record = shaped.sum(axis=1) if counting else shaped.mean(axis=1)
+        shaped = records.reshape(rows, config.steps, sub)
+        records = shaped.mean(axis=2) if kernel.diffusive else shaped.sum(axis=2)
     times = config.dt * np.arange(1, config.steps + 1)
-    return TrajectoryResult(
-        times=times, record=record,
-        states=np.array(states) if snap else None,
-        state_times=np.array(state_times) if snap else None,
-        diagnostics={"dt_used": dt, "refinements": refine, "seed": seed})
+    states = _unvec(np.stack(snaps, axis=1), dim) if snap else None
+    state_times = np.array(snap_times) if snap else None
+    results = []
+    for i, s in enumerate(seeds):
+        if fail[i]:
+            results.append(_failure(fail[i], tol))
+            continue
+        results.append(TrajectoryResult(
+            times=times, record=records[i],
+            states=states[i] if snap else None,
+            state_times=state_times,
+            diagnostics={"dt_used": dt, "refinements": refine, "seed": s}))
+    return results
+
+
+def _run_seeds(config: SmeConfig, rho0: np.ndarray, seeds, chunk: int) -> list:
+    """Run seeds in batches of at most chunk, then rerun every positivity
+    failure once, all in one batch, at dt/2."""
+    results = []
+    for lo in range(0, len(seeds), chunk):
+        results.extend(_integrate(config, rho0, seeds[lo:lo + chunk], refine=0))
+    retry = [i for i, res in enumerate(results)
+             if isinstance(res, PositivityViolation)]
+    if retry:
+        again = _integrate(config, rho0, [seeds[i] for i in retry], refine=1)
+        for i, res in zip(retry, again):
+            results[i] = res
+    return results
 
 
 def run_trajectory(config: SmeConfig, rho0: np.ndarray,
@@ -432,167 +569,10 @@ def run_trajectory(config: SmeConfig, rho0: np.ndarray,
     """
     ops.validate_density_matrix(np.asarray(rho0, dtype=complex))
     use_seed = config.seed if seed is None else seed
-    try:
-        return _run_with_dt(config, rho0, use_seed, refine=0)
-    except PositivityViolation:
-        return _run_with_dt(config, rho0, use_seed, refine=1)
-
-
-# ---------------------------------------------------------------------------
-# batched ensemble engine
-#
-# All trajectories of an ensemble advance in lock-step as a stacked (B, d, d)
-# array; trajectory i consumes exactly the noise stream Philox(seed XOR i)
-# would give it sequentially (array draws and repeated scalar draws from one
-# generator are identical), so the ensemble contract is untouched while the
-# per-step Python overhead is shared across the batch.
-
-
-def _batch_noise(seeds, n: int, uniform: bool) -> np.ndarray:
-    rows = np.empty((len(seeds), n))
-    for i, s in enumerate(seeds):
-        g = Generator(Philox(key=s & 0xFFFFFFFFFFFFFFFF))
-        rows[i] = g.random(n) if uniform else g.standard_normal(n)
-    return rows
-
-
-def _herm_normalize(r: np.ndarray, failed: np.ndarray) -> np.ndarray:
-    r = 0.5 * (r + np.conj(np.swapaxes(r, -1, -2)))
-    tr = np.einsum("bii->b", r).real
-    bad = ~np.isfinite(tr) | (tr <= 0)
-    failed |= bad
-    tr = np.where(bad, 1.0, tr)
-    return r / tr[:, None, None]
-
-
-def _batch_positivity(r: np.ndarray, failed: np.ndarray, tol: float) -> None:
-    ok = ~failed & np.all(np.isfinite(r.reshape(len(r), -1)), axis=1)
-    idx = np.nonzero(ok)[0]
-    if idx.size:
-        evals = np.linalg.eigvalsh(r[idx])
-        failed[idx[evals.min(axis=1) < tol]] = True
-
-
-def _run_batched(config: SmeConfig, rho0: np.ndarray, seeds):
-    """Advance len(seeds) trajectories in lock-step; positivity failures are
-    retried sequentially at dt/2. Returns a list of TrajectoryResult or the
-    final exception, ordered like seeds."""
-    model, dt, n = config.model, config.dt, config.steps
-    ctx = _StepCtx(model)
-    b_sz = len(seeds)
-    dim = model.dim
-    counting = isinstance(config.detection, (PhotonCounting, HomodyneJump))
-    noise = _batch_noise(seeds, n, uniform=counting)
-    if counting:
-        noise_dw = None
-    else:
-        noise_dw = noise * math.sqrt(dt)
-
-    r = np.broadcast_to(np.asarray(rho0, dtype=complex),
-                        (b_sz, dim, dim)).copy()
-    failed = np.zeros(b_sz, dtype=bool)
-    records = np.empty((b_sz, n))
-    snap = config.snapshot_every
-    snaps, snap_times = [], []
-
-    c, cd, cdc, x_op, h = ctx.c, ctx.cd, ctx.cdc, ctx.x, ctx.h
-    scaled = [(rate, op, op.conj().T) for rate, op in ctx.extras]
-    # drift matrix of the deterministic part: rhs = A r + r A† + sum L r L†
-    a_drift = -1j * h - 0.5 * cdc
-    for rate, op, opd in scaled:
-        a_drift = a_drift - 0.5 * rate * (opd @ op)
-
-    def det_rhs(rr):
-        out = a_drift @ rr + rr @ a_drift.conj().T + c @ rr @ cd
-        for rate, op, opd in scaled:
-            out = out + rate * (op @ rr @ opd)
-        return out
-
-    fb = config.feedback
-    eta = config.detection.eta if isinstance(config.detection,
-                                             HomodyneDiffusive) else None
-    f_op = fb.operator if fb is not None else None
-    delayed = fb is not None and isinstance(fb.mode, Delayed)
-    dlen = int(round(fb.mode.delay / dt)) if delayed else 0
-    xbar_hist = np.empty((b_sz, n)) if delayed else None
-
-    beta = config.detection.beta if isinstance(config.detection,
-                                               HomodyneJump) else 0.0
-    if counting:
-        k_nojump = -1j * h - beta * c - 0.5 * cdc
-        jop = c + (beta * np.eye(dim) if beta else 0.0)
-        jopd = jop.conj().T
-    tol = POSITIVITY_TOL if counting else DIFFUSIVE_POSITIVITY_TOL
-
-    with np.errstate(all="ignore"):
-        for k in range(n):
-            if counting:
-                rate = (beta * beta
-                        + beta * np.einsum("ij,bji->b", x_op, r).real
-                        + np.einsum("ij,bji->b", cdc, r).real) * dt
-                jump = noise[:, k] < rate
-                m = k_nojump @ r + r @ np.conj(k_nojump).T
-                trm = np.einsum("bii->b", m)
-                r_new = r + dt * (m - trm[:, None, None] * r)
-                for rate_e, op, opd in scaled:
-                    r_new += dt * rate_e * (op @ r @ opd
-                                            - 0.5 * (opd @ op @ r + r @ opd @ op))
-                for i in np.nonzero(jump)[0]:
-                    r_new[i] = jop @ r[i] @ jopd
-                r = r_new
-                records[:, k] = jump
-            else:
-                dw = noise_dw[:, k]
-                xbar = np.einsum("ij,bji->b", x_op, r).real
-                records[:, k] = math.sqrt(eta) * xbar + dw / dt
-                m = c @ r + r @ cd
-                base = r + dt * det_rhs(r)
-                meas = m - xbar[:, None, None] * r
-                if fb is None:
-                    r = base + math.sqrt(eta) * dw[:, None, None] * meas
-                elif not delayed:
-                    ff = f_op @ r - r @ f_op
-                    ffterm = f_op @ ff - ff @ f_op
-                    fterm = f_op @ m - m @ f_op
-                    stoch = (math.sqrt(eta) * m - (1j / math.sqrt(eta)) * ff
-                             - math.sqrt(eta) * xbar[:, None, None] * r)
-                    r = (base + dt * (-1j * fterm - 0.5 * ffterm / eta)
-                         + dw[:, None, None] * stoch)
-                else:
-                    xbar_hist[:, k] = xbar
-                    r = base + math.sqrt(eta) * dw[:, None, None] * meas
-                    if k >= dlen:
-                        dw_old = noise_dw[:, k - dlen][:, None, None]
-                        xb_old = xbar_hist[:, k - dlen][:, None, None]
-                        ff = f_op @ r - r @ f_op
-                        ffterm = f_op @ ff - ff @ f_op
-                        r = (r + dt * (-1j * xb_old * ff - 0.5 * ffterm / eta)
-                             - 1j * (dw_old / math.sqrt(eta)) * ff)
-            r = _herm_normalize(r, failed)
-            if (k + 1) % POSITIVITY_CHECK_EVERY == 0:
-                _batch_positivity(r, failed, tol)
-            if snap and (k + 1) % snap == 0:
-                snaps.append(r.copy())
-                snap_times.append((k + 1) * dt)
-    _batch_positivity(r, failed, tol)
-
-    times = dt * np.arange(1, n + 1)
-    state_times = np.array(snap_times) if snap else None
-    stacked = np.array(snaps) if snap else None   # (n_snap, B, d, d)
-    results = []
-    for i, s in enumerate(seeds):
-        if failed[i]:
-            try:
-                results.append(_run_with_dt(config, rho0, s, refine=1))
-            except Exception as exc:
-                results.append(exc)
-            continue
-        results.append(TrajectoryResult(
-            times=times, record=records[i],
-            states=stacked[:, i] if snap else None,
-            state_times=state_times,
-            diagnostics={"dt_used": dt, "refinements": 0, "seed": s}))
-    return results
+    result = _run_seeds(config, rho0, [use_seed], chunk=1)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @dataclass
@@ -605,14 +585,6 @@ class EnsembleSummary:
     n_failed: int
     failures: list
     trajectories: Optional[list] = None   # per-trajectory results on request
-
-
-def _ensemble_worker(args):
-    config, rho0, seed = args
-    try:
-        return run_trajectory(config, rho0, seed=seed)
-    except Exception as exc:           # reported, not fatal, unless >10% fail
-        return exc
 
 
 def run_ensemble(config: SmeConfig, n_traj: int, rho0: np.ndarray,
@@ -628,17 +600,11 @@ def run_ensemble(config: SmeConfig, n_traj: int, rho0: np.ndarray,
         raise ValueError("n_traj must be >= 1")
     if config.snapshot_every < 1:
         raise ValueError("run_ensemble needs snapshot_every >= 1")
+    ops.validate_density_matrix(np.asarray(rho0, dtype=complex))
     seeds = [config.seed ^ i for i in range(n_traj)]
-    if n_traj == 1:
-        results = [_ensemble_worker((config, rho0, seeds[0]))]
-    else:
-        # lock-step vectorized advance; `workers` only chunks the batch, so
-        # the output is identical for any worker count
-        ops.validate_density_matrix(np.asarray(rho0, dtype=complex))
-        chunk = max(1, math.ceil(n_traj / max(1, workers)))
-        results = []
-        for lo in range(0, n_traj, chunk):
-            results.extend(_run_batched(config, rho0, seeds[lo:lo + chunk]))
+    # `workers` only splits the lock-step batch; the output does not depend on it
+    chunk = max(1, math.ceil(n_traj / max(1, workers)))
+    results = _run_seeds(config, rho0, seeds, chunk)
 
     ok = [(i, r) for i, r in enumerate(results) if isinstance(r, TrajectoryResult)]
     failures = [(i, r) for i, r in enumerate(results)

@@ -1,0 +1,50 @@
+"""Package-level contracts: import cost, `python -m` entry points, README."""
+
+import os
+import re
+import subprocess
+import sys
+
+import qfeedback
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(qfeedback.__file__)))
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+
+def run_python(args, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable] + args, cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_no_scipy_submodules():
+    code = ("import sys, qfeedback\n"
+            "print(sorted(m for m in ('scipy.signal', 'scipy.integrate')"
+            " if m in sys.modules))")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_python_dash_m_entry_points(tmp_path):
+    for i, module in enumerate(("qfeedback", "qfeedback.cli")):
+        out = tmp_path / f"out{i}.csv"
+        proc = run_python(["-m", module, "spectra", "--output", str(out)],
+                          cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        rows = [ln for ln in out.read_text().splitlines()
+                if not ln.startswith("#")]
+        assert rows[0] == "omega,s2x,s3x,s2y,s3y"
+        assert len(rows) == 513
+
+
+def test_readme_quick_start_runs():
+    with open(README) as fh:
+        text = fh.read()
+    snippet = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    namespace = {}
+    exec(compile(snippet, "README.md", "exec"), namespace)
+    assert namespace["s2"].values.shape == (256,)
+    assert namespace["summary"].n_success >= 180

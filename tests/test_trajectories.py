@@ -9,7 +9,8 @@ from numpy.random import Generator, Philox
 from scipy import stats
 
 from qfeedback import operators as ops, trajectories as tj
-from qfeedback.errors import EmptyDelayBuffer
+from qfeedback.errors import (EmptyDelayBuffer, JumpFromDarkState,
+                              PositivityViolation)
 
 
 def cavity(dim):
@@ -137,6 +138,53 @@ class TestSingleSteps:
             tj.step_homodyne_feedback(
                 0.5 * np.eye(2, dtype=complex), atom(), 0.1 * ops.sigma_y(),
                 0.8, 1e-3, Generator(Philox(key=1)), delay_buffer=deque())
+
+
+    def test_jump_from_dark_state_raises(self):
+        eps = 1e-15                       # Tr[c rho c†] below TOL_JUMP
+        rho = np.diag([1.0 - eps, eps]).astype(complex)
+        with pytest.raises(JumpFromDarkState):
+            tj.step_photon_counting(rho, atom(), 1e-3, _ForcedRng(0.0))
+
+    def test_no_jump_step_stays_positive(self):
+        # the Kraus no-jump map keeps a pure Fock state positive at any beta
+        rho = ops.fock_dm(6, 3)
+        for _ in range(20):
+            rho, dn = tj.step_homodyne_jump(rho, cavity(6), 3.0, 1e-2,
+                                            _ForcedRng(1.0))
+            assert dn == 0
+            assert np.linalg.eigvalsh(rho).min() > -1e-14
+
+
+class TestKernel:
+    def test_dark_jump_flagged_per_row(self):
+        # a batch where one row is asked to jump from a (numerically) dark
+        # state: only that row fails, with JumpFromDarkState
+        eps = 1e-15
+        rows = [ops.fock_dm(2, 1), np.diag([1.0 - eps, eps]), ops.fock_dm(2, 0),
+                0.5 * np.eye(2)] * 2
+        r = np.array([tj._vec(rho) for rho in rows])
+        kernel = tj._Kernel(atom(), 1e-3)
+        noise = np.zeros(len(rows))          # every emitting row jumps
+        r_new, record, _, bad = kernel.step(r, noise)
+        assert list(record) == [1.0, 1.0, 0.0, 1.0] * 2
+        assert [tj._failure(code, tj.POSITIVITY_TOL).__class__ if code else None
+                for code in bad] == [None, JumpFromDarkState, None, None] * 2
+        assert np.allclose(tj._unvec(r_new[0], 2), ops.fock_dm(2, 0),
+                           atol=1e-15)
+
+    def test_rows_match_single_steps(self):
+        f_op = -0.15 * ops.quad_y(4)
+        rng = np.random.default_rng(3)
+        rhos = [ops.fock_dm(4, k % 4) for k in range(9)]
+        dws = rng.standard_normal(9) * math.sqrt(1e-3)
+        kernel = tj._Kernel(cavity(4), 1e-3, eta=0.8, f_op=f_op)
+        r = np.array([tj._vec(rho) for rho in rhos] + [tj._vec(rhos[0])] * 7)
+        r_new, record, _, _ = kernel.step(r, np.concatenate([dws, np.zeros(7)]))
+        for i, (rho, dw) in enumerate(zip(rhos, dws)):
+            one, i_sample, _ = kernel.step_one(rho, dw)
+            assert np.array_equal(one, tj._unvec(r_new[i], 4))
+            assert i_sample == record[i]
 
 
 class TestJumpToDiffusiveConvergence:
@@ -341,6 +389,56 @@ class TestEnsembleContract:
             assert np.array_equal(a.mean_states, other.mean_states)
             assert np.array_equal(a.psd.values, other.psd.values)
             assert np.array_equal(a.xbar_variance, other.xbar_variance)
+
+    @pytest.mark.parametrize("detection, feedback", [
+        (tj.HomodyneDiffusive(0.8), tj.Feedback(-0.15 * ops.quad_y(4))),
+        (tj.HomodyneDiffusive(0.8),
+         tj.Feedback(-0.15 * ops.quad_y(4), tj.Delayed(20 * 2e-3))),
+        (tj.HomodyneJump(1.0), None),
+    ])
+    def test_small_batches_bit_identical_d4(self, detection, feedback):
+        # d = 4: batches of 1, 2, 3 and 6 trajectories (through `workers`)
+        # against run_trajectory, record and states bit for bit
+        cfg = config(cavity(4), detection, dt=2e-3, steps=150, seed=77,
+                     snapshot_every=50, feedback=feedback)
+        rho0 = ops.fock_dm(4, 2)
+        solo = [tj.run_trajectory(cfg, rho0, seed=77 ^ i) for i in range(6)]
+        for workers in (6, 3, 2, 1):
+            batch = tj.run_ensemble(cfg, 6, rho0, workers=workers,
+                                    keep_trajectories=True)
+            for res, ref in zip(batch.trajectories, solo):
+                assert np.array_equal(res.record, ref.record)
+                assert np.array_equal(res.states, ref.states)
+
+    def test_refined_rerun_batch_independent(self):
+        # the dt/2 rerun of failed trajectories runs them as one batch
+        cfg = config(cavity(4), tj.HomodyneDiffusive(0.8), dt=2e-3, steps=100,
+                     seed=5, snapshot_every=50,
+                     feedback=tj.Feedback(-0.15 * ops.quad_y(4)))
+        seeds = [11, 12, 13]
+        batch = tj._integrate(cfg, ops.fock_dm(4, 1), seeds, refine=1)
+        for seed, res in zip(seeds, batch):
+            (solo,) = tj._integrate(cfg, ops.fock_dm(4, 1), [seed], refine=1)
+            assert res.record.shape == (100,)
+            assert res.diagnostics["refinements"] == 1
+            assert np.array_equal(res.record, solo.record)
+            assert np.array_equal(res.states, solo.states)
+
+    def test_positivity_failures_rerun_once_at_half_dt(self, monkeypatch):
+        # a tolerance no decaying state meets: every row fails the eigenvalue
+        # gate, is rerun once (all failures in one batch) and then reported
+        monkeypatch.setattr(tj, "DIFFUSIVE_POSITIVITY_TOL", 0.45)
+        calls = []
+        integrate = tj._integrate
+
+        def spy(cfg, rho0, seeds, refine):
+            calls.append((len(seeds), refine))
+            return integrate(cfg, rho0, seeds, refine)
+
+        monkeypatch.setattr(tj, "_integrate", spy)
+        with pytest.raises(PositivityViolation, match="only 0/5"):
+            tj.run_ensemble(self.cfg(), 5, 0.5 * np.eye(2), workers=2)
+        assert calls == [(3, 0), (2, 0), (5, 1)]
 
     def test_batched_equals_sequential(self):
         rho0 = ops.fock_dm(2, 1)
