@@ -97,7 +97,9 @@ def steady_state_bloch(params: AtomLoopParams):
     """Stationary Bloch vector: the feedback noise weakly repumps sigma_z."""
     lam = params.lam
     den = 2.0 * params.eta_mm * params.eps * (1.0 + lam) + lam * lam
-    assert den > 0.0
+    if den <= 0.0:
+        # den = 2 eta eps gamma_z: no relaxation, no stationary state
+        raise ValueError(f"gamma_z <= 0 (lambda = {lam}): no steady state")
     return 0.0, 0.0, -1.0 + lam * lam / den
 
 

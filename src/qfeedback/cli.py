@@ -23,37 +23,9 @@ import numpy as np
 from . import __version__
 from . import atom_squash, intracavity, loop, qnd, semiclassical, trajectories
 from . import operators as ops
-from .errors import (
-    ComplexRoot,
-    DegenerateSplit,
-    DegenerateSteadyState,
-    DelayTooLarge,
-    DivergenceDetected,
-    EmptyDelayBuffer,
-    JumpFromDarkState,
-    MarginalStability,
-    NegativePrefactor,
-    ParseError,
-    PositivityViolation,
-    QFeedbackError,
-    SemiclassicalInexpressible,
-    TooShort,
-    UnknownKey,
-    UnphysicalBath,
-    UnreachableSqueezing,
-    UnstableLoop,
-    UnstableMean,
-)
+from .errors import MarginalStability, ParseError, QFeedbackError, UnknownKey
 
 OUTDIR_ENV = "QFEEDBACK_OUTDIR"
-
-_VALIDATION_ERRORS = (ValueError, TypeError, ParseError, UnknownKey,
-                      SemiclassicalInexpressible, DelayTooLarge,
-                      UnphysicalBath, UnreachableSqueezing, DegenerateSplit)
-_NUMERICAL_ERRORS = (UnstableLoop, MarginalStability, DivergenceDetected,
-                     PositivityViolation, DegenerateSteadyState, ComplexRoot,
-                     UnstableMean, NegativePrefactor, TooShort,
-                     JumpFromDarkState, EmptyDelayBuffer, QFeedbackError)
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +376,11 @@ def run(argv=None) -> int:
         colnames, columns = _RUNNERS[sub](values)
         path = _output_path(args, sub)
         _write_csv(path, sub, values, source, colnames, columns)
-    except _NUMERICAL_ERRORS as exc:
-        if isinstance(exc, _VALIDATION_ERRORS):
-            print(f"qfeedback {sub}: invalid parameters: {exc}", file=sys.stderr)
-            return 2
-        print(f"qfeedback {sub}: numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except _VALIDATION_ERRORS as exc:
-        print(f"qfeedback {sub}: invalid parameters: {exc}", file=sys.stderr)
-        return 2
+    except (QFeedbackError, ValueError, TypeError) as exc:
+        code = getattr(exc, "exit_code", 2)
+        kind = "invalid parameters" if code == 2 else "numerical failure"
+        print(f"qfeedback {sub}: {kind}: {exc}", file=sys.stderr)
+        return code
     print(path)
     return 0
 

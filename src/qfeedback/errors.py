@@ -1,16 +1,23 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Each error's ``exit_code`` is the command-line exit status it maps to: 2 for
+invalid parameters or config, 3 for numerical failures.
+"""
 
 
 class QFeedbackError(Exception):
     """Base class for all package errors."""
+    exit_code = 3
 
 
 class DimensionMismatch(QFeedbackError, ValueError):
     """Operands act on Hilbert spaces of different dimension."""
+    exit_code = 2
 
 
 class InvalidState(QFeedbackError, ValueError):
     """A matrix fails the density-matrix invariants (hermiticity, trace, positivity)."""
+    exit_code = 2
 
 
 class JumpFromDarkState(QFeedbackError):
@@ -39,10 +46,12 @@ class MarginalStability(QFeedbackError):
 
 class DegenerateSplit(QFeedbackError):
     """No light reaches the in-loop detector (eta2 = 0) but feedback is requested."""
+    exit_code = 2
 
 
 class TooShort(QFeedbackError, ValueError):
     """Time series too short for the requested spectral estimate."""
+    exit_code = 2
 
 
 class DivergenceDetected(QFeedbackError):
@@ -51,6 +60,7 @@ class DivergenceDetected(QFeedbackError):
 
 class SemiclassicalInexpressible(QFeedbackError, ValueError):
     """Sub-shot-noise input cannot be represented by classical noise plus shot noise."""
+    exit_code = 2
 
 
 class ComplexRoot(QFeedbackError):
@@ -63,14 +73,17 @@ class UnstableMean(QFeedbackError):
 
 class DelayTooLarge(QFeedbackError, ValueError):
     """Short-delay correction requested outside its validity domain."""
+    exit_code = 2
 
 
 class UnphysicalBath(QFeedbackError, ValueError):
     """Squeezed-bath parameters violate |M|^2 <= N(N+1)."""
+    exit_code = 2
 
 
 class UnreachableSqueezing(QFeedbackError, ValueError):
     """Requested in-loop noise level below the detector-efficiency floor."""
+    exit_code = 2
 
 
 class NegativePrefactor(QFeedbackError):
@@ -83,7 +96,9 @@ class EmptyDelayBuffer(QFeedbackError):
 
 class ParseError(QFeedbackError, ValueError):
     """Config file could not be parsed."""
+    exit_code = 2
 
 
 class UnknownKey(QFeedbackError, ValueError):
     """Config file contains keys not recognized by the subcommand."""
+    exit_code = 2

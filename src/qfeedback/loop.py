@@ -55,21 +55,20 @@ class Sampled:
         object.__setattr__(self, "h", h / area)
 
     def ft(self, omega):
-        """Exact Fourier transform of the piecewise-constant interpolant."""
+        """Exact Fourier transform of the piecewise-constant interpolant:
+        (1 - z)/(i omega) * sum_k h_k z^k with z = exp(-i omega dt), the sum
+        evaluated by Horner's rule."""
         omega = np.asarray(omega, dtype=float)
         scalar = omega.ndim == 0
         omega = np.atleast_1d(omega)
-        k = np.arange(len(self.h))
         out = np.empty(len(omega), dtype=complex)
         small = np.abs(omega) * self.dt < 1e-12
         if np.any(small):
             out[small] = self.h.sum() * self.dt
         big = ~small
         if np.any(big):
-            w = omega[big][:, None]
-            phases = np.exp(-1j * w * k[None, :] * self.dt)
-            out[big] = ((1 - np.exp(-1j * omega[big] * self.dt)) / (1j * omega[big])
-                        * (phases @ self.h))
+            z = np.exp(-1j * omega[big] * self.dt)
+            out[big] = (1 - z) / (1j * omega[big]) * np.polyval(self.h[::-1], z)
         return out[0] if scalar else out
 
     @property

@@ -211,73 +211,84 @@ class LindbladModel:
 
 
 # ---------------------------------------------------------------------------
-# integration
+# exact linear algebra on the Liouvillian
 
-def _rk4_step(model: LindbladModel, rho: np.ndarray, dt: float) -> np.ndarray:
-    k1 = model.rhs(rho)
-    k2 = model.rhs(rho + 0.5 * dt * k1)
-    k3 = model.rhs(rho + 0.5 * dt * k2)
-    k4 = model.rhs(rho + dt * k3)
-    return rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+# A trace-constrained Liouvillian (see steady_state) whose 1-norm condition
+# number exceeds this is treated as singular: the kernel of L is then not
+# one-dimensional, or too close to it to single out a state.
+COND_DEGENERATE = 1e10
+
+
+def _vec(m: np.ndarray) -> np.ndarray:
+    """Column-stacked vec(m)."""
+    return np.asarray(m, dtype=complex).reshape(-1, order="F")
+
+
+def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
+    return v.reshape((dim, dim), order="F")
+
+
+def _propagator(model: LindbladModel, t: float) -> np.ndarray:
+    """exp(L t), the exact master-equation propagator on vec(rho)."""
+    from scipy.linalg import expm
+    return expm(model.liouvillian * t)
 
 
 def evolve(model: LindbladModel, rho0: np.ndarray, t: float,
-           dt: float = 1e-3, watch_truncation: bool = False) -> np.ndarray:
-    """Integrate the master equation for time t with fixed-step RK4.
+           watch_truncation: bool = False) -> np.ndarray:
+    """State at time t: exp(L t) applied to vec(rho0).
 
-    Trace is checked every step; hermiticity is enforced by symmetrization.
-    With watch_truncation=True, population of the top two levels above 1e-6
-    emits a TruncationWarning (bosonic truncated modes).
+    The result is hermitized and its trace and positivity are checked. With
+    watch_truncation=True, population of the top two levels of the result
+    above 1e-6 emits a TruncationWarning (bosonic truncated modes).
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    rho = np.asarray(rho0, dtype=complex).copy()
-    _check_dims(model.hamiltonian, rho)
-    n_full, rem = divmod(t, dt)
-    steps = [dt] * int(n_full)
-    if rem > 1e-15 * max(t, 1.0):
-        steps.append(rem)
-    warned = False
-    for h in steps:
-        rho = _rk4_step(model, rho, h)
-        rho = 0.5 * (rho + rho.conj().T)
-        tr = np.trace(rho).real
-        if abs(tr - 1.0) > TOL_TRACE:
-            raise PositivityViolation(f"trace drifted to {tr}; reduce dt")
-        if watch_truncation and not warned and model.dim >= 3:
-            top = rho[-1, -1].real + rho[-2, -2].real
-            if top > 1e-6:
-                warnings.warn(
-                    f"top two levels hold population {top:.2e}",
-                    TruncationWarning)
-                warned = True
+    rho0 = np.asarray(rho0, dtype=complex)
+    dim = _check_dims(model.hamiltonian, rho0)
+    rho = _unvec(_propagator(model, t) @ _vec(rho0), dim)
+    rho = 0.5 * (rho + rho.conj().T)
+    tr = np.trace(rho).real
+    if abs(tr - 1.0) > TOL_TRACE:
+        raise PositivityViolation(f"trace drifted to {tr}")
+    if watch_truncation and dim >= 3:
+        top = rho[-1, -1].real + rho[-2, -2].real
+        if top > 1e-6:
+            warnings.warn(f"top two levels hold population {top:.2e}",
+                          TruncationWarning)
     evals = np.linalg.eigvalsh(rho)
     if evals.min() < -TOL_POS:
-        raise PositivityViolation(
-            f"eigenvalue {evals.min()} < -{TOL_POS}; dt too large or cutoff too small")
+        raise PositivityViolation(f"eigenvalue {evals.min()} < -{TOL_POS}")
     return rho
 
 
-def steady_state(model: LindbladModel, tol_kernel: float = 1e-10) -> np.ndarray:
-    """Stationary state from the null space of the Liouvillian.
+def steady_state(model: LindbladModel) -> np.ndarray:
+    """Stationary state: the solution of L vec(rho) = 0 with Tr rho = 1.
 
-    Raises DegenerateSteadyState unless the kernel is one-dimensional.
+    Row 0 of L is replaced by the trace functional <I|. L preserves the trace,
+    so that row is a combination of the other diagonal rows, and the new
+    matrix is invertible exactly when the kernel of L is one-dimensional.
+    Raises DegenerateSteadyState when its condition number exceeds
+    COND_DEGENERATE.
     """
     lv = model.liouvillian
-    u, s, vh = np.linalg.svd(lv)
-    scale = max(s.max(), 1.0)
-    kernel = s < tol_kernel * scale
-    if kernel.sum() != 1:
-        raise DegenerateSteadyState(
-            f"Liouvillian kernel dimension {int(kernel.sum())} != 1")
-    vec = vh[-1].conj()
     dim = model.dim
-    rho = vec.reshape((dim, dim), order="F")
+    constrained = lv.copy()
+    constrained[0] = _vec(np.eye(dim))
+    try:
+        inv = np.linalg.inv(constrained)
+        cond = np.linalg.norm(constrained, 1) * np.linalg.norm(inv, 1)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if not cond <= COND_DEGENERATE:
+        raise DegenerateSteadyState(
+            f"trace-constrained Liouvillian has condition number {cond:.3g}"
+            f" > {COND_DEGENERATE:g}: kernel dimension != 1")
+    rho = _unvec(inv[:, 0], dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
-    resid = np.max(np.abs(lv @ rho.reshape(-1, order="F")))
+    scale = max(np.linalg.norm(lv, 1), 1.0)
+    resid = np.max(np.abs(lv @ _vec(rho)))
     if resid > 1e-10 * scale:
         raise DegenerateSteadyState(f"kernel residual {resid} too large")
     validate_density_matrix(rho)
@@ -286,29 +297,28 @@ def steady_state(model: LindbladModel, tol_kernel: float = 1e-10) -> np.ndarray:
 
 def two_time_correlation(model: LindbladModel, left: np.ndarray,
                          initial_deviation: np.ndarray,
-                         tau_grid: np.ndarray,
-                         dt: float = 1e-3) -> np.ndarray:
+                         tau_grid: np.ndarray) -> np.ndarray:
     """Tr[left · exp(L tau)[initial_deviation]] on an ascending tau grid.
 
-    Propagates with the same fixed-step RK4 as :func:`evolve` (the regression
-    formula: the deviation matrix evolves under the Liouvillian).
+    The quantum regression formula: the deviation matrix evolves under the
+    Liouvillian, propagated exactly from each grid point to the next (spacings
+    equal to 12 digits, as on a linspace grid, reuse one propagator).
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or np.any(np.diff(tau_grid) < 0) or tau_grid[0] < 0:
         raise ValueError("tau_grid must be nonnegative ascending")
-    mat = np.asarray(initial_deviation, dtype=complex).copy()
+    mat = np.asarray(initial_deviation, dtype=complex)
     _check_dims(model.hamiltonian, mat, left)
+    v = _vec(mat)
+    left_row = _vec(np.transpose(left))      # Tr[left M] = vec(left^T) . vec(M)
     out = np.empty(len(tau_grid), dtype=complex)
-    tau_now = 0.0
-    for i, tau in enumerate(tau_grid):
-        span = tau - tau_now
-        n_full, rem = divmod(span, dt)
-        for _ in range(int(n_full)):
-            mat = _rk4_step(model, mat, dt)
-        if rem > 1e-13 * max(tau, 1.0):
-            mat = _rk4_step(model, mat, rem)
-        tau_now = tau
-        if not np.all(np.isfinite(mat)):
-            raise PositivityViolation("two-time propagation diverged")
-        out[i] = np.trace(left @ mat)
+    step = prop = None
+    for i, span in enumerate(np.diff(tau_grid, prepend=0.0)):
+        if span > 0:
+            if step is None or abs(span - step) > 1e-12 * step:
+                step, prop = span, _propagator(model, span)
+            v = prop @ v
+            if not np.all(np.isfinite(v)):
+                raise PositivityViolation("two-time propagation diverged")
+        out[i] = left_row @ v
     return out

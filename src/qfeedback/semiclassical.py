@@ -132,11 +132,6 @@ def _loop_difference_eq(filt: LoopFilter, dt: float):
     return b, a
 
 
-def _delay_mismatch(filt: LoopFilter, dt: float) -> float:
-    d = round(filt.delay_T / dt)
-    return abs(d * dt - filt.delay_T)
-
-
 def simulate(sim: SemiclassicalSim) -> SimRecord:
     """Run the closed loop and return normalized photocurrent fluctuations.
 
@@ -204,25 +199,29 @@ def diverges(filt: LoopFilter, dt: float, duration: float) -> bool:
 
 def estimate_psd(series: np.ndarray, dt: float, n_segments: int) -> Spectrum:
     """Averaged periodogram (Hann window, 50% overlap), normalized so unit
-    white noise has expected density 1. Returns standard errors."""
+    white noise has expected density 1. Returns standard errors.
+
+    series may hold several records along its last axis; values and stderr
+    then carry the leading axes, one spectrum per record.
+    """
     from scipy import signal
     series = np.asarray(series, dtype=float)
     if n_segments < 1:
         raise ValueError("n_segments must be >= 1")
-    nperseg = int(2 * len(series) / (n_segments + 1))
+    n = series.shape[-1]
+    nperseg = int(2 * n / (n_segments + 1))
     if nperseg < 8:
-        raise TooShort(
-            f"{len(series)} samples cannot support {n_segments} segments")
+        raise TooShort(f"{n} samples cannot support {n_segments} segments")
     freqs, pxx = signal.welch(
         series, fs=1.0 / dt, window="hann", nperseg=nperseg,
         noverlap=nperseg // 2, detrend=False, return_onesided=False,
-        scaling="density")
+        scaling="density", axis=-1)
     keep = freqs >= 0
     omega = 2.0 * np.pi * freqs[keep]
     order = np.argsort(omega)
     omega = omega[order]
-    vals = pxx[keep][order]
+    vals = pxx[..., keep][..., order]
     # ~1.06/K variance factor for Hann at 50% overlap
-    n_windows = max(1, (len(series) - nperseg) // (nperseg // 2) + 1)
+    n_windows = max(1, (n - nperseg) // (nperseg // 2) + 1)
     stderr = vals * np.sqrt(1.06 / n_windows)
     return Spectrum(omega, vals, stderr=stderr)

@@ -1,10 +1,25 @@
 """CLI: config ingestion, CSV contract, exit codes, determinism."""
 
+import builtins
+
 import numpy as np
 import pytest
 
-from qfeedback import cli
+from qfeedback import cli, errors
 from qfeedback import atom_squash as at
+
+# CLI exit status of every error type: 2 invalid parameters, 3 numerical failure
+EXIT_CODES = {
+    "ValueError": 2, "TypeError": 2,
+    "DimensionMismatch": 2, "InvalidState": 2, "DegenerateSplit": 2,
+    "TooShort": 2, "SemiclassicalInexpressible": 2, "DelayTooLarge": 2,
+    "UnphysicalBath": 2, "UnreachableSqueezing": 2, "ParseError": 2,
+    "UnknownKey": 2,
+    "QFeedbackError": 3, "JumpFromDarkState": 3, "PositivityViolation": 3,
+    "DegenerateSteadyState": 3, "UnstableLoop": 3, "MarginalStability": 3,
+    "DivergenceDetected": 3, "ComplexRoot": 3, "UnstableMean": 3,
+    "NegativePrefactor": 3, "EmptyDelayBuffer": 3,
+}
 
 
 def read_csv(path):
@@ -100,6 +115,25 @@ class TestExitCodes:
     def test_atom_invalid_lambda(self, tmp_path):
         assert cli.run(["atom", "--lam", "-0.9",
                         "--output", str(tmp_path / "a.csv")]) == 2
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_every_error_class(self, name, tmp_path, monkeypatch, capsys):
+        exc_type = getattr(errors, name, None) or getattr(builtins, name)
+
+        def fail(values):
+            raise exc_type("boom")
+
+        monkeypatch.setitem(cli._RUNNERS, "spectra", fail)
+        code = EXIT_CODES[name]
+        assert cli.run(["spectra", "--output", str(tmp_path / "s.csv")]) == code
+        kind = "invalid parameters" if code == 2 else "numerical failure"
+        assert kind in capsys.readouterr().err
+
+    def test_table_covers_errors_module(self):
+        defined = {name for name, obj in vars(errors).items()
+                   if isinstance(obj, type) and issubclass(obj, Exception)
+                   and not issubclass(obj, Warning)}
+        assert defined <= set(EXIT_CODES)
 
 
 class TestOutdirEnv:

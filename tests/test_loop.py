@@ -35,6 +35,18 @@ class TestLoopTransfer:
         lt = loop.loop_transfer(filt, 2.0 * np.pi / w)
         assert abs(lt) < 1e-9
 
+    def test_sampled_ft_matches_direct_sum(self):
+        rng = np.random.default_rng(5)
+        dt = 0.01
+        resp = loop.Sampled(rng.random(200), dt)
+        omega = np.concatenate([[0.0], np.linspace(-700.0, 700.0, 1001)])
+        k = np.arange(200)
+        direct = np.exp(-1j * omega[:, None] * k[None, :] * dt) @ resp.h
+        with np.errstate(invalid="ignore", divide="ignore"):
+            box = np.where(omega == 0.0, dt,
+                           (1 - np.exp(-1j * omega * dt)) / (1j * omega))
+        assert np.max(np.abs(resp.ft(omega) - box * direct)) < 1e-12
+
     def test_sampled_normalization(self):
         box = loop.Sampled(np.full(100, 7.0), 0.01)
         assert abs(np.sum(box.h) * box.dt - 1.0) < 1e-9

@@ -119,7 +119,7 @@ class TestSteadyState:
     def test_squeezed_bath_matches_evolve(self):
         model = squeezed_bath_model(1.0, np.sqrt(2.0), 12)
         rho_ss = ops.steady_state(model)
-        rho_t = ops.evolve(model, ops.fock_dm(12, 0), 50.0, dt=2e-3)
+        rho_t = ops.evolve(model, ops.fock_dm(12, 0), 50.0)
         n_op = ops.number(12)
         assert abs(ops.expect(n_op, rho_ss).real
                    - ops.expect(n_op, rho_t).real) < 1e-6
@@ -128,6 +128,25 @@ class TestSteadyState:
         model = ops.LindbladModel(np.diag([0.0, 1.0]).astype(complex), ())
         with pytest.raises(DegenerateSteadyState):
             ops.steady_state(model)
+
+    @staticmethod
+    def two_dark_levels(leak):
+        # |1> decays to |0>; |2> reaches it only through the leak |1><2|
+        unit = np.eye(3, dtype=complex)
+        collapses = [(1.0, np.outer(unit[0], unit[1]))]
+        if leak:
+            collapses.append((leak, np.outer(unit[1], unit[2])))
+        return ops.LindbladModel(np.zeros((3, 3), dtype=complex),
+                                 tuple(collapses))
+
+    @pytest.mark.parametrize("leak", [0.0, 1e-13])
+    def test_two_dark_levels_degenerate(self, leak):
+        with pytest.raises(DegenerateSteadyState):
+            ops.steady_state(self.two_dark_levels(leak))
+
+    def test_small_leak_unique(self):
+        rho = ops.steady_state(self.two_dark_levels(1e-3))
+        assert np.allclose(rho, ops.fock_dm(3, 0), atol=1e-10)
 
 
 class TestTwoTimeCorrelation:

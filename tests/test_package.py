@@ -21,7 +21,8 @@ def run_python(args, cwd=None):
 
 def test_import_loads_no_scipy_submodules():
     code = ("import sys, qfeedback\n"
-            "print(sorted(m for m in ('scipy.signal', 'scipy.integrate')"
+            "print(sorted(m for m in ('scipy.signal', 'scipy.integrate',"
+            " 'scipy.linalg')"
             " if m in sys.modules))")
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr

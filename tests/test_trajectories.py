@@ -8,7 +8,7 @@ import pytest
 from numpy.random import Generator, Philox
 from scipy import stats
 
-from qfeedback import operators as ops, trajectories as tj
+from qfeedback import loop, operators as ops, trajectories as tj
 from qfeedback.errors import (EmptyDelayBuffer, JumpFromDarkState,
                               PositivityViolation)
 
@@ -348,6 +348,20 @@ class TestInLoopSpectrum:
             s = tj.in_loop_correlation_spectrum(model, ops.destroy(3), f0,
                                                 1.0, omega, corrected=corrected)
             assert np.allclose(s.values, 1.0, atol=1e-10)
+
+    def test_cavity_matches_closed_form_loop(self):
+        # F = -0.15 y makes x a linear loop: the x current drives x through
+        # the cavity response gamma/(gamma + i w), gamma = 1/2, gain 4 f
+        dim, f_scale, eta = 10, -0.15, 0.8
+        f_op = f_scale * ops.quad_y(dim)
+        model_fb = tj.feedback_master_equation(cavity(dim), f_op, eta)
+        omega = np.linspace(0.0, 2.0, 41)
+        s = tj.in_loop_correlation_spectrum(model_fb, ops.destroy(dim), f_op,
+                                            eta, omega)
+        closed = loop.in_loop_spectrum(
+            loop.FeedbackBeamline(beta=1.0, eta1=1.0, eta2=0.5),
+            loop.LoopFilter(4.0 * f_scale, loop.SinglePole(0.5)), omega)
+        assert np.max(np.abs(s.values - closed.values)) < 1e-10
 
     def test_driven_atom_matches_trajectory_psd(self):
         omega_rabi, eta = 1.0, 0.8
