@@ -190,12 +190,10 @@ class LindbladModel:
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         """Master-equation right-hand side applied to a (not necessarily
-        Hermitian) matrix."""
-        h = self.hamiltonian
-        out = -1j * (h @ rho - rho @ h)
-        for rate, op in self.collapses:
-            out += rate * superop_D(op, rho)
-        return out
+        Hermitian) matrix: the Liouvillian applied to vec(rho)."""
+        rho = np.asarray(rho, dtype=complex)
+        dim = _check_dims(self.hamiltonian, rho)
+        return _unvec(self.liouvillian @ _vec(rho), dim)
 
     @cached_property
     def liouvillian(self) -> np.ndarray:

@@ -2,22 +2,22 @@
 
 Every unraveling runs through one batched kernel, :class:`_Kernel`. A batch of
 B conditioned states is held as the rows of r in C^{B x d^2}, row b being the
-column-stacked vec(rho_b), and a step is one matrix product
+column-stacked vec(rho_b).
 
-    r @ [A^T | S^T | vec(x^T)]      (the last column only for diffusive detection)
-
-with d^2 x d^2 superoperators A and S fixed per unraveling and dt:
-
-* diffusive homodyne (Euler-Maruyama): A = I + dt (L + feedback drift) and
-  S = sqrt(eta) (c . + . c†) - (i / sqrt(eta)) [F, .]; the extra column gives
+* diffusive homodyne (Euler-Maruyama): a step is one matrix product
+  r @ [A^T | S^T | vec(x^T)] with the d^2 x d^2 superoperators
+  A = I + dt (L + feedback drift) and
+  S = sqrt(eta) (c . + . c†) - (i / sqrt(eta)) [F, .]; the last column gives
   <x>_c = vec(x^T) . r, and rho' = A rho + dW (S rho - sqrt(eta) <x>_c rho).
   Delayed feedback instead adds one more product, against [F, .] and
   [F, [F, .]], driven by the current from one delay earlier.
-* jump unravelings (photon counting, finite local oscillator beta): A is the
-  no-jump Kraus map M0 . M0† with M0 = I - dt (iH + beta c + c†c/2), plus dt D
-  for unmonitored collapses, and S is the jump map J . J† with J = c + beta.
-  Tr[S rho] dt is the detection probability; rho' = S rho on a detection and
-  A rho otherwise, so the no-jump branch stays positive.
+* jump unravelings (photon counting, finite local oscillator beta): operator
+  Kraus products K rho K†, two d^3 products per row on r reshaped to
+  (B d, d). The no-jump map sums M0 rho M0† with
+  M0 = I - dt (iH + beta c + c†c/2 + sum_k r_k L_k†L_k / 2) and
+  dt r_k L_k rho L_k† over the unmonitored collapses, so it is completely
+  positive. Tr[J†J rho] dt, one dot product per row, is the detection
+  probability of J = c + beta; only the rows that detect get J rho J†.
 
 Each step hermitizes and renormalizes the trace. A collapsed trace, a jump from
 a state with Tr[J rho J†] <= TOL_JUMP, or an eigenvalue below the tolerance
@@ -54,8 +54,8 @@ from .operators import LindbladModel, _vec, steady_state
 from .operators import two_time_correlation  # noqa: F401  (re-exported)
 from .semiclassical import estimate_psd
 
-# The jump unravelings' Kraus maps preserve positivity (up to O(dt^2) from the
-# dt D term of unmonitored collapses), so they get a strict tolerance.
+# The jump unravelings' Kraus maps preserve positivity, so they get a strict
+# tolerance.
 # Diffusive Euler-Maruyama states transiently dip O(sqrt(dt)) negative by
 # construction (the ensemble mean is still exact to O(dt)), so only genuine
 # blow-up is flagged there.
@@ -175,7 +175,7 @@ class TrajectoryResult:
 
 
 # ---------------------------------------------------------------------------
-# superoperator kernel
+# step kernel
 
 
 def _unvec(r: np.ndarray, dim: int) -> np.ndarray:
@@ -184,13 +184,36 @@ def _unvec(r: np.ndarray, dim: int) -> np.ndarray:
         r.reshape(r.shape[:-1] + (dim, dim)).swapaxes(-1, -2))
 
 
-def _sandwich(a: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> a rho a†."""
-    return np.kron(a.conj(), a)
+def _kraus_rows(r: np.ndarray, left: np.ndarray,
+                right: np.ndarray) -> np.ndarray:
+    """Rows of vec(sum_k K_k rho K_k†) from rows of Hermitian rho, in two
+    d^3 products per row, with left = [K_0^T | K_1^T | ...] and
+    right = [K_0^T; K_1^T; ...].
+
+    A row reshaped to (d, d) is rho^T, so the first product gives the blocks
+    (K_k rho)^T. Their conjugate transposes are conj(K_k) rho^T (rho = rho†),
+    and the second product sums conj(K_k) rho^T K_k^T = (K_k rho K_k†)^T,
+    which is again a column-stacked row.
+    """
+    dim = left.shape[0]
+    n_k = left.shape[1] // dim
+    rows = len(r)
+    first = (r.reshape(rows * dim, dim) @ left).reshape(rows, dim, n_k, dim)
+    flipped = np.empty_like(first)
+    np.conjugate(first.transpose(0, 3, 2, 1), out=flipped)
+    out = flipped.reshape(rows * dim, n_k * dim) @ right
+    return out.reshape(rows, dim * dim)
 
 
 class _Kernel:
-    """One unraveling at one dt: its superoperators and its step on rows."""
+    """One unraveling at one dt: its maps and its step on rows.
+
+    Diffusive detection steps all rows with one superoperator product against
+    `gemm`. The jump unravelings form no superoperator: the no-jump Kraus map
+    is two d^3 products per row (_kraus_rows), the detection probability one
+    dot product per row, and the jump map J . J† runs only on the rows that
+    detect, gathered into a block padded to a multiple of _ROW_PAD rows.
+    """
 
     def __init__(self, model: LindbladModel, dt: float,
                  eta: Optional[float] = None, beta: float = 0.0,
@@ -198,7 +221,6 @@ class _Kernel:
         dim = model.dim
         c = model.collapses[0][1]
         cd = c.conj().T
-        eye = np.eye(dim * dim)
         self.dim, self.n2, self.dt = dim, dim * dim, dt
         self.diffusive = eta is not None
         # float view of vec(rho): (re, im) pairs; vec(rho†) is the view
@@ -208,16 +230,26 @@ class _Kernel:
         self.conj_sign = np.tile([1.0, -1.0], dim * dim)
         self.kick = None
         if not self.diffusive:
-            m0 = np.eye(dim) - dt * (1j * model.hamiltonian + beta * c
-                                     + 0.5 * cd @ c)
-            unmonitored = LindbladModel(np.zeros_like(model.hamiltonian),
-                                        model.collapses[1:])
-            a = _sandwich(m0) + dt * unmonitored.liouvillian
-            s = _sandwich(c + beta * np.eye(dim))
-            self.gemm = np.hstack([a.T, s.T])
+            # no-jump Kraus operators: M0 and sqrt(dt r_k) L_k for each
+            # unmonitored collapse, which keeps the map completely positive
+            h_eff = 1j * model.hamiltonian + beta * c + 0.5 * cd @ c
+            kraus = []
+            for rate, op in model.collapses[1:]:
+                h_eff = h_eff + (0.5 * rate) * op.conj().T @ op
+                kraus.append(math.sqrt(dt * rate) * op)
+            kraus.insert(0, np.eye(dim) - dt * h_eff)
+            self.no_jump = (np.hstack([k.T for k in kraus]),
+                            np.vstack([k.T for k in kraus]))
+            j_t = np.ascontiguousarray((c + beta * np.eye(dim)).T)
+            self.jump = (j_t, j_t)
+            # Tr[J†J rho] = vec((J†J)^T) . vec(rho), as a dot product of the
+            # float view of the row
+            jj = _vec(j_t @ j_t.conj().T)
+            self.emit_row = np.stack([jj.real, -jj.imag], axis=1).ravel()
             self.idle_noise = np.inf            # a uniform draw that never jumps
             return
         self.sqrt_eta = math.sqrt(eta)
+        eye = np.eye(dim * dim)
         meas = ops.spre(c) + ops.spost(cd)
         drift = model.liouvillian
         s = self.sqrt_eta * meas
@@ -255,10 +287,10 @@ class _Kernel:
         # elementwise work runs on float views (re, im pairs) of the rows:
         # w floats per d^2 block, the real diagonal every `diag` floats
         w, diag = 2 * self.n2, 2 * (self.dim + 1)
-        out = (r @ self.gemm).view(np.float64)
         bad = None
         xbar = None
         if self.diffusive:
+            out = (r @ self.gemm).view(np.float64)
             xbar = out[:, 2 * w]
             sx = self.sqrt_eta * xbar
             record = sx + noise / self.dt
@@ -271,12 +303,16 @@ class _Kernel:
                 theta = self.dt * xbar_old + dw_old / self.sqrt_eta
                 new = kicked[:, :w] + theta[:, None] * kicked[:, w:]
         else:
-            emit = out[:, w::diag].sum(axis=1)           # Tr[J rho J†]
+            emit = r.view(np.float64) @ self.emit_row    # Tr[J†J rho]
             jump = noise < emit * self.dt
             record = jump.astype(float)
-            new = out[:, :w]
+            new = _kraus_rows(r, *self.no_jump).view(np.float64)
             if jump.any():
-                new = np.where(jump[:, None], out[:, w:], new)
+                hit = np.flatnonzero(jump)
+                # the detecting rows, padded like every other product
+                block = np.resize(hit, -(-len(hit) // _ROW_PAD) * _ROW_PAD)
+                jumped = _kraus_rows(r[block], *self.jump)
+                new[hit] = jumped[:len(hit)].view(np.float64)
                 dark = jump & (emit <= ops.TOL_JUMP)
                 if dark.any():
                     bad = np.where(dark, _DARK_JUMP, 0)
@@ -325,8 +361,10 @@ def step_photon_counting(rho_c: np.ndarray, model: LindbladModel, dt: float,
     """One step of the direct-detection jump unraveling.
 
     Returns (rho', dN). P(dN=1) = Tr[c†c rho] dt; a jump applies c . c†, no
-    jump the Kraus map M0 . M0† with M0 = I - dt (iH + c†c/2) (plus dt D for
-    unmonitored collapses), each renormalized.
+    jump the Kraus map M0 . M0† with M0 = I - dt (iH + c†c/2) (for
+    unmonitored collapses L_k at rates r_k, M0 also subtracts
+    dt sum_k r_k L_k†L_k / 2 and the map adds dt sum_k r_k L_k . L_k†), each
+    renormalized.
     """
     return step_homodyne_jump(rho_c, model, 0.0, dt, rng)
 

@@ -155,6 +155,24 @@ class TestSingleSteps:
             assert dn == 0
             assert np.linalg.eigvalsh(rho).min() > -1e-14
 
+    @pytest.mark.parametrize("dt", [1e-2, 3e-2])
+    def test_no_jump_map_with_unmonitored_collapses_positive(self, dt):
+        # unmonitored collapses enter the no-jump map as Kraus operators
+        # sqrt(dt r_k) L_k; a first-order dt D term would push this pure
+        # state's smallest eigenvalue to about -8e-8 (dt=1e-2) and -2.5e-6
+        # (dt=3e-2), below POSITIVITY_TOL
+        a = ops.destroy(4)
+        ad = a.conj().T
+        model = ops.LindbladModel(0.3 * (a + ad),
+                                  ((1.0, a), (2.0, ad @ a), (0.5, ad)))
+        psi = np.zeros(4, dtype=complex)
+        psi[1], psi[2] = 1.0, 1j
+        rho = np.outer(psi, psi.conj()) / 2
+        for _ in range(50):
+            rho, dn = tj.step_photon_counting(rho, model, dt, _ForcedRng(1.0))
+            assert dn == 0
+            assert np.linalg.eigvalsh(rho).min() > -1e-14
+
 
 class TestKernel:
     def test_dark_jump_flagged_per_row(self):
@@ -185,6 +203,73 @@ class TestKernel:
             one, i_sample, _ = kernel.step_one(rho, dw)
             assert np.array_equal(one, tj._unvec(r_new[i], 4))
             assert i_sample == record[i]
+
+    @staticmethod
+    def random_states(dim, n, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal(
+            (n, dim, dim))
+        rhos = g @ g.conj().transpose(0, 2, 1)
+        return rhos / np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+
+    @staticmethod
+    def jump_model(dim):
+        a = ops.destroy(dim)
+        return ops.LindbladModel(0.3 * (a + a.conj().T),
+                                 ((1.0, a), (2.0, a.conj().T @ a)))
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("jumpers", [(1, 4, 5, 11, 15),
+                                         (0, 2, 3, 6, 7, 8, 9, 12, 13, 14)])
+    def test_forced_jump_rows_match_single_steps(self, beta, jumpers):
+        # the detecting rows are gathered into a padded block (5 rows -> 8,
+        # 10 -> 16) and scattered back; every row matches its lone step
+        rhos = self.random_states(4, 16, seed=5)
+        kernel = tj._Kernel(self.jump_model(4), 1e-3, beta=beta)
+        noise = np.full(16, np.inf)
+        noise[list(jumpers)] = 0.0
+        r_new, record, _, bad = kernel.step(
+            np.array([tj._vec(rho) for rho in rhos]), noise)
+        assert bad is None
+        assert list(np.flatnonzero(record)) == list(jumpers)
+        for i, rho in enumerate(rhos):
+            one, dn, _ = kernel.step_one(rho, noise[i])
+            assert np.array_equal(one, tj._unvec(r_new[i], 4))
+            assert dn == record[i]
+
+    def test_maps_match_matrix_reference(self):
+        # no-jump (M0 rho M0† + dt sum_k r_k L_k rho L_k†)/Tr, jump
+        # J rho J†/Tr and the detection probability Tr[J†J rho] dt, from
+        # plain matrix products; the monitored collapse has a complex phase,
+        # so J†J has complex off-diagonal entries
+        dim, dt, beta = 5, 1e-2, 0.7
+        a = ops.destroy(dim)
+        ad = a.conj().T
+        c = np.exp(1j * np.pi / 3) * a
+        h = 0.4 * (a + ad) + 0.2 * ad @ ad @ a @ a
+        unmonitored = ((2.0, ad @ a), (0.5, ad))
+        model = ops.LindbladModel(h, ((1.0, c),) + unmonitored)
+        m0 = np.eye(dim) - dt * (1j * h + beta * c + 0.5 * ad @ a + sum(
+            0.5 * k * op.conj().T @ op for k, op in unmonitored))
+        jump = c + beta * np.eye(dim)
+        rhos = self.random_states(dim, 8, seed=9)
+        r = np.array([tj._vec(rho) for rho in rhos])
+        kernel = tj._Kernel(model, dt, beta=beta)
+        no_jump, _, _, _ = kernel.step(r, np.full(8, np.inf))
+        jumped, record, _, _ = kernel.step(r, np.zeros(8))
+        assert record.all()
+        for rho, row_nj, row_j in zip(rhos, no_jump, jumped):
+            ref_nj = m0 @ rho @ m0.conj().T + dt * sum(
+                k * op @ rho @ op.conj().T for k, op in unmonitored)
+            ref_j = jump @ rho @ jump.conj().T
+            for row, ref in ((row_nj, ref_nj), (row_j, ref_j)):
+                err = tj._unvec(row, dim) - ref / np.trace(ref)
+                assert np.max(np.abs(err)) < 1e-13
+        p_jump = dt * np.array([np.trace(jump.conj().T @ jump @ rho).real
+                                for rho in rhos])
+        _, below, _, _ = kernel.step(r, p_jump * (1 - 1e-9))
+        _, above, _, _ = kernel.step(r, p_jump * (1 + 1e-9))
+        assert below.all() and not above.any()
 
 
 class TestJumpToDiffusiveConvergence:
@@ -409,6 +494,7 @@ class TestEnsembleContract:
         (tj.HomodyneDiffusive(0.8),
          tj.Feedback(-0.15 * ops.quad_y(4), tj.Delayed(20 * 2e-3))),
         (tj.HomodyneJump(1.0), None),
+        (tj.PhotonCounting(), None),
     ])
     def test_small_batches_bit_identical_d4(self, detection, feedback):
         # d = 4: batches of 1, 2, 3 and 6 trajectories (through `workers`)
