@@ -83,7 +83,6 @@ _OPTIONS = {
         ("snapshot-every", int, 10, "state snapshot thinning"),
         ("eta", float, 0.8, "homodyne efficiency"),
         ("lam", float, -0.5, "feedback parameter (atom-feedback)"),
-        ("workers", int, 1, "parallel workers"),
     ],
     "intracavity": [
         ("mode", str, "sweep", "sweep | series"),
@@ -311,8 +310,7 @@ def _trajectory_config(v):
 
 def _run_trajectory(v):
     config, rho0, obs, obs_name = _trajectory_config(v)
-    summary = trajectories.run_ensemble(config, v["n_traj"], rho0,
-                                        workers=v["workers"])
+    summary = trajectories.run_ensemble(config, v["n_traj"], rho0)
     mean_obs = np.einsum("tij,ji->t", summary.mean_states, obs).real
     return (["time", obs_name, "xbar_variance"],
             [summary.state_times, mean_obs, summary.xbar_variance])

@@ -259,8 +259,6 @@ def out_of_loop_spectrum(beamline: FeedbackBeamline, filt: LoopFilter,
     omega_grid = np.asarray(omega_grid, dtype=float)
     _require_stable(beamline, filt)
     eta1, eta2 = beamline.eta1, beamline.eta2
-    if filt.g != 0 and eta2 == 0.0:
-        raise DegenerateSplit("eta2 = 0 with feedback")
     sx, _ = beamline.input_spectra(omega_grid)
     h2 = np.abs(filt.response.ft(omega_grid)) ** 2
     extra = (1.0 - eta2) * eta1 * (sx - 1.0)
@@ -288,8 +286,6 @@ def in_loop_qnd_spectrum(beamline: FeedbackBeamline, filt: LoopFilter,
     omega_grid = np.asarray(omega_grid, dtype=float)
     _require_stable(beamline, filt)
     eta1, eta2 = beamline.eta1, beamline.eta2
-    if filt.g != 0 and eta2 == 0.0:
-        raise DegenerateSplit("eta2 = 0 with feedback")
     sx, _ = beamline.input_spectra(omega_grid)
     h2 = np.abs(filt.response.ft(omega_grid)) ** 2
     num = 1.0 + eta1 * (sx - 1.0)

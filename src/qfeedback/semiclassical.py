@@ -197,6 +197,17 @@ def diverges(filt: LoopFilter, dt: float, duration: float) -> bool:
     return tail > head
 
 
+def welch_segment_length(n: int, n_segments: int) -> int:
+    """Samples per segment when n samples are split into n_segments
+    half-overlapping Welch segments; TooShort below 8 per segment."""
+    if n_segments < 1:
+        raise ValueError("n_segments must be >= 1")
+    nperseg = int(2 * n / (n_segments + 1))
+    if nperseg < 8:
+        raise TooShort(f"{n} samples cannot support {n_segments} segments")
+    return nperseg
+
+
 def estimate_psd(series: np.ndarray, dt: float, n_segments: int) -> Spectrum:
     """Averaged periodogram (Hann window, 50% overlap), normalized so unit
     white noise has expected density 1. Returns standard errors.
@@ -206,12 +217,8 @@ def estimate_psd(series: np.ndarray, dt: float, n_segments: int) -> Spectrum:
     """
     from scipy import signal
     series = np.asarray(series, dtype=float)
-    if n_segments < 1:
-        raise ValueError("n_segments must be >= 1")
     n = series.shape[-1]
-    nperseg = int(2 * n / (n_segments + 1))
-    if nperseg < 8:
-        raise TooShort(f"{n} samples cannot support {n_segments} segments")
+    nperseg = welch_segment_length(n, n_segments)
     freqs, pxx = signal.welch(
         series, fs=1.0 / dt, window="hann", nperseg=nperseg,
         noverlap=nperseg // 2, detrend=False, return_onesided=False,

@@ -22,9 +22,7 @@ column-stacked vec(rho_b).
 Each step hermitizes and renormalizes the trace. A collapsed trace, a jump from
 a state with Tr[J rho J†] <= TOL_JUMP, or an eigenvalue below the tolerance
 (checked every POSITIVITY_CHECK_EVERY steps and at the end) marks the row
-failed. Rows that failed on positivity are rerun together in one batch at
-dt/2, their records averaged (currents) or summed (counts) back onto the
-configured grid; a second failure is reported as the trajectory's result.
+failed, and the failure is the trajectory's result.
 
 Randomness comes from the counter-based Philox generator; trajectory i of an
 ensemble uses the stream keyed by seed XOR i, drawn in time chunks (array draws
@@ -34,7 +32,7 @@ such a product came out bit-identical whatever the batch it was computed in
 (d = 2-12, batches of 1-1100 rows), while unpadded products of very few rows
 take other code paths that round differently. A trajectory therefore gets
 bit-identical records and states whether it runs alone (run_trajectory, the
-step_* functions), in any batch, or in the retry.
+step_* functions) or in a batch of any size (run_ensemble).
 """
 
 from __future__ import annotations
@@ -52,13 +50,13 @@ from .errors import EmptyDelayBuffer, JumpFromDarkState, PositivityViolation
 from .loop import Spectrum
 from .operators import LindbladModel, _vec, steady_state
 from .operators import two_time_correlation  # noqa: F401  (re-exported)
-from .semiclassical import estimate_psd
+from .semiclassical import estimate_psd, welch_segment_length
 
 # The jump unravelings' Kraus maps preserve positivity, so they get a strict
 # tolerance.
 # Diffusive Euler-Maruyama states transiently dip O(sqrt(dt)) negative by
 # construction (the ensemble mean is still exact to O(dt)), so only genuine
-# blow-up is flagged there.
+# blow-up is flagged there. A flagged trajectory is reported as failed.
 POSITIVITY_TOL = -1e-8
 DIFFUSIVE_POSITIVITY_TOL = -0.5
 POSITIVITY_CHECK_EVERY = 50
@@ -488,16 +486,13 @@ def in_loop_correlation_spectrum(model_fb: LindbladModel, c: np.ndarray,
 # trajectory and ensemble drivers
 
 
-def _integrate(config: SmeConfig, rho0: np.ndarray, seeds, refine: int) -> list:
-    """Advance the trajectories keyed by seeds in lock-step at dt/2^refine.
+def _integrate(config: SmeConfig, rho0: np.ndarray, seeds) -> list:
+    """Advance the trajectories keyed by seeds in lock-step, in one batch.
 
     Returns, ordered like seeds, a TrajectoryResult or the exception that
-    ended the trajectory. Records are coarse-grained back onto the configured
-    grid (pair-averaged currents, pair-summed counts).
+    ended the trajectory.
     """
-    sub = 2 ** refine
-    dt = config.dt / sub
-    n = config.steps * sub
+    dt, n = config.dt, config.steps
     dim = config.model.dim
     kernel = _Kernel.for_config(config, dt)
     tol = DIFFUSIVE_POSITIVITY_TOL if kernel.diffusive else POSITIVITY_TOL
@@ -507,7 +502,7 @@ def _integrate(config: SmeConfig, rho0: np.ndarray, seeds, refine: int) -> list:
     r = np.tile(r0, (rows, 1))
     fail = np.zeros(rows, dtype=np.int8)
     records = np.empty((rows, n))
-    snap = config.snapshot_every * sub
+    snap = config.snapshot_every
     snaps, snap_times = [], []
 
     fb = config.feedback
@@ -554,10 +549,7 @@ def _integrate(config: SmeConfig, rho0: np.ndarray, seeds, refine: int) -> list:
                 snaps.append(r[:b_sz])
                 snap_times.append((k + 1) * dt)
 
-    if sub > 1:
-        shaped = records.reshape(rows, config.steps, sub)
-        records = shaped.mean(axis=2) if kernel.diffusive else shaped.sum(axis=2)
-    times = config.dt * np.arange(1, config.steps + 1)
+    times = dt * np.arange(1, n + 1)
     states = _unvec(np.stack(snaps, axis=1), dim) if snap else None
     state_times = np.array(snap_times) if snap else None
     results = []
@@ -569,36 +561,18 @@ def _integrate(config: SmeConfig, rho0: np.ndarray, seeds, refine: int) -> list:
             times=times, record=records[i],
             states=states[i] if snap else None,
             state_times=state_times,
-            diagnostics={"dt_used": dt, "refinements": refine, "seed": s}))
-    return results
-
-
-def _run_seeds(config: SmeConfig, rho0: np.ndarray, seeds, chunk: int) -> list:
-    """Run seeds in batches of at most chunk, then rerun every positivity
-    failure once, all in one batch, at dt/2."""
-    results = []
-    for lo in range(0, len(seeds), chunk):
-        results.extend(_integrate(config, rho0, seeds[lo:lo + chunk], refine=0))
-    retry = [i for i, res in enumerate(results)
-             if isinstance(res, PositivityViolation)]
-    if retry:
-        again = _integrate(config, rho0, [seeds[i] for i in retry], refine=1)
-        for i, res in zip(retry, again):
-            results[i] = res
+            diagnostics={"seed": s}))
     return results
 
 
 def run_trajectory(config: SmeConfig, rho0: np.ndarray,
                    seed: Optional[int] = None) -> TrajectoryResult:
-    """Run a single conditioned trajectory from rho0.
-
-    On a PositivityViolation the trajectory restarts once with dt halved (the
-    record is averaged back onto the configured grid); a second failure
-    propagates.
-    """
+    """Run a single conditioned trajectory from rho0, with config.seed unless
+    seed is given. A failed trajectory raises its failure (PositivityViolation
+    or JumpFromDarkState)."""
     ops.validate_density_matrix(np.asarray(rho0, dtype=complex))
-    use_seed = config.seed if seed is None else seed
-    result = _run_seeds(config, rho0, [use_seed], chunk=1)[0]
+    (result,) = _integrate(config, rho0,
+                           [config.seed if seed is None else seed])
     if isinstance(result, Exception):
         raise result
     return result
@@ -617,23 +591,26 @@ class EnsembleSummary:
 
 
 def run_ensemble(config: SmeConfig, n_traj: int, rho0: np.ndarray,
-                 workers: int = 1, psd_segments: int = 8,
+                 psd_segments: int = 8,
                  keep_trajectories: bool = False) -> EnsembleSummary:
-    """Average n_traj independent trajectories.
+    """Average n_traj independent trajectories, advanced as one batch.
 
-    Trajectory i uses the Philox stream keyed by seed XOR i, and results are
-    merged by index, so the output is bit-identical for any worker count. The
-    run aborts only if more than 10% of trajectories fail.
+    Trajectory i uses the Philox stream keyed by seed XOR i, so its record and
+    states are bit-identical for any batch size and equal to run_trajectory
+    with that seed. A diffusive ensemble whose records are too short for
+    psd_segments Welch segments raises TooShort before any stepping. The run
+    aborts only if more than 10% of trajectories fail.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     if config.snapshot_every < 1:
         raise ValueError("run_ensemble needs snapshot_every >= 1")
     ops.validate_density_matrix(np.asarray(rho0, dtype=complex))
-    seeds = [config.seed ^ i for i in range(n_traj)]
-    # `workers` only splits the lock-step batch; the output does not depend on it
-    chunk = max(1, math.ceil(n_traj / max(1, workers)))
-    results = _run_seeds(config, rho0, seeds, chunk)
+    diffusive = isinstance(config.detection, HomodyneDiffusive)
+    if diffusive:
+        welch_segment_length(config.steps, psd_segments)
+    results = _integrate(config, rho0,
+                         [config.seed ^ i for i in range(n_traj)])
 
     ok = [(i, r) for i, r in enumerate(results) if isinstance(r, TrajectoryResult)]
     failures = [(i, r) for i, r in enumerate(results)
@@ -654,7 +631,7 @@ def run_ensemble(config: SmeConfig, n_traj: int, rho0: np.ndarray,
         xbars[row] = np.einsum("tij,ji->t", res.states, x_op).real
     mean_states /= len(ok)
     psd = None
-    if isinstance(config.detection, HomodyneDiffusive):
+    if diffusive:
         # one Welch call per block of records: _PSD_CHUNK samples keep its
         # segment and FFT arrays within a few MB (one call over 256 x 1000
         # samples took 14 MB more peak memory, and was no faster)

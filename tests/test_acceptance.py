@@ -332,14 +332,20 @@ def test_criterion_10_determinism():
                        feedback=tj.Feedback(-0.2 * ops.sigma_y()),
                        snapshot_every=100)
     rho0 = ops.fock_dm(2, 1)
-    runs = [tj.run_ensemble(cfg, 90, rho0, workers=w, keep_trajectories=True)
-            for w in (1, 2, 5, 1)]
-    base = runs[0]
+    base = tj.run_ensemble(cfg, 90, rho0, keep_trajectories=True)
     ok = True
-    for other in runs[1:]:
-        ok &= np.array_equal(base.mean_states, other.mean_states)
-        ok &= np.array_equal(base.psd.values, other.psd.values)
-        ok &= np.array_equal(base.xbar_variance, other.xbar_variance)
+    # trajectories 0..k-1 of a batch of k equal those of the batch of 90
+    for k in (1, 2, 5, 45):
+        small = tj.run_ensemble(cfg, k, rho0, keep_trajectories=True)
+        ok &= len(small.trajectories) == k
         ok &= all(np.array_equal(a.record, b.record)
-                  for a, b in zip(base.trajectories, other.trajectories))
+                  and np.array_equal(a.states, b.states)
+                  for a, b in zip(small.trajectories, base.trajectories))
+    # and a repeated batch of 90 gives identical aggregates
+    again = tj.run_ensemble(cfg, 90, rho0, keep_trajectories=True)
+    ok &= np.array_equal(base.mean_states, again.mean_states)
+    ok &= np.array_equal(base.psd.values, again.psd.values)
+    ok &= np.array_equal(base.xbar_variance, again.xbar_variance)
+    ok &= all(np.array_equal(a.record, b.record)
+              for a, b in zip(base.trajectories, again.trajectories))
     _report(10, "ensemble determinism", ok, t0, 60.0)

@@ -87,6 +87,14 @@ class TestConfigFile:
                         "--output", str(tmp_path / "s.csv")]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_removed_workers_key_exits_2(self, tmp_path, capsys):
+        ini = self.write_ini(tmp_path, "[trajectory]\nworkers = 2\n")
+        with pytest.raises(errors.UnknownKey, match="workers"):
+            cli.load_config(ini, "trajectory")
+        assert cli.run(["trajectory", "--config", ini,
+                        "--output", str(tmp_path / "t.csv")]) == 2
+        assert "unknown keys for [trajectory]: workers" in capsys.readouterr().err
+
     def test_parse_error_exits_2(self, tmp_path):
         ini = self.write_ini(tmp_path, "not an ini line\n")
         assert cli.run(["spectra", "--config", ini,
@@ -152,18 +160,6 @@ class TestTrajectorySubcommand:
         assert cli.run(args + ["--output", str(a)]) == 0
         assert cli.run(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_worker_count_leaves_csv_identical(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        base = ["trajectory", "--preset", "atom-feedback", "--n-traj", "12",
-                "--steps", "100", "--snapshot-every", "50"]
-        assert cli.run(base + ["--workers", "1", "--output", str(a)]) == 0
-        assert cli.run(base + ["--workers", "4", "--output", str(b)]) == 0
-        ra = [ln for ln in a.read_text().splitlines()
-              if not ln.startswith("#") and not ln.startswith("workers")]
-        rb = [ln for ln in b.read_text().splitlines()
-              if not ln.startswith("#") and not ln.startswith("workers")]
-        assert ra == rb
 
     def test_counting_preset_runs(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -158,8 +158,10 @@ class TestInLoopQndSpectrum:
         assert abs(s.values[0] - 1.0) < 1e-3
 
     def test_eta2_zero_degenerate(self):
-        with pytest.raises(DegenerateSplit):
-            loop.in_loop_qnd_spectrum(coherent(eta2=0.0), pole_filter(-1.0), [0.0])
+        for spectrum in (loop.in_loop_spectrum, loop.out_of_loop_spectrum,
+                         loop.in_loop_qnd_spectrum):
+            with pytest.raises(DegenerateSplit):
+                spectrum(coherent(eta2=0.0), pole_filter(-1.0), [0.0])
 
 
 class TestOptimalGainForInput:

@@ -10,7 +10,7 @@ from scipy import stats
 
 from qfeedback import loop, operators as ops, trajectories as tj
 from qfeedback.errors import (EmptyDelayBuffer, JumpFromDarkState,
-                              PositivityViolation)
+                              PositivityViolation, TooShort)
 
 
 def cavity(dim):
@@ -480,14 +480,19 @@ class TestEnsembleContract:
         assert np.array_equal(summary.trajectories[0].record, single.record)
 
     def test_worker_count_bit_identical(self):
+        # trajectories 0..k-1 of a batch of k equal those of a batch of 64,
+        # and a repeated batch of 64 gives identical aggregates
         rho0 = ops.fock_dm(2, 1)
-        a = tj.run_ensemble(self.cfg(), 64, rho0, workers=1)
-        b = tj.run_ensemble(self.cfg(), 64, rho0, workers=3)
-        c = tj.run_ensemble(self.cfg(), 64, rho0, workers=7)
-        for other in (b, c):
-            assert np.array_equal(a.mean_states, other.mean_states)
-            assert np.array_equal(a.psd.values, other.psd.values)
-            assert np.array_equal(a.xbar_variance, other.xbar_variance)
+        a = tj.run_ensemble(self.cfg(), 64, rho0, keep_trajectories=True)
+        for k in (3, 7):
+            small = tj.run_ensemble(self.cfg(), k, rho0, keep_trajectories=True)
+            for res, ref in zip(small.trajectories, a.trajectories):
+                assert np.array_equal(res.record, ref.record)
+                assert np.array_equal(res.states, ref.states)
+        again = tj.run_ensemble(self.cfg(), 64, rho0)
+        assert np.array_equal(a.mean_states, again.mean_states)
+        assert np.array_equal(a.psd.values, again.psd.values)
+        assert np.array_equal(a.xbar_variance, again.xbar_variance)
 
     @pytest.mark.parametrize("detection, feedback", [
         (tj.HomodyneDiffusive(0.8), tj.Feedback(-0.15 * ops.quad_y(4))),
@@ -497,48 +502,43 @@ class TestEnsembleContract:
         (tj.PhotonCounting(), None),
     ])
     def test_small_batches_bit_identical_d4(self, detection, feedback):
-        # d = 4: batches of 1, 2, 3 and 6 trajectories (through `workers`)
-        # against run_trajectory, record and states bit for bit
+        # d = 4: batches of 1, 2, 3 and 6 trajectories against
+        # run_trajectory, record and states bit for bit
         cfg = config(cavity(4), detection, dt=2e-3, steps=150, seed=77,
                      snapshot_every=50, feedback=feedback)
         rho0 = ops.fock_dm(4, 2)
         solo = [tj.run_trajectory(cfg, rho0, seed=77 ^ i) for i in range(6)]
-        for workers in (6, 3, 2, 1):
-            batch = tj.run_ensemble(cfg, 6, rho0, workers=workers,
-                                    keep_trajectories=True)
+        for k in (1, 2, 3, 6):
+            batch = tj.run_ensemble(cfg, k, rho0, keep_trajectories=True)
+            assert len(batch.trajectories) == k
             for res, ref in zip(batch.trajectories, solo):
                 assert np.array_equal(res.record, ref.record)
                 assert np.array_equal(res.states, ref.states)
 
-    def test_refined_rerun_batch_independent(self):
-        # the dt/2 rerun of failed trajectories runs them as one batch
-        cfg = config(cavity(4), tj.HomodyneDiffusive(0.8), dt=2e-3, steps=100,
-                     seed=5, snapshot_every=50,
-                     feedback=tj.Feedback(-0.15 * ops.quad_y(4)))
-        seeds = [11, 12, 13]
-        batch = tj._integrate(cfg, ops.fock_dm(4, 1), seeds, refine=1)
-        for seed, res in zip(seeds, batch):
-            (solo,) = tj._integrate(cfg, ops.fock_dm(4, 1), [seed], refine=1)
-            assert res.record.shape == (100,)
-            assert res.diagnostics["refinements"] == 1
-            assert np.array_equal(res.record, solo.record)
-            assert np.array_equal(res.states, solo.states)
-
-    def test_positivity_failures_rerun_once_at_half_dt(self, monkeypatch):
+    def test_gate_failures_are_reported_not_rerun(self, monkeypatch):
         # a tolerance no decaying state meets: every row fails the eigenvalue
-        # gate, is rerun once (all failures in one batch) and then reported
+        # gate in the single batch and is reported, with no second attempt
         monkeypatch.setattr(tj, "DIFFUSIVE_POSITIVITY_TOL", 0.45)
         calls = []
         integrate = tj._integrate
 
-        def spy(cfg, rho0, seeds, refine):
-            calls.append((len(seeds), refine))
-            return integrate(cfg, rho0, seeds, refine)
+        def spy(cfg, rho0, seeds):
+            calls.append(list(seeds))
+            return integrate(cfg, rho0, seeds)
 
         monkeypatch.setattr(tj, "_integrate", spy)
         with pytest.raises(PositivityViolation, match="only 0/5"):
-            tj.run_ensemble(self.cfg(), 5, 0.5 * np.eye(2), workers=2)
-        assert calls == [(3, 0), (2, 0), (5, 1)]
+            tj.run_ensemble(self.cfg(), 5, 0.5 * np.eye(2))
+        assert calls == [[42 ^ i for i in range(5)]]
+
+    def test_too_short_for_psd_fails_before_stepping(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tj, "_integrate",
+                            lambda *args: calls.append(args))
+        cfg = self.cfg(steps=30)
+        with pytest.raises(TooShort, match="30 samples"):
+            tj.run_ensemble(cfg, 4, ops.fock_dm(2, 1), psd_segments=8)
+        assert calls == []
 
     def test_batched_equals_sequential(self):
         rho0 = ops.fock_dm(2, 1)
