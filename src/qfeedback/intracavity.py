@@ -92,19 +92,34 @@ def conditioned_variance_rhs(params: LinearCavityParams, u: float) -> float:
 
 def conditioned_variance_trajectory(params: LinearCavityParams, u_init: float,
                                     t_grid) -> np.ndarray:
-    """Deterministic relaxation of the conditioned variance; independent of
-    the feedback strength."""
+    """Deterministic relaxation of the conditioned variance from
+    U(t_grid[0]) = u_init; independent of the feedback strength.
+
+    Both branches are dU/dt = -s (U - u+)(U - u-) with s = eta (or H) and
+    roots u+ > u-, so with E = exp(-s (u+ - u-) t) the exact solution is
+        U(t) = u+ + (u+ - u-) a E / (b - a E),  a = U0 - u+, b = U0 - u-,
+    i.e. u+ + (u+ - u-) / (C e^{s (u+ - u-) t} - 1) with C = b / a. The
+    allowed starts satisfy U0 >= u-, so the denominator never vanishes; the
+    start U0 = u- (homodyne with eta = 1 and l = theta = 0 has u- = -1) is
+    the repelling fixed point and stays there.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
-    if isinstance(params.measurement, Homodyne) and u_init < -1.0:
-        raise ValueError("U_init must be >= -1")
-    if isinstance(params.measurement, Qnd) and u_init < 0.0:
-        raise ValueError("V_init must be >= 0")
-    from scipy.integrate import solve_ivp     # not at import time: it is slow
-    sol = solve_ivp(
-        lambda _, y: conditioned_variance_rhs(params, y[0]),
-        (t_grid[0], t_grid[-1]), [u_init], t_eval=t_grid,
-        rtol=1e-10, atol=1e-12, method="RK45")
-    return sol.y[0]
+    if isinstance(params.measurement, Homodyne):
+        if u_init < -1.0:
+            raise ValueError("U_init must be >= -1")
+        s = params.measurement.eta
+    else:
+        if u_init < 0.0:
+            raise ValueError("V_init must be >= 0")
+        s = params.measurement.strength
+    u_plus = conditioned_variance_ss(params)
+    # the two roots of the right-hand side sum to -2 k0 / s
+    u_minus = -2.0 * params.k0 / s - u_plus
+    a, b = u_init - u_plus, u_init - u_minus
+    if b == 0.0:
+        return np.full_like(t_grid, u_init)
+    decay = np.exp(-s * (u_plus - u_minus) * (t_grid - t_grid[0]))
+    return u_plus + (u_plus - u_minus) * a * decay / (b - a * decay)
 
 
 def conditioned_variance_ss(params: LinearCavityParams) -> float:

@@ -1,25 +1,29 @@
 """Conditioned (stochastic) evolution with and without feedback.
 
-Every unraveling runs through one batched kernel, :class:`_Kernel`. A batch of
-B conditioned states is held as the rows of r in C^{B x d^2}, row b being the
-column-stacked vec(rho_b).
+Every unraveling runs through one batched kernel, :class:`_Kernel`. A
+conditioned state is Hermitian, so it has d^2 real degrees of freedom: a batch
+of B states is held as the rows of r in R^{B x d^2}, row b holding
+Re rho_ij (i >= j) and Im rho_ij (i > j) of rho_b (`_Kernel.rows` and
+`_Kernel.states` convert, by exact index copies). Every map a step applies
+preserves Hermiticity, so each is one real d^2 x d^2 matrix, and an
+expectation value or the trace is one real column.
 
-* diffusive homodyne (Euler-Maruyama): a step is one matrix product
-  r @ [A^T | S^T | vec(x^T)] with the d^2 x d^2 superoperators
-  A = I + dt (L + feedback drift) and
+* diffusive homodyne (Euler-Maruyama): a step is one product r @ [A | S | x]
+  with A = 1 + dt (L + feedback drift) and
   S = sqrt(eta) (c . + . c†) - (i / sqrt(eta)) [F, .]; the last column gives
-  <x>_c = vec(x^T) . r, and rho' = A rho + dW (S rho - sqrt(eta) <x>_c rho).
-  Delayed feedback instead adds one more product, against [F, .] and
-  [F, [F, .]], driven by the current from one delay earlier.
-* jump unravelings (photon counting, finite local oscillator beta): operator
-  Kraus products K rho K†, two d^3 products per row on r reshaped to
-  (B d, d). The no-jump map sums M0 rho M0† with
-  M0 = I - dt (iH + beta c + c†c/2 + sum_k r_k L_k†L_k / 2) and
+  <x>_c = Tr[(c + c†) rho], and rho' = A rho + dW (S rho - sqrt(eta) <x>_c rho).
+  Delayed feedback instead adds one more product, against [K0 | K1] with
+  K0 = 1 - dt [F, [F, .]] / 2 eta and K1 = -i [F, .], driven by the current
+  from one delay earlier.
+* jump unravelings (photon counting, finite local oscillator beta): one
+  product r @ [N | e]. N is the no-jump Kraus map, M0 rho M0† with
+  M0 = I - dt (iH + beta c + c†c/2 + sum_k r_k L_k†L_k / 2) plus
   dt r_k L_k rho L_k† over the unmonitored collapses, so it is completely
-  positive. Tr[J†J rho] dt, one dot product per row, is the detection
-  probability of J = c + beta; only the rows that detect get J rho J†.
+  positive; e gives Tr[J†J rho], whose product with dt is the detection
+  probability of J = c + beta. Only the rows that detect get the jump map
+  J rho J†.
 
-Each step hermitizes and renormalizes the trace. A collapsed trace, a jump from
+Each step renormalizes the trace. A collapsed trace, a jump from
 a state with Tr[J rho J†] <= TOL_JUMP, or an eigenvalue below the tolerance
 (checked every POSITIVITY_CHECK_EVERY steps and at the end) marks the row
 failed, and the failure is the trajectory's result.
@@ -27,17 +31,22 @@ failed, and the failure is the trajectory's result.
 Randomness comes from the counter-based Philox generator; trajectory i of an
 ensemble uses the stream keyed by seed XOR i, drawn in time chunks (array draws
 continue a stream exactly, so chunking does not change it). Every product runs
-on a row count padded to a multiple of _ROW_PAD: with OpenBLAS, each row of
-such a product came out bit-identical whatever the batch it was computed in
-(d = 2-12, batches of 1-1100 rows), while unpadded products of very few rows
-take other code paths that round differently. A trajectory therefore gets
-bit-identical records and states whether it runs alone (run_trajectory, the
-step_* functions) or in a batch of any size (run_ensemble).
+on a row count padded to a multiple of _ROW_PAD, against a map whose column
+count is padded with zero columns to a multiple of _COL_PAD. With OpenBLAS,
+each row of such a product came out bit-identical whatever the batch it was
+computed in (d = 2-24 with batches of 8-256 rows, and up to 1104 rows at
+d <= 14). Without the row padding, products of very few rows take other code
+paths that round differently; without the column padding, the last columns of
+a real product (a column count of 8k + 1 or 8k + 4) changed in their last bits
+between batches of 8 and of 40 or more rows at d >= 6. A trajectory therefore
+gets bit-identical records and states whether it runs alone (run_trajectory,
+the step_* functions) or in a batch of any size (run_ensemble).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -62,6 +71,7 @@ DIFFUSIVE_POSITIVITY_TOL = -0.5
 POSITIVITY_CHECK_EVERY = 50
 
 _ROW_PAD = 8                 # products run on a multiple of this many rows
+_COL_PAD = 8                 # ... against maps padded to this many columns
 _NOISE_CHUNK = 1 << 18       # noise values drawn at once per batch
 _PSD_CHUNK = 1 << 15         # record samples per Welch call
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
@@ -176,93 +186,119 @@ class TrajectoryResult:
 # step kernel
 
 
-def _unvec(r: np.ndarray, dim: int) -> np.ndarray:
-    """Rows of column-stacked states -> (..., d, d) density matrices."""
-    return np.ascontiguousarray(
-        r.reshape(r.shape[:-1] + (dim, dim)).swapaxes(-1, -2))
-
-
-def _kraus_rows(r: np.ndarray, left: np.ndarray,
-                right: np.ndarray) -> np.ndarray:
-    """Rows of vec(sum_k K_k rho K_k†) from rows of Hermitian rho, in two
-    d^3 products per row, with left = [K_0^T | K_1^T | ...] and
-    right = [K_0^T; K_1^T; ...].
-
-    A row reshaped to (d, d) is rho^T, so the first product gives the blocks
-    (K_k rho)^T. Their conjugate transposes are conj(K_k) rho^T (rho = rho†),
-    and the second product sums conj(K_k) rho^T K_k^T = (K_k rho K_k†)^T,
-    which is again a column-stacked row.
-    """
-    dim = left.shape[0]
-    n_k = left.shape[1] // dim
-    rows = len(r)
-    first = (r.reshape(rows * dim, dim) @ left).reshape(rows, dim, n_k, dim)
-    flipped = np.empty_like(first)
-    np.conjugate(first.transpose(0, 3, 2, 1), out=flipped)
-    out = flipped.reshape(rows * dim, n_k * dim) @ right
-    return out.reshape(rows, dim * dim)
+def _padded(*blocks: np.ndarray) -> np.ndarray:
+    """The blocks side by side, then zero columns up to a multiple of
+    _COL_PAD."""
+    m = np.hstack(blocks)
+    return np.pad(m, ((0, 0), (0, -m.shape[1] % _COL_PAD)))
 
 
 class _Kernel:
-    """One unraveling at one dt: its maps and its step on rows.
+    """One unraveling at one dt: its maps as real matrices, and its step.
 
-    Diffusive detection steps all rows with one superoperator product against
-    `gemm`. The jump unravelings form no superoperator: the no-jump Kraus map
-    is two d^3 products per row (_kraus_rows), the detection probability one
-    dot product per row, and the jump map J . J† runs only on the rows that
-    detect, gathered into a block padded to a multiple of _ROW_PAD rows.
+    A batch of B Hermitian states is held as the rows of r in R^{B x d^2} in
+    the coordinates of `rows`. Every map the step applies preserves
+    Hermiticity, so each is one real matrix R acting as r @ R; row k of R is
+    the coordinates of the map's image of the basis matrix states(e_k),
+    computed in operator form (O(d^5), no d^2 x d^2 superoperator product).
+    A trace or an expectation value is one real column.
+
+    Diffusive detection steps all rows with one product against
+    `gemm` = [A | S | x]; the jump unravelings with one product against
+    `no_jump` = [N | e], and the rows that detect with one more against
+    `jump`, gathered into a block padded to a multiple of _ROW_PAD rows.
+    Each map carries zero columns up to a multiple of _COL_PAD.
     """
 
     def __init__(self, model: LindbladModel, dt: float,
                  eta: Optional[float] = None, beta: float = 0.0,
                  f_op: Optional[np.ndarray] = None, delayed: bool = False):
         dim = model.dim
-        c = model.collapses[0][1]
-        cd = c.conj().T
         self.dim, self.n2, self.dt = dim, dim * dim, dt
         self.diffusive = eta is not None
-        # float view of vec(rho): (re, im) pairs; vec(rho†) is the view
-        # permuted by `transpose` and multiplied by `conj_sign`
-        pairs = np.arange(dim * dim).reshape(dim, dim).T.ravel()
-        self.transpose = (2 * pairs[:, None] + np.arange(2)).ravel()
-        self.conj_sign = np.tile([1.0, -1.0], dim * dim)
+        # coordinates: Re rho_ij (i >= j), then Im rho_ij (i > j), both in
+        # column-stacked order; `gather` indexes them in the float view of a
+        # (d, d) complex array, `scatter` and `sign` rebuild that float view
+        j, i = np.triu_indices(dim)
+        lower = i > j
+        re = 2 * (i * dim + j)
+        self.gather = np.concatenate([re, re[lower] + 1])
+        src = np.zeros((dim, dim, 2), dtype=np.intp)
+        sign = np.zeros((dim, dim, 2))
+        src[i, j, 0] = src[j, i, 0] = np.arange(len(re))
+        sign[:, :, 0] = 1.0
+        k_im = len(re) + np.arange(lower.sum())
+        src[i[lower], j[lower], 1] = src[j[lower], i[lower], 1] = k_im
+        sign[i[lower], j[lower], 1], sign[j[lower], i[lower], 1] = 1.0, -1.0
+        self.scatter, self.sign = src.ravel(), sign.ravel()
+        basis = self.states(np.eye(self.n2))           # (d^2, d, d)
+        self.trace_row = np.einsum("kii->k", basis).real
+
+        def dag(m):
+            return m.conj().swapaxes(-1, -2)
+
+        def expect_col(op):                  # Tr[op E_k] for every k
+            return np.einsum("kij,ji->k", basis, op).real
+
+        def sandwich(op):                    # op E_k op† for every k
+            return op @ basis @ dag(op)
+
+        c = model.collapses[0][1]
         self.kick = None
         if not self.diffusive:
             # no-jump Kraus operators: M0 and sqrt(dt r_k) L_k for each
             # unmonitored collapse, which keeps the map completely positive
-            h_eff = 1j * model.hamiltonian + beta * c + 0.5 * cd @ c
-            kraus = []
+            h_eff = 1j * model.hamiltonian + beta * c + 0.5 * dag(c) @ c
+            no_jump = 0.0
             for rate, op in model.collapses[1:]:
-                h_eff = h_eff + (0.5 * rate) * op.conj().T @ op
-                kraus.append(math.sqrt(dt * rate) * op)
-            kraus.insert(0, np.eye(dim) - dt * h_eff)
-            self.no_jump = (np.hstack([k.T for k in kraus]),
-                            np.vstack([k.T for k in kraus]))
-            j_t = np.ascontiguousarray((c + beta * np.eye(dim)).T)
-            self.jump = (j_t, j_t)
-            # Tr[J†J rho] = vec((J†J)^T) . vec(rho), as a dot product of the
-            # float view of the row
-            jj = _vec(j_t @ j_t.conj().T)
-            self.emit_row = np.stack([jj.real, -jj.imag], axis=1).ravel()
+                h_eff = h_eff + (0.5 * rate) * dag(op) @ op
+                no_jump = no_jump + (dt * rate) * sandwich(op)
+            no_jump = no_jump + sandwich(np.eye(dim) - dt * h_eff)
+            jump = c + beta * np.eye(dim)
+            # [N | e]: the no-jump map and Tr[J†J rho]
+            self.no_jump = _padded(self.rows(no_jump),
+                                   expect_col(dag(jump) @ jump)[:, None])
+            self.jump = _padded(self.rows(sandwich(jump)))
             self.idle_noise = np.inf            # a uniform draw that never jumps
             return
         self.sqrt_eta = math.sqrt(eta)
-        eye = np.eye(dim * dim)
-        meas = ops.spre(c) + ops.spost(cd)
-        drift = model.liouvillian
+        # L E = g E + E g† + sum_k r_k L_k E L_k†, g = -iH - sum_k r_k L_k†L_k/2
+        g = -1j * model.hamiltonian
+        lind = 0.0
+        for rate, op in model.collapses:
+            g = g - (0.5 * rate) * dag(op) @ op
+            lind = lind + rate * sandwich(op)
+        ge = g @ basis
+        drift = lind + ge + dag(ge)
+        ce = c @ basis
+        meas = ce + dag(ce)                          # c E + E c†
         s = self.sqrt_eta * meas
         if f_op is not None:
-            comm = ops.spre(f_op) - ops.spost(f_op)
-            comm2 = comm @ comm
+            def comm(m):
+                return f_op @ m - m @ f_op
+
+            comm2 = comm(comm(basis))
             if delayed:
-                self.kick = np.hstack([(eye - (0.5 * dt / eta) * comm2).T,
-                                       -1j * comm.T])
+                self.kick = _padded(self.rows(basis - (0.5 * dt / eta) * comm2),
+                                    self.rows(-1j * comm(basis)))
             else:
-                drift = drift - 1j * comm @ meas - (0.5 / eta) * comm2
-                s = s - (1j / self.sqrt_eta) * comm
-        x_col = _vec((c + cd).T)
-        self.gemm = np.hstack([(eye + dt * drift).T, s.T, x_col[:, None]])
+                drift = drift - 1j * comm(meas) - (0.5 / eta) * comm2
+                s = s - (1j / self.sqrt_eta) * comm(basis)
+        # [A | S | x]
+        self.gemm = _padded(self.rows(basis + dt * drift), self.rows(s),
+                            expect_col(c + dag(c))[:, None])
         self.idle_noise = 0.0
+
+    def rows(self, rho: np.ndarray) -> np.ndarray:
+        """(..., d, d) Hermitian matrices -> (..., d^2) real coordinates."""
+        rho = np.ascontiguousarray(rho, dtype=complex)
+        flat = rho.view(np.float64).reshape(rho.shape[:-2] + (2 * self.n2,))
+        return np.take(flat, self.gather, axis=-1)
+
+    def states(self, r: np.ndarray) -> np.ndarray:
+        """(..., d^2) real coordinates -> (..., d, d) Hermitian matrices."""
+        flat = np.take(r, self.scatter, axis=-1) * self.sign
+        return flat.view(complex).reshape(r.shape[:-1] + (self.dim, self.dim))
 
     @classmethod
     def for_config(cls, config: SmeConfig, dt: float) -> "_Kernel":
@@ -282,54 +318,47 @@ class _Kernel:
         (r', record, <x>_c, bad): <x>_c is None for jumps, and bad is None or
         per-row failure codes (0 for rows that stepped cleanly).
         """
-        # elementwise work runs on float views (re, im pairs) of the rows:
-        # w floats per d^2 block, the real diagonal every `diag` floats
-        w, diag = 2 * self.n2, 2 * (self.dim + 1)
+        n2 = self.n2
         bad = None
         xbar = None
         if self.diffusive:
-            out = (r @ self.gemm).view(np.float64)
-            xbar = out[:, 2 * w]
+            out = r @ self.gemm
+            xbar = out[:, 2 * n2]
             sx = self.sqrt_eta * xbar
             record = sx + noise / self.dt
-            new = out[:, w:2 * w] - sx[:, None] * r.view(np.float64)
+            new = out[:, n2:2 * n2] - sx[:, None] * r
             new *= noise[:, None]
-            new += out[:, :w]
+            new += out[:, :n2]
             if old is not None:
                 dw_old, xbar_old = old
-                kicked = (new.view(complex) @ self.kick).view(np.float64)
+                kicked = new @ self.kick
                 theta = self.dt * xbar_old + dw_old / self.sqrt_eta
-                new = kicked[:, :w] + theta[:, None] * kicked[:, w:]
+                new = kicked[:, :n2] + theta[:, None] * kicked[:, n2:2 * n2]
         else:
-            emit = r.view(np.float64) @ self.emit_row    # Tr[J†J rho]
+            out = r @ self.no_jump
+            emit = out[:, n2]                     # Tr[J†J rho]
             jump = noise < emit * self.dt
             record = jump.astype(float)
-            new = _kraus_rows(r, *self.no_jump).view(np.float64)
+            new = out[:, :n2]
             if jump.any():
                 hit = np.flatnonzero(jump)
                 # the detecting rows, padded like every other product
                 block = np.resize(hit, -(-len(hit) // _ROW_PAD) * _ROW_PAD)
-                jumped = _kraus_rows(r[block], *self.jump)
-                new[hit] = jumped[:len(hit)].view(np.float64)
+                new[hit] = (r[block] @ self.jump)[:len(hit), :n2]
                 dark = jump & (emit <= ops.TOL_JUMP)
                 if dark.any():
                     bad = np.where(dark, _DARK_JUMP, 0)
-        # rho + rho† (the factor 1/2 cancels in the trace renormalization)
-        herm = np.take(new, self.transpose, axis=1)
-        herm *= self.conj_sign
-        herm += new
-        tr = herm[:, ::diag].sum(axis=1)
+        tr = new @ self.trace_row
         ok = np.isfinite(tr) & (tr > 0)
         if not ok.all():
             bad = np.where(ok, 0 if bad is None else bad, _COLLAPSED)
             tr = np.where(ok, tr, 1.0)
-        herm /= tr[:, None]
-        return herm.view(complex), record, xbar, bad
+        return new / tr[:, None], record, xbar, bad
 
     def step_one(self, rho_c: np.ndarray, noise: float, old=None):
         """One step of a single state, run as a full block of rows. Raises
         the row's failure; returns (rho', record, <x>_c)."""
-        rows = np.tile(_vec(rho_c), (_ROW_PAD, 1))
+        rows = np.tile(self.rows(rho_c), (_ROW_PAD, 1))
         noise_rows = np.full(_ROW_PAD, self.idle_noise)
         noise_rows[0] = noise
         if old is not None:
@@ -337,7 +366,7 @@ class _Kernel:
         r, record, xbar, bad = self.step(rows, noise_rows, old)
         if bad is not None and bad[0]:
             raise _failure(bad[0], POSITIVITY_TOL)
-        return (_unvec(r[0], self.dim), record[0],
+        return (self.states(r[0]), record[0],
                 None if xbar is None else xbar[0])
 
 
@@ -352,6 +381,31 @@ def _failure(code: int, tol: float) -> Exception:
 
 # ---------------------------------------------------------------------------
 # single steps
+
+# kernels of recent step_* calls, reused while the maps they encode stay equal
+_STEP_KERNELS: dict = {}
+_STEP_KERNELS_MAX = 8
+_STEP_KERNELS_LOCK = threading.Lock()
+
+
+def _array_key(a: np.ndarray) -> tuple:
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _step_kernel(model: LindbladModel, dt: float, **maps) -> _Kernel:
+    """The _Kernel(model, dt, **maps) of a step_* call, built once per
+    (operators by value, dt, detection, F) and reused by later calls."""
+    key = (_array_key(model.hamiltonian),
+           tuple((rate, _array_key(op)) for rate, op in model.collapses), dt,
+           tuple((k, _array_key(v) if isinstance(v, np.ndarray) else v)
+                 for k, v in sorted(maps.items())))
+    with _STEP_KERNELS_LOCK:
+        kernel = _STEP_KERNELS.get(key)
+        if kernel is None:
+            if len(_STEP_KERNELS) >= _STEP_KERNELS_MAX:
+                del _STEP_KERNELS[next(iter(_STEP_KERNELS))]  # oldest first
+            kernel = _STEP_KERNELS[key] = _Kernel(model, dt, **maps)
+    return kernel
 
 
 def step_photon_counting(rho_c: np.ndarray, model: LindbladModel, dt: float,
@@ -371,7 +425,8 @@ def step_homodyne_jump(rho_c: np.ndarray, model: LindbladModel, beta: float,
                        dt: float, rng: Generator):
     """Jump unraveling with the local oscillator folded into the jump operator
     c + beta; detection rate Tr[(beta^2 + beta x + c†c) rho] dt."""
-    rho, record, _ = _Kernel(model, dt, beta=beta).step_one(rho_c, rng.random())
+    kernel = _step_kernel(model, dt, beta=beta)
+    rho, record, _ = kernel.step_one(rho_c, rng.random())
     return rho, int(record)
 
 
@@ -383,7 +438,7 @@ def step_homodyne_diffusive(rho_c: np.ndarray, model: LindbladModel, eta: float,
     I = sqrt(eta) <x>_c + dW / dt, with dW ~ Normal(0, dt).
     """
     dw = rng.standard_normal() * math.sqrt(dt)
-    rho, i_sample, _ = _Kernel(model, dt, eta=eta).step_one(rho_c, dw)
+    rho, i_sample, _ = _step_kernel(model, dt, eta=eta).step_one(rho_c, dw)
     return rho, i_sample
 
 
@@ -410,8 +465,8 @@ def step_homodyne_feedback(rho_c: np.ndarray, model: LindbladModel,
     old = None
     if delayed and len(delay_buffer) == delay_buffer.maxlen:
         old = delay_buffer[0]
-    kernel = _Kernel(model, dt, eta=eta, f_op=np.asarray(f_op, dtype=complex),
-                     delayed=delayed)
+    kernel = _step_kernel(model, dt, eta=eta,
+                          f_op=np.asarray(f_op, dtype=complex), delayed=delayed)
     rho, i_sample, xbar = kernel.step_one(rho_c, dw, old)
     if delayed:
         delay_buffer.append((dw, xbar))
@@ -493,12 +548,11 @@ def _integrate(config: SmeConfig, rho0: np.ndarray, seeds) -> list:
     ended the trajectory.
     """
     dt, n = config.dt, config.steps
-    dim = config.model.dim
     kernel = _Kernel.for_config(config, dt)
     tol = DIFFUSIVE_POSITIVITY_TOL if kernel.diffusive else POSITIVITY_TOL
     b_sz = len(seeds)
     rows = -(-b_sz // _ROW_PAD) * _ROW_PAD
-    r0 = _vec(rho0)
+    r0 = kernel.rows(rho0)
     r = np.tile(r0, (rows, 1))
     fail = np.zeros(rows, dtype=np.int8)
     records = np.empty((rows, n))
@@ -542,7 +596,7 @@ def _integrate(config: SmeConfig, rho0: np.ndarray, seeds) -> list:
             if bad is not None:
                 mark(bad)
             if (k + 1) % POSITIVITY_CHECK_EVERY == 0 or k + 1 == n:
-                low = np.linalg.eigvalsh(r.reshape(rows, dim, dim))[:, 0] < tol
+                low = np.linalg.eigvalsh(kernel.states(r))[:, 0] < tol
                 if low.any():
                     mark(np.where(low, _NEGATIVE, 0))
             if snap and (k + 1) % snap == 0:
@@ -550,7 +604,7 @@ def _integrate(config: SmeConfig, rho0: np.ndarray, seeds) -> list:
                 snap_times.append((k + 1) * dt)
 
     times = dt * np.arange(1, n + 1)
-    states = _unvec(np.stack(snaps, axis=1), dim) if snap else None
+    states = kernel.states(np.stack(snaps, axis=1)) if snap else None
     state_times = np.array(snap_times) if snap else None
     results = []
     for i, s in enumerate(seeds):

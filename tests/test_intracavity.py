@@ -67,6 +67,32 @@ class TestConditionedVariance:
             s = ic.conditioned_variance_trajectory(p, uss + du, t)
             assert abs(s[-1] - uss) < 1e-8
 
+    @pytest.mark.parametrize("p", [hom(l=0.4, theta=0.6, eta=0.8),
+                                   hom(l=0.0, theta=0.3, eta=1.0),
+                                   qnd(l=1.0, theta=0.2, strength=3.0),
+                                   qnd(l=0.0, theta=0.5, strength=0.5)])
+    def test_closed_form_matches_ode(self, p):
+        # the exact solution against an adaptive ODE solve, for starts above
+        # and below the attracting root, on a grid that does not start at 0
+        from scipy.integrate import solve_ivp
+        uss = ic.conditioned_variance_ss(p)
+        lowest = -1.0 if isinstance(p.measurement, ic.Homodyne) else 0.0
+        t = np.linspace(0.5, 10.5, 41)
+        for u0 in (uss + 3.0, uss + 0.2, 0.5 * (lowest + uss), lowest):
+            assert u0 != uss
+            ref = solve_ivp(lambda _, y: ic.conditioned_variance_rhs(p, y[0]),
+                            (t[0], t[-1]), [u0], t_eval=t, rtol=1e-12,
+                            atol=1e-14).y[0]
+            series = ic.conditioned_variance_trajectory(p, u0, t)
+            assert np.max(np.abs(series - ref)) < 1e-9
+
+    def test_start_at_repelling_root(self):
+        # eta = 1, l = theta = 0: dU/dt = -U (U + 1), so U = -1 stays put
+        p = hom(l=0.0, theta=0.0, eta=1.0)
+        series = ic.conditioned_variance_trajectory(p, -1.0,
+                                                    np.linspace(0, 1e3, 11))
+        assert np.array_equal(series, np.full(11, -1.0))
+
     def test_qnd_strong_measurement(self):
         p = ic.LinearCavityParams(l=0.0, theta=ic.THETA_MAX,
                                   measurement=ic.Qnd(1e6))

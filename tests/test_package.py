@@ -29,6 +29,19 @@ def test_import_loads_no_scipy_submodules():
     assert proc.stdout.strip() == "[]"
 
 
+def test_riccati_series_loads_no_scipy_integrate():
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from qfeedback import intracavity as ic\n"
+            "p = ic.LinearCavityParams(l=0.2, theta=0.3,"
+            " measurement=ic.Homodyne(0.8))\n"
+            "ic.conditioned_variance_trajectory(p, 0.0, np.linspace(0, 5, 11))\n"
+            "print('scipy.integrate' in sys.modules)")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_python_dash_m_entry_points(tmp_path):
     for i, module in enumerate(("qfeedback", "qfeedback.cli")):
         out = tmp_path / f"out{i}.csv"

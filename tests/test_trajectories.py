@@ -181,14 +181,14 @@ class TestKernel:
         eps = 1e-15
         rows = [ops.fock_dm(2, 1), np.diag([1.0 - eps, eps]), ops.fock_dm(2, 0),
                 0.5 * np.eye(2)] * 2
-        r = np.array([tj._vec(rho) for rho in rows])
         kernel = tj._Kernel(atom(), 1e-3)
+        r = kernel.rows(np.array(rows))
         noise = np.zeros(len(rows))          # every emitting row jumps
         r_new, record, _, bad = kernel.step(r, noise)
         assert list(record) == [1.0, 1.0, 0.0, 1.0] * 2
         assert [tj._failure(code, tj.POSITIVITY_TOL).__class__ if code else None
                 for code in bad] == [None, JumpFromDarkState, None, None] * 2
-        assert np.allclose(tj._unvec(r_new[0], 2), ops.fock_dm(2, 0),
+        assert np.allclose(kernel.states(r_new[0]), ops.fock_dm(2, 0),
                            atol=1e-15)
 
     def test_rows_match_single_steps(self):
@@ -197,11 +197,11 @@ class TestKernel:
         rhos = [ops.fock_dm(4, k % 4) for k in range(9)]
         dws = rng.standard_normal(9) * math.sqrt(1e-3)
         kernel = tj._Kernel(cavity(4), 1e-3, eta=0.8, f_op=f_op)
-        r = np.array([tj._vec(rho) for rho in rhos] + [tj._vec(rhos[0])] * 7)
+        r = kernel.rows(np.array(rhos + [rhos[0]] * 7))
         r_new, record, _, _ = kernel.step(r, np.concatenate([dws, np.zeros(7)]))
         for i, (rho, dw) in enumerate(zip(rhos, dws)):
             one, i_sample, _ = kernel.step_one(rho, dw)
-            assert np.array_equal(one, tj._unvec(r_new[i], 4))
+            assert np.array_equal(one, kernel.states(r_new[i]))
             assert i_sample == record[i]
 
     @staticmethod
@@ -228,13 +228,12 @@ class TestKernel:
         kernel = tj._Kernel(self.jump_model(4), 1e-3, beta=beta)
         noise = np.full(16, np.inf)
         noise[list(jumpers)] = 0.0
-        r_new, record, _, bad = kernel.step(
-            np.array([tj._vec(rho) for rho in rhos]), noise)
+        r_new, record, _, bad = kernel.step(kernel.rows(rhos), noise)
         assert bad is None
         assert list(np.flatnonzero(record)) == list(jumpers)
         for i, rho in enumerate(rhos):
             one, dn, _ = kernel.step_one(rho, noise[i])
-            assert np.array_equal(one, tj._unvec(r_new[i], 4))
+            assert np.array_equal(one, kernel.states(r_new[i]))
             assert dn == record[i]
 
     def test_maps_match_matrix_reference(self):
@@ -253,8 +252,8 @@ class TestKernel:
             0.5 * k * op.conj().T @ op for k, op in unmonitored))
         jump = c + beta * np.eye(dim)
         rhos = self.random_states(dim, 8, seed=9)
-        r = np.array([tj._vec(rho) for rho in rhos])
         kernel = tj._Kernel(model, dt, beta=beta)
+        r = kernel.rows(rhos)
         no_jump, _, _, _ = kernel.step(r, np.full(8, np.inf))
         jumped, record, _, _ = kernel.step(r, np.zeros(8))
         assert record.all()
@@ -263,13 +262,146 @@ class TestKernel:
                 k * op @ rho @ op.conj().T for k, op in unmonitored)
             ref_j = jump @ rho @ jump.conj().T
             for row, ref in ((row_nj, ref_nj), (row_j, ref_j)):
-                err = tj._unvec(row, dim) - ref / np.trace(ref)
+                err = kernel.states(row) - ref / np.trace(ref)
                 assert np.max(np.abs(err)) < 1e-13
         p_jump = dt * np.array([np.trace(jump.conj().T @ jump @ rho).real
                                 for rho in rhos])
         _, below, _, _ = kernel.step(r, p_jump * (1 - 1e-9))
         _, above, _, _ = kernel.step(r, p_jump * (1 + 1e-9))
         assert below.all() and not above.any()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_rows_round_trip_bit_identical(self, dim):
+        # real coordinates hold a Hermitian matrix exactly: gathering them and
+        # scattering back (with conjugation) copies every float
+        rng = np.random.default_rng(dim)
+        g = rng.standard_normal((7, dim, dim)) + 1j * rng.standard_normal(
+            (7, dim, dim))
+        herm = g + g.conj().transpose(0, 2, 1)
+        kernel = tj._Kernel(cavity(dim), 1e-3)
+        r = kernel.rows(herm)
+        assert r.shape == (7, dim * dim) and r.dtype == np.float64
+        assert np.array_equal(kernel.states(r), herm)
+        assert np.array_equal(kernel.states(kernel.rows(herm[0])), herm[0])
+
+    @staticmethod
+    def diffusive_model(dim):
+        # a Hamiltonian, a monitored collapse with a complex phase, an
+        # unmonitored collapse, and a feedback operator with a diagonal part
+        a = ops.destroy(dim)
+        ad = a.conj().T
+        c = np.exp(1j * np.pi / 3) * a
+        h = 0.4 * (a + ad) + 0.2 * ad @ ad @ a @ a
+        model = ops.LindbladModel(h, ((1.0, c), (0.5, ad @ a)))
+        f_op = 0.3 * ops.quad_y(dim) + 0.1 * ops.number(dim)
+        return model, f_op
+
+    @staticmethod
+    def reference_pieces(model):
+        h = model.hamiltonian
+        c = model.collapses[0][1]
+
+        def comm(x, y):
+            return x @ y - y @ x
+
+        def lindblad(rho):
+            out = -1j * comm(h, rho)
+            for rate, op in model.collapses:
+                od = op.conj().T
+                out = out + rate * (op @ rho @ od
+                                    - 0.5 * (od @ op @ rho + rho @ od @ op))
+            return out
+
+        def meas(rho):
+            return c @ rho + rho @ c.conj().T
+
+        def xbar(rho):
+            return np.trace((c + c.conj().T) @ rho).real
+
+        return comm, lindblad, meas, xbar
+
+    def test_diffusive_markovian_map_matches_matrix_reference(self):
+        # rho' = A rho + dW (S rho - sqrt(eta) <x> rho), normalized, with
+        # A = 1 + dt (L - i[F, c . + . c†] - [F, [F, .]] / 2 eta) and
+        # S = sqrt(eta) (c . + . c†) - (i / sqrt(eta)) [F, .]
+        dim, dt, eta = 5, 1e-2, 0.7
+        model, f_op = self.diffusive_model(dim)
+        comm, lindblad, meas, xbar = self.reference_pieces(model)
+        rhos = self.random_states(dim, 8, seed=13)
+        dws = np.random.default_rng(13).standard_normal(8) * math.sqrt(dt)
+        kernel = tj._Kernel(model, dt, eta=eta, f_op=f_op)
+        r_new, record, xbars, bad = kernel.step(kernel.rows(rhos), dws)
+        assert bad is None
+        se = math.sqrt(eta)
+        for rho, dw, row, rec, xb in zip(rhos, dws, r_new, record, xbars):
+            x = xbar(rho)
+            ref = (rho + dt * (lindblad(rho) - 1j * comm(f_op, meas(rho))
+                               - comm(f_op, comm(f_op, rho)) / (2 * eta))
+                   + dw * (se * meas(rho) - (1j / se) * comm(f_op, rho)
+                           - se * x * rho))
+            err = kernel.states(row) - ref / np.trace(ref)
+            assert np.max(np.abs(err)) < 1e-13
+            assert abs(xb - x) < 1e-13
+            assert abs(rec - (se * x + dw / dt)) < 1e-12
+
+    def test_diffusive_delayed_map_matches_matrix_reference(self):
+        # the measurement step with F = 0, then the kick
+        # 1 - dt [F, [F, .]] / 2 eta - i theta [F, .] with
+        # theta = dt <x>_old + dW_old / sqrt(eta), normalized
+        dim, dt, eta = 5, 1e-2, 0.7
+        model, f_op = self.diffusive_model(dim)
+        comm, lindblad, meas, xbar = self.reference_pieces(model)
+        rhos = self.random_states(dim, 8, seed=17)
+        rng = np.random.default_rng(17)
+        dws, dws_old = rng.standard_normal((2, 8)) * math.sqrt(dt)
+        xbars_old = rng.standard_normal(8)
+        kernel = tj._Kernel(model, dt, eta=eta, f_op=f_op, delayed=True)
+        r_new, _, _, bad = kernel.step(kernel.rows(rhos), dws,
+                                       (dws_old, xbars_old))
+        assert bad is None
+        se = math.sqrt(eta)
+        for i, rho in enumerate(rhos):
+            measured = (rho + dt * lindblad(rho)
+                        + dws[i] * se * (meas(rho) - xbar(rho) * rho))
+            theta = dt * xbars_old[i] + dws_old[i] / se
+            ref = (measured
+                   - (0.5 * dt / eta) * comm(f_op, comm(f_op, measured))
+                   - 1j * theta * comm(f_op, measured))
+            err = kernel.states(r_new[i]) - ref / np.trace(ref)
+            assert np.max(np.abs(err)) < 1e-13
+
+    def test_step_functions_reuse_their_kernel(self, monkeypatch):
+        # ten identical step_homodyne_feedback calls build one kernel, and
+        # match calls that each build their own bit for bit
+        builds = []
+
+        class Spy(tj._Kernel):
+            def __init__(self, *args, **kwargs):
+                builds.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(tj, "_Kernel", Spy)
+        monkeypatch.setattr(tj, "_STEP_KERNELS", {})
+        model, f_op = cavity(6), -0.15 * ops.quad_y(6)
+
+        def run(fresh_kernels):
+            rng = Generator(Philox(key=3))
+            rho, out = ops.fock_dm(6, 3), []
+            for _ in range(10):
+                if fresh_kernels:
+                    tj._STEP_KERNELS.clear()
+                rho, i_sample = tj.step_homodyne_feedback(rho, model, f_op,
+                                                          0.8, 1e-3, rng)
+                out.append((rho, i_sample))
+            return out
+
+        cached = run(fresh_kernels=False)
+        assert len(builds) == 1
+        uncached = run(fresh_kernels=True)
+        assert len(builds) == 11
+        for (rho_a, i_a), (rho_b, i_b) in zip(cached, uncached):
+            assert np.array_equal(rho_a, rho_b)
+            assert i_a == i_b
 
 
 class TestJumpToDiffusiveConvergence:
@@ -376,18 +508,15 @@ class TestConditionedVarianceRiccati:
                                   keep_trajectories=True)
         x = ops.quad_x(dim)
         xx = x @ x
-        # conditioned normally ordered variance, late-time snapshots pooled
-        late = [k for k, t in enumerate(summary.state_times) if t >= 4.0]
-        vals = []
-        for res in summary.trajectories:
-            for k in late:
-                r = res.states[k]
-                vals.append(ops.expect(xx, r).real
-                            - ops.expect(x, r).real ** 2 - 1.0)
-        vals = np.array(vals)
-        stderr = vals.std(ddof=1) / math.sqrt(len(summary.trajectories))
-        target = ic.conditioned_variance_ss(p)
-        assert abs(vals.mean() - target) < 3.0 * stderr + 0.02
+        # conditioned normally ordered variance of every trajectory at every
+        # snapshot; the ensemble mean follows the Riccati relaxation from the
+        # vacuum (U = 0 at t = 0), snapshot by snapshot
+        vals = np.array([[ops.expect(xx, r).real - ops.expect(x, r).real ** 2
+                          - 1.0 for r in res.states]
+                         for res in summary.trajectories])
+        t = np.concatenate([[0.0], summary.state_times])
+        target = ic.conditioned_variance_trajectory(p, 0.0, t)[1:]
+        assert np.max(np.abs(vals.mean(axis=0) - target)) < 1e-3
 
 
 class TestFeedbackMasterEquation:
@@ -514,6 +643,27 @@ class TestEnsembleContract:
             for res, ref in zip(batch.trajectories, solo):
                 assert np.array_equal(res.record, ref.record)
                 assert np.array_equal(res.states, ref.states)
+
+    @pytest.mark.parametrize("detection, feedback", [
+        (tj.HomodyneDiffusive(0.8), tj.Feedback(-0.15 * ops.quad_y(12))),
+        (tj.HomodyneDiffusive(0.8),
+         tj.Feedback(-0.15 * ops.quad_y(12), tj.Delayed(10 * 1e-3))),
+        (tj.HomodyneJump(1.0), None),
+    ])
+    def test_batch_of_48_bit_identical_d12(self, detection, feedback):
+        # d = 12: a batch of 48 rows runs each real product through another
+        # BLAS code path than the 8-row block of a lone trajectory, which
+        # changed the last bits of the maps' last columns until those were
+        # padded to a multiple of 8
+        cfg = config(cavity(12), detection, dt=1e-3, steps=64, seed=5,
+                     snapshot_every=32, feedback=feedback)
+        rho0 = ops.fock_dm(12, 3)
+        batch = tj.run_ensemble(cfg, 48, rho0, psd_segments=2,
+                                keep_trajectories=True)
+        for i in (0, 17, 47):
+            solo = tj.run_trajectory(cfg, rho0, seed=5 ^ i)
+            assert np.array_equal(batch.trajectories[i].record, solo.record)
+            assert np.array_equal(batch.trajectories[i].states, solo.states)
 
     def test_gate_failures_are_reported_not_rerun(self, monkeypatch):
         # a tolerance no decaying state meets: every row fails the eigenvalue
