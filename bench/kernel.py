@@ -8,11 +8,8 @@ fixed Philox stream (the same on every checkout), and times STEPS consecutive
 steps; the best of REPEATS rounds over all cases is reported as microseconds
 per trajectory-step, next to the best time to build the kernel. Rows are padded
 to a multiple of the kernel's row block, as the engine pads them, so B = 1 pays
-what a lone trajectory pays.
-
-The script runs against either row layout of the kernel: real Hermitian
-coordinates, converted by the kernel's own `rows`, or (older checkouts, whose
-kernel has no `rows`) complex column-stacked vec(rho).
+what a lone trajectory pays. The delayed case feeds back the record of the
+previous step (a delay of one step), so every step pays for the kick.
 
 Run from the root of a checkout, pointing PYTHONPATH at the package to time:
 
@@ -72,8 +69,7 @@ class Case:
         else:
             self.noise[:, :batch] = gen.random((STEPS, batch))
         rho0 = ops.fock_dm(dim, min(3, dim - 1))
-        row = kernel.rows(rho0) if hasattr(kernel, "rows") else ops._vec(rho0)
-        self.r0 = np.tile(row, (self.rows, 1))
+        self.r0 = np.tile(kernel.rows(rho0), (self.rows, 1))
         self.best = math.inf
         self.records = np.empty((STEPS, self.rows))
 
@@ -81,9 +77,9 @@ class Case:
         r, old = self.r0.copy(), None
         delayed = self.name == "delayed_feedback"
         for k in range(STEPS):
-            r, record, xbar, _ = self.kernel.step(r, self.noise[k], old)
+            r, record, _ = self.kernel.step(r, self.noise[k], old)
             if delayed:
-                old = (self.noise[k], xbar)
+                old = record
             if records is not None:
                 records[k] = record
 

@@ -54,7 +54,6 @@ Measurement = Union[Homodyne, Qnd]
 class LinearCavityParams:
     l: float                     # x diffusion drive rate
     theta: float                 # parametric drive, < 1 (threshold)
-    lam: float = 0.0             # feedback strength
     measurement: Measurement = Homodyne(1.0)
 
     def __post_init__(self):

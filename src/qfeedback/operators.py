@@ -84,26 +84,24 @@ def expect(op: np.ndarray, rho: np.ndarray) -> complex:
     return complex(np.trace(op @ rho))
 
 
-def is_hermitian(m: np.ndarray, tol: float = TOL_HERM) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+def is_hermitian(m: np.ndarray) -> bool:
+    return bool(np.max(np.abs(m - m.conj().T)) <= TOL_HERM)
 
 
-def validate_density_matrix(rho: np.ndarray,
-                            tol_herm: float = TOL_HERM,
-                            tol_tr: float = TOL_TRACE,
-                            tol_pos: float = TOL_POS) -> None:
+def validate_density_matrix(rho: np.ndarray) -> None:
     """Raise InvalidState unless rho is Hermitian, unit trace, and positive."""
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidState("density matrix must be square")
     if not np.all(np.isfinite(rho)):
         raise InvalidState("non-finite entries")
-    if np.max(np.abs(rho - rho.conj().T)) > tol_herm:
+    if np.max(np.abs(rho - rho.conj().T)) > TOL_HERM:
         raise InvalidState("not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > tol_tr or abs(np.trace(rho).imag) > tol_tr:
-        raise InvalidState(f"trace {np.trace(rho)} != 1 within tolerance")
+    tr = np.trace(rho)
+    if abs(tr.real - 1.0) > TOL_TRACE or abs(tr.imag) > TOL_TRACE:
+        raise InvalidState(f"trace {tr} != 1 within tolerance")
     evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if evals.min() < -tol_pos:
-        raise InvalidState(f"smallest eigenvalue {evals.min()} < -{tol_pos}")
+    if evals.min() < -TOL_POS:
+        raise InvalidState(f"smallest eigenvalue {evals.min()} < -{TOL_POS}")
 
 
 def _check_dims(*ms: np.ndarray) -> int:

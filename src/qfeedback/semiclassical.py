@@ -208,6 +208,14 @@ def welch_segment_length(n: int, n_segments: int) -> int:
     return nperseg
 
 
+def welch_window_count(n: int, n_segments: int) -> int:
+    """Number of Welch windows that estimate_psd averages over n samples:
+    windows of welch_segment_length(n, n_segments) samples, each starting
+    nperseg - nperseg // 2 samples after the last (as scipy steps them)."""
+    nperseg = welch_segment_length(n, n_segments)
+    return (n - nperseg) // (nperseg - nperseg // 2) + 1
+
+
 def estimate_psd(series: np.ndarray, dt: float, n_segments: int) -> Spectrum:
     """Averaged periodogram (Hann window, 50% overlap), normalized so unit
     white noise has expected density 1. Returns standard errors.
@@ -229,6 +237,5 @@ def estimate_psd(series: np.ndarray, dt: float, n_segments: int) -> Spectrum:
     omega = omega[order]
     vals = pxx[..., keep][..., order]
     # ~1.06/K variance factor for Hann at 50% overlap
-    n_windows = max(1, (n - nperseg) // (nperseg // 2) + 1)
-    stderr = vals * np.sqrt(1.06 / n_windows)
+    stderr = vals * np.sqrt(1.06 / welch_window_count(n, n_segments))
     return Spectrum(omega, vals, stderr=stderr)

@@ -13,8 +13,10 @@ expectation value or the trace is one real column.
   S = sqrt(eta) (c . + . c†) - (i / sqrt(eta)) [F, .]; the last column gives
   <x>_c = Tr[(c + c†) rho], and rho' = A rho + dW (S rho - sqrt(eta) <x>_c rho).
   Delayed feedback instead adds one more product, against [K0 | K1] with
-  K0 = 1 - dt [F, [F, .]] / 2 eta and K1 = -i [F, .], driven by the current
-  from one delay earlier.
+  K0 = 1 - dt [F, [F, .]] / 2 eta and K1 = -i [F, .], at the angle
+  theta = I_old dt / sqrt(eta) of the photocurrent I_old one delay earlier.
+  The drivers read I_old from the stored record; step_homodyne_feedback
+  keeps those photocurrent samples in its delay buffer.
 * jump unravelings (photon counting, finite local oscillator beta): one
   product r @ [N | e]. N is the no-jump Kraus map, M0 rho M0† with
   M0 = I - dt (iH + beta c + c†c/2 + sum_k r_k L_k†L_k / 2) plus
@@ -26,7 +28,7 @@ expectation value or the trace is one real column.
 Each step renormalizes the trace. A collapsed trace, a jump from
 a state with Tr[J rho J†] <= TOL_JUMP, or an eigenvalue below the tolerance
 (checked every POSITIVITY_CHECK_EVERY steps and at the end) marks the row
-failed, and the failure is the trajectory's result.
+failed with a code, which the drivers turn into the trajectory's error.
 
 Randomness comes from the counter-based Philox generator; trajectory i of an
 ensemble uses the stream keyed by seed XOR i, drawn in time chunks (array draws
@@ -59,7 +61,8 @@ from .errors import EmptyDelayBuffer, JumpFromDarkState, PositivityViolation
 from .loop import Spectrum
 from .operators import LindbladModel, _vec, steady_state
 from .operators import two_time_correlation  # noqa: F401  (re-exported)
-from .semiclassical import estimate_psd, welch_segment_length
+from .semiclassical import (estimate_psd, welch_segment_length,
+                            welch_window_count)
 
 # The jump unravelings' Kraus maps preserve positivity, so they get a strict
 # tolerance.
@@ -216,6 +219,8 @@ class _Kernel:
         dim = model.dim
         self.dim, self.n2, self.dt = dim, dim * dim, dt
         self.diffusive = eta is not None
+        self.tol = (DIFFUSIVE_POSITIVITY_TOL if self.diffusive
+                    else POSITIVITY_TOL)
         # coordinates: Re rho_ij (i >= j), then Im rho_ij (i > j), both in
         # column-stacked order; `gather` indexes them in the float view of a
         # (d, d) complex array, `scatter` and `sign` rebuild that float view
@@ -237,9 +242,6 @@ class _Kernel:
         def dag(m):
             return m.conj().swapaxes(-1, -2)
 
-        def expect_col(op):                  # Tr[op E_k] for every k
-            return np.einsum("kij,ji->k", basis, op).real
-
         def sandwich(op):                    # op E_k op† for every k
             return op @ basis @ dag(op)
 
@@ -257,7 +259,7 @@ class _Kernel:
             jump = c + beta * np.eye(dim)
             # [N | e]: the no-jump map and Tr[J†J rho]
             self.no_jump = _padded(self.rows(no_jump),
-                                   expect_col(dag(jump) @ jump)[:, None])
+                                   self.expect_col(dag(jump) @ jump)[:, None])
             self.jump = _padded(self.rows(sandwich(jump)))
             self.idle_noise = np.inf            # a uniform draw that never jumps
             return
@@ -286,7 +288,7 @@ class _Kernel:
                 s = s - (1j / self.sqrt_eta) * comm(basis)
         # [A | S | x]
         self.gemm = _padded(self.rows(basis + dt * drift), self.rows(s),
-                            expect_col(c + dag(c))[:, None])
+                            self.expect_col(c + dag(c))[:, None])
         self.idle_noise = 0.0
 
     def rows(self, rho: np.ndarray) -> np.ndarray:
@@ -300,13 +302,17 @@ class _Kernel:
         flat = np.take(r, self.scatter, axis=-1) * self.sign
         return flat.view(complex).reshape(r.shape[:-1] + (self.dim, self.dim))
 
+    def expect_col(self, op: np.ndarray) -> np.ndarray:
+        """The column e with r @ e = Tr[op states(r)]."""
+        return np.einsum("kij,ji->k", self.states(np.eye(self.n2)), op).real
+
     @classmethod
-    def for_config(cls, config: SmeConfig, dt: float) -> "_Kernel":
+    def for_config(cls, config: SmeConfig) -> "_Kernel":
         det, fb = config.detection, config.feedback
         if not isinstance(det, HomodyneDiffusive):
             beta = det.beta if isinstance(det, HomodyneJump) else 0.0
-            return cls(config.model, dt, beta=beta)
-        return cls(config.model, dt, eta=det.eta,
+            return cls(config.model, config.dt, beta=beta)
+        return cls(config.model, config.dt, eta=det.eta,
                    f_op=None if fb is None else fb.operator,
                    delayed=fb is not None and isinstance(fb.mode, Delayed))
 
@@ -314,25 +320,22 @@ class _Kernel:
         """Advance the rows r by one step.
 
         noise holds one uniform draw per row (jumps) or dW (diffusive); old is
-        (dW, <x>_c) per row from one delay earlier, or None. Returns
-        (r', record, <x>_c, bad): <x>_c is None for jumps, and bad is None or
-        per-row failure codes (0 for rows that stepped cleanly).
+        the photocurrent per row from one delay earlier, or None. Returns
+        (r', record, bad): bad is None or per-row failure codes (0 for rows
+        that stepped cleanly).
         """
         n2 = self.n2
         bad = None
-        xbar = None
         if self.diffusive:
             out = r @ self.gemm
-            xbar = out[:, 2 * n2]
-            sx = self.sqrt_eta * xbar
+            sx = self.sqrt_eta * out[:, 2 * n2]          # sqrt(eta) <x>_c
             record = sx + noise / self.dt
             new = out[:, n2:2 * n2] - sx[:, None] * r
             new *= noise[:, None]
             new += out[:, :n2]
             if old is not None:
-                dw_old, xbar_old = old
                 kicked = new @ self.kick
-                theta = self.dt * xbar_old + dw_old / self.sqrt_eta
+                theta = (self.dt / self.sqrt_eta) * old
                 new = kicked[:, :n2] + theta[:, None] * kicked[:, n2:2 * n2]
         else:
             out = r @ self.no_jump
@@ -353,21 +356,20 @@ class _Kernel:
         if not ok.all():
             bad = np.where(ok, 0 if bad is None else bad, _COLLAPSED)
             tr = np.where(ok, tr, 1.0)
-        return new / tr[:, None], record, xbar, bad
+        return new / tr[:, None], record, bad
 
     def step_one(self, rho_c: np.ndarray, noise: float, old=None):
         """One step of a single state, run as a full block of rows. Raises
-        the row's failure; returns (rho', record, <x>_c)."""
+        the row's failure; returns (rho', record)."""
         rows = np.tile(self.rows(rho_c), (_ROW_PAD, 1))
         noise_rows = np.full(_ROW_PAD, self.idle_noise)
         noise_rows[0] = noise
         if old is not None:
-            old = tuple(np.full(_ROW_PAD, v, dtype=float) for v in old)
-        r, record, xbar, bad = self.step(rows, noise_rows, old)
+            old = np.full(_ROW_PAD, old, dtype=float)
+        r, record, bad = self.step(rows, noise_rows, old)
         if bad is not None and bad[0]:
-            raise _failure(bad[0], POSITIVITY_TOL)
-        return (self.states(r[0]), record[0],
-                None if xbar is None else xbar[0])
+            raise _failure(bad[0], self.tol)
+        return self.states(r[0]), record[0]
 
 
 def _failure(code: int, tol: float) -> Exception:
@@ -426,7 +428,7 @@ def step_homodyne_jump(rho_c: np.ndarray, model: LindbladModel, beta: float,
     """Jump unraveling with the local oscillator folded into the jump operator
     c + beta; detection rate Tr[(beta^2 + beta x + c†c) rho] dt."""
     kernel = _step_kernel(model, dt, beta=beta)
-    rho, record, _ = kernel.step_one(rho_c, rng.random())
+    rho, record = kernel.step_one(rho_c, rng.random())
     return rho, int(record)
 
 
@@ -438,8 +440,7 @@ def step_homodyne_diffusive(rho_c: np.ndarray, model: LindbladModel, eta: float,
     I = sqrt(eta) <x>_c + dW / dt, with dW ~ Normal(0, dt).
     """
     dw = rng.standard_normal() * math.sqrt(dt)
-    rho, i_sample, _ = _step_kernel(model, dt, eta=eta).step_one(rho_c, dw)
-    return rho, i_sample
+    return _step_kernel(model, dt, eta=eta).step_one(rho_c, dw)
 
 
 def step_homodyne_feedback(rho_c: np.ndarray, model: LindbladModel,
@@ -452,11 +453,11 @@ def step_homodyne_feedback(rho_c: np.ndarray, model: LindbladModel,
         d rho = dt{-i[H,rho] + D[c]rho - i[F, c rho + rho c†] + D[F]rho/eta}
               + dW H[sqrt(eta) c - i F / sqrt(eta)] rho.
 
-    Delayed: delay_buffer is a deque with maxlen = T/dt holding (dW, <x>_c)
-    pairs. Once it is full, the measured state gets the kick
-    -i (<x>_old dt + dW_old / sqrt(eta)) [F, .] - dt [F, [F, .]] / (2 eta)
-    from the record one delay ago; during warm-up there is no kick. The step
-    pushes the current (dW, <x>_c) onto the buffer.
+    Delayed: delay_buffer is a deque with maxlen = T/dt holding photocurrent
+    samples. Once it is full, the measured state gets the kick
+    -i (I_old dt / sqrt(eta)) [F, .] - dt [F, [F, .]] / (2 eta)
+    from the current I_old one delay ago; during warm-up there is no kick.
+    The step pushes its own photocurrent sample onto the buffer.
     """
     delayed = delay_buffer is not None
     if delayed and (delay_buffer.maxlen is None or delay_buffer.maxlen < 1):
@@ -467,9 +468,9 @@ def step_homodyne_feedback(rho_c: np.ndarray, model: LindbladModel,
         old = delay_buffer[0]
     kernel = _step_kernel(model, dt, eta=eta,
                           f_op=np.asarray(f_op, dtype=complex), delayed=delayed)
-    rho, i_sample, xbar = kernel.step_one(rho_c, dw, old)
+    rho, i_sample = kernel.step_one(rho_c, dw, old)
     if delayed:
-        delay_buffer.append((dw, xbar))
+        delay_buffer.append(i_sample)
     return rho, i_sample
 
 
@@ -513,7 +514,10 @@ def in_loop_correlation_spectrum(model_fb: LindbladModel, c: np.ndarray,
     With the stationary offset (the mean-squared photocurrent) removed from
     the deviation dev, the integral is exact through the resolvent of
     K = L - |rho_ss><I| (L with its zero eigenvalue moved to -1):
-        S(omega) = 1 + eta Re Tr{x [(i omega - K)^-1 + (-i omega - K)^-1] dev}.
+        S(omega) = 1 + eta Re Tr{x [(i omega - K)^-1 + (-i omega - K)^-1] dev}
+                 = 1 + 2 eta Re Tr{x (i omega - K)^-1 dev},
+    since for Hermitian dev the second resolvent term is the adjoint of the
+    first, and x is Hermitian.
     With corrected=False the -iF/eta insertion is dropped (the naive
     normally-ordered formula, kept for comparison; it is wrong in a loop).
     """
@@ -531,40 +535,36 @@ def in_loop_correlation_spectrum(model_fb: LindbladModel, c: np.ndarray,
     k = model_fb.liouvillian - np.outer(_vec(rho_ss),
                                         _vec(np.eye(model_fb.dim)))
     eye = np.eye(len(k))
-    vals = np.array([x_row @ (np.linalg.solve(1j * w * eye - k, dev)
-                              + np.linalg.solve(-1j * w * eye - k, dev))
+    vals = np.array([x_row @ np.linalg.solve(1j * w * eye - k, dev)
                      for w in omega_grid]).real
-    return Spectrum(omega_grid, 1.0 + eta * vals)
+    return Spectrum(omega_grid, 1.0 + 2.0 * eta * vals)
 
 
 # ---------------------------------------------------------------------------
 # trajectory and ensemble drivers
 
 
-def _integrate(config: SmeConfig, rho0: np.ndarray, seeds) -> list:
+def _integrate(kernel: _Kernel, config: SmeConfig, rho0: np.ndarray, seeds):
     """Advance the trajectories keyed by seeds in lock-step, in one batch.
 
-    Returns, ordered like seeds, a TrajectoryResult or the exception that
-    ended the trajectory.
+    Returns arrays with one row per seed: the records (B, steps), the
+    snapshot coordinates (B, steps // snapshot_every, d^2) or None, and the
+    failure codes (B,), 0 for a trajectory that succeeded.
     """
-    dt, n = config.dt, config.steps
-    kernel = _Kernel.for_config(config, dt)
-    tol = DIFFUSIVE_POSITIVITY_TOL if kernel.diffusive else POSITIVITY_TOL
+    dt, n, snap = config.dt, config.steps, config.snapshot_every
+    if not 0 <= snap <= n:
+        raise ValueError("snapshot_every must be in [0, steps]")
     b_sz = len(seeds)
     rows = -(-b_sz // _ROW_PAD) * _ROW_PAD
     r0 = kernel.rows(rho0)
     r = np.tile(r0, (rows, 1))
     fail = np.zeros(rows, dtype=np.int8)
     records = np.empty((rows, n))
-    snap = config.snapshot_every
-    snaps, snap_times = [], []
+    snaps = np.empty((b_sz, n // snap, kernel.n2)) if snap else None
 
     fb = config.feedback
     lag = (int(round(fb.mode.delay / dt))
            if fb is not None and isinstance(fb.mode, Delayed) else 0)
-    if lag:
-        # (dW, <x>_c) of the last `lag` steps, indexed by step mod lag
-        hist_dw, hist_x = np.zeros((lag, rows)), np.zeros((lag, rows))
 
     gens = [Generator(Philox(key=s & _SEED_MASK)) for s in seeds]
     chunk = min(n, max(1, _NOISE_CHUNK // rows))
@@ -585,38 +585,38 @@ def _integrate(config: SmeConfig, rho0: np.ndarray, seeds) -> list:
                     draws[:m, i] = (g.standard_normal(m) if kernel.diffusive
                                     else g.random(m))
                 noise = draws * math.sqrt(dt) if kernel.diffusive else draws
-            old = None
-            if lag:
-                slot = k % lag
-                if k >= lag:
-                    old = (hist_dw[slot], hist_x[slot])
-            r, records[:, k], xbar, bad = kernel.step(r, noise[j], old)
-            if lag:
-                hist_dw[slot], hist_x[slot] = noise[j], xbar
+            old = records[:, k - lag] if lag and k >= lag else None
+            r, records[:, k], bad = kernel.step(r, noise[j], old)
             if bad is not None:
                 mark(bad)
             if (k + 1) % POSITIVITY_CHECK_EVERY == 0 or k + 1 == n:
-                low = np.linalg.eigvalsh(kernel.states(r))[:, 0] < tol
+                low = np.linalg.eigvalsh(kernel.states(r))[:, 0] < kernel.tol
                 if low.any():
                     mark(np.where(low, _NEGATIVE, 0))
             if snap and (k + 1) % snap == 0:
-                snaps.append(r[:b_sz])
-                snap_times.append((k + 1) * dt)
+                snaps[:, (k + 1) // snap - 1] = r[:b_sz]
+    return records[:b_sz], snaps, fail[:b_sz]
 
-    times = dt * np.arange(1, n + 1)
-    states = kernel.states(np.stack(snaps, axis=1)) if snap else None
-    state_times = np.array(snap_times) if snap else None
-    results = []
-    for i, s in enumerate(seeds):
-        if fail[i]:
-            results.append(_failure(fail[i], tol))
-            continue
-        results.append(TrajectoryResult(
-            times=times, record=records[i],
-            states=states[i] if snap else None,
-            state_times=state_times,
-            diagnostics={"seed": s}))
-    return results
+
+def _state_times(config: SmeConfig) -> Optional[np.ndarray]:
+    snap = config.snapshot_every
+    if not snap:
+        return None
+    return config.dt * np.arange(snap, config.steps + 1, snap)
+
+
+def _results(kernel: _Kernel, config: SmeConfig, records, snaps, seeds,
+             picked) -> list:
+    """TrajectoryResult objects for the rows `picked` of a batch; their
+    snapshots are converted to matrices in one `states` call."""
+    times = config.dt * np.arange(1, config.steps + 1)
+    state_times = _state_times(config)
+    states = None if snaps is None else kernel.states(snaps[picked])
+    return [TrajectoryResult(times=times, record=records[i],
+                             states=None if states is None else states[row],
+                             state_times=state_times,
+                             diagnostics={"seed": seeds[i]})
+            for row, i in enumerate(picked)]
 
 
 def run_trajectory(config: SmeConfig, rho0: np.ndarray,
@@ -625,11 +625,12 @@ def run_trajectory(config: SmeConfig, rho0: np.ndarray,
     seed is given. A failed trajectory raises its failure (PositivityViolation
     or JumpFromDarkState)."""
     ops.validate_density_matrix(np.asarray(rho0, dtype=complex))
-    (result,) = _integrate(config, rho0,
-                           [config.seed if seed is None else seed])
-    if isinstance(result, Exception):
-        raise result
-    return result
+    kernel = _Kernel.for_config(config)
+    seeds = [config.seed if seed is None else seed]
+    records, snaps, codes = _integrate(kernel, config, rho0, seeds)
+    if codes[0]:
+        raise _failure(codes[0], kernel.tol)
+    return _results(kernel, config, records, snaps, seeds, [0])[0]
 
 
 @dataclass
@@ -660,50 +661,44 @@ def run_ensemble(config: SmeConfig, n_traj: int, rho0: np.ndarray,
     if config.snapshot_every < 1:
         raise ValueError("run_ensemble needs snapshot_every >= 1")
     ops.validate_density_matrix(np.asarray(rho0, dtype=complex))
-    diffusive = isinstance(config.detection, HomodyneDiffusive)
-    if diffusive:
+    kernel = _Kernel.for_config(config)
+    if kernel.diffusive:
         welch_segment_length(config.steps, psd_segments)
-    results = _integrate(config, rho0,
-                         [config.seed ^ i for i in range(n_traj)])
+    seeds = [config.seed ^ i for i in range(n_traj)]
+    records, snaps, codes = _integrate(kernel, config, rho0, seeds)
 
-    ok = [(i, r) for i, r in enumerate(results) if isinstance(r, TrajectoryResult)]
-    failures = [(i, r) for i, r in enumerate(results)
-                if not isinstance(r, TrajectoryResult)]
+    ok = np.flatnonzero(codes == 0)
+    failures = [(int(i), _failure(codes[i], kernel.tol))
+                for i in np.flatnonzero(codes)]
     if len(ok) < math.ceil(0.9 * n_traj):
         raise PositivityViolation(
             f"only {len(ok)}/{n_traj} trajectories succeeded")
 
-    first = ok[0][1]
-    dim = config.model.dim
-    n_snap = first.states.shape[0]
-    mean_states = np.zeros((n_snap, dim, dim), dtype=complex)
     c = config.model.collapses[0][1]
-    x_op = c + c.conj().T
-    xbars = np.empty((len(ok), n_snap))
-    for row, (_, res) in enumerate(ok):
-        mean_states += res.states
-        xbars[row] = np.einsum("tij,ji->t", res.states, x_op).real
-    mean_states /= len(ok)
+    good = snaps[ok]                             # (n_ok, n_snap, d^2)
+    xbars = good @ kernel.expect_col(c + c.conj().T)
     psd = None
-    if diffusive:
+    if kernel.diffusive:
         # one Welch call per block of records: _PSD_CHUNK samples keep its
         # segment and FFT arrays within a few MB (one call over 256 x 1000
         # samples took 14 MB more peak memory, and was no faster)
         per_call = max(1, _PSD_CHUNK // config.steps)
         total = 0.0
         for lo in range(0, len(ok), per_call):
-            block = np.stack([res.record for _, res in ok[lo:lo + per_call]])
-            s = estimate_psd(block, config.dt, psd_segments)
+            s = estimate_psd(records[ok[lo:lo + per_call]], config.dt,
+                             psd_segments)
             total = total + s.values.sum(axis=0)
         mean = total / len(ok)
-        psd = Spectrum(s.omega, mean, stderr=mean * np.sqrt(
-            1.06 / (psd_segments * len(ok))))
+        windows = welch_window_count(config.steps, psd_segments)
+        psd = Spectrum(s.omega, mean,
+                       stderr=mean * np.sqrt(1.06 / (windows * len(ok))))
     return EnsembleSummary(
-        state_times=first.state_times,
-        mean_states=mean_states,
+        state_times=_state_times(config),
+        mean_states=kernel.states(good.mean(axis=0)),
         xbar_variance=xbars.var(axis=0),
         psd=psd,
         n_success=len(ok),
         n_failed=len(failures),
         failures=failures,
-        trajectories=[r for _, r in ok] if keep_trajectories else None)
+        trajectories=(_results(kernel, config, records, snaps, seeds, ok)
+                      if keep_trajectories else None))

@@ -43,17 +43,6 @@ class TestConditionedVariance:
         series = ic.conditioned_variance_trajectory(p, 0.0, t)
         assert abs(series[-1] - ic.conditioned_variance_ss(p)) < 1e-6
 
-    def test_independent_of_lambda(self):
-        t = np.linspace(0.0, 5.0, 21)
-        base = None
-        for lam in (-1.0, 0.0, 1.0):
-            p = ic.LinearCavityParams(l=0.2, theta=0.3, lam=lam,
-                                      measurement=ic.Homodyne(0.7))
-            s = ic.conditioned_variance_trajectory(p, 0.1, t)
-            if base is None:
-                base = s
-            assert np.array_equal(s, base)
-
     def test_riccati_root(self):
         for p in (hom(l=0.5, theta=0.7, eta=0.6), qnd(l=1.0, strength=3.0)):
             uss = ic.conditioned_variance_ss(p)

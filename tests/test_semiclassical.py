@@ -106,6 +106,25 @@ class TestEstimatePsd:
         peak = psd.omega[np.argmax(psd.values)]
         assert abs(abs(peak) - w0) < 0.1
 
+    @pytest.mark.parametrize("n, k", [(600, 8), (1000, 8), (10 ** 6, 64)])
+    def test_window_count_matches_scipy(self, n, k):
+        # an impulse at sample nperseg // 2 lies in the first Welch window
+        # only (the next starts at nperseg - nperseg // 2, where the Hann
+        # window of an even nperseg is exactly 0), so every density value is
+        # w[nperseg // 2]^2 / sum(w^2) over the number of windows averaged
+        from scipy import signal
+        nperseg = sc.welch_segment_length(n, k)
+        series = np.zeros(n)
+        series[nperseg // 2] = 1.0
+        psd = sc.estimate_psd(series, 1.0, k)
+        w = signal.get_window("hann", nperseg)
+        averaged = w[nperseg // 2] ** 2 / np.sum(w ** 2) / psd.values
+        assert np.allclose(averaged, averaged[0], rtol=1e-9)
+        count = int(round(averaged[0]))
+        assert sc.welch_window_count(n, k) == count
+        assert np.allclose(psd.stderr, psd.values * np.sqrt(1.06 / count),
+                           rtol=1e-15, atol=0)
+
     def test_too_short(self):
         with pytest.raises(TooShort):
             sc.estimate_psd(np.zeros(32), 0.1, 64)

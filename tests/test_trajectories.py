@@ -65,6 +65,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tj.HomodyneDiffusive(eta=0.0)
 
+    @pytest.mark.parametrize("every", [-1, 101])
+    def test_snapshot_every_within_steps(self, every):
+        cfg = config(atom(), tj.PhotonCounting(), snapshot_every=every)
+        with pytest.raises(ValueError, match="snapshot_every"):
+            tj.run_trajectory(cfg, ops.fock_dm(2, 1))
+
     def test_delay_must_be_multiple_of_dt(self):
         fb = tj.Feedback(0.1 * ops.sigma_y(), tj.Delayed(delay=1.5e-3))
         with pytest.raises(ValueError):
@@ -139,6 +145,25 @@ class TestSingleSteps:
                 0.5 * np.eye(2, dtype=complex), atom(), 0.1 * ops.sigma_y(),
                 0.8, 1e-3, Generator(Philox(key=1)), delay_buffer=deque())
 
+    def test_delay_buffer_matches_run_trajectory(self):
+        # both drivers feed back the photocurrent from three steps earlier:
+        # 200 step calls sharing one Philox stream and a deque(maxlen=3)
+        # reproduce run_trajectory's record and final state bit for bit
+        dt, steps, seed = 1e-3, 200, 31
+        model, f_op = cavity(4), -0.15 * ops.quad_y(4)
+        rho0 = ops.fock_dm(4, 2)
+        cfg = config(model, tj.HomodyneDiffusive(0.8), dt=dt, steps=steps,
+                     seed=seed, snapshot_every=steps,
+                     feedback=tj.Feedback(f_op, tj.Delayed(3 * dt)))
+        res = tj.run_trajectory(cfg, rho0)
+        rng, buffer = Generator(Philox(key=seed)), deque(maxlen=3)
+        rho, record = rho0.astype(complex), []
+        for _ in range(steps):
+            rho, i_sample = tj.step_homodyne_feedback(rho, model, f_op, 0.8,
+                                                      dt, rng, buffer)
+            record.append(i_sample)
+        assert np.array_equal(res.record, np.array(record))
+        assert np.array_equal(res.states[-1], rho)
 
     def test_jump_from_dark_state_raises(self):
         eps = 1e-15                       # Tr[c rho c†] below TOL_JUMP
@@ -184,7 +209,7 @@ class TestKernel:
         kernel = tj._Kernel(atom(), 1e-3)
         r = kernel.rows(np.array(rows))
         noise = np.zeros(len(rows))          # every emitting row jumps
-        r_new, record, _, bad = kernel.step(r, noise)
+        r_new, record, bad = kernel.step(r, noise)
         assert list(record) == [1.0, 1.0, 0.0, 1.0] * 2
         assert [tj._failure(code, tj.POSITIVITY_TOL).__class__ if code else None
                 for code in bad] == [None, JumpFromDarkState, None, None] * 2
@@ -198,9 +223,9 @@ class TestKernel:
         dws = rng.standard_normal(9) * math.sqrt(1e-3)
         kernel = tj._Kernel(cavity(4), 1e-3, eta=0.8, f_op=f_op)
         r = kernel.rows(np.array(rhos + [rhos[0]] * 7))
-        r_new, record, _, _ = kernel.step(r, np.concatenate([dws, np.zeros(7)]))
+        r_new, record, _ = kernel.step(r, np.concatenate([dws, np.zeros(7)]))
         for i, (rho, dw) in enumerate(zip(rhos, dws)):
-            one, i_sample, _ = kernel.step_one(rho, dw)
+            one, i_sample = kernel.step_one(rho, dw)
             assert np.array_equal(one, kernel.states(r_new[i]))
             assert i_sample == record[i]
 
@@ -228,11 +253,11 @@ class TestKernel:
         kernel = tj._Kernel(self.jump_model(4), 1e-3, beta=beta)
         noise = np.full(16, np.inf)
         noise[list(jumpers)] = 0.0
-        r_new, record, _, bad = kernel.step(kernel.rows(rhos), noise)
+        r_new, record, bad = kernel.step(kernel.rows(rhos), noise)
         assert bad is None
         assert list(np.flatnonzero(record)) == list(jumpers)
         for i, rho in enumerate(rhos):
-            one, dn, _ = kernel.step_one(rho, noise[i])
+            one, dn = kernel.step_one(rho, noise[i])
             assert np.array_equal(one, kernel.states(r_new[i]))
             assert dn == record[i]
 
@@ -254,8 +279,8 @@ class TestKernel:
         rhos = self.random_states(dim, 8, seed=9)
         kernel = tj._Kernel(model, dt, beta=beta)
         r = kernel.rows(rhos)
-        no_jump, _, _, _ = kernel.step(r, np.full(8, np.inf))
-        jumped, record, _, _ = kernel.step(r, np.zeros(8))
+        no_jump, _, _ = kernel.step(r, np.full(8, np.inf))
+        jumped, record, _ = kernel.step(r, np.zeros(8))
         assert record.all()
         for rho, row_nj, row_j in zip(rhos, no_jump, jumped):
             ref_nj = m0 @ rho @ m0.conj().T + dt * sum(
@@ -266,8 +291,8 @@ class TestKernel:
                 assert np.max(np.abs(err)) < 1e-13
         p_jump = dt * np.array([np.trace(jump.conj().T @ jump @ rho).real
                                 for rho in rhos])
-        _, below, _, _ = kernel.step(r, p_jump * (1 - 1e-9))
-        _, above, _, _ = kernel.step(r, p_jump * (1 + 1e-9))
+        _, below, _ = kernel.step(r, p_jump * (1 - 1e-9))
+        _, above, _ = kernel.step(r, p_jump * (1 + 1e-9))
         assert below.all() and not above.any()
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
@@ -330,10 +355,10 @@ class TestKernel:
         rhos = self.random_states(dim, 8, seed=13)
         dws = np.random.default_rng(13).standard_normal(8) * math.sqrt(dt)
         kernel = tj._Kernel(model, dt, eta=eta, f_op=f_op)
-        r_new, record, xbars, bad = kernel.step(kernel.rows(rhos), dws)
+        r_new, record, bad = kernel.step(kernel.rows(rhos), dws)
         assert bad is None
         se = math.sqrt(eta)
-        for rho, dw, row, rec, xb in zip(rhos, dws, r_new, record, xbars):
+        for rho, dw, row, rec in zip(rhos, dws, r_new, record):
             x = xbar(rho)
             ref = (rho + dt * (lindblad(rho) - 1j * comm(f_op, meas(rho))
                                - comm(f_op, comm(f_op, rho)) / (2 * eta))
@@ -341,13 +366,13 @@ class TestKernel:
                            - se * x * rho))
             err = kernel.states(row) - ref / np.trace(ref)
             assert np.max(np.abs(err)) < 1e-13
-            assert abs(xb - x) < 1e-13
             assert abs(rec - (se * x + dw / dt)) < 1e-12
 
     def test_diffusive_delayed_map_matches_matrix_reference(self):
         # the measurement step with F = 0, then the kick
         # 1 - dt [F, [F, .]] / 2 eta - i theta [F, .] with
-        # theta = dt <x>_old + dW_old / sqrt(eta), normalized
+        # theta = dt I_old / sqrt(eta) for the photocurrent I_old one delay
+        # earlier, normalized
         dim, dt, eta = 5, 1e-2, 0.7
         model, f_op = self.diffusive_model(dim)
         comm, lindblad, meas, xbar = self.reference_pieces(model)
@@ -355,15 +380,15 @@ class TestKernel:
         rng = np.random.default_rng(17)
         dws, dws_old = rng.standard_normal((2, 8)) * math.sqrt(dt)
         xbars_old = rng.standard_normal(8)
-        kernel = tj._Kernel(model, dt, eta=eta, f_op=f_op, delayed=True)
-        r_new, _, _, bad = kernel.step(kernel.rows(rhos), dws,
-                                       (dws_old, xbars_old))
-        assert bad is None
         se = math.sqrt(eta)
+        currents_old = se * xbars_old + dws_old / dt
+        kernel = tj._Kernel(model, dt, eta=eta, f_op=f_op, delayed=True)
+        r_new, _, bad = kernel.step(kernel.rows(rhos), dws, currents_old)
+        assert bad is None
         for i, rho in enumerate(rhos):
             measured = (rho + dt * lindblad(rho)
                         + dws[i] * se * (meas(rho) - xbar(rho) * rho))
-            theta = dt * xbars_old[i] + dws_old[i] / se
+            theta = dt * currents_old[i] / se
             ref = (measured
                    - (0.5 * dt / eta) * comm(f_op, comm(f_op, measured))
                    - 1j * theta * comm(f_op, measured))
@@ -672,9 +697,9 @@ class TestEnsembleContract:
         calls = []
         integrate = tj._integrate
 
-        def spy(cfg, rho0, seeds):
+        def spy(kernel, cfg, rho0, seeds):
             calls.append(list(seeds))
-            return integrate(cfg, rho0, seeds)
+            return integrate(kernel, cfg, rho0, seeds)
 
         monkeypatch.setattr(tj, "_integrate", spy)
         with pytest.raises(PositivityViolation, match="only 0/5"):
