@@ -10,13 +10,12 @@ shot noise has spectral density 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, Philox
-
-# scipy.signal is imported inside the functions that use it, so that
-# `import qfeedback` loads numpy only
 
 from .errors import (
     DegenerateSplit,
@@ -28,6 +27,7 @@ from .errors import (
 from .loop import FeedbackBeamline, LoopFilter, Sampled, SinglePole, Spectrum, is_stable
 
 DIVERGENCE_LIMIT = 1e6
+_BLOCK = 256                  # fewest samples per block of _lfilter
 
 
 @dataclass(frozen=True)
@@ -99,16 +99,77 @@ class SimRecord:
     dt: float
 
 
+def _toeplitz(diagonals: np.ndarray, cols: int) -> np.ndarray:
+    """The matrix T[j, i] = diagonals[j - i + cols - 1], with
+    len(diagonals) - cols + 1 rows (a read-only view)."""
+    return sliding_window_view(diagonals, cols)[:, ::-1]
+
+
+def _lfilter(b, a, x: np.ndarray) -> np.ndarray:
+    """Output from rest of y[n] = sum_k b[k] x[n-k] - sum_{k>=1} a[k] y[n-k]
+    (a[0] = 1) for a 1-D input x.
+
+    Evaluated in blocks of m = max(_BLOCK, p) samples, p the order. Each
+    block's output is one linear map of its state: its own inputs, the p
+    inputs before it and the p outputs before it. One product gives every
+    block's last p outputs from its inputs alone, a loop over blocks adds
+    the outputs carried from the block before (p x p work per block), and
+    one product applies the whole map to every block's state.
+    """
+    p = max(len(a), len(b)) - 1
+    b = np.pad(np.asarray(b, dtype=float), (0, p + 1 - len(b)))
+    a = np.pad(np.asarray(a, dtype=float), (0, p + 1 - len(a)))
+    m = max(_BLOCK, p)
+    # h: impulse response of 1/a over one block
+    h = np.zeros(m)
+    h[0] = 1.0
+    rev_a = a[:0:-1]
+    for i in range(1, m):
+        k = min(i, p)
+        h[i] = -(rev_a[p - k:] @ h[i - k:i])
+    # rows: the m + p inputs, then the p earlier outputs; columns: outputs
+    zeros = np.zeros(m - 1)
+    maps = np.vstack([
+        _toeplitz(np.concatenate([zeros, b[::-1], zeros]), m),
+        _toeplitz(np.concatenate([zeros, -rev_a]), m),
+    ]) @ _toeplitz(np.concatenate([h[::-1], zeros]), m)
+
+    n = len(x)
+    nb = -(-n // m)
+    padded = np.zeros(p + nb * m)
+    padded[p:p + n] = x
+    state = np.empty((nb, m + 2 * p))
+    state[:, :m + p] = sliding_window_view(padded, m + p)[::m]
+    heads = state[:, :m + p] @ maps[:m + p, m - p:]
+    # tails[k]: the p outputs before block k, block k - 1's head plus its
+    # own tails carried through `last`
+    tails = state[:, m + p:]
+    tails[0] = 0.0
+    last = np.ascontiguousarray(maps[m + p:, m - p:])
+    if p == 1:   # a scalar recursion: Python floats beat 1x1 array products
+        lam = float(last[0, 0])
+        tails[1:, 0] = list(accumulate(heads[:-1, 0].tolist(),
+                                       lambda t, z: z + t * lam))
+    else:
+        rows = list(tails)
+        for prev, cur, head in zip(rows, rows[1:], heads):
+            np.dot(prev, last, out=cur)
+            cur += head
+    return (state @ maps).reshape(-1)[:n]
+
+
 def _loop_difference_eq(filt: LoopFilter, dt: float):
     """(b, a) difference-equation coefficients of the closed-loop map from
     w = sqrt(eta1 eta2) X0 + xi2 to the filtered feedback signal y.
 
     The loop is the causal recursion y_n = (h * u)_{n-1-d} with
-    u = w + g y, realized exactly; lfilter just evaluates it.
+    u = w + g y, d = T / dt a whole number of steps; _lfilter evaluates it
+    exactly, from rest.
     """
     d = int(round(filt.delay_T / dt))
-    if abs(d * dt - filt.delay_T) > dt / 2:
-        raise ValueError("delay T not representable on the time grid")
+    if abs(d * dt - filt.delay_T) > 1e-9 * max(dt, filt.delay_T):
+        raise ValueError(f"delay T = {filt.delay_T} is not a whole number "
+                         f"of steps dt = {dt}")
     if isinstance(filt.response, SinglePole):
         a1 = np.exp(-filt.response.gamma * dt)
         b = np.zeros(d + 2)
@@ -138,7 +199,6 @@ def simulate(sim: SemiclassicalSim) -> SimRecord:
     delta I_k / sqrt(I_k) = X_k^cl + xi_k; the first 10 slow time constants
     are discarded as burn-in. Deterministic for a fixed seed.
     """
-    from scipy import signal
     if not is_stable(sim.filter):
         raise UnstableLoop(f"g = {sim.filter.g} loop is unstable")
     filt, dt = sim.filter, sim.dt
@@ -160,8 +220,9 @@ def simulate(sim: SemiclassicalSim) -> SimRecord:
         innov = rng.standard_normal(total)
         sig = np.sqrt(var_ss * (1.0 - decay ** 2))
         x_init = np.sqrt(var_ss) * innov[0]
-        x0, _ = signal.lfilter([1.0], [1.0, -decay], sig * innov,
-                               zi=np.array([decay * x_init]))
+        drive = sig * innov
+        drive[0] += decay * x_init      # the state before the first sample
+        x0 = _lfilter([1.0], [1.0, -decay], drive)
     else:
         x0 = np.zeros(total)
 
@@ -170,7 +231,7 @@ def simulate(sim: SemiclassicalSim) -> SimRecord:
 
     w = s_in * x0 + xi2
     b, a = _loop_difference_eq(filt, dt)
-    y = signal.lfilter(b, a, w)
+    y = _lfilter(b, a, w)
     x2 = s_in * x0 + filt.g * y
     if np.max(np.abs(x2)) > DIVERGENCE_LIMIT:
         raise DivergenceDetected("in-loop amplitude exceeded 1e6")
@@ -181,13 +242,18 @@ def simulate(sim: SemiclassicalSim) -> SimRecord:
 
 def diverges(filt: LoopFilter, dt: float, duration: float) -> bool:
     """Brute-force stability probe: drive the closed loop with an impulse and
-    compare late-time to early-time energy. Independent of the Nyquist test."""
-    from scipy import signal
-    b, a = _loop_difference_eq(filt, dt)
+    compare late-time to early-time energy. Independent of the Nyquist test.
+    An unstable loop may overflow to inf or nan, which counts as diverging."""
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
     n = int(round(duration / dt))
+    if n < 4:
+        raise ValueError(f"duration {duration} spans {n} < 4 steps of {dt}")
+    b, a = _loop_difference_eq(filt, dt)
     imp = np.zeros(n)
     imp[0] = 1.0
-    y = signal.lfilter(b, a, imp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _lfilter(b, a, imp)
     if not np.all(np.isfinite(y)):
         return True
     if np.max(np.abs(y)) > DIVERGENCE_LIMIT:
@@ -211,31 +277,32 @@ def welch_segment_length(n: int, n_segments: int) -> int:
 def welch_window_count(n: int, n_segments: int) -> int:
     """Number of Welch windows that estimate_psd averages over n samples:
     windows of welch_segment_length(n, n_segments) samples, each starting
-    nperseg - nperseg // 2 samples after the last (as scipy steps them)."""
+    nperseg - nperseg // 2 samples after the last."""
     nperseg = welch_segment_length(n, n_segments)
     return (n - nperseg) // (nperseg - nperseg // 2) + 1
 
 
 def estimate_psd(series: np.ndarray, dt: float, n_segments: int) -> Spectrum:
-    """Averaged periodogram (Hann window, 50% overlap), normalized so unit
-    white noise has expected density 1. Returns standard errors.
+    """Averaged periodogram (periodic Hann window, 50% overlap), normalized
+    so unit white noise has expected density 1, at the frequencies
+    0 <= omega < pi / dt of the segment's grid. Returns standard errors.
 
     series may hold several records along its last axis; values and stderr
     then carry the leading axes, one spectrum per record.
     """
-    from scipy import signal
     series = np.asarray(series, dtype=float)
     n = series.shape[-1]
     nperseg = welch_segment_length(n, n_segments)
-    freqs, pxx = signal.welch(
-        series, fs=1.0 / dt, window="hann", nperseg=nperseg,
-        noverlap=nperseg // 2, detrend=False, return_onesided=False,
-        scaling="density", axis=-1)
-    keep = freqs >= 0
-    omega = 2.0 * np.pi * freqs[keep]
-    order = np.argsort(omega)
-    omega = omega[order]
-    vals = pxx[..., keep][..., order]
+    step = nperseg - nperseg // 2
+    frames = sliding_window_view(series, nperseg, axis=-1)[..., ::step, :]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
+    # the two-sided density at omega >= 0; for even nperseg the Nyquist bin
+    # is dropped, as a two-sided grid labels it negative
+    keep = (nperseg + 1) // 2
+    spectra = np.fft.rfft(frames * window, axis=-1)[..., :keep]
+    vals = np.mean(spectra.real ** 2 + spectra.imag ** 2, axis=-2)
+    vals *= dt / np.sum(window ** 2)
+    omega = 2.0 * np.pi * np.fft.rfftfreq(nperseg, dt)[:keep]
     # ~1.06/K variance factor for Hann at 50% overlap
     stderr = vals * np.sqrt(1.06 / welch_window_count(n, n_segments))
     return Spectrum(omega, vals, stderr=stderr)

@@ -120,6 +120,15 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_fractional_delay_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sc.csv"
+        code = cli.run(["semiclassical", "--T", "0.205", "--dt", "0.01",
+                        "--duration", "200", "--segments", "8",
+                        "--output", str(out)])
+        assert code == 2
+        assert "whole number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_atom_invalid_lambda(self, tmp_path):
         assert cli.run(["atom", "--lam", "-0.9",
                         "--output", str(tmp_path / "a.csv")]) == 2

@@ -42,6 +42,30 @@ def test_riccati_series_loads_no_scipy_integrate():
     assert proc.stdout.strip() == "False"
 
 
+def test_semiclassical_paths_load_no_scipy_signal(tmp_path):
+    out = tmp_path / "sc.csv"
+    code = ("import sys\n"
+            "from qfeedback import cli, loop, operators as ops\n"
+            "from qfeedback import semiclassical as sc, trajectories as tj\n"
+            f"assert cli.run(['semiclassical', '--duration', '200',"
+            f" '--segments', '8', '--output', {str(out)!r}]) == 0\n"
+            "unstable = loop.LoopFilter(10.0, loop.SinglePole(1.0), 0.3)\n"
+            "assert sc.diverges(unstable, 0.3 / 64, 400.0)\n"
+            "model = ops.LindbladModel(ops.sigma_x() * 0j,"
+            " ((1.0, ops.sigma_minus()),))\n"
+            "cfg = tj.SmeConfig(model=model,"
+            " detection=tj.HomodyneDiffusive(0.8), dt=1e-2, steps=400,"
+            " seed=5, snapshot_every=400)\n"
+            "summary = tj.run_ensemble(cfg, 4, ops.fock_dm(2, 0),"
+            " psd_segments=8)\n"
+            "assert summary.psd is not None\n"
+            "print('scipy.signal' in sys.modules)")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    # cli.run prints the CSV path first
+    assert proc.stdout.splitlines() == [str(out), "False"]
+
+
 def test_python_dash_m_entry_points(tmp_path):
     for i, module in enumerate(("qfeedback", "qfeedback.cli")):
         out = tmp_path / f"out{i}.csv"

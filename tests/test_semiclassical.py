@@ -1,11 +1,15 @@
 """Semiclassical Monte Carlo loop and PSD estimator."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy import signal
 
 from qfeedback import loop, semiclassical as sc
 from qfeedback.errors import (
     DivergenceDetected,
+    MarginalStability,
     SemiclassicalInexpressible,
     TooShort,
     UnstableLoop,
@@ -86,6 +90,105 @@ class TestDiverges:
             dt = min(1.0 / gamma, T if T > 0 else 1.0) / 50.0
             assert sc.diverges(filt, dt, 400.0) == (not loop.is_stable(filt))
 
+    def test_stability_map_raises_no_warnings(self):
+        # criterion 4's grid: unstable loops overflow without a warning
+        gains = (-12.0, -8.0, -4.0, -1.5, -0.8, 0.5, 1.5, 3.0, 6.0, 10.0)
+        configs = ((1.0, 1.0), (0.1, 1.0), (1.0, 0.3), (2.0, 0.2), (1.0, 0.05))
+        checked = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for gamma, T in configs:
+                for g in gains:
+                    filt = loop.LoopFilter(g, loop.SinglePole(gamma), T)
+                    try:
+                        stable = loop.is_stable(filt)
+                    except MarginalStability:
+                        continue
+                    checked += 1
+                    assert sc.diverges(filt, T / 64.0, 400.0) == (not stable)
+        assert checked >= 45
+
+    @pytest.mark.parametrize("dt, duration", [(0.0, 400.0), (-0.01, 400.0),
+                                              (0.01, 0.02), (0.01, 0.0)])
+    def test_bad_grid_rejected(self, dt, duration):
+        filt = loop.LoopFilter(-1.0, loop.SinglePole(1.0), 0.0)
+        with pytest.raises(ValueError) as err:
+            sc.diverges(filt, dt, duration)
+        assert type(err.value) is ValueError
+
+
+class TestDelayGrid:
+    @pytest.mark.parametrize("T, dt", [(0.205, 0.01), (0.215, 0.01),
+                                       (0.5, 0.03), (1e-3, 0.01)])
+    def test_fractional_delay_rejected(self, T, dt):
+        filt = loop.LoopFilter(-1.0, loop.SinglePole(1.0), T)
+        with pytest.raises(ValueError, match="whole number"):
+            sc._loop_difference_eq(filt, dt)
+
+    def test_fractional_delay_rejected_by_simulate(self):
+        with pytest.raises(ValueError, match="whole number"):
+            sc.simulate(make_sim(g=-1.0, T=0.205, dt=0.01))
+
+    def test_oracle_and_map_grids_accepted(self):
+        # criterion 3's delays and steps, criterion 4's T / 64 and the
+        # sampled-response probe of the analysis workload
+        grids = [(0.5, 0.02), (0.3, 0.015), (1.0, 0.02), (0.2, 0.02)]
+        grids += [(T, T / 64.0) for T in (1.0, 0.3, 0.2, 0.05)]
+        for T, dt in grids:
+            filt = loop.LoopFilter(-1.0, loop.SinglePole(1.0), T)
+            b, a = sc._loop_difference_eq(filt, dt)
+            assert len(a) == int(round(T / dt)) + 2
+
+
+def _reference_filters():
+    """{name: (b, a, x)} cases for _lfilter against scipy.signal.lfilter."""
+    noise = np.random.default_rng(8).standard_normal(20000)
+    cases = []
+    for d in (0, 25, 64):
+        filt = loop.LoopFilter(-0.8, loop.SinglePole(1.0), d * 0.02)
+        cases.append((f"pole_d{d}", *sc._loop_difference_eq(filt, 0.02), noise))
+    sampled = loop.LoopFilter(-3.0, loop.Sampled(np.exp(-0.02 * np.arange(200)),
+                                                 0.02), 0.2)
+    cases.append(("sampled_200", *sc._loop_difference_eq(sampled, 0.02), noise))
+    unstable = loop.LoopFilter(-4.0, loop.SinglePole(1.0), 1.0)
+    impulse = np.zeros(25600)
+    impulse[0] = 1.0
+    cases.append(("unstable_impulse",
+                  *sc._loop_difference_eq(unstable, 1.0 / 64.0), impulse))
+    # shorter than one block, and for order 65 shorter than the order too
+    cases.append(("short_order1", [0.3, 0.2], [1.0, -0.9], noise[:100]))
+    _, b64, a64, _ = cases[2]
+    cases.append(("short_order65", b64, a64, noise[:50]))
+    return {name: case for name, *case in cases}
+
+
+REFERENCE_FILTERS = _reference_filters()
+
+
+class TestLfilter:
+    @pytest.mark.parametrize("name", list(REFERENCE_FILTERS))
+    def test_matches_scipy(self, name):
+        b, a, x = REFERENCE_FILTERS[name]
+        ref = signal.lfilter(b, a, x)
+        y = sc._lfilter(b, a, x)
+        assert y.shape == x.shape
+        assert np.all(np.isfinite(ref))
+        scale = np.max(np.abs(ref))
+        if name == "unstable_impulse":
+            assert 1e60 < scale < 1e80
+        assert np.max(np.abs(y - ref)) <= 1e-12 * scale
+
+    def test_ou_initial_state_folds_into_first_sample(self):
+        rng = np.random.default_rng(9)
+        decay, x_init = np.exp(-0.5 * 0.02), 1.7
+        drive = rng.standard_normal(3000)
+        ref, _ = signal.lfilter([1.0], [1.0, -decay], drive,
+                                zi=np.array([decay * x_init]))
+        folded = drive.copy()
+        folded[0] += decay * x_init
+        y = sc._lfilter([1.0], [1.0, -decay], folded)
+        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
 
 class TestEstimatePsd:
     def test_white_noise_normalization(self):
@@ -112,7 +215,6 @@ class TestEstimatePsd:
         # only (the next starts at nperseg - nperseg // 2, where the Hann
         # window of an even nperseg is exactly 0), so every density value is
         # w[nperseg // 2]^2 / sum(w^2) over the number of windows averaged
-        from scipy import signal
         nperseg = sc.welch_segment_length(n, k)
         series = np.zeros(n)
         series[nperseg // 2] = 1.0
@@ -124,6 +226,27 @@ class TestEstimatePsd:
         assert sc.welch_window_count(n, k) == count
         assert np.allclose(psd.stderr, psd.values * np.sqrt(1.06 / count),
                            rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("shape, k", [((1000,), 8), ((1000,), 10),
+                                          ((3, 2, 1000), 8), ((3, 2, 1000), 10)],
+                             ids=["1d-even", "1d-odd", "stacked-even",
+                                  "stacked-odd"])
+    def test_matches_scipy_welch(self, shape, k):
+        # k = 8 gives an even nperseg (222), k = 10 an odd one (181)
+        dt = 0.05
+        series = np.random.default_rng(12).standard_normal(shape)
+        nperseg = sc.welch_segment_length(shape[-1], k)
+        freqs, pxx = signal.welch(
+            series, fs=1.0 / dt, window="hann", nperseg=nperseg,
+            noverlap=nperseg // 2, detrend=False, return_onesided=False,
+            scaling="density", axis=-1)
+        keep = np.nonzero(freqs >= 0)[0]
+        keep = keep[np.argsort(freqs[keep])]
+        psd = sc.estimate_psd(series, dt, k)
+        assert psd.values.shape == shape[:-1] + (len(keep),)
+        assert np.allclose(psd.omega, 2.0 * np.pi * freqs[keep],
+                           rtol=1e-12, atol=0)
+        assert np.allclose(psd.values, pxx[..., keep], rtol=1e-12, atol=0)
 
     def test_too_short(self):
         with pytest.raises(TooShort):
