@@ -1,21 +1,31 @@
-"""Time the SME step kernel, `trajectories._Kernel.step`, per trajectory-step.
+"""Time the SME step kernel, `trajectories._Kernel.step`, of two checkouts,
+alternating them every round.
 
 Four unravelings (photon counting, homodyne jump with beta = 1, diffusive
 homodyne with Markovian feedback F = -0.15 y, and the same feedback delayed)
 on a damped cavity, at d in {2, 4, 8, 12, 16, 20, 24} and batch sizes B in
 {1, 64, 256}. Each case starts B rows from a Fock state, draws its noise from a
 fixed Philox stream (the same on every checkout), and times STEPS consecutive
-steps; the best of REPEATS rounds over all cases is reported as microseconds
-per trajectory-step, next to the best time to build the kernel. Rows are padded
-to a multiple of the kernel's row block, as the engine pads them, so B = 1 pays
-what a lone trajectory pays. The delayed case feeds back the record of the
-previous step (a delay of one step), so every step pays for the kick.
+steps, next to the time to build the kernel. Rows are padded to a multiple of
+the kernel's row block, as the engine pads them, so B = 1 pays what a lone
+trajectory pays. The delayed case feeds back the record of the previous step
+(a delay of one step), so every step pays for the kick.
 
-Run from the root of a checkout, pointing PYTHONPATH at the package to time:
+Every round runs one fresh worker process per side, and the side that goes
+first alternates, so slow drift of a shared host reaches both sides alike. A
+worker runs every case once untimed, then times each case --repeats times
+(one round over all cases per repeat, so a burst of load from other
+processes hits one repeat of a case rather than all of them) and reports the
+best. The summary per case is the median over rounds of microseconds per
+trajectory-step and of the build time, and how many rounds the change won.
 
-    PYTHONPATH=src python bench/kernel.py --label change --out BENCH.json
+Run from the root of a checkout; --parent points at the `src` directory of
+the checkout to compare against (for example an exported copy of the parent
+commit):
 
-Each call appends one labelled run to the JSON list in --out.
+    python bench/kernel.py --parent /tmp/parent/src --out BENCH.json
+
+The change side is this checkout's `src`.
 """
 
 from __future__ import annotations
@@ -25,22 +35,27 @@ import json
 import math
 import os
 import platform
+import statistics
+import subprocess
+import sys
 import time
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from qfeedback import operators as ops
-from qfeedback import trajectories as tj
-
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIMS = (2, 4, 8, 12, 16, 20, 24)
 BATCHES = (1, 64, 256)
 UNRAVELINGS = ("counting", "homodyne_jump", "markovian_feedback",
                "delayed_feedback")
-DT, ETA, STEPS, REPEATS, SEED = 1e-3, 0.8, 200, 7, 2024
+DT, ETA, STEPS, SEED = 1e-3, 0.8, 200, 2024
+METRICS = ("us_per_traj_step", "build_ms")
 
 
 def kernel_for(name: str, dim: int):
+    from qfeedback import operators as ops
+    from qfeedback import trajectories as tj
+
     # a fresh model, so no operator or Liouvillian cached on it is reused
     model = ops.LindbladModel(np.zeros((dim, dim), dtype=complex),
                               ((1.0, ops.destroy(dim)),))
@@ -57,6 +72,9 @@ class Case:
     """One (unraveling, d, B): its kernel, fixed noise and start rows."""
 
     def __init__(self, name: str, dim: int, batch: int):
+        from qfeedback import operators as ops
+        from qfeedback import trajectories as tj
+
         self.name, self.dim, self.batch = name, dim, batch
         self.kernel = kernel = kernel_for(name, dim)
         self.best_build = math.inf
@@ -101,43 +119,83 @@ class Case:
         return out
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--out", required=True, help="JSON file to append to")
-    args = parser.parse_args(argv)
+def worker(repeats: int) -> None:
+    """Time every case of the checkout on PYTHONPATH; print JSON."""
     cases = [Case(name, dim, batch) for name in UNRAVELINGS
              for dim in DIMS for batch in BATCHES]
     with np.errstate(all="ignore"):
         for case in cases:
             case.run(case.records)             # warm-up, untimed
-        # each round times every case once, so a burst of load from other
-        # processes hits one repeat of a case rather than all of them
-        for _ in range(REPEATS):
+        for _ in range(repeats):
             for case in cases:
                 case.time_once()
-    results = [case.result() for case in cases]
-    for res in results:
-        print(f"{res['unraveling']:20s} d={res['d']:2d} B={res['B']:3d} "
-              f"{res['us_per_traj_step']:9.3f} us/traj-step "
-              f"(build {res['build_ms']:.2f} ms)")
-    run = {
-        "label": args.label,
-        "env": {"python": platform.python_version(), "numpy": np.__version__,
+    print(json.dumps([case.result() for case in cases]))
+
+
+def run_side(src: str, repeats: int) -> list:
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--worker",
+         "--repeats", str(repeats)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", help="src directory of the other checkout")
+    parser.add_argument("--out", help="JSON file to write")
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--repeats", type=int, default=2)
+    parser.add_argument("--worker", action="store_true",
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        worker(args.repeats)
+        return
+    if not (args.parent and args.out):
+        parser.error("--parent and --out are required")
+    srcs = {"parent": os.path.abspath(args.parent),
+            "change": os.path.join(ROOT, "src")}
+    samples = {side: [] for side in srcs}
+    for rnd in range(args.rounds):
+        order = ("parent", "change") if rnd % 2 == 0 else ("change", "parent")
+        for side in order:
+            samples[side].append(run_side(srcs[side], args.repeats))
+        print(f"round {rnd + 1}/{args.rounds} done", flush=True)
+    results = []
+    for i, first in enumerate(samples["parent"][0]):
+        row = {k: first[k] for k in ("unraveling", "d", "B", "rows")}
+        for side, runs in samples.items():
+            for m in METRICS:
+                row[f"{side}_{m}"] = statistics.median(r[i][m] for r in runs)
+            if "detections" in first:
+                row[f"{side}_detections"] = runs[0][i]["detections"]
+        for m in METRICS:
+            row[f"change_wins_{m}"] = sum(
+                c[i][m] < p[i][m]
+                for p, c in zip(samples["parent"], samples["change"]))
+        results.append(row)
+        print(f"{row['unraveling']:20s} d={row['d']:2d} B={row['B']:3d} "
+              + "  ".join(f"{m} {row['parent_' + m]:9.3f} -> "
+                          f"{row['change_' + m]:9.3f} "
+                          f"({row['change_wins_' + m]}/{args.rounds})"
+                          for m in METRICS))
+    result = {
+        "env": {"python": platform.python_version(),
+                "numpy": np.__version__,
                 "nproc": os.cpu_count(),
                 "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")},
-        "dt": DT, "steps": STEPS, "repeats": REPEATS, "seed": SEED,
-        "metric": "best of repeats, microseconds per trajectory-step; "
-                  "build_ms: best of repeats, kernel construction",
+        "dt": DT, "steps": STEPS, "seed": SEED, "rounds": args.rounds,
+        "repeats": args.repeats,
+        "metric": "per side and round, the best of repeats in one worker: "
+                  "microseconds per trajectory-step and kernel build "
+                  "milliseconds; reported as the median over rounds, with "
+                  "the rounds in which the change was faster",
         "results": results,
     }
-    runs = []
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            runs = json.load(fh)
-    runs.append(run)
     with open(args.out, "w") as fh:
-        json.dump(runs, fh, indent=1)
+        json.dump(result, fh, indent=1)
         fh.write("\n")
 
 

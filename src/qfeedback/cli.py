@@ -156,10 +156,8 @@ def load_config(path: str, subcommand: str) -> dict:
             continue
         typ = known[dest]
         try:
-            if typ is bool:
-                out[dest] = raw.strip().lower() in ("1", "true", "yes", "on")
-            else:
-                out[dest] = typ(raw)
+            out[dest] = (cp.getboolean(subcommand, key) if typ is bool
+                         else typ(raw))
         except ValueError as exc:
             raise ParseError(f"{path}: key '{key}': {exc}") from exc
     if unknown:

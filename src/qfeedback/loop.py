@@ -33,6 +33,8 @@ class SinglePole:
 
     @property
     def fastest_rate(self) -> float:
+        """gamma; |h~(omega)| = gamma / |gamma + i omega| <= 2 gamma / |omega|,
+        the bound the Nyquist contour cut relies on."""
         return self.gamma
 
 
@@ -73,6 +75,9 @@ class Sampled:
 
     @property
     def fastest_rate(self) -> float:
+        """1 / dt; |1 - z| <= 2 and sum_k h_k = 1 / dt give
+        |h~(omega)| <= 2 / (dt |omega|), the bound the Nyquist contour cut
+        relies on."""
         return 1.0 / self.dt
 
 
@@ -148,7 +153,8 @@ def loop_transfer(filt: LoopFilter, omega, extra=None):
     """Round-loop transfer g * h~(omega) * exp(-i omega T).
 
     extra, if given, is an additional frequency response multiplied in (used
-    for the QND cavity pair response).
+    for the QND cavity pair response). It must be the Fourier transform of a
+    nonnegative unit-area response, so |extra(omega)| <= 1 = extra(0).
     """
     omega = np.asarray(omega, dtype=float)
     out = filt.g * filt.response.ft(omega) * np.exp(-1j * omega * filt.delay_T)
@@ -160,18 +166,40 @@ def loop_transfer(filt: LoopFilter, omega, extra=None):
 def _nyquist_winding(filt: LoopFilter, extra=None):
     """Winding number of the open-loop locus around the critical point +1.
 
-    The contour s = i omega is sampled on a combined linear + logarithmic grid
-    and refined until the phase of (L - 1) changes slowly between samples, so
-    widely separated loop time scales are resolved.
+    h(t) and the extra response are real, so L(-omega) = conj L(omega) and
+    the winding over the whole axis is the phase change of (L - 1) over
+    omega >= 0 divided by pi. That half contour is sampled on a combined
+    linear + logarithmic grid and refined until the phase of (L - 1) changes
+    slowly between samples, so widely separated loop time scales are
+    resolved.
+
+    Both responses obey |h~(omega)| <= 2 fastest_rate / |omega| and
+    |extra| <= 1, so at omega >= cut = 4 |g| fastest_rate |L| <= 1/2 and
+    Re(L - 1) <= -1/2: beyond the cut the locus cannot reach or wind around
+    the critical point, and its phase change out to omega -> infinity, where
+    L -> 0, is exactly angle(-1 / (L(cut) - 1)). The grid stops at the cut
+    and adds that tail, so the total is a whole multiple of pi up to rounding
+    (the tail is at most pi/6, so the rounded count never hinges on it).
+    For |g| < 1 - CRITICAL_TOL, |L| <= |g| keeps (L - 1) in the left half
+    plane and more than CRITICAL_TOL away from 0, so the winding is 0
+    without sampling. When the cut lies beyond the grid's reach (100 times
+    the fastest of the loop's rates, 1 and 1/T), the contour stops there and
+    takes L as negligible.
     """
-    rates = [filt.response.fastest_rate, 1.0]
+    g = abs(filt.g)
+    if g < 1.0 - CRITICAL_TOL:
+        return 0
+    rate = filt.response.fastest_rate
+    rates = [rate, 1.0]
     if filt.delay_T > 0:
         rates.append(1.0 / filt.delay_T)
     big = 100.0 * max(rates)
-    lin = np.linspace(0.0, big, 1 << 15)
+    top = min(4.0 * g * rate, big)
+    step = big / ((1 << 15) - 1)
+    lin = step * np.arange(math.ceil(top / step))
     logs = np.geomspace(big * 1e-9, big, 3000)
-    omegas = np.unique(np.concatenate([lin, logs]))
-    omegas = np.concatenate([-omegas[::-1], omegas[1:]])
+    omegas = np.unique(np.concatenate([lin[lin < top], logs[logs < top],
+                                       [top]]))
 
     def locus(om):
         return loop_transfer(filt, om, extra) - 1.0
@@ -191,8 +219,9 @@ def _nyquist_winding(filt: LoopFilter, extra=None):
     else:
         raise MarginalStability("Nyquist contour failed to converge")
     total = np.sum(np.angle(z[1:] / z[:-1]))
-    # closure at |omega| -> infinity: L -> 0 there, no extra winding
-    return int(round(total / (2 * math.pi)))
+    if top < big:
+        total += np.angle(-1.0 / z[-1])
+    return int(round(total / math.pi))
 
 
 def is_stable(filt: LoopFilter, extra=None) -> bool:
@@ -200,9 +229,15 @@ def is_stable(filt: LoopFilter, extra=None) -> bool:
 
     The open loop is stable (causal normalized response), so closed-loop
     stability is equivalent to zero winding of the locus around +1.
+
+    extra, if given, multiplies the loop transfer and must be the Fourier
+    transform of a nonnegative unit-area response (|extra| <= 1): the
+    contour cut of `_nyquist_winding` is proven only under that bound.
+    extra(0) must be 1 to within 1e-12, else ValueError.
     """
-    if filt.g == 0:
-        return True
+    if extra is not None and abs(extra(0.0) - 1.0) > 1e-12:
+        raise ValueError("extra must be the transform of a unit-area "
+                         f"response, but extra(0) = {extra(0.0)}")
     if (extra is None and filt.delay_T == 0
             and isinstance(filt.response, SinglePole)):
         # closed-loop pole at s = gamma (g - 1): analytic shortcut

@@ -236,14 +236,27 @@ class _Kernel:
         src[i[lower], j[lower], 1] = src[j[lower], i[lower], 1] = k_im
         sign[i[lower], j[lower], 1], sign[j[lower], i[lower], 1] = 1.0, -1.0
         self.scatter, self.sign = src.ravel(), sign.ravel()
-        basis = self.states(np.eye(self.n2))           # (d^2, d, d)
-        self.trace_row = np.einsum("kii->k", basis).real
+        # a stack of d^2 matrices M_k is held as one (d, d^2, d) array indexed
+        # [row, k, column], so that op @ M_k and M_k @ op for every k are each
+        # one 2-D product with no copy (rather than d^2 small ones)
+        basis = np.ascontiguousarray(
+            self.states(np.eye(self.n2)).swapaxes(0, 1))
+        self.trace_row = np.einsum("iki->k", basis).real
 
-        def dag(m):
-            return m.conj().swapaxes(-1, -2)
+        def dag(m):                      # of a matrix, or of every M_k
+            return m.conj().T
+
+        def left(op, m):
+            return (op @ m.reshape(dim, -1)).reshape(m.shape)
+
+        def right(m, op):
+            return (m.reshape(-1, dim) @ op).reshape(m.shape)
+
+        def coords(m):                   # the real matrix of a map: M_k -> row k
+            return self.rows(m.swapaxes(0, 1))
 
         def sandwich(op):                    # op E_k op† for every k
-            return op @ basis @ dag(op)
+            return left(op, right(basis, dag(op)))
 
         c = model.collapses[0][1]
         self.kick = None
@@ -258,9 +271,9 @@ class _Kernel:
             no_jump = no_jump + sandwich(np.eye(dim) - dt * h_eff)
             jump = c + beta * np.eye(dim)
             # [N | e]: the no-jump map and Tr[J†J rho]
-            self.no_jump = _padded(self.rows(no_jump),
+            self.no_jump = _padded(coords(no_jump),
                                    self.expect_col(dag(jump) @ jump)[:, None])
-            self.jump = _padded(self.rows(sandwich(jump)))
+            self.jump = _padded(coords(sandwich(jump)))
             self.idle_noise = np.inf            # a uniform draw that never jumps
             return
         self.sqrt_eta = math.sqrt(eta)
@@ -270,24 +283,24 @@ class _Kernel:
         for rate, op in model.collapses:
             g = g - (0.5 * rate) * dag(op) @ op
             lind = lind + rate * sandwich(op)
-        ge = g @ basis
+        ge = left(g, basis)
         drift = lind + ge + dag(ge)
-        ce = c @ basis
+        ce = left(c, basis)
         meas = ce + dag(ce)                          # c E + E c†
         s = self.sqrt_eta * meas
         if f_op is not None:
             def comm(m):
-                return f_op @ m - m @ f_op
+                return left(f_op, m) - right(m, f_op)
 
             comm2 = comm(comm(basis))
             if delayed:
-                self.kick = _padded(self.rows(basis - (0.5 * dt / eta) * comm2),
-                                    self.rows(-1j * comm(basis)))
+                self.kick = _padded(coords(basis - (0.5 * dt / eta) * comm2),
+                                    coords(-1j * comm(basis)))
             else:
                 drift = drift - 1j * comm(meas) - (0.5 / eta) * comm2
                 s = s - (1j / self.sqrt_eta) * comm(basis)
         # [A | S | x]
-        self.gemm = _padded(self.rows(basis + dt * drift), self.rows(s),
+        self.gemm = _padded(coords(basis + dt * drift), coords(s),
                             self.expect_col(c + dag(c))[:, None])
         self.idle_noise = 0.0
 

@@ -100,6 +100,19 @@ class TestConfigFile:
         assert cli.run(["spectra", "--config", ini,
                         "--output", str(tmp_path / "s.csv")]) == 2
 
+    def test_boolean_words(self, tmp_path, capsys):
+        for word, value in (("yes", True), ("On", True), ("1", True),
+                            ("off", False), ("no", False), ("0", False)):
+            ini = self.write_ini(tmp_path, f"[atom]\nlambda-opt = {word}\n")
+            assert cli.load_config(ini, "atom") == {"lambda_opt": value}
+        ini = self.write_ini(tmp_path, "[atom]\nlambda-opt = maybe\n")
+        with pytest.raises(errors.ParseError, match="lambda-opt"):
+            cli.load_config(ini, "atom")
+        out = tmp_path / "a.csv"
+        assert cli.run(["atom", "--config", ini, "--output", str(out)]) == 2
+        assert "lambda-opt" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_section_uses_defaults(self, tmp_path):
         ini = self.write_ini(tmp_path, "[other]\ng = 9\n")
         out = tmp_path / "s.csv"
@@ -193,6 +206,17 @@ class TestOtherSubcommands:
         assert cols[:3] == ["omega", "psd2", "psd2_err"]
         vals = np.array([[float(x) for x in r] for r in rows])
         assert np.all(np.isfinite(vals))
+
+    def test_stability_default_marks_only_unit_gain_marginal(self, tmp_path):
+        out = tmp_path / "st.csv"
+        assert cli.run(["stability", "--output", str(out)]) == 0
+        _, cols, rows = read_csv(out)
+        assert cols[:5] == ["g", "gamma", "T", "stable", "marginal"]
+        vals = np.array([[float(x) for x in r] for r in rows])
+        g, stable, marginal = vals[:, 0], vals[:, 3], vals[:, 4]
+        assert len(g) == 49
+        assert np.array_equal(marginal, (g == 1.0).astype(float))
+        assert np.array_equal(stable, (g < 1.0).astype(float))
 
     def test_qnd_runs(self, tmp_path):
         out = tmp_path / "q.csv"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qfeedback import loop
+from qfeedback import loop, qnd
 from qfeedback.errors import DegenerateSplit, MarginalStability, UnstableLoop
 
 
@@ -47,6 +47,22 @@ class TestLoopTransfer:
                            (1 - np.exp(-1j * omega * dt)) / (1j * omega))
         assert np.max(np.abs(resp.ft(omega) - box * direct)) < 1e-12
 
+    def test_high_frequency_bound(self):
+        # |omega| |h~(omega)| <= 2 fastest_rate: the bound behind the cut of
+        # the Nyquist contour
+        rng = np.random.default_rng(9)
+        omega = np.concatenate([-np.geomspace(1e-3, 1e6, 400),
+                                np.geomspace(1e-3, 1e6, 400)])
+        responses = [loop.SinglePole(gamma) for gamma in (0.01, 1.0, 300.0)]
+        for _ in range(20):
+            taps = int(rng.integers(1, 300))
+            h = rng.random(taps) * (rng.random(taps) < 0.5)
+            h[rng.integers(taps)] += 0.1
+            responses.append(loop.Sampled(h, 10 ** rng.uniform(-3, 0)))
+        for resp in responses:
+            bound = np.abs(omega) * np.abs(resp.ft(omega))
+            assert np.all(bound <= 2.0 * resp.fastest_rate * (1 + 1e-12))
+
     def test_sampled_normalization(self):
         box = loop.Sampled(np.full(100, 7.0), 0.01)
         assert abs(np.sum(box.h) * box.dt - 1.0) < 1e-9
@@ -69,6 +85,47 @@ class TestIsStable:
     def test_no_delay_negative_gain_stable(self):
         # without delay a negative-gain single-pole loop is always stable
         assert loop.is_stable(pole_filter(-1e4, 1.0, 0.0))
+
+    @staticmethod
+    def critical_gain(gamma, T):
+        """g_c = -sqrt(1 + (zeta / (gamma T))^2), zeta in (pi/2, pi) solving
+        tan zeta = -zeta / (gamma T): the delayed single-pole loop is stable
+        iff g_c < g < 1 (Hayes), found by bisection on
+        gamma T sin zeta + zeta cos zeta, which falls from gamma T to -pi."""
+        lo, hi = 0.5 * np.pi, np.pi
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if gamma * T * np.sin(mid) + mid * np.cos(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return -np.sqrt(1.0 + (0.5 * (lo + hi) / (gamma * T)) ** 2)
+
+    def test_delayed_single_pole_boundary(self):
+        for gamma in (0.01, 0.1, 1.0, 10.0):
+            for T in (1e-3, 0.01, 0.1, 1.0, 10.0):
+                g_c = self.critical_gain(gamma, T)
+                for eps in (1e-3, 1e-6):
+                    assert loop.is_stable(pole_filter(g_c * (1 - eps), gamma, T))
+                    assert not loop.is_stable(
+                        pole_filter(g_c * (1 + eps), gamma, T))
+
+    def test_unit_gain_with_delay_is_marginal(self):
+        # gains within CRITICAL_TOL of 1 are marginal too, as the T = 0 shortcut
+        for g in (1.0, 1.0 - 1e-10, 1.0 + 1e-10):
+            for T in (0.1, 1.0):
+                with pytest.raises(MarginalStability):
+                    loop.is_stable(pole_filter(g, 1.0, T))
+        with pytest.raises(MarginalStability):
+            loop.is_stable(loop.LoopFilter(1.0, loop.Sampled(np.ones(5), 0.1),
+                                           0.5))
+
+    def test_extra_must_have_unit_area(self):
+        pair = qnd.QndParams(1.0, 2.0, 1.0).pair_response
+        filt = pole_filter(-10.0, 0.05, 0.1)
+        assert loop.is_stable(filt, extra=pair)
+        with pytest.raises(ValueError, match="unit-area"):
+            loop.is_stable(filt, extra=lambda w: 2.0 * pair(w))
 
 
 class TestMaxBandwidth:
