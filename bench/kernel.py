@@ -30,20 +30,16 @@ The change side is this checkout's `src`.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
-import os
-import platform
 import statistics
-import subprocess
-import sys
 import time
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+import _ab
+
 DIMS = (2, 4, 8, 12, 16, 20, 24)
 BATCHES = (1, 64, 256)
 UNRAVELINGS = ("counting", "homodyne_jump", "markovian_feedback",
@@ -132,37 +128,7 @@ def worker(repeats: int) -> None:
     print(json.dumps([case.result() for case in cases]))
 
 
-def run_side(src: str, repeats: int) -> list:
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--worker",
-         "--repeats", str(repeats)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-        check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", help="src directory of the other checkout")
-    parser.add_argument("--out", help="JSON file to write")
-    parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--repeats", type=int, default=2)
-    parser.add_argument("--worker", action="store_true",
-                        help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.worker:
-        worker(args.repeats)
-        return
-    if not (args.parent and args.out):
-        parser.error("--parent and --out are required")
-    srcs = {"parent": os.path.abspath(args.parent),
-            "change": os.path.join(ROOT, "src")}
-    samples = {side: [] for side in srcs}
-    for rnd in range(args.rounds):
-        order = ("parent", "change") if rnd % 2 == 0 else ("change", "parent")
-        for side in order:
-            samples[side].append(run_side(srcs[side], args.repeats))
-        print(f"round {rnd + 1}/{args.rounds} done", flush=True)
+def report(samples: dict, args) -> dict:
     results = []
     for i, first in enumerate(samples["parent"][0]):
         row = {k: first[k] for k in ("unraveling", "d", "B", "rows")}
@@ -181,11 +147,7 @@ def main(argv=None) -> None:
                           f"{row['change_' + m]:9.3f} "
                           f"({row['change_wins_' + m]}/{args.rounds})"
                           for m in METRICS))
-    result = {
-        "env": {"python": platform.python_version(),
-                "numpy": np.__version__,
-                "nproc": os.cpu_count(),
-                "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")},
+    return {
         "dt": DT, "steps": STEPS, "seed": SEED, "rounds": args.rounds,
         "repeats": args.repeats,
         "metric": "per side and round, the best of repeats in one worker: "
@@ -194,9 +156,10 @@ def main(argv=None) -> None:
                   "the rounds in which the change was faster",
         "results": results,
     }
-    with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=1)
-        fh.write("\n")
+
+
+def main(argv=None) -> None:
+    _ab.main(argv, __file__, __doc__, worker, report, rounds=5, repeats=2)
 
 
 if __name__ == "__main__":

@@ -33,32 +33,17 @@ both sides' samples, medians and quartiles, and how many rounds each side won.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import platform
-import statistics
-import subprocess
-import sys
-import tempfile
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+import _ab
+
 IN_PROCESS = ("stability_grid_s", "criterion4_map_s", "sampled_200_s",
               "qnd_default_s")
 METRICS = IN_PROCESS + ("cli_s", "cli_rss_mb", "import_s")
 GAINS = (-12.0, -8.0, -4.0, -1.5, -0.8, 0.5, 1.5, 3.0, 6.0, 10.0)
 CONFIGS = ((1.0, 1.0), (0.1, 1.0), (1.0, 0.3), (2.0, 0.2), (1.0, 0.05))
-
-
-def best_of(fn, repeats: int) -> float:
-    fn()                                   # warm-up, untimed
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
 
 
 def worker(repeats: int) -> None:
@@ -90,7 +75,7 @@ def worker(repeats: int) -> None:
              "sampled_200_s": sampled, "qnd_default_s": qnd_case}
     out = {"import_s": import_s}
     for name, group in cases.items():
-        out[name] = best_of(lambda: decisions(group), repeats)
+        out[name] = _ab.best_of(lambda: decisions(group), repeats)
     out["decisions"] = {name: decisions(group)
                         for name, group in cases.items()}
     print(json.dumps(out))
@@ -102,72 +87,21 @@ def csv_rows(path: str) -> list:
 
 
 def run_side(src: str, repeats: int, workdir: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--worker",
-         "--repeats", str(repeats)],
-        env=env, cwd=workdir, capture_output=True, text=True, check=True)
-    out = json.loads(proc.stdout.splitlines()[-1])
+    out = _ab.run_worker(__file__, src, repeats, workdir)
     csv = os.path.join(workdir, "stability.csv")
-    start = time.perf_counter()
-    cli = subprocess.Popen(
-        [sys.executable, "-m", "qfeedback", "stability", "--output", csv],
-        env=env, cwd=workdir, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(cli.pid, 0)
-    out["cli_s"] = time.perf_counter() - start
-    if os.waitstatus_to_exitcode(status) != 0:
-        raise RuntimeError(f"qfeedback stability failed with {src}")
-    out["cli_rss_mb"] = usage.ru_maxrss / 1024.0
+    out["cli_s"], out["cli_rss_mb"] = _ab.time_cli(
+        ["stability", "--output", csv], src, workdir)
     out["csv_rows"] = csv_rows(csv)
     return out
 
 
-def summary(values: list) -> dict:
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": med, "q1": q1, "q3": q3}
-
-
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", help="src directory of the other checkout")
-    parser.add_argument("--out", help="JSON file to write")
-    parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--worker", action="store_true",
-                        help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.worker:
-        worker(args.repeats)
-        return
-    if not (args.parent and args.out):
-        parser.error("--parent and --out are required")
-    srcs = {"parent": os.path.abspath(args.parent),
-            "change": os.path.join(ROOT, "src")}
-    samples = {side: [] for side in srcs}
-    with tempfile.TemporaryDirectory() as workdir:
-        for rnd in range(args.rounds):
-            order = ("parent", "change") if rnd % 2 == 0 else ("change", "parent")
-            for side in order:
-                samples[side].append(run_side(srcs[side], args.repeats, workdir))
-            print(f"round {rnd + 1}/{args.rounds}: " + "  ".join(
-                f"{m} {samples['parent'][-1][m]:.4f} -> "
-                f"{samples['change'][-1][m]:.4f}" for m in METRICS),
-                flush=True)
+def report(samples: dict, args) -> dict:
     pairs = list(zip(samples["parent"], samples["change"]))
-    sides = {}
+    sides = _ab.sides_summary(samples, METRICS)
     for side, runs in samples.items():
-        sides[side] = {
-            "decisions": runs[0]["decisions"],
-            "samples": {m: [r[m] for r in runs] for m in METRICS},
-            "summary": {m: summary([r[m] for r in runs]) for m in METRICS},
-        }
-    wins = {m: sum(c[m] < p[m] for p, c in pairs) for m in METRICS}
+        sides[side] = {"decisions": runs[0]["decisions"], **sides[side]}
+    wins = {m: _ab.change_wins(samples, m) for m in METRICS}
     result = {
-        "env": {"python": platform.python_version(),
-                "numpy": __import__("numpy").__version__,
-                "nproc": os.cpu_count(),
-                "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")},
         "rounds": args.rounds, "repeats": args.repeats,
         "metric": "seconds (cli_rss_mb: MiB); in-process timings are the "
                   "best of repeats after one warm-up call, one sample per "
@@ -178,16 +112,15 @@ def main(argv=None) -> None:
         "change_wins": wins,
         "sides": sides,
     }
-    for m in METRICS:
-        p, c = sides["parent"]["summary"][m], sides["change"]["summary"][m]
-        print(f"{m:18s} parent {p['median']:.4f} [{p['q1']:.4f}, {p['q3']:.4f}]"
-              f"  change {c['median']:.4f} [{c['q1']:.4f}, {c['q3']:.4f}]"
-              f"  change lower in {wins[m]}/{args.rounds}")
+    _ab.print_summary(sides, wins, args.rounds)
     print(f"same decisions: {result['same_decisions']}, "
           f"same stability CSV rows: {result['same_csv_rows']}")
-    with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=1)
-        fh.write("\n")
+    return result
+
+
+def main(argv=None) -> None:
+    _ab.main(argv, __file__, __doc__, worker, report, rounds=10, repeats=3,
+             run_side=run_side, progress=_ab.last_round(METRICS))
 
 
 if __name__ == "__main__":

@@ -30,31 +30,17 @@ both sides' samples, medians and quartiles, and how many rounds each side won.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import platform
-import statistics
-import subprocess
 import sys
-import tempfile
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+import _ab
+
 IN_PROCESS = ("simulate_s", "estimate_psd_s", "diverges_map_s")
 METRICS = IN_PROCESS + ("cli_s", "cli_rss_mb", "import_s")
 GAINS = (-12.0, -8.0, -4.0, -1.5, -0.8, 0.5, 1.5, 3.0, 6.0, 10.0)
 CONFIGS = ((1.0, 1.0), (0.1, 1.0), (1.0, 0.3), (2.0, 0.2), (1.0, 0.05))
-
-
-def best_of(fn, repeats: int) -> float:
-    fn()                                   # warm-up, untimed
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
 
 
 def worker(repeats: int) -> None:
@@ -89,10 +75,10 @@ def worker(repeats: int) -> None:
 
     out = {
         "import_s": import_s,
-        "simulate_s": best_of(lambda: sc.simulate(sim), repeats),
-        "estimate_psd_s": best_of(lambda: sc.estimate_psd(series, 0.01, 64),
+        "simulate_s": _ab.best_of(lambda: sc.simulate(sim), repeats),
+        "estimate_psd_s": _ab.best_of(lambda: sc.estimate_psd(series, 0.01, 64),
                                   repeats),
-        "diverges_map_s": best_of(run_map, repeats),
+        "diverges_map_s": _ab.best_of(run_map, repeats),
         "probes": len(probes),
         "scipy_signal_loaded": "scipy.signal" in sys.modules,
     }
@@ -100,73 +86,22 @@ def worker(repeats: int) -> None:
 
 
 def run_side(src: str, repeats: int, workdir: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--worker",
-         "--repeats", str(repeats)],
-        env=env, cwd=workdir, capture_output=True, text=True, check=True)
-    out = json.loads(proc.stdout.splitlines()[-1])
+    out = _ab.run_worker(__file__, src, repeats, workdir)
     csv = os.path.join(workdir, "semiclassical.csv")
-    start = time.perf_counter()
-    cli = subprocess.Popen(
-        [sys.executable, "-m", "qfeedback", "semiclassical", "--output", csv],
-        env=env, cwd=workdir, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(cli.pid, 0)
-    out["cli_s"] = time.perf_counter() - start
-    if os.waitstatus_to_exitcode(status) != 0:
-        raise RuntimeError(f"qfeedback semiclassical failed with {src}")
-    out["cli_rss_mb"] = usage.ru_maxrss / 1024.0
+    out["cli_s"], out["cli_rss_mb"] = _ab.time_cli(
+        ["semiclassical", "--output", csv], src, workdir)
     return out
 
 
-def summary(values: list) -> dict:
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": med, "q1": q1, "q3": q3}
-
-
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", help="src directory of the other checkout")
-    parser.add_argument("--out", help="JSON file to write")
-    parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--worker", action="store_true",
-                        help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.worker:
-        worker(args.repeats)
-        return
-    if not (args.parent and args.out):
-        parser.error("--parent and --out are required")
-    srcs = {"parent": os.path.abspath(args.parent),
-            "change": os.path.join(ROOT, "src")}
-    samples = {side: [] for side in srcs}
-    with tempfile.TemporaryDirectory() as workdir:
-        for rnd in range(args.rounds):
-            order = ("parent", "change") if rnd % 2 == 0 else ("change", "parent")
-            for side in order:
-                samples[side].append(run_side(srcs[side], args.repeats, workdir))
-            print(f"round {rnd + 1}/{args.rounds}: " + "  ".join(
-                f"{m} {samples['parent'][-1][m]:.3f} -> "
-                f"{samples['change'][-1][m]:.3f}" for m in METRICS),
-                flush=True)
-    sides = {}
+def report(samples: dict, args) -> dict:
+    sides = _ab.sides_summary(samples, METRICS)
     for side, runs in samples.items():
         sides[side] = {
             "scipy_signal_loaded": [r["scipy_signal_loaded"] for r in runs],
-            "probes": runs[0]["probes"],
-            "samples": {m: [r[m] for r in runs] for m in METRICS},
-            "summary": {m: summary([r[m] for r in runs]) for m in METRICS},
-        }
-    wins = {m: sum(c[m] < p[m] for p, c in zip(samples["parent"],
-                                                samples["change"]))
-            for m in METRICS}
-    result = {
-        "env": {"python": platform.python_version(),
-                "numpy": __import__("numpy").__version__,
-                "nproc": os.cpu_count(),
-                "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")},
+            "probes": runs[0]["probes"], **sides[side]}
+    wins = {m: _ab.change_wins(samples, m) for m in METRICS}
+    _ab.print_summary(sides, wins, args.rounds)
+    return {
         "rounds": args.rounds, "repeats": args.repeats,
         "metric": "seconds (cli_rss_mb: MiB); in-process timings are the "
                   "best of repeats after one warm-up call, one sample per "
@@ -174,14 +109,11 @@ def main(argv=None) -> None:
         "change_wins": wins,
         "sides": sides,
     }
-    for m in METRICS:
-        p, c = sides["parent"]["summary"][m], sides["change"]["summary"][m]
-        print(f"{m:16s} parent {p['median']:.4f} [{p['q1']:.4f}, {p['q3']:.4f}]"
-              f"  change {c['median']:.4f} [{c['q1']:.4f}, {c['q3']:.4f}]"
-              f"  change lower in {wins[m]}/{args.rounds}")
-    with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=1)
-        fh.write("\n")
+
+
+def main(argv=None) -> None:
+    _ab.main(argv, __file__, __doc__, worker, report, rounds=10, repeats=3,
+             run_side=run_side, progress=_ab.last_round(METRICS, 3))
 
 
 if __name__ == "__main__":

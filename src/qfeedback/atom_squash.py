@@ -31,9 +31,9 @@ class AtomLoopParams:
             raise ValueError("eta_mm must be in [0, 1]")
         if not 0.0 < self.eps <= 1.0:
             raise ValueError("eps must be in (0, 1]")
-        if self.g >= 1.0:
-            raise ValueError("round-loop gain must be < 1")
-        if self.lam <= -self.eta_mm:
+        if not self.g < 1.0:
+            raise ValueError(f"round-loop gain g = {self.g} must be < 1")
+        if not self.lam > -self.eta_mm:
             raise ValueError("lambda = g eta/(1-g) must exceed -eta")
 
     @property
@@ -56,8 +56,8 @@ class FreeSqueezeParams:
     def __post_init__(self):
         if not 0.0 <= self.eta_mm <= 1.0:
             raise ValueError("eta_mm must be in [0, 1]")
-        if self.big_l <= 0:
-            raise ValueError("L must be > 0")
+        if not self.big_l > 0:
+            raise ValueError(f"L = {self.big_l} must be > 0")
 
 
 def atom_feedback_master_equation(params: AtomLoopParams) -> LindbladModel:

@@ -43,8 +43,8 @@ class Qnd:
     strength: float
 
     def __post_init__(self):
-        if self.strength <= 0:
-            raise ValueError("measurement strength must be > 0")
+        if not self.strength > 0:
+            raise ValueError(f"measurement strength {self.strength} must be > 0")
 
 
 Measurement = Union[Homodyne, Qnd]
@@ -57,8 +57,8 @@ class LinearCavityParams:
     measurement: Measurement = Homodyne(1.0)
 
     def __post_init__(self):
-        if self.l < 0:
-            raise ValueError("l must be >= 0")
+        if not self.l >= 0:
+            raise ValueError(f"l = {self.l} must be >= 0")
         if not 0.0 <= self.theta <= THETA_MAX:
             raise ValueError(f"theta must be in [0, {THETA_MAX}] (below threshold)")
 
@@ -104,11 +104,11 @@ def conditioned_variance_trajectory(params: LinearCavityParams, u_init: float,
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if isinstance(params.measurement, Homodyne):
-        if u_init < -1.0:
+        if not u_init >= -1.0:
             raise ValueError("U_init must be >= -1")
         s = params.measurement.eta
     else:
-        if u_init < 0.0:
+        if not u_init >= 0.0:
             raise ValueError("V_init must be >= 0")
         s = params.measurement.strength
     u_plus = conditioned_variance_ss(params)

@@ -24,8 +24,8 @@ class SinglePole:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
+        if not self.gamma > 0:
+            raise ValueError(f"gamma = {self.gamma} must be > 0")
 
     def ft(self, omega):
         """h~(omega) = gamma / (gamma + i omega)."""
@@ -47,12 +47,12 @@ class Sampled:
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        if np.any(h < 0):
-            raise ValueError("h(t) must be >= 0")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt = {self.dt} must be finite and > 0")
+        if not np.all(np.isfinite(h) & (h >= 0)):
+            raise ValueError("h(t) must be finite and >= 0")
         area = h.sum() * self.dt
-        if area <= 0:
+        if not area > 0:
             raise ValueError("response must have positive area")
         object.__setattr__(self, "h", h / area)
 
@@ -92,8 +92,10 @@ class LoopFilter:
     delay_T: float = 0.0
 
     def __post_init__(self):
-        if self.delay_T < 0:
-            raise ValueError("delay_T must be >= 0")
+        if not math.isfinite(self.g):
+            raise ValueError(f"g = {self.g} must be finite")
+        if not 0 <= self.delay_T < math.inf:
+            raise ValueError(f"delay_T = {self.delay_T} must be finite and >= 0")
 
 
 def _as_spectrum_fn(s) -> Callable[[np.ndarray], np.ndarray]:

@@ -143,16 +143,31 @@ def superop_H(r: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return m - np.trace(m) * rho
 
 
+def sprepost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Superoperator rho -> a rho b on column-stacked matrices: kron(b^T, a),
+    the same products np.kron forms, written in C order whatever the layout of
+    a and b so that the reshape is a view."""
+    dim = a.shape[0]
+    return np.multiply(b.T[:, None, :, None], a[None, :, None, :],
+                       order="C").reshape(dim * dim, -1)
+
+
 def spre(a: np.ndarray) -> np.ndarray:
     """Left-multiplication superoperator on column-stacked (vec) matrices."""
-    dim = a.shape[0]
-    return np.kron(np.eye(dim), a)
+    return sprepost(a, np.eye(a.shape[0]))
 
 
 def spost(a: np.ndarray) -> np.ndarray:
     """Right-multiplication superoperator on column-stacked matrices."""
-    dim = a.shape[0]
-    return np.kron(a.T, np.eye(dim))
+    return sprepost(np.eye(a.shape[0]), a)
+
+
+def dissipator(a: np.ndarray) -> np.ndarray:
+    """Superoperator of the Lindblad dissipator D[a] on column-stacked
+    matrices."""
+    ad = a.conj().T
+    ada = ad @ a
+    return sprepost(a, ad) - 0.5 * spre(ada) - 0.5 * spost(ada)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +190,8 @@ class LindbladModel:
             raise InvalidState("Hamiltonian must be Hermitian")
         cs = []
         for rate, op in self.collapses:
-            if rate < 0:
-                raise InvalidState(f"collapse rate {rate} < 0")
+            if not rate >= 0:
+                raise InvalidState(f"collapse rate {rate} is not >= 0")
             op = np.asarray(op, dtype=complex)
             _check_dims(h, op)
             cs.append((float(rate), op))
@@ -199,10 +214,7 @@ class LindbladModel:
         h = self.hamiltonian
         lv = -1j * (spre(h) - spost(h))
         for rate, op in self.collapses:
-            od = op.conj().T
-            oda = od @ op
-            lv += rate * (np.kron(op.conj(), op)
-                          - 0.5 * spre(oda) - 0.5 * spost(oda))
+            lv += rate * dissipator(op)
         return lv
 
 

@@ -23,8 +23,8 @@ class QndParams:
 
     def __post_init__(self):
         for name in ("kappa", "gamma", "chi"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} = {getattr(self, name)} must be > 0")
 
     @property
     def q_factor(self) -> float:

@@ -41,11 +41,12 @@ class ClassicalNoise:
     pole: float
 
     def __post_init__(self):
-        if self.excess < 0:
+        if not self.excess >= 0:
             raise SemiclassicalInexpressible(
-                "classical noise cannot push s0x below shot noise")
-        if self.pole <= 0:
-            raise ValueError("pole must be > 0")
+                f"excess = {self.excess}: classical noise cannot push s0x below"
+                " shot noise")
+        if not self.pole > 0:
+            raise ValueError(f"pole = {self.pole} must be > 0")
 
     def spectrum(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -62,13 +63,13 @@ class SemiclassicalSim:
     classical_noise: Optional[ClassicalNoise] = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
+        if not self.dt > 0:
+            raise ValueError(f"dt = {self.dt} must be > 0")
         slowest = self._slowest_time()
-        if self.duration < 100.0 * slowest:
+        if not self.duration >= 100.0 * slowest:
             raise ValueError("duration must cover >= 100 filter time constants")
         limit = self._fast_time() / 20.0
-        if self.dt > limit:
+        if not self.dt <= limit:
             raise ValueError(f"dt = {self.dt} > {limit} (min(1/gamma, T)/20)")
         if not callable(self.beamline.s0x) and float(self.beamline.s0x) < 1.0:
             raise SemiclassicalInexpressible(

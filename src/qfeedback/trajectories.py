@@ -5,15 +5,17 @@ conditioned state is Hermitian, so it has d^2 real degrees of freedom: a batch
 of B states is held as the rows of r in R^{B x d^2}, row b holding
 Re rho_ij (i >= j) and Im rho_ij (i > j) of rho_b (`_Kernel.rows` and
 `_Kernel.states` convert, by exact index copies). Every map a step applies
-preserves Hermiticity, so each is one real d^2 x d^2 matrix, and an
+preserves Hermiticity, so each is one real d^2 x d^2 matrix: the model's
+column-stacked superoperator in these coordinates (`_Kernel.real_map`). An
 expectation value or the trace is one real column.
 
 * diffusive homodyne (Euler-Maruyama): a step is one product r @ [A | S | x]
-  with A = 1 + dt (L + feedback drift) and
+  with A = 1 + dt L_fb, L_fb the Liouvillian of feedback_master_equation
+  under Markovian feedback and the model's own otherwise, and
   S = sqrt(eta) (c . + . c†) - (i / sqrt(eta)) [F, .]; the last column gives
   <x>_c = Tr[(c + c†) rho], and rho' = A rho + dW (S rho - sqrt(eta) <x>_c rho).
   Delayed feedback instead adds one more product, against [K0 | K1] with
-  K0 = 1 - dt [F, [F, .]] / 2 eta and K1 = -i [F, .], at the angle
+  K0 = 1 + dt D[F] / eta and K1 = -i [F, .], at the angle
   theta = I_old dt / sqrt(eta) of the photocurrent I_old one delay earlier.
   The drivers read I_old from the stored record; step_homodyne_feedback
   keeps those photocurrent samples in its delay buffer.
@@ -97,8 +99,8 @@ class HomodyneJump:
     beta: float
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not self.beta >= 0:
+            raise ValueError(f"beta = {self.beta} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -151,8 +153,8 @@ class SmeConfig:
     snapshot_every: int = 0       # 0: no state snapshots
 
     def __post_init__(self):
-        if self.dt <= 0 or self.steps <= 0:
-            raise ValueError("dt and steps must be positive")
+        if not (self.dt > 0 and self.steps > 0):
+            raise ValueError(f"dt = {self.dt}, steps = {self.steps}: both must be > 0")
         if not self.model.collapses or self.model.collapses[0][0] != 1.0:
             raise ValueError("first collapse must be the monitored channel with rate 1")
         if isinstance(self.detection, HomodyneJump):
@@ -202,9 +204,12 @@ class _Kernel:
     A batch of B Hermitian states is held as the rows of r in R^{B x d^2} in
     the coordinates of `rows`. Every map the step applies preserves
     Hermiticity, so each is one real matrix R acting as r @ R; row k of R is
-    the coordinates of the map's image of the basis matrix states(e_k),
-    computed in operator form (O(d^5), no d^2 x d^2 superoperator product).
-    A trace or an expectation value is one real column.
+    the coordinates of the map's image of the basis matrix states(e_k). The
+    maps are the model's column-stacked superoperators (operators.spre,
+    spost, sprepost, dissipator, LindbladModel.liouvillian), converted by
+    `real_map`: a basis matrix has at most two entries, so that is a gather
+    of at most two columns per coordinate, O(d^4) with no product. A trace or
+    an expectation value is one real column, the same gather on a row.
 
     Diffusive detection steps all rows with one product against
     `gemm` = [A | S | x]; the jump unravelings with one product against
@@ -236,72 +241,46 @@ class _Kernel:
         src[i[lower], j[lower], 1] = src[j[lower], i[lower], 1] = k_im
         sign[i[lower], j[lower], 1], sign[j[lower], i[lower], 1] = 1.0, -1.0
         self.scatter, self.sign = src.ravel(), sign.ravel()
-        # a stack of d^2 matrices M_k is held as one (d, d^2, d) array indexed
-        # [row, k, column], so that op @ M_k and M_k @ op for every k are each
-        # one 2-D product with no copy (rather than d^2 small ones)
-        basis = np.ascontiguousarray(
-            self.states(np.eye(self.n2)).swapaxes(0, 1))
-        self.trace_row = np.einsum("iki->k", basis).real
-
-        def dag(m):                      # of a matrix, or of every M_k
-            return m.conj().T
-
-        def left(op, m):
-            return (op @ m.reshape(dim, -1)).reshape(m.shape)
-
-        def right(m, op):
-            return (m.reshape(-1, dim) @ op).reshape(m.shape)
-
-        def coords(m):                   # the real matrix of a map: M_k -> row k
-            return self.rows(m.swapaxes(0, 1))
-
-        def sandwich(op):                    # op E_k op† for every k
-            return left(op, right(basis, dag(op)))
+        # the vec indices of rho_ij and of rho_ji, per lower-triangle entry
+        self.vec_ij, self.vec_ji, self.lower = i + j * dim, j + i * dim, lower
+        self.trace_row = self.expect_col(np.eye(dim))
 
         c = model.collapses[0][1]
         self.kick = None
         if not self.diffusive:
             # no-jump Kraus operators: M0 and sqrt(dt r_k) L_k for each
             # unmonitored collapse, which keeps the map completely positive
-            h_eff = 1j * model.hamiltonian + beta * c + 0.5 * dag(c) @ c
+            h_eff = 1j * model.hamiltonian + beta * c + 0.5 * c.conj().T @ c
             no_jump = 0.0
             for rate, op in model.collapses[1:]:
-                h_eff = h_eff + (0.5 * rate) * dag(op) @ op
-                no_jump = no_jump + (dt * rate) * sandwich(op)
-            no_jump = no_jump + sandwich(np.eye(dim) - dt * h_eff)
+                h_eff = h_eff + (0.5 * rate) * op.conj().T @ op
+                no_jump = no_jump + (dt * rate) * ops.sprepost(op, op.conj().T)
+            m0 = np.eye(dim) - dt * h_eff
             jump = c + beta * np.eye(dim)
             # [N | e]: the no-jump map and Tr[J†J rho]
-            self.no_jump = _padded(coords(no_jump),
-                                   self.expect_col(dag(jump) @ jump)[:, None])
-            self.jump = _padded(coords(sandwich(jump)))
+            self.no_jump = _padded(
+                self.real_map(no_jump + ops.sprepost(m0, m0.conj().T)),
+                self.expect_col(jump.conj().T @ jump)[:, None])
+            self.jump = _padded(
+                self.real_map(ops.sprepost(jump, jump.conj().T)))
             self.idle_noise = np.inf            # a uniform draw that never jumps
             return
         self.sqrt_eta = math.sqrt(eta)
-        # L E = g E + E g† + sum_k r_k L_k E L_k†, g = -iH - sum_k r_k L_k†L_k/2
-        g = -1j * model.hamiltonian
-        lind = 0.0
-        for rate, op in model.collapses:
-            g = g - (0.5 * rate) * dag(op) @ op
-            lind = lind + rate * sandwich(op)
-        ge = left(g, basis)
-        drift = lind + ge + dag(ge)
-        ce = left(c, basis)
-        meas = ce + dag(ce)                          # c E + E c†
-        s = self.sqrt_eta * meas
-        if f_op is not None:
-            def comm(m):
-                return left(f_op, m) - right(m, f_op)
-
-            comm2 = comm(comm(basis))
-            if delayed:
-                self.kick = _padded(coords(basis - (0.5 * dt / eta) * comm2),
-                                    coords(-1j * comm(basis)))
-            else:
-                drift = drift - 1j * comm(meas) - (0.5 / eta) * comm2
-                s = s - (1j / self.sqrt_eta) * comm(basis)
-        # [A | S | x]
-        self.gemm = _padded(coords(basis + dt * drift), coords(s),
-                            self.expect_col(c + dag(c))[:, None])
+        k1, generator = self.sqrt_eta * c, model
+        if f_op is not None and delayed:
+            self.kick = _padded(  # [K0 | K1]
+                np.eye(self.n2) + dt / eta * self.real_map(ops.dissipator(f_op)),
+                self.real_map(-1j * (ops.spre(f_op) - ops.spost(f_op))))
+        elif f_op is not None:
+            # the Markovian feedback SME averages to the feedback master
+            # equation; its noise term is K1 = sqrt(eta) c - iF / sqrt(eta)
+            generator = feedback_master_equation(model, f_op, eta)
+            k1 = k1 - (1j / self.sqrt_eta) * f_op
+        # [A | S | x], S = K1 . + . K1†
+        self.gemm = _padded(
+            np.eye(self.n2) + dt * self.real_map(generator.liouvillian),
+            self.real_map(ops.spre(k1) + ops.spost(k1.conj().T)),
+            self.expect_col(c + c.conj().T)[:, None])
         self.idle_noise = 0.0
 
     def rows(self, rho: np.ndarray) -> np.ndarray:
@@ -315,9 +294,24 @@ class _Kernel:
         flat = np.take(r, self.scatter, axis=-1) * self.sign
         return flat.view(complex).reshape(r.shape[:-1] + (self.dim, self.dim))
 
+    def _on_basis(self, x: np.ndarray) -> np.ndarray:
+        """x (..., d^2), linear in a column-stacked matrix, at every basis
+        matrix states(e_k): (..., d^2). In vec form that matrix is e_ij + e_ji
+        (i > j), e_ii, or i e_ij - i e_ji (the imaginary parts)."""
+        a, b, low = self.vec_ij, self.vec_ji, self.lower
+        return np.concatenate([x[..., a] + low * x[..., b],
+                               1j * (x[..., a[low]] - x[..., b[low]])], -1)
+
+    def real_map(self, sup: np.ndarray) -> np.ndarray:
+        """The real matrix R, in C order, of a Hermiticity-preserving
+        superoperator sup on column-stacked matrices:
+        r @ R = rows(unvec(sup vec(states(r))))."""
+        image = self._on_basis(sup[self.vec_ij])  # lower triangle of images
+        return np.vstack([image.real, image[self.lower].imag]).T.copy()
+
     def expect_col(self, op: np.ndarray) -> np.ndarray:
         """The column e with r @ e = Tr[op states(r)]."""
-        return np.einsum("kij,ji->k", self.states(np.eye(self.n2)), op).real
+        return self._on_basis(_vec(op.T)).real  # Tr[op M] = vec(op^T).vec(M)
 
     @classmethod
     def for_config(cls, config: SmeConfig) -> "_Kernel":
@@ -475,12 +469,12 @@ def step_homodyne_feedback(rho_c: np.ndarray, model: LindbladModel,
     delayed = delay_buffer is not None
     if delayed and (delay_buffer.maxlen is None or delay_buffer.maxlen < 1):
         raise EmptyDelayBuffer("delay buffer must have maxlen = T/dt >= 1")
+    f_op = Feedback(f_op).operator          # complex, checked Hermitian
     dw = rng.standard_normal() * math.sqrt(dt)
     old = None
     if delayed and len(delay_buffer) == delay_buffer.maxlen:
         old = delay_buffer[0]
-    kernel = _step_kernel(model, dt, eta=eta,
-                          f_op=np.asarray(f_op, dtype=complex), delayed=delayed)
+    kernel = _step_kernel(model, dt, eta=eta, f_op=f_op, delayed=delayed)
     rho, i_sample = kernel.step_one(rho_c, dw, old)
     if delayed:
         delay_buffer.append(i_sample)
@@ -493,7 +487,11 @@ def step_homodyne_feedback(rho_c: np.ndarray, model: LindbladModel,
 
 def feedback_master_equation(model: LindbladModel, f_op: np.ndarray,
                              eta: float) -> LindbladModel:
-    """Unconditional master equation of Markovian homodyne feedback.
+    """Unconditional master equation of Markovian homodyne feedback,
+        d rho / dt = -i[H, rho] + D[c]rho - i[F, c rho + rho c†] + D[F]rho/eta,
+    the ensemble average of the feedback SME of step_homodyne_feedback (its
+    dW term averages to zero; Wiseman & Milburn, PRL 70, 548 (1993)), so it is
+    also the drift of the diffusive _Kernel under Markovian feedback.
 
     H' = H + (c†F + Fc)/2; collapses become (1, c - iF) plus, for imperfect
     detection, ((1-eta)/eta, F); extra collapses pass through untouched.

@@ -142,6 +142,14 @@ class TestExitCodes:
         assert "whole number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sub, flag", [("intracavity", "l"),
+                                           ("trajectory", "dt")])
+    def test_nan_parameter_exits_2(self, sub, flag, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli.run([sub, f"--{flag}", "nan", "--output", str(out)]) == 2
+        assert f"invalid parameters: {flag} = nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_atom_invalid_lambda(self, tmp_path):
         assert cli.run(["atom", "--lam", "-0.9",
                         "--output", str(tmp_path / "a.csv")]) == 2

@@ -46,6 +46,19 @@ class TestSuperopD:
         with pytest.raises(DimensionMismatch):
             ops.superop_D(ops.destroy(3), ops.fock_dm(2, 0))
 
+    def test_column_stacked_matrices(self):
+        # sprepost is np.kron(b^T, a) bit for bit, for any memory layout, and
+        # the dissipator matrix acts on vec(rho) as superop_D acts on rho
+        rng = np.random.default_rng(4)
+        a, b, rho = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        for x, y in ((a, b), (a.T, b.conj().T)):
+            assert np.array_equal(ops.sprepost(x, y), np.kron(y.T, x))
+            assert np.array_equal(ops.spre(x), np.kron(np.eye(4), x))
+            assert np.array_equal(ops.spost(x), np.kron(x.T, np.eye(4)))
+        got = ops.dissipator(a) @ rho.reshape(-1, order="F")
+        want = ops.superop_D(a, rho).reshape(-1, order="F")
+        assert np.max(np.abs(got - want)) < 1e-13
+
 
 class TestSuperopG:
     def test_jump_from_one_photon(self):

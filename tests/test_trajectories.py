@@ -145,6 +145,13 @@ class TestSingleSteps:
                 0.5 * np.eye(2, dtype=complex), atom(), 0.1 * ops.sigma_y(),
                 0.8, 1e-3, Generator(Philox(key=1)), delay_buffer=deque())
 
+    @pytest.mark.parametrize("buffer", [None, deque(maxlen=1)])
+    def test_feedback_step_needs_hermitian_operator(self, buffer):
+        with pytest.raises(ValueError, match="Hermitian"):
+            tj.step_homodyne_feedback(
+                0.5 * np.eye(2, dtype=complex), atom(), 1j * ops.sigma_x(),
+                0.8, 1e-3, Generator(Philox(key=1)), delay_buffer=buffer)
+
     def test_delay_buffer_matches_run_trajectory(self):
         # both drivers feed back the photocurrent from three steps earlier:
         # 200 step calls sharing one Philox stream and a deque(maxlen=3)
@@ -394,6 +401,25 @@ class TestKernel:
                    - 1j * theta * comm(f_op, measured))
             err = kernel.states(r_new[i]) - ref / np.trace(ref)
             assert np.max(np.abs(err)) < 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_real_map_of_liouvillian_is_rhs(self, dim):
+        # the column-stacked Liouvillian in real coordinates acts on rows as
+        # the master equation acts on matrices
+        model, _ = self.diffusive_model(dim)
+        kernel = tj._Kernel(model, 1e-3, eta=0.8)
+        rng = np.random.default_rng(dim)
+        g = rng.standard_normal((6, dim, dim)) + 1j * rng.standard_normal(
+            (6, dim, dim))
+        herm = g + g.conj().transpose(0, 2, 1)
+        got = kernel.rows(herm) @ kernel.real_map(model.liouvillian)
+        want = kernel.rows(np.array([model.rhs(rho) for rho in herm]))
+        assert np.max(np.abs(got - want)) < 1e-13
+        # the expectation column of a Hermitian op with complex off-diagonals
+        op = herm[0]
+        traces = np.array([np.trace(op @ rho).real for rho in herm])
+        got = kernel.rows(herm) @ kernel.expect_col(op)
+        assert np.max(np.abs(got - traces)) < 1e-13
 
     def test_step_functions_reuse_their_kernel(self, monkeypatch):
         # ten identical step_homodyne_feedback calls build one kernel, and
