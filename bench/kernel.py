@@ -1,15 +1,16 @@
-"""Time the SME step kernel, `trajectories._Kernel.step`, of two checkouts,
+"""Time the SME driver, `trajectories._integrate`, of two checkouts,
 alternating them every round.
 
 Four unravelings (photon counting, homodyne jump with beta = 1, diffusive
-homodyne with Markovian feedback F = -0.15 y, and the same feedback delayed)
-on a damped cavity, at d in {2, 4, 8, 12, 16, 20, 24} and batch sizes B in
-{1, 64, 256}. Each case starts B rows from a Fock state, draws its noise from a
-fixed Philox stream (the same on every checkout), and times STEPS consecutive
-steps, next to the time to build the kernel. Rows are padded to a multiple of
-the kernel's row block, as the engine pads them, so B = 1 pays what a lone
-trajectory pays. The delayed case feeds back the record of the previous step
-(a delay of one step), so every step pays for the kick.
+homodyne with Markovian feedback F = -0.15 y, and the same feedback delayed
+by one step, so every step pays for the kick) on a damped cavity, at d in
+{2, 12} and batch sizes B in {1, 64, 256}. Each case integrates B
+trajectories from a Fock state for STEPS steps with the driver the ensembles
+use: the noise draws, the steps, the positivity gate every
+POSITIVITY_CHECK_EVERY steps and at the end, and whatever renormalization
+each checkout does. Timing the driver rather than one kernel step keeps work
+that moves between the step and the gate on the clock. The time to build the
+kernel is reported next to it.
 
 Every round runs one fresh worker process per side, and the side that goes
 first alternates, so slow drift of a shared host reaches both sides alike. A
@@ -36,11 +37,10 @@ import statistics
 import time
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 import _ab
 
-DIMS = (2, 4, 8, 12, 16, 20, 24)
+DIMS = (2, 12)
 BATCHES = (1, 64, 256)
 UNRAVELINGS = ("counting", "homodyne_jump", "markovian_feedback",
                "delayed_feedback")
@@ -48,7 +48,7 @@ DT, ETA, STEPS, SEED = 1e-3, 0.8, 200, 2024
 METRICS = ("us_per_traj_step", "build_ms")
 
 
-def kernel_for(name: str, dim: int):
+def config_for(name: str, dim: int):
     from qfeedback import operators as ops
     from qfeedback import trajectories as tj
 
@@ -56,62 +56,57 @@ def kernel_for(name: str, dim: int):
     model = ops.LindbladModel(np.zeros((dim, dim), dtype=complex),
                               ((1.0, ops.destroy(dim)),))
     f_op = -0.15 * ops.quad_y(dim)
-    if name == "counting":
-        return tj._Kernel(model, DT)
-    if name == "homodyne_jump":
-        return tj._Kernel(model, DT, beta=1.0)
-    return tj._Kernel(model, DT, eta=ETA, f_op=f_op,
-                      delayed=name == "delayed_feedback")
+    detection, feedback = {
+        "counting": (tj.PhotonCounting(), None),
+        "homodyne_jump": (tj.HomodyneJump(1.0), None),
+        "markovian_feedback": (tj.HomodyneDiffusive(ETA), tj.Feedback(f_op)),
+        "delayed_feedback": (tj.HomodyneDiffusive(ETA),
+                             tj.Feedback(f_op, tj.Delayed(DT))),
+    }[name]
+    return tj.SmeConfig(model=model, detection=detection, dt=DT, steps=STEPS,
+                        seed=SEED, feedback=feedback)
 
 
 class Case:
-    """One (unraveling, d, B): its kernel, fixed noise and start rows."""
+    """One (unraveling, d, B): its configuration, kernel and seeds."""
 
     def __init__(self, name: str, dim: int, batch: int):
         from qfeedback import operators as ops
-        from qfeedback import trajectories as tj
 
         self.name, self.dim, self.batch = name, dim, batch
-        self.kernel = kernel = kernel_for(name, dim)
-        self.best_build = math.inf
-        self.rows = -(-batch // tj._ROW_PAD) * tj._ROW_PAD
-        gen = Generator(Philox(key=SEED))
-        self.noise = np.full((STEPS, self.rows), kernel.idle_noise)
-        if kernel.diffusive:
-            self.noise[:, :batch] = (gen.standard_normal((STEPS, batch))
-                                     * math.sqrt(DT))
-        else:
-            self.noise[:, :batch] = gen.random((STEPS, batch))
-        rho0 = ops.fock_dm(dim, min(3, dim - 1))
-        self.r0 = np.tile(kernel.rows(rho0), (self.rows, 1))
-        self.best = math.inf
-        self.records = np.empty((STEPS, self.rows))
+        self.kernel, self.config = self.build()
+        self.seeds = [SEED ^ i for i in range(batch)]
+        self.rho0 = ops.fock_dm(dim, min(3, dim - 1))
+        self.best = self.best_build = math.inf
+        self.records = self.failed = None
 
-    def run(self, records=None) -> None:
-        r, old = self.r0.copy(), None
-        delayed = self.name == "delayed_feedback"
-        for k in range(STEPS):
-            r, record, _ = self.kernel.step(r, self.noise[k], old)
-            if delayed:
-                old = record
-            if records is not None:
-                records[k] = record
+    def build(self):
+        """A kernel for a fresh configuration, and that configuration."""
+        from qfeedback import trajectories as tj
+        config = config_for(self.name, self.dim)
+        return tj._Kernel.for_config(config), config
+
+    def run(self):
+        from qfeedback import trajectories as tj
+        return tj._integrate(self.kernel, self.config, self.rho0, self.seeds)
 
     def time_once(self) -> None:
         start = time.perf_counter()
-        kernel_for(self.name, self.dim)
+        self.build()
         built = time.perf_counter()
         self.run()
         self.best_build = min(self.best_build, built - start)
         self.best = min(self.best, time.perf_counter() - built)
 
     def result(self) -> dict:
+        from qfeedback import trajectories as tj
         out = {"unraveling": self.name, "d": self.dim, "B": self.batch,
-               "rows": self.rows,
+               "rows": -(-self.batch // tj._ROW_PAD) * tj._ROW_PAD,
                "us_per_traj_step": 1e6 * self.best / (STEPS * self.batch),
-               "build_ms": 1e3 * self.best_build}
+               "build_ms": 1e3 * self.best_build,
+               "failed": int(np.count_nonzero(self.failed))}
         if not self.kernel.diffusive:
-            out["detections"] = int(self.records[:, :self.batch].sum())
+            out["detections"] = int(self.records.sum())
         return out
 
 
@@ -119,12 +114,11 @@ def worker(repeats: int) -> None:
     """Time every case of the checkout on PYTHONPATH; print JSON."""
     cases = [Case(name, dim, batch) for name in UNRAVELINGS
              for dim in DIMS for batch in BATCHES]
-    with np.errstate(all="ignore"):
+    for case in cases:
+        case.records, _, case.failed = case.run()     # warm-up, untimed
+    for _ in range(repeats):
         for case in cases:
-            case.run(case.records)             # warm-up, untimed
-        for _ in range(repeats):
-            for case in cases:
-                case.time_once()
+            case.time_once()
     print(json.dumps([case.result() for case in cases]))
 
 
@@ -135,6 +129,7 @@ def report(samples: dict, args) -> dict:
         for side, runs in samples.items():
             for m in METRICS:
                 row[f"{side}_{m}"] = statistics.median(r[i][m] for r in runs)
+            row[f"{side}_failed"] = runs[0][i]["failed"]
             if "detections" in first:
                 row[f"{side}_detections"] = runs[0][i]["detections"]
         for m in METRICS:
@@ -151,15 +146,16 @@ def report(samples: dict, args) -> dict:
         "dt": DT, "steps": STEPS, "seed": SEED, "rounds": args.rounds,
         "repeats": args.repeats,
         "metric": "per side and round, the best of repeats in one worker: "
-                  "microseconds per trajectory-step and kernel build "
-                  "milliseconds; reported as the median over rounds, with "
-                  "the rounds in which the change was faster",
+                  "microseconds per trajectory-step of _integrate and kernel "
+                  "build milliseconds; reported as the median over rounds, "
+                  "with the rounds in which the change was faster",
         "results": results,
     }
 
 
 def main(argv=None) -> None:
-    _ab.main(argv, __file__, __doc__, worker, report, rounds=5, repeats=2)
+    _ab.main(argv, __file__, __doc__, worker, report, rounds=15,
+             repeats=2)
 
 
 if __name__ == "__main__":

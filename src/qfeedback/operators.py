@@ -17,7 +17,6 @@ from .errors import (
     DegenerateSteadyState,
     DimensionMismatch,
     InvalidState,
-    JumpFromDarkState,
     PositivityViolation,
     TruncationWarning,
 )
@@ -121,26 +120,6 @@ def superop_D(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     ad = a.conj().T
     ada = ad @ a
     return a @ rho @ ad - 0.5 * (ada @ rho + rho @ ada)
-
-
-def superop_G(r: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Jump superoperator G[r]rho = r rho r† / Tr[r rho r†] - rho.
-
-    Raises JumpFromDarkState when the emission probability vanishes.
-    """
-    _check_dims(r, rho)
-    out = r @ rho @ r.conj().T
-    norm = np.trace(out).real
-    if norm <= TOL_JUMP:
-        raise JumpFromDarkState(f"Tr[r rho r†] = {norm} <= {TOL_JUMP}")
-    return out / norm - rho
-
-
-def superop_H(r: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Measurement superoperator H[r]rho = r rho + rho r† - Tr[r rho + rho r†] rho."""
-    _check_dims(r, rho)
-    m = r @ rho + rho @ r.conj().T
-    return m - np.trace(m) * rho
 
 
 def sprepost(a: np.ndarray, b: np.ndarray) -> np.ndarray:

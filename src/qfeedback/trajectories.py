@@ -9,28 +9,34 @@ preserves Hermiticity, so each is one real d^2 x d^2 matrix: the model's
 column-stacked superoperator in these coordinates (`_Kernel.real_map`). An
 expectation value or the trace is one real column.
 
-* diffusive homodyne (Euler-Maruyama): a step is one product r @ [A | S | x]
-  with A = 1 + dt L_fb, L_fb the Liouvillian of feedback_master_equation
-  under Markovian feedback and the model's own otherwise, and
-  S = sqrt(eta) (c . + . c†) - (i / sqrt(eta)) [F, .]; the last column gives
-  <x>_c = Tr[(c + c†) rho], and rho' = A rho + dW (S rho - sqrt(eta) <x>_c rho).
-  Delayed feedback instead adds one more product, against [K0 | K1] with
-  K0 = 1 + dt D[F] / eta and K1 = -i [F, .], at the angle
-  theta = I_old dt / sqrt(eta) of the photocurrent I_old one delay earlier.
-  The drivers read I_old from the stored record; step_homodyne_feedback
-  keeps those photocurrent samples in its delay buffer.
-* jump unravelings (photon counting, finite local oscillator beta): one
-  product r @ [N | e]. N is the no-jump Kraus map, M0 rho M0† with
-  M0 = I - dt (iH + beta c + c†c/2 + sum_k r_k L_k†L_k / 2) plus
-  dt r_k L_k rho L_k† over the unmonitored collapses, so it is completely
-  positive; e gives Tr[J†J rho], whose product with dt is the detection
-  probability of J = c + beta. Only the rows that detect get the jump map
-  J rho J†.
+Every step is one product of the rows against Kraus blocks and an
+expectation column, a combination weighted by the noise, and the division by
+the trace (every step, so the state a step_* call returns is the one the
+drivers step on). With G = iH + sum r L†L / 2 over the model's collapses:
 
-Each step renormalizes the trace. A collapsed trace, a jump from
-a state with Tr[J rho J†] <= TOL_JUMP, or an eigenvalue below the tolerance
-(checked every POSITIVITY_CHECK_EVERY steps and at the end) marks the row
-failed with a code, which the drivers turn into the trajectory's error.
+* diffusive homodyne: the completely positive map (Rouchon & Ralph, PRA 91,
+  012118 (2015)) rho' = K rho K† + dt [(1 - eta) c rho c† + sum_k r_k L_k rho
+  L_k†] over the unmonitored collapses, K = I - dt G + dy K1, K1 = sqrt(eta) c,
+  dy = sqrt(eta) <x>_c dt + dW and I = dy / dt. Markovian feedback takes G of
+  feedback_master_equation and K1 = sqrt(eta) c - iF / sqrt(eta). K rho K† is
+  quadratic in dy: one product r @ [P0 | P1 | P2 | t | x] gives
+  rho' = P0 rho + dy P1 rho + dy^2 P2 rho, the traces t of the three terms
+  that normalize it, and <x>_c = Tr[(c + c†) rho].
+  Delayed feedback then applies the kick K_fb = I - dt F^2 / 2 eta - i theta F,
+  theta = I_old dt / sqrt(eta) for the photocurrent I_old one delay earlier,
+  as a second three-block product. The drivers read I_old from the stored
+  record; step_homodyne_feedback keeps it in its delay buffer.
+* jump unravelings (photon counting, finite local oscillator beta): one
+  product r @ [N | e]: N rho = M0 rho M0† + dt sum_k r_k L_k rho L_k† with
+  M0 = I - dt (G + beta c), and e gives Tr[J†J rho], dt times which is the
+  detection probability of J = c + beta. Only the rows that detect get the
+  jump map J rho J†.
+
+Every map is completely positive, so one tolerance, POSITIVITY_TOL, gates
+every unraveling, every POSITIVITY_CHECK_EVERY steps and at the end. An
+eigenvalue below it, a state made non-finite by a collapsed trace, or a jump
+from a state with Tr[J rho J†] <= TOL_JUMP marks the row failed with a code,
+which the drivers turn into the trajectory's error.
 
 Randomness comes from the counter-based Philox generator; trajectory i of an
 ensemble uses the stream keyed by seed XOR i, drawn in time chunks (array draws
@@ -66,13 +72,8 @@ from .operators import two_time_correlation  # noqa: F401  (re-exported)
 from .semiclassical import (estimate_psd, welch_segment_length,
                             welch_window_count)
 
-# The jump unravelings' Kraus maps preserve positivity, so they get a strict
-# tolerance.
-# Diffusive Euler-Maruyama states transiently dip O(sqrt(dt)) negative by
-# construction (the ensemble mean is still exact to O(dt)), so only genuine
-# blow-up is flagged there. A flagged trajectory is reported as failed.
+# every step map is completely positive: eigenvalues dip below 0 by rounding
 POSITIVITY_TOL = -1e-8
-DIFFUSIVE_POSITIVITY_TOL = -0.5
 POSITIVITY_CHECK_EVERY = 50
 
 _ROW_PAD = 8                 # products run on a multiple of this many rows
@@ -205,17 +206,16 @@ class _Kernel:
     the coordinates of `rows`. Every map the step applies preserves
     Hermiticity, so each is one real matrix R acting as r @ R; row k of R is
     the coordinates of the map's image of the basis matrix states(e_k). The
-    maps are the model's column-stacked superoperators (operators.spre,
-    spost, sprepost, dissipator, LindbladModel.liouvillian), converted by
-    `real_map`: a basis matrix has at most two entries, so that is a gather
+    maps are sums of column-stacked Kraus sandwiches (operators.sprepost),
+    converted by `real_map`: a basis matrix has at most two entries, so that is a gather
     of at most two columns per coordinate, O(d^4) with no product. A trace or
     an expectation value is one real column, the same gather on a row.
 
-    Diffusive detection steps all rows with one product against
-    `gemm` = [A | S | x]; the jump unravelings with one product against
-    `no_jump` = [N | e], and the rows that detect with one more against
-    `jump`, gathered into a block padded to a multiple of _ROW_PAD rows.
-    Each map carries zero columns up to a multiple of _COL_PAD.
+    A step is one product against `maps` ([P0 | P1 | P2 | t | x] or [N | e]),
+    plus one against the kick's blocks `kick` under delayed feedback, and one
+    against `jump` for the rows that detect, gathered into a block padded to
+    a multiple of _ROW_PAD rows. Each map carries zero columns up to a
+    multiple of _COL_PAD.
     """
 
     def __init__(self, model: LindbladModel, dt: float,
@@ -224,8 +224,6 @@ class _Kernel:
         dim = model.dim
         self.dim, self.n2, self.dt = dim, dim * dim, dt
         self.diffusive = eta is not None
-        self.tol = (DIFFUSIVE_POSITIVITY_TOL if self.diffusive
-                    else POSITIVITY_TOL)
         # coordinates: Re rho_ij (i >= j), then Im rho_ij (i > j), both in
         # column-stacked order; `gather` indexes them in the float view of a
         # (d, d) complex array, `scatter` and `sign` rebuild that float view
@@ -246,42 +244,47 @@ class _Kernel:
         self.trace_row = self.expect_col(np.eye(dim))
 
         c = model.collapses[0][1]
+        cd, eye = c.conj().T, np.eye(dim)
+        unmonitored = sum((dt * rate) * ops.sprepost(op, op.conj().T)
+                          for rate, op in model.collapses[1:])
         self.kick = None
         if not self.diffusive:
-            # no-jump Kraus operators: M0 and sqrt(dt r_k) L_k for each
-            # unmonitored collapse, which keeps the map completely positive
-            h_eff = 1j * model.hamiltonian + beta * c + 0.5 * c.conj().T @ c
-            no_jump = 0.0
-            for rate, op in model.collapses[1:]:
-                h_eff = h_eff + (0.5 * rate) * op.conj().T @ op
-                no_jump = no_jump + (dt * rate) * ops.sprepost(op, op.conj().T)
-            m0 = np.eye(dim) - dt * h_eff
-            jump = c + beta * np.eye(dim)
+            m0 = eye - dt * (_no_jump_generator(model) + beta * c)
+            jump = c + beta * eye
             # [N | e]: the no-jump map and Tr[J†J rho]
-            self.no_jump = _padded(
-                self.real_map(no_jump + ops.sprepost(m0, m0.conj().T)),
+            self.maps = _padded(
+                self.real_map(ops.sprepost(m0, m0.conj().T) + unmonitored),
                 self.expect_col(jump.conj().T @ jump)[:, None])
-            self.jump = _padded(
-                self.real_map(ops.sprepost(jump, jump.conj().T)))
+            self.jump = _padded(self.real_map(ops.sprepost(jump, jump.conj().T)))
             self.idle_noise = np.inf            # a uniform draw that never jumps
             return
         self.sqrt_eta = math.sqrt(eta)
         k1, generator = self.sqrt_eta * c, model
         if f_op is not None and delayed:
-            self.kick = _padded(  # [K0 | K1]
-                np.eye(self.n2) + dt / eta * self.real_map(ops.dissipator(f_op)),
-                self.real_map(-1j * (ops.spre(f_op) - ops.spost(f_op))))
+            self.kick = _padded(*self._kraus_blocks(
+                eye - dt / (2 * eta) * f_op @ f_op, -1j * f_op))
         elif f_op is not None:
             # the Markovian feedback SME averages to the feedback master
-            # equation; its noise term is K1 = sqrt(eta) c - iF / sqrt(eta)
+            # equation; the feedback enters K1 = sqrt(eta) c - iF / sqrt(eta)
             generator = feedback_master_equation(model, f_op, eta)
             k1 = k1 - (1j / self.sqrt_eta) * f_op
-        # [A | S | x], S = K1 . + . K1†
-        self.gemm = _padded(
-            np.eye(self.n2) + dt * self.real_map(generator.liouvillian),
-            self.real_map(ops.spre(k1) + ops.spost(k1.conj().T)),
-            self.expect_col(c + c.conj().T)[:, None])
+        # [P0 | P1 | P2 | t0 t1 t2 | x]
+        self.maps = _padded(
+            *self._kraus_blocks(eye - dt * _no_jump_generator(generator), k1,
+                                unmonitored
+                                + dt * (1 - eta) * ops.sprepost(c, cd)),
+            self.expect_col(c + cd)[:, None])
         self.idle_noise = 0.0
+
+    def _kraus_blocks(self, k0, k1, extra=0.0):
+        """[P0 | P1 | P2 | t0 t1 t2]: the real maps with (K0 + w K1) rho
+        (K0 + w K1)† + extra rho = P0 rho + w P1 rho + w^2 P2 rho, and the
+        columns t_k = P_k @ trace_row, with r @ t_k = Tr[P_k rho]."""
+        k0d, k1d = k0.conj().T, k1.conj().T
+        blocks = [self.real_map(ops.sprepost(k0, k0d) + extra),
+                  self.real_map(ops.sprepost(k0, k1d) + ops.sprepost(k1, k0d)),
+                  self.real_map(ops.sprepost(k1, k1d))]
+        return blocks + [np.stack([b @ self.trace_row for b in blocks], 1)]
 
     def rows(self, rho: np.ndarray) -> np.ndarray:
         """(..., d, d) Hermitian matrices -> (..., d^2) real coordinates."""
@@ -324,68 +327,87 @@ class _Kernel:
                    delayed=fb is not None and isinstance(fb.mode, Delayed))
 
     def step(self, r: np.ndarray, noise: np.ndarray, old=None):
-        """Advance the rows r by one step.
+        """Advance the rows r by one step and renormalize them.
 
         noise holds one uniform draw per row (jumps) or dW (diffusive); old is
         the photocurrent per row from one delay earlier, or None. Returns
         (r', record, bad): bad is None or per-row failure codes (0 for rows
-        that stepped cleanly).
+        that stepped cleanly). A collapsed row comes out non-finite.
         """
         n2 = self.n2
-        bad = None
+        out = r @ self.maps
         if self.diffusive:
-            out = r @ self.gemm
-            sx = self.sqrt_eta * out[:, 2 * n2]          # sqrt(eta) <x>_c
-            record = sx + noise / self.dt
-            new = out[:, n2:2 * n2] - sx[:, None] * r
-            new *= noise[:, None]
-            new += out[:, :n2]
+            # dy = sqrt(eta) <x>_c dt + dW
+            dy = (self.sqrt_eta * self.dt) * out[:, 3 * n2 + 3] + noise
+            new = self._combine(out, dy)
             if old is not None:
-                kicked = new @ self.kick
                 theta = (self.dt / self.sqrt_eta) * old
-                new = kicked[:, :n2] + theta[:, None] * kicked[:, n2:2 * n2]
-        else:
-            out = r @ self.no_jump
-            emit = out[:, n2]                     # Tr[J†J rho]
-            jump = noise < emit * self.dt
-            record = jump.astype(float)
-            new = out[:, :n2]
-            if jump.any():
-                hit = np.flatnonzero(jump)
-                # the detecting rows, padded like every other product
-                block = np.resize(hit, -(-len(hit) // _ROW_PAD) * _ROW_PAD)
-                new[hit] = (r[block] @ self.jump)[:len(hit), :n2]
-                dark = jump & (emit <= ops.TOL_JUMP)
-                if dark.any():
-                    bad = np.where(dark, _DARK_JUMP, 0)
-        tr = new @ self.trace_row
-        ok = np.isfinite(tr) & (tr > 0)
-        if not ok.all():
-            bad = np.where(ok, 0 if bad is None else bad, _COLLAPSED)
-            tr = np.where(ok, tr, 1.0)
-        return new / tr[:, None], record, bad
+                new = self._combine(new @ self.kick, theta)
+            return new, dy / self.dt, None
+        emit = out[:, n2]                         # Tr[J†J rho]
+        jump = noise < emit * self.dt
+        new, bad = out[:, :n2], None
+        if jump.any():
+            hit = np.flatnonzero(jump)
+            # the detecting rows, padded like every other product
+            block = np.resize(hit, -(-len(hit) // _ROW_PAD) * _ROW_PAD)
+            new[hit] = (r[block] @ self.jump)[:len(hit), :n2]
+            dark = jump & (emit <= ops.TOL_JUMP)
+            if dark.any():
+                bad = np.where(dark, _DARK_JUMP, 0)
+        return new / (new @ self.trace_row)[:, None], jump.astype(float), bad
+
+    def _combine(self, out: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The normalized P0 rho + w P1 rho + w^2 P2 rho, with one w per
+        row, from out = r @ [P0 | P1 | P2 | t0 t1 t2 ...]: the weights
+        (1, w, w^2) divided by the trace they give, applied in one pass."""
+        n2 = self.n2
+        weights = np.ones((len(w), 3))
+        weights[:, 1] = w
+        weights[:, 2] = w * w
+        trace = np.einsum("bk,bk->b", weights, out[:, 3 * n2:3 * n2 + 3])
+        weights /= trace[:, None]
+        return np.einsum("bk,bkn->bn", weights,
+                         out[:, :3 * n2].reshape(len(w), 3, n2))
+
+    def check(self, r: np.ndarray) -> np.ndarray:
+        """The positivity gate: per-row failure codes, _COLLAPSED for a
+        non-finite state, _NEGATIVE for an eigenvalue below POSITIVITY_TOL,
+        0 otherwise."""
+        low = np.linalg.eigvalsh(self.states(r))[:, 0]
+        return np.where(low >= POSITIVITY_TOL, 0,
+                        np.where(np.isnan(low), _COLLAPSED, _NEGATIVE))
 
     def step_one(self, rho_c: np.ndarray, noise: float, old=None):
-        """One step of a single state, run as a full block of rows. Raises
-        the row's failure; returns (rho', record)."""
+        """One step of a single state, run as a full block of rows, then the
+        gate. Raises the row's failure; returns (rho', record)."""
         rows = np.tile(self.rows(rho_c), (_ROW_PAD, 1))
         noise_rows = np.full(_ROW_PAD, self.idle_noise)
         noise_rows[0] = noise
         if old is not None:
             old = np.full(_ROW_PAD, old, dtype=float)
-        r, record, bad = self.step(rows, noise_rows, old)
-        if bad is not None and bad[0]:
-            raise _failure(bad[0], self.tol)
+        with np.errstate(all="ignore"):
+            r, record, bad = self.step(rows, noise_rows, old)
+        code = bad[0] if bad is not None and bad[0] else self.check(r[:1])[0]
+        if code:
+            raise _failure(code)
         return self.states(r[0]), record[0]
 
 
-def _failure(code: int, tol: float) -> Exception:
+def _no_jump_generator(model: LindbladModel) -> np.ndarray:
+    """G = iH + sum_k r_k L_k†L_k / 2 over every collapse."""
+    return 1j * model.hamiltonian + sum((0.5 * rate) * op.conj().T @ op
+                                        for rate, op in model.collapses)
+
+
+def _failure(code: int) -> Exception:
     if code == _DARK_JUMP:
         return JumpFromDarkState(
             f"detection from a state with Tr[J rho J†] <= {ops.TOL_JUMP}")
     if code == _COLLAPSED:
         return PositivityViolation("trace collapsed during the step")
-    return PositivityViolation(f"conditioned state eigenvalue < {tol}")
+    return PositivityViolation(
+        f"conditioned state eigenvalue < {POSITIVITY_TOL}")
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +441,9 @@ def _step_kernel(model: LindbladModel, dt: float, **maps) -> _Kernel:
 
 def step_photon_counting(rho_c: np.ndarray, model: LindbladModel, dt: float,
                          rng: Generator):
-    """One step of the direct-detection jump unraveling.
-
-    Returns (rho', dN). P(dN=1) = Tr[c†c rho] dt; a jump applies c . c†, no
-    jump the Kraus map M0 . M0† with M0 = I - dt (iH + c†c/2) (for
-    unmonitored collapses L_k at rates r_k, M0 also subtracts
-    dt sum_k r_k L_k†L_k / 2 and the map adds dt sum_k r_k L_k . L_k†), each
-    renormalized.
-    """
+    """One step of the direct-detection jump unraveling: (rho', dN), with
+    P(dN=1) = Tr[c†c rho] dt; a jump applies c . c†, no jump the map N of
+    the module docstring, each renormalized."""
     return step_homodyne_jump(rho_c, model, 0.0, dt, rng)
 
 
@@ -441,10 +458,10 @@ def step_homodyne_jump(rho_c: np.ndarray, model: LindbladModel, beta: float,
 
 def step_homodyne_diffusive(rho_c: np.ndarray, model: LindbladModel, eta: float,
                             dt: float, rng: Generator):
-    """Diffusive homodyne unraveling.
-
-    d rho = -i[H, rho] dt + D[c] rho dt + sqrt(eta) dW H[c] rho,
-    I = sqrt(eta) <x>_c + dW / dt, with dW ~ Normal(0, dt).
+    """Diffusive homodyne unraveling: (rho', I), rho' the normalized
+    K rho K† + dt (1 - eta) c rho c† (plus unmonitored collapses) with
+    K = I - dt (iH + c†c/2) + dy sqrt(eta) c, dy = sqrt(eta) <x>_c dt + dW,
+    dW ~ Normal(0, dt), and I = dy / dt. It averages to the master equation.
     """
     dw = rng.standard_normal() * math.sqrt(dt)
     return _step_kernel(model, dt, eta=eta).step_one(rho_c, dw)
@@ -455,14 +472,14 @@ def step_homodyne_feedback(rho_c: np.ndarray, model: LindbladModel,
                            rng: Generator, delay_buffer: Optional[deque] = None):
     """Diffusive homodyne step with photocurrent feedback Hamiltonian ~ F I.
 
-    Markovian (delay_buffer is None): the Ito form with the feedback acting
-    after the measurement,
-        d rho = dt{-i[H,rho] + D[c]rho - i[F, c rho + rho c†] + D[F]rho/eta}
-              + dW H[sqrt(eta) c - i F / sqrt(eta)] rho.
+    Markovian (delay_buffer is None): the feedback acts after the
+    measurement, folded into the Kraus operator of step_homodyne_diffusive,
+        K = I - dt (iH + c†c/2 + iFc + F^2/2eta) + dy (sqrt(eta) c - iF/sqrt(eta)),
+    which averages to feedback_master_equation.
 
     Delayed: delay_buffer is a deque with maxlen = T/dt holding photocurrent
-    samples. Once it is full, the measured state gets the kick
-    -i (I_old dt / sqrt(eta)) [F, .] - dt [F, [F, .]] / (2 eta)
+    samples. Once it is full, the measured state (F = 0 above) gets the kick
+    K_fb . K_fb†, K_fb = I - dt F^2 / (2 eta) - i (I_old dt / sqrt(eta)) F,
     from the current I_old one delay ago; during warm-up there is no kick.
     The step pushes its own photocurrent sample onto the buffer.
     """
@@ -489,9 +506,9 @@ def feedback_master_equation(model: LindbladModel, f_op: np.ndarray,
                              eta: float) -> LindbladModel:
     """Unconditional master equation of Markovian homodyne feedback,
         d rho / dt = -i[H, rho] + D[c]rho - i[F, c rho + rho c†] + D[F]rho/eta,
-    the ensemble average of the feedback SME of step_homodyne_feedback (its
-    dW term averages to zero; Wiseman & Milburn, PRL 70, 548 (1993)), so it is
-    also the drift of the diffusive _Kernel under Markovian feedback.
+    the ensemble average of the feedback SME of step_homodyne_feedback
+    (Wiseman & Milburn, PRL 70, 548 (1993)); its iH' + sum r L†L / 2 is the G
+    of the diffusive _Kernel's Kraus operator under Markovian feedback.
 
     H' = H + (c†F + Fc)/2; collapses become (1, c - iF) plus, for imperfect
     detection, ((1-eta)/eta, F); extra collapses pass through untouched.
@@ -601,9 +618,9 @@ def _integrate(kernel: _Kernel, config: SmeConfig, rho0: np.ndarray, seeds):
             if bad is not None:
                 mark(bad)
             if (k + 1) % POSITIVITY_CHECK_EVERY == 0 or k + 1 == n:
-                low = np.linalg.eigvalsh(kernel.states(r))[:, 0] < kernel.tol
-                if low.any():
-                    mark(np.where(low, _NEGATIVE, 0))
+                bad = kernel.check(r)
+                if bad.any():
+                    mark(bad)
             if snap and (k + 1) % snap == 0:
                 snaps[:, (k + 1) // snap - 1] = r[:b_sz]
     return records[:b_sz], snaps, fail[:b_sz]
@@ -640,7 +657,7 @@ def run_trajectory(config: SmeConfig, rho0: np.ndarray,
     seeds = [config.seed if seed is None else seed]
     records, snaps, codes = _integrate(kernel, config, rho0, seeds)
     if codes[0]:
-        raise _failure(codes[0], kernel.tol)
+        raise _failure(codes[0])
     return _results(kernel, config, records, snaps, seeds, [0])[0]
 
 
@@ -679,7 +696,7 @@ def run_ensemble(config: SmeConfig, n_traj: int, rho0: np.ndarray,
     records, snaps, codes = _integrate(kernel, config, rho0, seeds)
 
     ok = np.flatnonzero(codes == 0)
-    failures = [(int(i), _failure(codes[i], kernel.tol))
+    failures = [(int(i), _failure(codes[i]))
                 for i in np.flatnonzero(codes)]
     if len(ok) < math.ceil(0.9 * n_traj):
         raise PositivityViolation(

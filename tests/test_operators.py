@@ -7,7 +7,6 @@ from qfeedback import operators as ops
 from qfeedback.errors import (
     DegenerateSteadyState,
     DimensionMismatch,
-    JumpFromDarkState,
 )
 from qfeedback.intracavity import squeezed_bath_model
 
@@ -58,43 +57,6 @@ class TestSuperopD:
         got = ops.dissipator(a) @ rho.reshape(-1, order="F")
         want = ops.superop_D(a, rho).reshape(-1, order="F")
         assert np.max(np.abs(got - want)) < 1e-13
-
-
-class TestSuperopG:
-    def test_jump_from_one_photon(self):
-        rho = ops.fock_dm(3, 1)
-        out = rho + ops.superop_G(ops.destroy(3), rho)
-        assert np.allclose(out, ops.fock_dm(3, 0))
-
-    def test_dark_state_raises(self):
-        with pytest.raises(JumpFromDarkState):
-            ops.superop_G(ops.destroy(2), ops.fock_dm(2, 0))
-
-    def test_identity_gives_zero(self):
-        rho = ops.fock_dm(3, 2)
-        assert np.allclose(ops.superop_G(np.eye(3, dtype=complex), rho), 0.0)
-
-
-class TestSuperopH:
-    def test_vacuum_zero(self):
-        assert np.allclose(ops.superop_H(ops.destroy(2), ops.fock_dm(2, 0)), 0.0)
-
-    def test_mixed_atom(self):
-        rho = 0.5 * np.eye(2, dtype=complex)
-        sm = ops.sigma_minus()
-        out = ops.superop_H(sm, rho)
-        assert np.allclose(out, 0.5 * (sm + sm.conj().T))
-
-    def test_traceless_and_hermitian(self):
-        rng = np.random.default_rng(7)
-        h = rng.normal(size=(3, 3))
-        h = (h + h.T) + 0j
-        rho = rng.normal(size=(3, 3))
-        rho = rho @ rho.T + 0j
-        rho /= np.trace(rho)
-        out = ops.superop_H(h, rho)
-        assert abs(np.trace(out)) < 1e-12
-        assert ops.is_hermitian(out)
 
 
 class TestEvolve:
