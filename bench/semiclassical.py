@@ -1,10 +1,12 @@
 """Time the semiclassical layer of two checkouts, alternating them every round.
 
-Four timings per side and round:
+Per side and round:
 
 - `simulate_s`: `semiclassical.simulate` with the defaults of
   `qfeedback semiclassical` (g = -2, gamma = 1, T = 0, eta1 = 1, eta2 = 0.5,
   classical noise 2.0 / 0.5, dt = 0.01, duration 2000, seed 1234);
+- `simulate_peak_mb`: the `tracemalloc` peak of one such call, in MB
+  (10^6 bytes) of Python-level allocations, taken after the timings;
 - `estimate_psd_s`: `estimate_psd` on 10^6 white-noise samples, 64 segments;
 - `diverges_map_s`: `diverges` over acceptance criterion 4's stability map
   (10 gains x 5 (gamma, T) configurations, dt = T / 64, 400 time units,
@@ -38,7 +40,7 @@ import time
 import _ab
 
 IN_PROCESS = ("simulate_s", "estimate_psd_s", "diverges_map_s")
-METRICS = IN_PROCESS + ("cli_s", "cli_rss_mb", "import_s")
+METRICS = IN_PROCESS + ("simulate_peak_mb", "cli_s", "cli_rss_mb", "import_s")
 GAINS = (-12.0, -8.0, -4.0, -1.5, -0.8, 0.5, 1.5, 3.0, 6.0, 10.0)
 CONFIGS = ((1.0, 1.0), (0.1, 1.0), (1.0, 0.3), (2.0, 0.2), (1.0, 0.05))
 
@@ -46,6 +48,8 @@ CONFIGS = ((1.0, 1.0), (0.1, 1.0), (1.0, 0.3), (2.0, 0.2), (1.0, 0.05))
 def worker(repeats: int) -> None:
     """Time the in-process calls of the checkout on PYTHONPATH; print JSON."""
     start = time.perf_counter()
+    import tracemalloc
+
     import numpy as np
     from qfeedback import loop, semiclassical as sc
     from qfeedback.errors import MarginalStability
@@ -68,6 +72,13 @@ def worker(repeats: int) -> None:
                 continue
             probes.append((filt, delay / 64.0, stable))
 
+    def peak_mb(fn):
+        tracemalloc.start()
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak / 1e6
+
     def run_map():
         for filt, dt, stable in probes:
             if sc.diverges(filt, dt, 400.0) == stable:
@@ -79,6 +90,7 @@ def worker(repeats: int) -> None:
         "estimate_psd_s": _ab.best_of(lambda: sc.estimate_psd(series, 0.01, 64),
                                   repeats),
         "diverges_map_s": _ab.best_of(run_map, repeats),
+        "simulate_peak_mb": peak_mb(lambda: sc.simulate(sim)),
         "probes": len(probes),
         "scipy_signal_loaded": "scipy.signal" in sys.modules,
     }
@@ -103,7 +115,8 @@ def report(samples: dict, args) -> dict:
     _ab.print_summary(sides, wins, args.rounds)
     return {
         "rounds": args.rounds, "repeats": args.repeats,
-        "metric": "seconds (cli_rss_mb: MiB); in-process timings are the "
+        "metric": "seconds (cli_rss_mb: MiB, simulate_peak_mb: MB of "
+                  "tracemalloc peak); in-process timings are the "
                   "best of repeats after one warm-up call, one sample per "
                   "side and round; summary over rounds",
         "change_wins": wins,

@@ -44,6 +44,11 @@ class MarginalStability(QFeedbackError):
     """The Nyquist contour passes too close to the critical point to classify."""
 
 
+class NyquistUnresolved(QFeedbackError):
+    """The Nyquist contour's phase kept jumping between samples after every
+    refinement, so its winding number is unknown."""
+
+
 class DegenerateSplit(QFeedbackError):
     """No light reaches the in-loop detector (eta2 = 0) but feedback is requested."""
     exit_code = 2

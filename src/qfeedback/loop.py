@@ -13,7 +13,12 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DegenerateSplit, MarginalStability, UnstableLoop
+from .errors import (
+    DegenerateSplit,
+    MarginalStability,
+    NyquistUnresolved,
+    UnstableLoop,
+)
 
 CRITICAL_TOL = 1e-9
 
@@ -186,7 +191,8 @@ def _nyquist_winding(filt: LoopFilter, extra=None):
     plane and more than CRITICAL_TOL away from 0, so the winding is 0
     without sampling. When the cut lies beyond the grid's reach (100 times
     the fastest of the loop's rates, 1 and 1/T), the contour stops there and
-    takes L as negligible.
+    takes L as negligible. If the phase still jumps between samples after 30
+    refinements, raises NyquistUnresolved.
     """
     g = abs(filt.g)
     if g < 1.0 - CRITICAL_TOL:
@@ -219,7 +225,7 @@ def _nyquist_winding(filt: LoopFilter, extra=None):
         omegas = np.sort(np.concatenate([omegas, mids]))
         z = locus(omegas)
     else:
-        raise MarginalStability("Nyquist contour failed to converge")
+        raise NyquistUnresolved("Nyquist contour failed to converge")
     total = np.sum(np.angle(z[1:] / z[:-1]))
     if top < big:
         total += np.angle(-1.0 / z[-1])

@@ -5,7 +5,7 @@ import builtins
 import numpy as np
 import pytest
 
-from qfeedback import cli, errors
+from qfeedback import cli, errors, loop
 from qfeedback import atom_squash as at
 
 # CLI exit status of every error type: 2 invalid parameters, 3 numerical failure
@@ -17,6 +17,7 @@ EXIT_CODES = {
     "UnknownKey": 2,
     "QFeedbackError": 3, "JumpFromDarkState": 3, "PositivityViolation": 3,
     "DegenerateSteadyState": 3, "UnstableLoop": 3, "MarginalStability": 3,
+    "NyquistUnresolved": 3,
     "DivergenceDetected": 3, "ComplexRoot": 3, "UnstableMean": 3,
     "NegativePrefactor": 3, "EmptyDelayBuffer": 3,
 }
@@ -225,6 +226,20 @@ class TestOtherSubcommands:
         assert len(g) == 49
         assert np.array_equal(marginal, (g == 1.0).astype(float))
         assert np.array_equal(stable, (g < 1.0).astype(float))
+
+    def test_stability_unresolved_contour_exits_3(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # a locus whose phase steps by 2 rad at omega = 1 never resolves:
+        # a numerical failure, not a marginal gain
+        def jumping(filt, omega, extra=None):
+            return 1.0 + np.exp(2j * (np.asarray(omega) >= 1.0))
+
+        monkeypatch.setattr(loop, "loop_transfer", jumping)
+        out = tmp_path / "st.csv"
+        assert cli.run(["stability", "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "failed to converge" in err
+        assert not out.exists()
 
     def test_qnd_runs(self, tmp_path):
         out = tmp_path / "q.csv"

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from qfeedback import loop, qnd
-from qfeedback.errors import DegenerateSplit, MarginalStability, UnstableLoop
+from qfeedback.errors import (
+    DegenerateSplit,
+    MarginalStability,
+    NyquistUnresolved,
+    UnstableLoop,
+)
 
 
 def pole_filter(g, gamma=1.0, T=0.0):
@@ -13,6 +18,13 @@ def pole_filter(g, gamma=1.0, T=0.0):
 
 def coherent(eta1=1.0, eta2=0.5):
     return loop.FeedbackBeamline(beta=1.0, eta1=eta1, eta2=eta2)
+
+
+def jumping_transfer(filt, omega, extra=None):
+    """A loop transfer whose locus - 1 steps in phase by 2 rad at omega = 1:
+    every refinement of the Nyquist grid leaves one interval that jumps."""
+    omega = np.asarray(omega, dtype=float)
+    return 1.0 + np.exp(2j * (omega >= 1.0))
 
 
 class TestLoopTransfer:
@@ -119,6 +131,12 @@ class TestIsStable:
         with pytest.raises(MarginalStability):
             loop.is_stable(loop.LoopFilter(1.0, loop.Sampled(np.ones(5), 0.1),
                                            0.5))
+
+    def test_unresolved_contour_is_not_marginal(self, monkeypatch):
+        monkeypatch.setattr(loop, "loop_transfer", jumping_transfer)
+        with pytest.raises(NyquistUnresolved) as err:
+            loop.is_stable(pole_filter(-2.0, 1.0, 0.1))
+        assert not isinstance(err.value, MarginalStability)
 
     def test_extra_must_have_unit_area(self):
         pair = qnd.QndParams(1.0, 2.0, 1.0).pair_response

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy import signal
 
 from qfeedback import loop, semiclassical as sc
@@ -53,6 +54,39 @@ class TestSimulate:
         with pytest.raises(UnstableLoop):
             sc.simulate(make_sim(g=-10.0, gamma=1.0, T=1.0, dt=0.002,
                                  duration=200.0))
+
+    @pytest.mark.parametrize("noise", [None, sc.ClassicalNoise(2.0, 0.5)],
+                             ids=["shot-noise", "classical-noise"])
+    def test_matches_out_of_place_reference(self, noise):
+        # simulate builds its arrays in place; the outputs must equal, bit
+        # for bit, the out-of-place expressions on the same Philox draws
+        sim = make_sim(g=-0.8, gamma=0.5, T=0.5, eta1=0.9, eta2=0.7,
+                       noise=noise, dt=0.02, duration=2000.0, seed=31)
+        rec = sc.simulate(sim)
+        filt, dt = sim.filter, sim.dt
+        burn = int(round(10.0 * sim._slowest_time() / dt))
+        total = int(round(sim.duration / dt)) + burn
+        rng = Generator(Philox(key=sim.seed))
+        if noise is not None:
+            decay = np.exp(-noise.pole * dt)
+            var_ss = noise.excess * noise.pole / 2.0
+            innov = rng.standard_normal(total)
+            drive = np.sqrt(var_ss * (1.0 - decay ** 2)) * innov
+            drive[0] += decay * np.sqrt(var_ss) * innov[0]
+            x0 = sc._lfilter([1.0], [1.0, -decay], drive)
+        else:
+            x0 = np.zeros(total)
+        xi2 = rng.standard_normal(total) / np.sqrt(dt)
+        xi3 = rng.standard_normal(total) / np.sqrt(dt)
+        eta1, eta2 = sim.beamline.eta1, sim.beamline.eta2
+        s_in = np.sqrt(eta1 * eta2)
+        s_out = np.sqrt(eta1 * (1.0 - eta2))
+        g_out = filt.g * np.sqrt((1.0 - eta2) / eta2)
+        y = sc._lfilter(*sc._loop_difference_eq(filt, dt), s_in * x0 + xi2)
+        di2 = s_in * x0 + filt.g * y + xi2
+        di3 = s_out * x0 + g_out * y + xi3
+        assert np.array_equal(rec.di2, di2[burn:])
+        assert np.array_equal(rec.di3, di3[burn:])
 
     def test_noise_cross_independence(self):
         rec = sc.simulate(make_sim(g=0.0, eta1=0.0, seed=5))
@@ -108,6 +142,24 @@ class TestDiverges:
                     assert sc.diverges(filt, T / 64.0, 400.0) == (not stable)
         assert checked >= 45
 
+    def test_decaying_impulse_response_has_no_subnormals(self):
+        # criterion 4's g = -1.5, T = 0.05 loop: its exact impulse response
+        # decays through the subnormal range (about 182 000 such samples)
+        filt = loop.LoopFilter(-1.5, loop.SinglePole(1.0), 0.05)
+        dt = 0.05 / 64.0
+        impulse = np.zeros(int(round(400.0 / dt)))
+        impulse[0] = 1.0
+        y = sc._lfilter(*sc._loop_difference_eq(filt, dt), impulse)
+        subnormal = (y != 0.0) & (np.abs(y) < np.finfo(float).tiny)
+        assert not np.any(subnormal)
+        assert np.all(y[-len(y) // 4:] == 0.0)
+        assert not sc.diverges(filt, dt, 400.0)
+
+    def test_sampled_200_tap_agrees_with_nyquist(self):
+        filt = loop.LoopFilter(-3.0, loop.Sampled(np.exp(-0.02 * np.arange(200)),
+                                                  0.02), 0.2)
+        assert sc.diverges(filt, 0.02, 400.0) == (not loop.is_stable(filt))
+
     @pytest.mark.parametrize("dt, duration", [(0.0, 400.0), (-0.01, 400.0),
                                               (0.01, 0.02), (0.01, 0.0)])
     def test_bad_grid_rejected(self, dt, duration):
@@ -155,6 +207,12 @@ def _reference_filters():
     impulse[0] = 1.0
     cases.append(("unstable_impulse",
                   *sc._loop_difference_eq(unstable, 1.0 / 64.0), impulse))
+    # a stable impulse response that decays below the flush level
+    decaying = loop.LoopFilter(-1.5, loop.SinglePole(1.0), 0.05)
+    impulse = np.zeros(512000)
+    impulse[0] = 1.0
+    cases.append(("decaying_impulse",
+                  *sc._loop_difference_eq(decaying, 0.05 / 64.0), impulse))
     # shorter than one block, and for order 65 shorter than the order too
     cases.append(("short_order1", [0.3, 0.2], [1.0, -0.9], noise[:100]))
     _, b64, a64, _ = cases[2]
@@ -209,7 +267,8 @@ class TestEstimatePsd:
         peak = psd.omega[np.argmax(psd.values)]
         assert abs(abs(peak) - w0) < 0.1
 
-    @pytest.mark.parametrize("n, k", [(600, 8), (1000, 8), (10 ** 6, 64)])
+    @pytest.mark.parametrize("n, k", [(600, 8), (1000, 8), (1000, 13),
+                                      (10 ** 6, 64)])
     def test_window_count_matches_scipy(self, n, k):
         # an impulse at sample nperseg // 2 lies in the first Welch window
         # only (the next starts at nperseg - nperseg // 2, where the Hann
@@ -227,12 +286,12 @@ class TestEstimatePsd:
         assert np.allclose(psd.stderr, psd.values * np.sqrt(1.06 / count),
                            rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("shape, k", [((1000,), 8), ((1000,), 10),
-                                          ((3, 2, 1000), 8), ((3, 2, 1000), 10)],
+    @pytest.mark.parametrize("shape, k", [((1000,), 8), ((1000,), 13),
+                                          ((3, 2, 1000), 8), ((3, 2, 1000), 13)],
                              ids=["1d-even", "1d-odd", "stacked-even",
                                   "stacked-odd"])
     def test_matches_scipy_welch(self, shape, k):
-        # k = 8 gives an even nperseg (222), k = 10 an odd one (181)
+        # k = 8 gives an even nperseg (216), k = 13 an odd one (135)
         dt = 0.05
         series = np.random.default_rng(12).standard_normal(shape)
         nperseg = sc.welch_segment_length(shape[-1], k)
@@ -251,6 +310,36 @@ class TestEstimatePsd:
     def test_too_short(self):
         with pytest.raises(TooShort):
             sc.estimate_psd(np.zeros(32), 0.1, 64)
+
+
+def _is_5_smooth(k):
+    for q in (2, 3, 5):
+        while k % q == 0:
+            k //= q
+    return k == 1
+
+
+class TestWelchSegmentLength:
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 13, 48, 64, 255])
+    def test_largest_5_smooth_below_the_fill_length(self, k):
+        ns = list(range(1, 4000, 3)) + [20000, 10 ** 5 + 1, 10 ** 6, 10 ** 7 - 1]
+        for n in ns:
+            bound = int(2 * n / (k + 1))
+            if bound < 8:
+                with pytest.raises(TooShort):
+                    sc.welch_segment_length(n, k)
+                continue
+            nperseg = sc.welch_segment_length(n, k)
+            assert _is_5_smooth(nperseg)
+            assert nperseg <= bound
+            assert not any(_is_5_smooth(j) for j in range(nperseg + 1, bound + 1))
+            # a shorter segment never averages fewer windows
+            windows_at_bound = (n - bound) // (bound - bound // 2) + 1
+            assert sc.welch_window_count(n, k) >= windows_at_bound
+
+    def test_fast_length_at_a_million_samples(self):
+        # the fill length 30769 = 29 * 1061 would put rfft on its slow path
+        assert sc.welch_segment_length(10 ** 6, 64) == 30720
 
 
 class TestAgainstClosedForms:
