@@ -92,13 +92,16 @@ def run_worker(script: str, src: str, repeats: int, cwd: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def time_cli(args: list, src: str, cwd: str):
+def time_cli(args: list, src: str, cwd: str, environ: dict | None = None):
     """Run `python -m qfeedback *args` on `src` as a fresh process: its wall
-    seconds and peak resident MiB. Raises if it exits nonzero."""
+    seconds and peak resident MiB. Raises if it exits nonzero. The process
+    gets `environ` (default: this process's environment) with PYTHONPATH set
+    to `src`."""
     start = time.perf_counter()
     cli = subprocess.Popen(
         [sys.executable, "-m", "qfeedback"] + list(args),
-        env=dict(os.environ, PYTHONPATH=src), cwd=cwd,
+        env=dict(os.environ if environ is None else environ, PYTHONPATH=src),
+        cwd=cwd,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(cli.pid, 0)
     seconds = time.perf_counter() - start
@@ -111,10 +114,11 @@ def main(argv, script: str, doc: str, worker, report, rounds: int,
          repeats: int, run_side=None, progress=None) -> None:
     """The command line of the bench script `script`.
 
-    With --worker, calls worker(repeats). Otherwise runs --rounds rounds of
-    run_side(src, repeats, workdir) on both sides (by default the worker
-    alone; workdir is a temporary directory shared by every run), printing
-    progress(samples) after each, and writes
+    With --worker, calls worker(repeats); a script without in-process
+    timings passes worker=None and its own run_side. Otherwise runs --rounds
+    rounds of run_side(src, repeats, workdir) on both sides (by default the
+    worker alone; workdir is a temporary directory shared by every run),
+    printing progress(samples) after each, and writes
     {"env": ..., **report(samples, args)} to --out.
     """
     if run_side is None:

@@ -17,7 +17,6 @@ from . import operators as ops
 from .errors import NegativePrefactor, UnreachableSqueezing
 from .loop import Spectrum
 from .operators import LindbladModel
-from .trajectories import feedback_master_equation
 
 
 @dataclass(frozen=True)
@@ -69,6 +68,9 @@ def atom_feedback_master_equation(params: AtomLoopParams) -> LindbladModel:
     built through the general homodyne-feedback route with F = lambda
     sigma_y / 2 and detection efficiency eta * eps.
     """
+    # imported here so that this module's closed forms load without the
+    # SME engine
+    from .trajectories import feedback_master_equation
     decay = LindbladModel(np.zeros((2, 2), dtype=complex),
                           ((1.0, ops.sigma_minus()),))
     f_op = 0.5 * params.lam * ops.sigma_y()

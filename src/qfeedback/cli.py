@@ -21,8 +21,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import atom_squash, intracavity, loop, qnd, semiclassical, trajectories
-from . import operators as ops
 from .errors import MarginalStability, ParseError, QFeedbackError, UnknownKey
 
 OUTDIR_ENV = "QFEEDBACK_OUTDIR"
@@ -215,10 +213,12 @@ def _output_path(args, subcommand):
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# subcommand bodies: each imports the modules it calls, so a subcommand's
+# process loads only those
 
 
 def _run_spectra(v, omega=None):
+    from . import loop
     bl = loop.FeedbackBeamline(beta=1.0, eta1=v["eta1"], eta2=v["eta2"],
                                s0x=v["s0x"], s0y=v["s0y"])
     filt = loop.LoopFilter(v["g"], loop.SinglePole(v["gamma"]), v["T"])
@@ -231,6 +231,7 @@ def _run_spectra(v, omega=None):
 
 
 def _run_stability(v):
+    from . import loop
     gains = np.linspace(v["g_min"], v["g_max"], v["n_g"])
     stable = np.empty(len(gains))
     marginal = np.zeros(len(gains))
@@ -248,6 +249,7 @@ def _run_stability(v):
 
 
 def _run_semiclassical(v):
+    from . import loop, semiclassical
     noise = semiclassical.ClassicalNoise(v["excess"], v["pole"])
     bl = loop.FeedbackBeamline(beta=1.0, eta1=v["eta1"], eta2=v["eta2"],
                                s0x=noise.spectrum, s0y=1.0)
@@ -267,6 +269,7 @@ def _run_semiclassical(v):
 
 
 def _run_qnd(v):
+    from . import loop, qnd
     params = qnd.QndFeedbackParams(
         qnd=qnd.QndParams(v["kappa"], v["gamma_m"], v["chi"]),
         filter=loop.LoopFilter(v["g"], loop.SinglePole(v["gamma_f"]), v["T"]))
@@ -278,6 +281,7 @@ def _run_qnd(v):
 
 
 def _trajectory_config(v):
+    from . import operators as ops, trajectories
     if v["preset"] == "damped-cavity":
         dim = 5
         model = ops.LindbladModel(np.zeros((dim, dim), dtype=complex),
@@ -307,6 +311,7 @@ def _trajectory_config(v):
 
 
 def _run_trajectory(v):
+    from . import trajectories
     config, rho0, obs, obs_name = _trajectory_config(v)
     summary = trajectories.run_ensemble(config, v["n_traj"], rho0)
     mean_obs = np.einsum("tij,ji->t", summary.mean_states, obs).real
@@ -315,6 +320,7 @@ def _run_trajectory(v):
 
 
 def _run_intracavity(v):
+    from . import intracavity
     meas = intracavity.Homodyne(v["eta"])
     params = intracavity.LinearCavityParams(
         l=v["l"], theta=v["theta"], measurement=meas)
@@ -333,6 +339,7 @@ def _run_intracavity(v):
 
 
 def _run_atom(v):
+    from . import atom_squash
     lam = -v["eta"] * v["eps"] if v["lambda_opt"] else v["lam"]
     params = atom_squash.AtomLoopParams.from_lambda(v["eta"], v["eps"], lam)
     gx, gy, gz, c = atom_squash.decay_rates(params)

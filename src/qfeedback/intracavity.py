@@ -203,20 +203,6 @@ def squeezed_bath_model(n_bath: float, m_bath: complex, dim: int,
     return LindbladModel(hamiltonian, tuple(collapses))
 
 
-def squeezed_bath_generator(n_bath: float, m_bath: complex, dim: int,
-                            rho: np.ndarray) -> np.ndarray:
-    """Literal superoperator form of the squeezed-bath generator, kept as an
-    independent check on the Lindblad decomposition above."""
-    a = ops.destroy(dim)
-    ad = a.conj().T
-    out = (n_bath + 1.0) * ops.superop_D(a, rho) + n_bath * ops.superop_D(ad, rho)
-    comm_ad = ad @ (ad @ rho - rho @ ad) - (ad @ rho - rho @ ad) @ ad
-    comm_a = a @ (a @ rho - rho @ a) - (a @ rho - rho @ a) @ a
-    out -= 0.5 * m_bath * comm_ad
-    out -= 0.5 * np.conj(m_bath) * comm_a
-    return out
-
-
 def parametric_model(params: LinearCavityParams, dim: int) -> LindbladModel:
     """Truncated-Fock realization of the linear-cavity master equation:
     D[a] + (l/4) D[a† − a] + (theta/4)[a^2 − a†^2, ·] as Hamiltonian part."""

@@ -180,13 +180,6 @@ class LindbladModel:
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
 
-    def rhs(self, rho: np.ndarray) -> np.ndarray:
-        """Master-equation right-hand side applied to a (not necessarily
-        Hermitian) matrix: the Liouvillian applied to vec(rho)."""
-        rho = np.asarray(rho, dtype=complex)
-        dim = _check_dims(self.hamiltonian, rho)
-        return _unvec(self.liouvillian @ _vec(rho), dim)
-
     @cached_property
     def liouvillian(self) -> np.ndarray:
         """Matrix of the generator on column-stacked density matrices."""

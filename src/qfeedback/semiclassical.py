@@ -318,26 +318,27 @@ def welch_segment_length(n: int, n_segments: int) -> int:
     """Samples per segment when n samples are split into n_segments
     half-overlapping Welch segments; TooShort below 8 per segment.
 
-    The length is the largest 5-smooth integer (2^a 3^b 5^c) at most
-    int(2 n / (n_segments + 1)), the length at which n_segments segments
-    fill n samples, so the FFT of every segment takes the fast path and no
-    fewer windows fit than at that bound. It is at most 15% below the
-    bound, and at most 6.3% below once the bound reaches 1000.
+    The length is the largest even 5-smooth integer (2^a 3^b 5^c, a >= 1)
+    at most int(2 n / (n_segments + 1)), the length at which n_segments
+    segments fill n samples, so the FFT of every segment takes the fast path.
+    An even length L <= 2 n / (n_segments + 1) steps by L / 2 and so fits at
+    least n_segments windows. It is at most 15% below the bound, and at
+    most 6.3% below once the bound reaches 1000.
     """
     if n_segments < 1:
         raise ValueError("n_segments must be >= 1")
     nperseg = int(2 * n / (n_segments + 1))
     if nperseg < 8:
         raise TooShort(f"{n} samples cannot support {n_segments} segments")
-    return _smooth_floor(nperseg)
+    return 2 * _smooth_floor(nperseg // 2)
 
 
 def welch_window_count(n: int, n_segments: int) -> int:
     """Number of Welch windows that estimate_psd averages over n samples:
     windows of welch_segment_length(n, n_segments) samples, each starting
-    nperseg - nperseg // 2 samples after the last."""
+    half a window after the last."""
     nperseg = welch_segment_length(n, n_segments)
-    return (n - nperseg) // (nperseg - nperseg // 2) + 1
+    return (n - nperseg) // (nperseg // 2) + 1
 
 
 def estimate_psd(series: np.ndarray, dt: float, n_segments: int) -> Spectrum:
@@ -351,12 +352,12 @@ def estimate_psd(series: np.ndarray, dt: float, n_segments: int) -> Spectrum:
     series = np.asarray(series, dtype=float)
     n = series.shape[-1]
     nperseg = welch_segment_length(n, n_segments)
-    step = nperseg - nperseg // 2
+    step = nperseg // 2
     frames = sliding_window_view(series, nperseg, axis=-1)[..., ::step, :]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
-    # the two-sided density at omega >= 0; for even nperseg the Nyquist bin
-    # is dropped, as a two-sided grid labels it negative
-    keep = (nperseg + 1) // 2
+    # the two-sided density at omega >= 0; nperseg is even, and its Nyquist
+    # bin is dropped, as a two-sided grid labels it negative
+    keep = nperseg // 2
     spectra = np.fft.rfft(frames * window, axis=-1)[..., :keep]
     vals = np.mean(spectra.real ** 2 + spectra.imag ** 2, axis=-2)
     vals *= dt / np.sum(window ** 2)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from literal_generators import master_equation_rhs, squeezed_bath_generator
 from qfeedback import intracavity as ic, operators as ops
 from qfeedback.errors import DelayTooLarge, UnphysicalBath, UnstableMean
 
@@ -203,8 +204,8 @@ class TestSqueezedBath:
     def test_matches_literal_generator(self):
         model = ic.squeezed_bath_model(1.0, np.sqrt(2.0), 6)
         for rho in (ops.fock_dm(6, 0), ops.fock_dm(6, 2)):
-            lhs = model.rhs(rho)
-            rhs = ic.squeezed_bath_generator(1.0, np.sqrt(2.0), 6, rho)
+            lhs = master_equation_rhs(model, rho)
+            rhs = squeezed_bath_generator(1.0, np.sqrt(2.0), 6, rho)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_unphysical(self):

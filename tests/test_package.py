@@ -1,9 +1,12 @@
 """Package-level contracts: import cost, `python -m` entry points, README."""
 
+import json
 import os
 import re
 import subprocess
 import sys
+
+import pytest
 
 import qfeedback
 
@@ -27,6 +30,61 @@ def test_import_loads_no_scipy_submodules():
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def loaded_modules(code):
+    """Every module a fresh process has loaded after running `code`."""
+    proc = run_python(["-c", code + "\nimport json, sys\n"
+                       "print(json.dumps(sorted(sys.modules)))"])
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def subcommand_modules(sub, tmp_path):
+    out = tmp_path / f"{sub}.csv"
+    return loaded_modules(f"from qfeedback.cli import run\n"
+                          f"assert run([{sub!r}, '--output', {str(out)!r}]) == 0")
+
+
+LAZY_NAMES = ("atom_squash", "errors", "intracavity", "loop", "operators",
+              "qnd", "semiclassical", "trajectories", "QFeedbackError",
+              "FeedbackBeamline", "LoopFilter", "Sampled", "SinglePole",
+              "Spectrum", "LindbladModel")
+
+
+def test_import_loads_no_submodule():
+    loaded = loaded_modules("import qfeedback")
+    assert "qfeedback" in loaded
+    assert not [m for m in loaded if m.startswith("qfeedback.")]
+
+
+@pytest.mark.parametrize("sub, module", [
+    ("spectra", "loop"), ("stability", "loop"), ("qnd", "qnd"),
+    ("intracavity", "intracavity")])
+def test_closed_form_subcommands_skip_the_sme_engine(sub, module, tmp_path):
+    loaded = subcommand_modules(sub, tmp_path)
+    assert f"qfeedback.{module}" in loaded
+    assert not loaded & {"qfeedback.trajectories", "qfeedback.semiclassical",
+                         "numpy.random"}
+
+
+def test_atom_subcommand_skips_trajectories(tmp_path):
+    loaded = subcommand_modules("atom", tmp_path)
+    assert "qfeedback.atom_squash" in loaded
+    assert "qfeedback.trajectories" not in loaded
+
+
+def test_lazy_namespace():
+    assert qfeedback.LoopFilter is qfeedback.loop.LoopFilter
+    assert qfeedback.LindbladModel is qfeedback.operators.LindbladModel
+    assert qfeedback.QFeedbackError is qfeedback.errors.QFeedbackError
+    from qfeedback import Spectrum, loop
+    assert Spectrum is loop.Spectrum
+    assert set(LAZY_NAMES) <= set(dir(qfeedback))
+    for name in LAZY_NAMES:
+        assert getattr(qfeedback, name) is not None
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qfeedback.no_such_name  # noqa: B018
 
 
 def test_riccati_series_loads_no_scipy_integrate():

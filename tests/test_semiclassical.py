@@ -291,7 +291,8 @@ class TestEstimatePsd:
                              ids=["1d-even", "1d-odd", "stacked-even",
                                   "stacked-odd"])
     def test_matches_scipy_welch(self, shape, k):
-        # k = 8 gives an even nperseg (216), k = 13 an odd one (135)
+        # k = 8 gives nperseg = 216 and k = 13 gives 128 (the ids name the
+        # parity of k; every segment length is even)
         dt = 0.05
         series = np.random.default_rng(12).standard_normal(shape)
         nperseg = sc.welch_segment_length(shape[-1], k)
@@ -330,9 +331,11 @@ class TestWelchSegmentLength:
                     sc.welch_segment_length(n, k)
                 continue
             nperseg = sc.welch_segment_length(n, k)
-            assert _is_5_smooth(nperseg)
+            # the largest even 5-smooth length at most the bound
+            assert nperseg % 2 == 0 and _is_5_smooth(nperseg)
             assert nperseg <= bound
-            assert not any(_is_5_smooth(j) for j in range(nperseg + 1, bound + 1))
+            assert not any(_is_5_smooth(j)
+                           for j in range(nperseg + 2, bound + 1, 2))
             # a shorter segment never averages fewer windows
             windows_at_bound = (n - bound) // (bound - bound // 2) + 1
             assert sc.welch_window_count(n, k) >= windows_at_bound
@@ -340,6 +343,19 @@ class TestWelchSegmentLength:
     def test_fast_length_at_a_million_samples(self):
         # the fill length 30769 = 29 * 1061 would put rfft on its slow path
         assert sc.welch_segment_length(10 ** 6, 64) == 30720
+        # the semiclassical CLI default: 2000 / 0.01 samples, 64 segments
+        assert sc.welch_segment_length(200000, 64) == 6144
+
+    def test_at_least_the_requested_windows(self):
+        # an odd 5-smooth length steps by (L + 1) / 2 and could fit one
+        # window fewer (n = 3282, k = 8: L = 729, 7 windows); an even one
+        # never does
+        assert sc.welch_segment_length(3282, 8) == 720
+        for k in (8, 13, 16, 32, 48, 64, 128):
+            for n in range(100, 200001, 37):
+                if int(2 * n / (k + 1)) < 8:
+                    continue
+                assert sc.welch_window_count(n, k) >= k, (n, k)
 
 
 class TestAgainstClosedForms:

@@ -8,6 +8,7 @@ import pytest
 from numpy.random import Generator, Philox
 from scipy import stats
 
+from literal_generators import master_equation_rhs
 from qfeedback import loop, operators as ops, trajectories as tj
 from qfeedback.errors import (EmptyDelayBuffer, JumpFromDarkState,
                               PositivityViolation, TooShort)
@@ -415,7 +416,8 @@ class TestKernel:
             (6, dim, dim))
         herm = g + g.conj().transpose(0, 2, 1)
         got = kernel.rows(herm) @ kernel.real_map(model.liouvillian)
-        want = kernel.rows(np.array([model.rhs(rho) for rho in herm]))
+        want = kernel.rows(np.array([master_equation_rhs(model, rho)
+                                     for rho in herm]))
         assert np.max(np.abs(got - want)) < 1e-13
         # the expectation column of a Hermitian op with complex off-diagonals
         op = herm[0]
