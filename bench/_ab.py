@@ -61,7 +61,7 @@ def sides_summary(samples: dict, metrics) -> dict:
 def print_summary(sides: dict, wins: dict, rounds: int) -> None:
     for m, n in wins.items():
         p, c = sides["parent"]["summary"][m], sides["change"]["summary"][m]
-        print(f"{m:18s} parent {p['median']:.4f} [{p['q1']:.4f}, {p['q3']:.4f}]"
+        print(f"{m:28s} parent {p['median']:.4f} [{p['q1']:.4f}, {p['q3']:.4f}]"
               f"  change {c['median']:.4f} [{c['q1']:.4f}, {c['q3']:.4f}]"
               f"  change lower in {n}/{rounds}")
 

@@ -11,6 +11,9 @@ Per side and round:
 - `diverges_map_s`: `diverges` over acceptance criterion 4's stability map
   (10 gains x 5 (gamma, T) configurations, dt = T / 64, 400 time units,
   marginal gains skipped as the criterion skips them);
+- `diverges_s.gamma<gamma>_T<T>`: the same map's gains at one (gamma, T)
+  configuration, so that each response length shows on its own (400 time
+  units at dt = T / 64: 25 600 samples at T = 1, 512 000 at T = 0.05);
 - `cli_s` and `cli_rss_mb`: a fresh `python -m qfeedback semiclassical` with
   default settings, wall time and peak resident memory of that process.
 
@@ -39,10 +42,11 @@ import time
 
 import _ab
 
-IN_PROCESS = ("simulate_s", "estimate_psd_s", "diverges_map_s")
-METRICS = IN_PROCESS + ("simulate_peak_mb", "cli_s", "cli_rss_mb", "import_s")
 GAINS = (-12.0, -8.0, -4.0, -1.5, -0.8, 0.5, 1.5, 3.0, 6.0, 10.0)
 CONFIGS = ((1.0, 1.0), (0.1, 1.0), (1.0, 0.3), (2.0, 0.2), (1.0, 0.05))
+ROWS = tuple(f"diverges_s.gamma{gamma}_T{delay}" for gamma, delay in CONFIGS)
+IN_PROCESS = ("simulate_s", "estimate_psd_s", "diverges_map_s") + ROWS
+METRICS = IN_PROCESS + ("simulate_peak_mb", "cli_s", "cli_rss_mb", "import_s")
 
 
 def worker(repeats: int) -> None:
@@ -62,15 +66,16 @@ def worker(repeats: int) -> None:
         beamline=beam, filter=loop.LoopFilter(-2.0, loop.SinglePole(1.0), 0.0),
         dt=0.01, duration=2000.0, seed=1234, classical_noise=noise)
     series = np.random.default_rng(8).standard_normal(10 ** 6)
-    probes = []
-    for gamma, delay in CONFIGS:
+    rows = {row: [] for row in ROWS}
+    for row, (gamma, delay) in zip(ROWS, CONFIGS):
         for g in GAINS:
             filt = loop.LoopFilter(g, loop.SinglePole(gamma), delay)
             try:
                 stable = loop.is_stable(filt)
             except MarginalStability:
                 continue
-            probes.append((filt, delay / 64.0, stable))
+            rows[row].append((filt, delay / 64.0, stable))
+    probes = [probe for row in rows.values() for probe in row]
 
     def peak_mb(fn):
         tracemalloc.start()
@@ -79,7 +84,7 @@ def worker(repeats: int) -> None:
         tracemalloc.stop()
         return peak / 1e6
 
-    def run_map():
+    def run_map(probes):
         for filt, dt, stable in probes:
             if sc.diverges(filt, dt, 400.0) == stable:
                 raise RuntimeError(f"diverges disagrees with Nyquist: {filt}")
@@ -89,7 +94,9 @@ def worker(repeats: int) -> None:
         "simulate_s": _ab.best_of(lambda: sc.simulate(sim), repeats),
         "estimate_psd_s": _ab.best_of(lambda: sc.estimate_psd(series, 0.01, 64),
                                   repeats),
-        "diverges_map_s": _ab.best_of(run_map, repeats),
+        "diverges_map_s": _ab.best_of(lambda: run_map(probes), repeats),
+        **{row: _ab.best_of(lambda: run_map(rows[row]), repeats)
+           for row in ROWS},
         "simulate_peak_mb": peak_mb(lambda: sc.simulate(sim)),
         "probes": len(probes),
         "scipy_signal_loaded": "scipy.signal" in sys.modules,

@@ -9,6 +9,7 @@ shot noise has spectral density 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
@@ -30,7 +31,8 @@ DIVERGENCE_LIMIT = 1e6
 _BLOCK = 256                  # fewest samples per block of _lfilter
 _BLOCK_SCALAR = 128           # samples per block of an order-1 _lfilter
 _FLUSH = 1e-250               # _lfilter's carried outputs below this scale are 0
-_FLUSH_EVERY = 64             # blocks between flushes inside _lfilter's carry loop
+_FLUSH_EVERY = 64             # blocks between flushes inside _lfilter's carry loops
+_TAIL_STEP = 8                # blocks per carry step of _lfilter past its input
 
 
 @dataclass(frozen=True)
@@ -109,24 +111,35 @@ def _toeplitz(diagonals: np.ndarray, cols: int) -> np.ndarray:
     return sliding_window_view(diagonals, cols)[:, ::-1]
 
 
-def _lfilter(b, a, x: np.ndarray) -> np.ndarray:
+def _lfilter(b, a, x, n: Optional[int] = None) -> np.ndarray:
     """Output from rest of y[n] = sum_k b[k] x[n-k] - sum_{k>=1} a[k] y[n-k]
-    (a[0] = 1) for a 1-D input x.
+    (a[0] = 1) for the 1-D input x followed by zeros: n >= len(x) samples
+    (default len(x)).
 
     Evaluated in blocks of m samples, p the order. Each block's output is
     one linear map of its state: its own inputs, the p inputs before it and
-    the p outputs before it. One product gives every block's last p outputs
-    from its inputs alone, a loop over blocks adds the outputs carried from
-    the block before (p x p work per block), and one product applies the
-    whole map to every block's state, m + 2p multiply-adds per sample.
-    An order-1 carry is a Python-float recursion that costs little per
-    block, so it takes the shorter m = _BLOCK_SCALAR; higher orders take
-    m = max(_BLOCK, p), as each block's carry is an array product.
+    the p outputs before it. For the blocks whose state holds an input, one
+    product gives every block's last p outputs from its inputs alone, a loop
+    over blocks adds the outputs carried from the block before (p x p work
+    per block), and one product applies the whole map to every block's
+    state, m + 2p multiply-adds per sample. An order-1 carry is a
+    Python-float recursion that costs little per block, so it takes the
+    shorter m = _BLOCK_SCALAR; higher orders take m = max(_BLOCK, p), as
+    each block's carry is an array product.
+
+    Past x a block's state is its p carried outputs alone. The carry then
+    steps s blocks at a time through last^s (last the p x p carry map), and
+    one product against the span [tail | last tail | ... | last^(s-1) tail]
+    (tail the p x m map from carried outputs to a block's outputs) gives
+    those blocks' outputs, p multiply-adds per sample. s is the largest
+    power of two up to _TAIL_STEP whose span costs no more to build than
+    that product. Once the carry is exactly zero the rest of the output is
+    zero.
 
     Carried outputs below _FLUSH times the running maximum of |heads| are
-    set to zero: every _FLUSH_EVERY blocks inside the carry loop, and all of
-    them before the last product. A decaying response then reaches both as
-    zeros rather than as subnormal floats, which make every product that
+    set to zero: every _FLUSH_EVERY blocks inside the carry loops, and all
+    of them before the last products. A decaying response then reaches both
+    as zeros rather than as subnormal floats, which make every product that
     touches them many times slower. Every value flushed is below _FLUSH of
     the response's scale; with all heads zero nothing is flushed.
     """
@@ -148,11 +161,16 @@ def _lfilter(b, a, x: np.ndarray) -> np.ndarray:
         _toeplitz(np.concatenate([zeros, -rev_a]), m),
     ]) @ _toeplitz(np.concatenate([h[::-1], zeros]), m)
 
-    n = len(x)
+    nx = len(x)
+    n = nx if n is None else n
+    if n < nx:
+        raise ValueError(f"n = {n} is shorter than the {nx} input samples")
     nb = -(-n // m)
-    padded = np.zeros(p + nb * m)
-    padded[p:p + n] = x
-    state = np.empty((nb, m + 2 * p))
+    # the blocks whose state holds an input: block k reads x[km - p:(k + 1)m]
+    nbx = min(nb, -(-(nx + p) // m))
+    padded = np.zeros(p + nbx * m)
+    padded[p:p + nx] = x
+    state = np.empty((nbx, m + 2 * p))
     state[:, :m + p] = sliding_window_view(padded, m + p)[::m]
     del padded
     heads = state[:, :m + p] @ maps[:m + p, m - p:]
@@ -176,7 +194,39 @@ def _lfilter(b, a, x: np.ndarray) -> np.ndarray:
                 cur[np.abs(cur) < floor[k]] = 0.0
     carried = tails[1:]
     carried[np.abs(carried) < floor[:-1, None]] = 0.0
-    return (state @ maps).reshape(-1)[:n]
+    if nbx == nb:
+        return (state @ maps).reshape(-1)[:n]
+
+    # past x: carries[j] is the carry into block nbx + j s. The span costs
+    # (s - 1) p^2 m multiply-adds to build, at most the nt m p of its product
+    nt = nb - nbx
+    s = _TAIL_STEP
+    while s > 1 and (s - 1) * p > nt:
+        s //= 2
+    groups = -(-nt // s)
+    y = np.empty((nbx + groups * s) * m)
+    np.dot(state, maps, out=y[:nbx * m].reshape(nbx, m))
+    level = floor[-1]
+    carries = np.zeros((groups, p))
+    carries[0] = tails[-1] @ last + heads[-1]
+    jump = np.linalg.matrix_power(last, s)
+    rows, live = list(carries), 1
+    for j, (prev, cur) in enumerate(zip(rows, rows[1:])):
+        if not prev.any():   # a zero carry stays zero, and so do its outputs
+            break
+        np.dot(prev, jump, out=cur)
+        live += 1
+        if j % (_FLUSH_EVERY // s) == 0:
+            cur[np.abs(cur) < level] = 0.0
+    carries = carries[:live]
+    carries[np.abs(carries) < level] = 0.0
+    span = [maps[m + p:]]
+    for _ in range(1, s):
+        span.append(last @ span[-1])
+    out = y[nbx * m:].reshape(groups, s * m)
+    np.dot(carries, np.hstack(span), out=out[:live])
+    out[live:] = 0.0
+    return y[:n]
 
 
 def _loop_difference_eq(filt: LoopFilter, dt: float):
@@ -280,23 +330,27 @@ def simulate(sim: SemiclassicalSim) -> SimRecord:
 def diverges(filt: LoopFilter, dt: float, duration: float) -> bool:
     """Brute-force stability probe: drive the closed loop with an impulse and
     compare late-time to early-time energy. Independent of the Nyquist test.
-    An unstable loop may overflow to inf or nan, which counts as diverging."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+
+    The response is _lfilter's output for the one-sample input [1.0] over
+    round(duration / dt) samples, so every block after the first runs the
+    zero-input carry. A response that is not finite (an unstable loop may
+    overflow to inf or nan) or that exceeds DIVERGENCE_LIMIT counts as
+    diverging. ValueError for a non-finite or non-positive dt and for a
+    duration that is not finite or spans fewer than 4 steps."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt = {dt} must be finite and > 0")
+    if not math.isfinite(duration):
+        raise ValueError(f"duration = {duration} must be finite")
     n = int(round(duration / dt))
     if n < 4:
         raise ValueError(f"duration {duration} spans {n} < 4 steps of {dt}")
     b, a = _loop_difference_eq(filt, dt)
-    imp = np.zeros(n)
-    imp[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _lfilter(b, a, imp)
-    if not np.all(np.isfinite(y)):
+        y = np.abs(_lfilter(b, a, [1.0], n))
+    if not np.max(y) <= DIVERGENCE_LIMIT:   # also inf and nan
         return True
-    if np.max(np.abs(y)) > DIVERGENCE_LIMIT:
-        return True
-    head = np.max(np.abs(y[: n // 4])) + 1e-300
-    tail = np.max(np.abs(y[3 * n // 4:]))
+    head = np.max(y[: n // 4]) + 1e-300
+    tail = np.max(y[3 * n // 4:])
     return tail > head
 
 

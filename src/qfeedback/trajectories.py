@@ -24,8 +24,10 @@ drivers step on). With G = iH + sum r L†L / 2 over the model's collapses:
   that normalize it, and <x>_c = Tr[(c + c†) rho].
   Delayed feedback then applies the kick K_fb = I - dt F^2 / 2 eta - i theta F,
   theta = I_old dt / sqrt(eta) for the photocurrent I_old one delay earlier,
-  as a second three-block product. The drivers read I_old from the stored
-  record; step_homodyne_feedback keeps it in its delay buffer.
+  as a second three-block product to the unnormalized measured state; the
+  one division by the trace after the kick normalizes both. The drivers
+  read I_old from the stored record; step_homodyne_feedback keeps it in its
+  delay buffer.
 * jump unravelings (photon counting, finite local oscillator beta): one
   product r @ [N | e]: N rho = M0 rho M0† + dt sum_k r_k L_k rho L_k† with
   M0 = I - dt (G + beta c), and e gives Tr[J†J rho], dt times which is the
@@ -339,7 +341,8 @@ class _Kernel:
         if self.diffusive:
             # dy = sqrt(eta) <x>_c dt + dW
             dy = (self.sqrt_eta * self.dt) * out[:, 3 * n2 + 3] + noise
-            new = self._combine(out, dy)
+            # the kick's division by the trace normalizes both sandwiches
+            new = self._combine(out, dy, normalize=old is None)
             if old is not None:
                 theta = (self.dt / self.sqrt_eta) * old
                 new = self._combine(new @ self.kick, theta)
@@ -357,16 +360,18 @@ class _Kernel:
                 bad = np.where(dark, _DARK_JUMP, 0)
         return new / (new @ self.trace_row)[:, None], jump.astype(float), bad
 
-    def _combine(self, out: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """The normalized P0 rho + w P1 rho + w^2 P2 rho, with one w per
-        row, from out = r @ [P0 | P1 | P2 | t0 t1 t2 ...]: the weights
-        (1, w, w^2) divided by the trace they give, applied in one pass."""
+    def _combine(self, out: np.ndarray, w: np.ndarray,
+                 normalize: bool = True) -> np.ndarray:
+        """P0 rho + w P1 rho + w^2 P2 rho, with one w per row, from
+        out = r @ [P0 | P1 | P2 | t0 t1 t2 ...]: the weights (1, w, w^2),
+        divided by the trace they give if normalize, applied in one pass."""
         n2 = self.n2
         weights = np.ones((len(w), 3))
         weights[:, 1] = w
         weights[:, 2] = w * w
-        trace = np.einsum("bk,bk->b", weights, out[:, 3 * n2:3 * n2 + 3])
-        weights /= trace[:, None]
+        if normalize:
+            trace = np.einsum("bk,bk->b", weights, out[:, 3 * n2:3 * n2 + 3])
+            weights /= trace[:, None]
         return np.einsum("bk,bkn->bn", weights,
                          out[:, :3 * n2].reshape(len(w), 3, n2))
 

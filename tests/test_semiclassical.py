@@ -144,15 +144,19 @@ class TestDiverges:
 
     def test_decaying_impulse_response_has_no_subnormals(self):
         # criterion 4's g = -1.5, T = 0.05 loop: its exact impulse response
-        # decays through the subnormal range (about 182 000 such samples)
+        # decays through the subnormal range (about 182 000 such samples),
+        # as a full-length input and as [1.0] followed by zeros
         filt = loop.LoopFilter(-1.5, loop.SinglePole(1.0), 0.05)
         dt = 0.05 / 64.0
         impulse = np.zeros(int(round(400.0 / dt)))
         impulse[0] = 1.0
-        y = sc._lfilter(*sc._loop_difference_eq(filt, dt), impulse)
-        subnormal = (y != 0.0) & (np.abs(y) < np.finfo(float).tiny)
-        assert not np.any(subnormal)
-        assert np.all(y[-len(y) // 4:] == 0.0)
+        b, a = sc._loop_difference_eq(filt, dt)
+        for y in (sc._lfilter(b, a, impulse),
+                  sc._lfilter(b, a, [1.0], len(impulse))):
+            assert y.shape == impulse.shape
+            subnormal = (y != 0.0) & (np.abs(y) < np.finfo(float).tiny)
+            assert not np.any(subnormal)
+            assert np.all(y[-len(y) // 4:] == 0.0)
         assert not sc.diverges(filt, dt, 400.0)
 
     def test_sampled_200_tap_agrees_with_nyquist(self):
@@ -160,11 +164,14 @@ class TestDiverges:
                                                   0.02), 0.2)
         assert sc.diverges(filt, 0.02, 400.0) == (not loop.is_stable(filt))
 
-    @pytest.mark.parametrize("dt, duration", [(0.0, 400.0), (-0.01, 400.0),
-                                              (0.01, 0.02), (0.01, 0.0)])
+    @pytest.mark.parametrize("dt, duration", [
+        (0.0, 400.0), (-0.01, 400.0), (0.01, 0.02), (0.01, 0.0),
+        (np.nan, 400.0), (0.01, np.nan), (0.01, np.inf), (np.inf, 400.0)])
     def test_bad_grid_rejected(self, dt, duration):
+        # the message names the bad argument
         filt = loop.LoopFilter(-1.0, loop.SinglePole(1.0), 0.0)
-        with pytest.raises(ValueError) as err:
+        bad = "duration" if 0.0 < dt < np.inf else "dt"
+        with pytest.raises(ValueError, match=f"^{bad} ") as err:
             sc.diverges(filt, dt, duration)
         assert type(err.value) is ValueError
 
@@ -235,6 +242,33 @@ class TestLfilter:
         if name == "unstable_impulse":
             assert 1e60 < scale < 1e80
         assert np.max(np.abs(y - ref)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name", [name for name in REFERENCE_FILTERS
+                                      if name.endswith("_impulse")])
+    def test_zero_input_tail_matches_scipy(self, name):
+        # the impulse alone, followed by len(x) - 1 zeros
+        b, a, x = REFERENCE_FILTERS[name]
+        ref = signal.lfilter(b, a, x)
+        y = sc._lfilter(b, a, [1.0], len(x))
+        assert y.shape == x.shape
+        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("length", [300, 480, 50])
+    def test_zero_input_tail_matches_padded_input(self, length):
+        # order 65, m = 256: 300 samples end inside the second block; 480
+        # also reach the p = 65 inputs the third block reads before it
+        # starts; 50 are fewer than the order
+        b, a, x = REFERENCE_FILTERS["pole_d64"]
+        assert len(a) == 66
+        short = x[:length]
+        y = sc._lfilter(b, a, short, 20000)
+        padded = sc._lfilter(b, a, np.pad(short, (0, 20000 - length)))
+        assert y.shape == (20000,)
+        assert np.max(np.abs(y - padded)) <= 1e-12 * np.max(np.abs(padded))
+
+    def test_output_shorter_than_input_rejected(self):
+        with pytest.raises(ValueError, match="shorter"):
+            sc._lfilter([0.3, 0.2], [1.0, -0.9], np.ones(10), 9)
 
     def test_ou_initial_state_folds_into_first_sample(self):
         rng = np.random.default_rng(9)

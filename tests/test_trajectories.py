@@ -390,6 +390,25 @@ class TestKernel:
             err = kernel.states(r_new[i]) - ref / np.trace(ref)
             assert np.max(np.abs(err)) < 1e-13
 
+    def test_delayed_step_matches_twice_normalized_form(self):
+        # the measured state reaches the kick unnormalized; normalizing it
+        # before the kick as well changes the step by rounding only
+        dim, dt, eta = 5, 1e-2, 0.7
+        model, f_op = self.diffusive_model(dim)
+        kernel = tj._Kernel(model, dt, eta=eta, f_op=f_op, delayed=True)
+        rng = np.random.default_rng(19)
+        dws = rng.standard_normal(8) * math.sqrt(dt)
+        currents_old = rng.standard_normal(8) / math.sqrt(dt)
+        r = kernel.rows(self.random_states(dim, 8, seed=19))
+        r_new, _, bad = kernel.step(r, dws, currents_old)
+        assert bad is None
+        out = r @ kernel.maps
+        dy = math.sqrt(eta) * dt * out[:, 3 * kernel.n2 + 3] + dws
+        measured = kernel._combine(out, dy)
+        ref = kernel._combine(measured @ kernel.kick,
+                              dt / math.sqrt(eta) * currents_old)
+        assert np.max(np.abs(r_new - ref)) < 1e-13
+
     def test_markovian_map_averages_to_feedback_master_equation(self):
         # Ito: with dy^2 -> dt, the blocks average to P0 + dt P2, which is
         # 1 + dt R(L_fb) up to dt^2 R(G . G†), so the gap shrinks as dt^2
