@@ -217,12 +217,12 @@ def _output_path(args, subcommand):
 # process loads only those
 
 
-def _run_spectra(v, omega=None):
+def _run_spectra(v):
     from . import loop
     bl = loop.FeedbackBeamline(beta=1.0, eta1=v["eta1"], eta2=v["eta2"],
                                s0x=v["s0x"], s0y=v["s0y"])
     filt = loop.LoopFilter(v["g"], loop.SinglePole(v["gamma"]), v["T"])
-    omega = np.linspace(-v["wmax"], v["wmax"], v["n"]) if omega is None else omega
+    omega = np.linspace(-v["wmax"], v["wmax"], v["n"])
     s2x = loop.in_loop_spectrum(bl, filt, omega)
     s3x = loop.out_of_loop_spectrum(bl, filt, omega)
     s2y, s3y = loop.phase_spectra(bl, omega)

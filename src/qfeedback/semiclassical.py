@@ -28,6 +28,9 @@ from .errors import (
 from .loop import FeedbackBeamline, LoopFilter, Sampled, SinglePole, Spectrum, is_stable
 
 DIVERGENCE_LIMIT = 1e6
+# the variance of a Welch estimate over K windows (periodic Hann, 50% overlap)
+# is about HANN_VARIANCE_FACTOR / K times its square
+HANN_VARIANCE_FACTOR = 1.06
 _BLOCK = 256                  # fewest samples per block of _lfilter
 _BLOCK_SCALAR = 128           # samples per block of an order-1 _lfilter
 _FLUSH = 1e-250               # _lfilter's carried outputs below this scale are 0
@@ -416,6 +419,6 @@ def estimate_psd(series: np.ndarray, dt: float, n_segments: int) -> Spectrum:
     vals = np.mean(spectra.real ** 2 + spectra.imag ** 2, axis=-2)
     vals *= dt / np.sum(window ** 2)
     omega = 2.0 * np.pi * np.fft.rfftfreq(nperseg, dt)[:keep]
-    # ~1.06/K variance factor for Hann at 50% overlap
-    stderr = vals * np.sqrt(1.06 / welch_window_count(n, n_segments))
+    stderr = vals * np.sqrt(HANN_VARIANCE_FACTOR
+                            / welch_window_count(n, n_segments))
     return Spectrum(omega, vals, stderr=stderr)

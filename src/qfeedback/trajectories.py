@@ -71,11 +71,11 @@ from .errors import EmptyDelayBuffer, JumpFromDarkState, PositivityViolation
 from .loop import Spectrum
 from .operators import LindbladModel, _vec, steady_state
 from .operators import two_time_correlation  # noqa: F401  (re-exported)
-from .semiclassical import (estimate_psd, welch_segment_length,
-                            welch_window_count)
+from .semiclassical import (HANN_VARIANCE_FACTOR, estimate_psd,
+                            welch_segment_length, welch_window_count)
 
 # every step map is completely positive: eigenvalues dip below 0 by rounding
-POSITIVITY_TOL = -1e-8
+POSITIVITY_TOL = -ops.TOL_POS
 POSITIVITY_CHECK_EVERY = 50
 
 _ROW_PAD = 8                 # products run on a multiple of this many rows
@@ -156,24 +156,36 @@ class SmeConfig:
     snapshot_every: int = 0       # 0: no state snapshots
 
     def __post_init__(self):
-        if not (self.dt > 0 and self.steps > 0):
-            raise ValueError(f"dt = {self.dt}, steps = {self.steps}: both must be > 0")
-        if not self.model.collapses or self.model.collapses[0][0] != 1.0:
-            raise ValueError("first collapse must be the monitored channel with rate 1")
-        if isinstance(self.detection, HomodyneJump):
-            if self.detection.beta ** 2 * self.dt >= 0.1:
-                raise ValueError("beta^2 dt must be < 0.1")
-        max_rate = max(r for r, _ in self.model.collapses)
-        if self.dt * max_rate >= 0.1:
-            raise ValueError("dt * max collapse rate must be < 0.1")
-        if self.feedback is not None:
-            ops._check_dims(self.model.hamiltonian, self.feedback.operator)
-            if isinstance(self.feedback.mode, Delayed):
-                ratio = self.feedback.mode.delay / self.dt
-                if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-                    raise ValueError("delay must be a positive integer multiple of dt")
-            if not isinstance(self.detection, HomodyneDiffusive):
-                raise ValueError("feedback requires diffusive homodyne detection")
+        if not self.steps > 0:
+            raise ValueError(f"steps = {self.steps} must be > 0")
+        _check_unraveling(self.model, self.dt, self.detection, self.feedback)
+        fb = self.feedback
+        if fb is not None and isinstance(fb.mode, Delayed):
+            ratio = fb.mode.delay / self.dt
+            if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+                raise ValueError("delay must be a positive integer multiple of dt")
+        if not 0 <= self.snapshot_every <= self.steps:
+            raise ValueError("snapshot_every must be in [0, steps]")
+
+
+def _check_unraveling(model: LindbladModel, dt: float, detection: Detection,
+                      feedback: Optional[Feedback] = None) -> None:
+    """The checks an unraveling must pass at step dt, beyond those of its
+    detection and feedback objects: the monitored channel, the step small
+    against every rate and beta^2, and a feedback operator of the model's
+    dimension under diffusive detection."""
+    if not dt > 0:
+        raise ValueError(f"dt = {dt} must be > 0")
+    if not model.collapses or model.collapses[0][0] != 1.0:
+        raise ValueError("first collapse must be the monitored channel with rate 1")
+    if isinstance(detection, HomodyneJump) and detection.beta ** 2 * dt >= 0.1:
+        raise ValueError("beta^2 dt must be < 0.1")
+    if dt * max(r for r, _ in model.collapses) >= 0.1:
+        raise ValueError("dt * max collapse rate must be < 0.1")
+    if feedback is not None:
+        ops._check_dims(model.hamiltonian, feedback.operator)
+        if not isinstance(detection, HomodyneDiffusive):
+            raise ValueError("feedback requires diffusive homodyne detection")
 
 
 @dataclass
@@ -218,14 +230,17 @@ class _Kernel:
     against `jump` for the rows that detect, gathered into a block padded to
     a multiple of _ROW_PAD rows. Each map carries zero columns up to a
     multiple of _COL_PAD.
+
+    The unraveling is read from the detection and feedback objects of
+    SmeConfig (photon counting as beta = 0). The kernel checks nothing
+    itself: SmeConfig and _step_kernel run _check_unraveling first.
     """
 
-    def __init__(self, model: LindbladModel, dt: float,
-                 eta: Optional[float] = None, beta: float = 0.0,
-                 f_op: Optional[np.ndarray] = None, delayed: bool = False):
+    def __init__(self, model: LindbladModel, dt: float, detection: Detection,
+                 feedback: Optional[Feedback] = None):
         dim = model.dim
         self.dim, self.n2, self.dt = dim, dim * dim, dt
-        self.diffusive = eta is not None
+        self.diffusive = isinstance(detection, HomodyneDiffusive)
         # coordinates: Re rho_ij (i >= j), then Im rho_ij (i > j), both in
         # column-stacked order; `gather` indexes them in the float view of a
         # (d, d) complex array, `scatter` and `sign` rebuild that float view
@@ -251,6 +266,8 @@ class _Kernel:
                           for rate, op in model.collapses[1:])
         self.kick = None
         if not self.diffusive:
+            # photon counting is the jump unraveling with beta = 0
+            beta = detection.beta if isinstance(detection, HomodyneJump) else 0.0
             m0 = eye - dt * (_no_jump_generator(model) + beta * c)
             jump = c + beta * eye
             # [N | e]: the no-jump map and Tr[J†J rho]
@@ -260,12 +277,14 @@ class _Kernel:
             self.jump = _padded(self.real_map(ops.sprepost(jump, jump.conj().T)))
             self.idle_noise = np.inf            # a uniform draw that never jumps
             return
+        eta = detection.eta
         self.sqrt_eta = math.sqrt(eta)
         k1, generator = self.sqrt_eta * c, model
-        if f_op is not None and delayed:
+        f_op = None if feedback is None else feedback.operator
+        if feedback is not None and isinstance(feedback.mode, Delayed):
             self.kick = _padded(*self._kraus_blocks(
                 eye - dt / (2 * eta) * f_op @ f_op, -1j * f_op))
-        elif f_op is not None:
+        elif feedback is not None:
             # the Markovian feedback SME averages to the feedback master
             # equation; the feedback enters K1 = sqrt(eta) c - iF / sqrt(eta)
             generator = feedback_master_equation(model, f_op, eta)
@@ -317,16 +336,6 @@ class _Kernel:
     def expect_col(self, op: np.ndarray) -> np.ndarray:
         """The column e with r @ e = Tr[op states(r)]."""
         return self._on_basis(_vec(op.T)).real  # Tr[op M] = vec(op^T).vec(M)
-
-    @classmethod
-    def for_config(cls, config: SmeConfig) -> "_Kernel":
-        det, fb = config.detection, config.feedback
-        if not isinstance(det, HomodyneDiffusive):
-            beta = det.beta if isinstance(det, HomodyneJump) else 0.0
-            return cls(config.model, config.dt, beta=beta)
-        return cls(config.model, config.dt, eta=det.eta,
-                   f_op=None if fb is None else fb.operator,
-                   delayed=fb is not None and isinstance(fb.mode, Delayed))
 
     def step(self, r: np.ndarray, noise: np.ndarray, old=None):
         """Advance the rows r by one step and renormalize them.
@@ -428,19 +437,22 @@ def _array_key(a: np.ndarray) -> tuple:
     return a.dtype.str, a.shape, a.tobytes()
 
 
-def _step_kernel(model: LindbladModel, dt: float, **maps) -> _Kernel:
-    """The _Kernel(model, dt, **maps) of a step_* call, built once per
-    (operators by value, dt, detection, F) and reused by later calls."""
+def _step_kernel(model: LindbladModel, dt: float, detection: Detection,
+                 feedback: Optional[Feedback] = None) -> _Kernel:
+    """The _Kernel of a step_* call, checked like SmeConfig and built once
+    per (operators by value, dt, detection, F and its mode's type), then
+    reused by later calls; a cached key was valid when it was built."""
     key = (_array_key(model.hamiltonian),
            tuple((rate, _array_key(op)) for rate, op in model.collapses), dt,
-           tuple((k, _array_key(v) if isinstance(v, np.ndarray) else v)
-                 for k, v in sorted(maps.items())))
+           detection, None if feedback is None else (
+               _array_key(feedback.operator), type(feedback.mode)))
     with _STEP_KERNELS_LOCK:
         kernel = _STEP_KERNELS.get(key)
         if kernel is None:
+            _check_unraveling(model, dt, detection, feedback)
             if len(_STEP_KERNELS) >= _STEP_KERNELS_MAX:
                 del _STEP_KERNELS[next(iter(_STEP_KERNELS))]  # oldest first
-            kernel = _STEP_KERNELS[key] = _Kernel(model, dt, **maps)
+            kernel = _STEP_KERNELS[key] = _Kernel(model, dt, detection, feedback)
     return kernel
 
 
@@ -456,7 +468,7 @@ def step_homodyne_jump(rho_c: np.ndarray, model: LindbladModel, beta: float,
                        dt: float, rng: Generator):
     """Jump unraveling with the local oscillator folded into the jump operator
     c + beta; detection rate Tr[(beta^2 + beta x + c†c) rho] dt."""
-    kernel = _step_kernel(model, dt, beta=beta)
+    kernel = _step_kernel(model, dt, HomodyneJump(beta))
     rho, record = kernel.step_one(rho_c, rng.random())
     return rho, int(record)
 
@@ -468,8 +480,8 @@ def step_homodyne_diffusive(rho_c: np.ndarray, model: LindbladModel, eta: float,
     K = I - dt (iH + c†c/2) + dy sqrt(eta) c, dy = sqrt(eta) <x>_c dt + dW,
     dW ~ Normal(0, dt), and I = dy / dt. It averages to the master equation.
     """
-    dw = rng.standard_normal() * math.sqrt(dt)
-    return _step_kernel(model, dt, eta=eta).step_one(rho_c, dw)
+    kernel = _step_kernel(model, dt, HomodyneDiffusive(eta))
+    return kernel.step_one(rho_c, rng.standard_normal() * math.sqrt(dt))
 
 
 def step_homodyne_feedback(rho_c: np.ndarray, model: LindbladModel,
@@ -491,12 +503,13 @@ def step_homodyne_feedback(rho_c: np.ndarray, model: LindbladModel,
     delayed = delay_buffer is not None
     if delayed and (delay_buffer.maxlen is None or delay_buffer.maxlen < 1):
         raise EmptyDelayBuffer("delay buffer must have maxlen = T/dt >= 1")
-    f_op = Feedback(f_op).operator          # complex, checked Hermitian
+    mode = Delayed(delay_buffer.maxlen * dt) if delayed else Markovian()
+    kernel = _step_kernel(model, dt, HomodyneDiffusive(eta),
+                          Feedback(f_op, mode))
     dw = rng.standard_normal() * math.sqrt(dt)
     old = None
     if delayed and len(delay_buffer) == delay_buffer.maxlen:
         old = delay_buffer[0]
-    kernel = _step_kernel(model, dt, eta=eta, f_op=f_op, delayed=delayed)
     rho, i_sample = kernel.step_one(rho_c, dw, old)
     if delayed:
         delay_buffer.append(i_sample)
@@ -518,11 +531,7 @@ def feedback_master_equation(model: LindbladModel, f_op: np.ndarray,
     H' = H + (c†F + Fc)/2; collapses become (1, c - iF) plus, for imperfect
     detection, ((1-eta)/eta, F); extra collapses pass through untouched.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must be in (0, 1]")
-    f_op = np.asarray(f_op, dtype=complex)
-    if not ops.is_hermitian(f_op):
-        raise ValueError("feedback operator must be Hermitian")
+    eta, f_op = HomodyneDiffusive(eta).eta, Feedback(f_op).operator
     c = model.collapses[0][1]
     cd = c.conj().T
     h = model.hamiltonian + 0.5 * (cd @ f_op + f_op @ c)
@@ -554,9 +563,9 @@ def in_loop_correlation_spectrum(model_fb: LindbladModel, c: np.ndarray,
     With corrected=False the -iF/eta insertion is dropped (the naive
     normally-ordered formula, kept for comparison; it is wrong in a loop).
     """
+    eta, f_op = HomodyneDiffusive(eta).eta, Feedback(f_op).operator
     omega_grid = np.asarray(omega_grid, dtype=float)
     c = np.asarray(c, dtype=complex)
-    f_op = np.asarray(f_op, dtype=complex)
     rho_ss = steady_state(model_fb)
     cd = c.conj().T
     if corrected:
@@ -585,8 +594,6 @@ def _integrate(kernel: _Kernel, config: SmeConfig, rho0: np.ndarray, seeds):
     failure codes (B,), 0 for a trajectory that succeeded.
     """
     dt, n, snap = config.dt, config.steps, config.snapshot_every
-    if not 0 <= snap <= n:
-        raise ValueError("snapshot_every must be in [0, steps]")
     b_sz = len(seeds)
     rows = -(-b_sz // _ROW_PAD) * _ROW_PAD
     r0 = kernel.rows(rho0)
@@ -658,7 +665,7 @@ def run_trajectory(config: SmeConfig, rho0: np.ndarray,
     seed is given. A failed trajectory raises its failure (PositivityViolation
     or JumpFromDarkState)."""
     ops.validate_density_matrix(np.asarray(rho0, dtype=complex))
-    kernel = _Kernel.for_config(config)
+    kernel = _Kernel(config.model, config.dt, config.detection, config.feedback)
     seeds = [config.seed if seed is None else seed]
     records, snaps, codes = _integrate(kernel, config, rho0, seeds)
     if codes[0]:
@@ -694,7 +701,7 @@ def run_ensemble(config: SmeConfig, n_traj: int, rho0: np.ndarray,
     if config.snapshot_every < 1:
         raise ValueError("run_ensemble needs snapshot_every >= 1")
     ops.validate_density_matrix(np.asarray(rho0, dtype=complex))
-    kernel = _Kernel.for_config(config)
+    kernel = _Kernel(config.model, config.dt, config.detection, config.feedback)
     if kernel.diffusive:
         welch_segment_length(config.steps, psd_segments)
     seeds = [config.seed ^ i for i in range(n_traj)]
@@ -722,9 +729,9 @@ def run_ensemble(config: SmeConfig, n_traj: int, rho0: np.ndarray,
                              psd_segments)
             total = total + s.values.sum(axis=0)
         mean = total / len(ok)
-        windows = welch_window_count(config.steps, psd_segments)
+        windows = welch_window_count(config.steps, psd_segments) * len(ok)
         psd = Spectrum(s.omega, mean,
-                       stderr=mean * np.sqrt(1.06 / (windows * len(ok))))
+                       stderr=mean * np.sqrt(HANN_VARIANCE_FACTOR / windows))
     return EnsembleSummary(
         state_times=_state_times(config),
         mean_states=kernel.states(good.mean(axis=0)),

@@ -44,6 +44,60 @@ class _ForcedRng:
         return 0.0
 
 
+def _rate_two_atom():
+    return ops.LindbladModel(np.zeros((2, 2), dtype=complex),
+                             ((2.0, ops.sigma_minus()),))
+
+
+_RHO = ops.fock_dm(2, 1)
+_F = 0.1 * ops.sigma_y()
+
+# a step_* call that SmeConfig would reject, and the SmeConfig of the same
+# unraveling: the step must raise the config's error
+_REJECTED_STEPS = {
+    "diffusive eta=1.5": (
+        lambda rng: tj.step_homodyne_diffusive(_RHO, atom(), 1.5, 1e-3, rng),
+        lambda: config(atom(), tj.HomodyneDiffusive(1.5))),
+    "diffusive eta=0": (
+        lambda rng: tj.step_homodyne_diffusive(_RHO, atom(), 0.0, 1e-3, rng),
+        lambda: config(atom(), tj.HomodyneDiffusive(0.0))),
+    "diffusive eta=-0.5": (
+        lambda rng: tj.step_homodyne_diffusive(_RHO, atom(), -0.5, 1e-3, rng),
+        lambda: config(atom(), tj.HomodyneDiffusive(-0.5))),
+    "delayed feedback eta=0": (
+        lambda rng: tj.step_homodyne_feedback(_RHO, atom(), _F, 0.0, 1e-3, rng,
+                                              deque(maxlen=2)),
+        lambda: config(atom(), tj.HomodyneDiffusive(0.0),
+                       feedback=tj.Feedback(_F, tj.Delayed(2e-3)))),
+    "jump beta=-1": (
+        lambda rng: tj.step_homodyne_jump(_RHO, atom(), -1.0, 1e-3, rng),
+        lambda: config(atom(), tj.HomodyneJump(-1.0))),
+    "jump beta=nan": (
+        lambda rng: tj.step_homodyne_jump(_RHO, atom(), math.nan, 1e-3, rng),
+        lambda: config(atom(), tj.HomodyneJump(math.nan))),
+    "jump beta^2 dt=0.4": (
+        lambda rng: tj.step_homodyne_jump(_RHO, atom(), 20.0, 1e-3, rng),
+        lambda: config(atom(), tj.HomodyneJump(20.0), dt=1e-3)),
+    "counting dt=0.5": (
+        lambda rng: tj.step_photon_counting(_RHO, atom(), 0.5, rng),
+        lambda: config(atom(), tj.PhotonCounting(), dt=0.5)),
+    "counting dt=0": (
+        lambda rng: tj.step_photon_counting(_RHO, atom(), 0.0, rng),
+        lambda: config(atom(), tj.PhotonCounting(), dt=0.0)),
+    "counting dt=-1e-3": (
+        lambda rng: tj.step_photon_counting(_RHO, atom(), -1e-3, rng),
+        lambda: config(atom(), tj.PhotonCounting(), dt=-1e-3)),
+    "monitored rate 2": (
+        lambda rng: tj.step_photon_counting(_RHO, _rate_two_atom(), 1e-3, rng),
+        lambda: config(_rate_two_atom(), tj.PhotonCounting())),
+    "3x3 F on a 2x2 model": (
+        lambda rng: tj.step_homodyne_feedback(_RHO, atom(), ops.quad_y(3),
+                                              0.8, 1e-3, rng),
+        lambda: config(atom(), tj.HomodyneDiffusive(0.8),
+                       feedback=tj.Feedback(ops.quad_y(3)))),
+}
+
+
 class TestConfigValidation:
     def test_first_collapse_rate(self):
         model = ops.LindbladModel(np.zeros((2, 2), dtype=complex),
@@ -68,9 +122,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("every", [-1, 101])
     def test_snapshot_every_within_steps(self, every):
-        cfg = config(atom(), tj.PhotonCounting(), snapshot_every=every)
         with pytest.raises(ValueError, match="snapshot_every"):
-            tj.run_trajectory(cfg, ops.fock_dm(2, 1))
+            config(atom(), tj.PhotonCounting(), snapshot_every=every)
 
     def test_delay_must_be_multiple_of_dt(self):
         fb = tj.Feedback(0.1 * ops.sigma_y(), tj.Delayed(delay=1.5e-3))
@@ -85,6 +138,16 @@ class TestConfigValidation:
     def test_feedback_operator_hermitian(self):
         with pytest.raises(ValueError):
             tj.Feedback(1j * np.eye(2))
+
+    @pytest.mark.parametrize("case", list(_REJECTED_STEPS))
+    def test_step_rejects_what_config_rejects(self, case):
+        step, build = _REJECTED_STEPS[case]
+        with pytest.raises(ValueError) as want:
+            build()
+        with pytest.raises(ValueError) as got:
+            step(Generator(Philox(key=1)))
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 class TestSingleSteps:
@@ -214,7 +277,7 @@ class TestKernel:
         eps = 1e-15
         rows = [ops.fock_dm(2, 1), np.diag([1.0 - eps, eps]), ops.fock_dm(2, 0),
                 0.5 * np.eye(2)] * 2
-        kernel = tj._Kernel(atom(), 1e-3)
+        kernel = tj._Kernel(atom(), 1e-3, tj.PhotonCounting())
         r = kernel.rows(np.array(rows))
         noise = np.zeros(len(rows))          # every emitting row jumps
         r_new, record, bad = kernel.step(r, noise)
@@ -229,7 +292,8 @@ class TestKernel:
         rng = np.random.default_rng(3)
         rhos = [ops.fock_dm(4, k % 4) for k in range(9)]
         dws = rng.standard_normal(9) * math.sqrt(1e-3)
-        kernel = tj._Kernel(cavity(4), 1e-3, eta=0.8, f_op=f_op)
+        kernel = tj._Kernel(cavity(4), 1e-3, tj.HomodyneDiffusive(0.8),
+                            tj.Feedback(f_op))
         r = kernel.rows(np.array(rhos + [rhos[0]] * 7))
         r_new, record, _ = kernel.step(r, np.concatenate([dws, np.zeros(7)]))
         for i, (rho, dw) in enumerate(zip(rhos, dws)):
@@ -258,7 +322,7 @@ class TestKernel:
         # the detecting rows are gathered into a padded block (5 rows -> 8,
         # 10 -> 16) and scattered back; every row matches its lone step
         rhos = self.random_states(4, 16, seed=5)
-        kernel = tj._Kernel(self.jump_model(4), 1e-3, beta=beta)
+        kernel = tj._Kernel(self.jump_model(4), 1e-3, tj.HomodyneJump(beta))
         noise = np.full(16, np.inf)
         noise[list(jumpers)] = 0.0
         r_new, record, bad = kernel.step(kernel.rows(rhos), noise)
@@ -285,7 +349,7 @@ class TestKernel:
             0.5 * k * op.conj().T @ op for k, op in unmonitored))
         jump = c + beta * np.eye(dim)
         rhos = self.random_states(dim, 8, seed=9)
-        kernel = tj._Kernel(model, dt, beta=beta)
+        kernel = tj._Kernel(model, dt, tj.HomodyneJump(beta))
         r = kernel.rows(rhos)
         no_jump, _, _ = kernel.step(r, np.full(8, np.inf))
         jumped, record, _ = kernel.step(r, np.zeros(8))
@@ -311,7 +375,7 @@ class TestKernel:
         g = rng.standard_normal((7, dim, dim)) + 1j * rng.standard_normal(
             (7, dim, dim))
         herm = g + g.conj().transpose(0, 2, 1)
-        kernel = tj._Kernel(cavity(dim), 1e-3)
+        kernel = tj._Kernel(cavity(dim), 1e-3, tj.PhotonCounting())
         r = kernel.rows(herm)
         assert r.shape == (7, dim * dim) and r.dtype == np.float64
         assert np.array_equal(kernel.states(r), herm)
@@ -346,7 +410,8 @@ class TestKernel:
         k0, k1 = np.eye(dim) - dt * g, se * c - (1j / se) * f_op
         rhos = self.random_states(dim, 8, seed=13)
         dws = np.random.default_rng(13).standard_normal(8) * math.sqrt(dt)
-        kernel = tj._Kernel(model, dt, eta=eta, f_op=f_op)
+        kernel = tj._Kernel(model, dt, tj.HomodyneDiffusive(eta),
+                            tj.Feedback(f_op))
         r_new, record, bad = kernel.step(kernel.rows(rhos), dws)
         assert bad is None
         for rho, dw, row, rec in zip(rhos, dws, r_new, record):
@@ -376,7 +441,8 @@ class TestKernel:
         dws, dws_old = rng.standard_normal((2, 8)) * math.sqrt(dt)
         xbars_old = rng.standard_normal(8)
         currents_old = se * xbars_old + dws_old / dt
-        kernel = tj._Kernel(model, dt, eta=eta, f_op=f_op, delayed=True)
+        kernel = tj._Kernel(model, dt, tj.HomodyneDiffusive(eta),
+                            tj.Feedback(f_op, tj.Delayed(dt)))
         r_new, _, bad = kernel.step(kernel.rows(rhos), dws, currents_old)
         assert bad is None
         for i, rho in enumerate(rhos):
@@ -395,7 +461,8 @@ class TestKernel:
         # before the kick as well changes the step by rounding only
         dim, dt, eta = 5, 1e-2, 0.7
         model, f_op = self.diffusive_model(dim)
-        kernel = tj._Kernel(model, dt, eta=eta, f_op=f_op, delayed=True)
+        kernel = tj._Kernel(model, dt, tj.HomodyneDiffusive(eta),
+                            tj.Feedback(f_op, tj.Delayed(dt)))
         rng = np.random.default_rng(19)
         dws = rng.standard_normal(8) * math.sqrt(dt)
         currents_old = rng.standard_normal(8) / math.sqrt(dt)
@@ -417,7 +484,8 @@ class TestKernel:
         liouvillian = tj.feedback_master_equation(model, f_op, eta).liouvillian
         gaps = []
         for dt in (1e-2, 1e-3):
-            kernel = tj._Kernel(model, dt, eta=eta, f_op=f_op)
+            kernel = tj._Kernel(model, dt, tj.HomodyneDiffusive(eta),
+                                tj.Feedback(f_op))
             n2 = kernel.n2
             mean = kernel.maps[:, :n2] + dt * kernel.maps[:, 2 * n2:3 * n2]
             drift = np.eye(n2) + dt * kernel.real_map(liouvillian)
@@ -429,7 +497,7 @@ class TestKernel:
         # the column-stacked Liouvillian in real coordinates acts on rows as
         # the master equation acts on matrices
         model, _ = self.diffusive_model(dim)
-        kernel = tj._Kernel(model, 1e-3, eta=0.8)
+        kernel = tj._Kernel(model, 1e-3, tj.HomodyneDiffusive(0.8))
         rng = np.random.default_rng(dim)
         g = rng.standard_normal((6, dim, dim)) + 1j * rng.standard_normal(
             (6, dim, dim))
@@ -628,6 +696,14 @@ class TestFeedbackMasterEquation:
 
 
 class TestInLoopSpectrum:
+    @pytest.mark.parametrize("eta, f_op, match", [
+        (2.0, _F, "eta must be in"), (0.0, _F, "eta must be in"),
+        (0.8, 1j * ops.sigma_x(), "Hermitian")])
+    def test_eta_and_f_checked_like_feedback(self, eta, f_op, match):
+        with pytest.raises(ValueError, match=match):
+            tj.in_loop_correlation_spectrum(atom(), ops.sigma_minus(), f_op,
+                                            eta, [0.0, 1.0])
+
     def test_f_zero_vacuum_is_shot_noise(self):
         model = cavity(3)
         f0 = np.zeros((3, 3))
@@ -691,9 +767,9 @@ class TestInLoopSpectrum:
 
 
 class TestEnsembleContract:
-    def cfg(self, seed=42, steps=200):
+    def cfg(self, seed=42, steps=200, snapshot_every=100):
         return config(atom(), tj.HomodyneDiffusive(0.8), dt=2e-3, steps=steps,
-                      seed=seed, snapshot_every=100)
+                      seed=seed, snapshot_every=snapshot_every)
 
     def test_single_trajectory_determinism(self):
         a = tj.run_trajectory(self.cfg(), ops.fock_dm(2, 1))
@@ -800,7 +876,7 @@ class TestEnsembleContract:
         calls = []
         monkeypatch.setattr(tj, "_integrate",
                             lambda *args: calls.append(args))
-        cfg = self.cfg(steps=30)
+        cfg = self.cfg(steps=30, snapshot_every=30)
         with pytest.raises(TooShort, match="30 samples"):
             tj.run_ensemble(cfg, 4, ops.fock_dm(2, 1), psd_segments=8)
         assert calls == []
