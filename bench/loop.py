@@ -11,6 +11,12 @@ Timings per side and round:
   benchmark workload (g = -3, h_k = exp(-0.02 k), dt = 0.02, T = 0.2);
 - `qnd_default_s`: `is_stable` on the QND pair loop with the defaults of
   `qfeedback qnd` (kappa = gamma_m = 1, chi = 2, g = -10, gamma_f = 0.05);
+- `beyond_big_s`: `is_stable` on four loops whose contour cut 2|g|·ft_bound
+  lies beyond `big` = 100·max(rate, 1, 1/T) (rate gamma or 1/dt), where a
+  contour truncated at `big` stops short of it: the single pole gamma = 3.2,
+  T = 4.4, g = -301; the `Sampled` taps [1, 0.5, 0.25] at dt = 0.02 with
+  T = 0.1, g = -80; the one-tap box at dt = 0.02 with T = 0, g = -30; and
+  the QND pair of `qnd_default_s` with gamma_f = 1, g = -1e4;
 - `cli_s` and `cli_rss_mb`: a fresh `python -m qfeedback stability` with
   default settings, wall time and peak resident memory of that process.
 
@@ -40,7 +46,7 @@ import time
 import _ab
 
 IN_PROCESS = ("stability_grid_s", "criterion4_map_s", "sampled_200_s",
-              "qnd_default_s")
+              "qnd_default_s", "beyond_big_s")
 METRICS = IN_PROCESS + ("cli_s", "cli_rss_mb", "import_s")
 GAINS = (-12.0, -8.0, -4.0, -1.5, -0.8, 0.5, 1.5, 3.0, 6.0, 10.0)
 CONFIGS = ((1.0, 1.0), (0.1, 1.0), (1.0, 0.3), (2.0, 0.2), (1.0, 0.05))
@@ -71,8 +77,15 @@ def worker(repeats: int) -> None:
         -3.0, loop.Sampled(np.exp(-0.02 * np.arange(200)), 0.02), 0.2), None)]
     pair = qnd.QndParams(1.0, 1.0, 2.0).pair_response
     qnd_case = [(loop.LoopFilter(-10.0, loop.SinglePole(0.05), 0.0), pair)]
+    beyond = [
+        (loop.LoopFilter(-301.0, loop.SinglePole(3.2), 4.4), None),
+        (loop.LoopFilter(-80.0, loop.Sampled([1.0, 0.5, 0.25], 0.02), 0.1),
+         None),
+        (loop.LoopFilter(-30.0, loop.Sampled([1.0], 0.02), 0.0), None),
+        (loop.LoopFilter(-1e4, loop.SinglePole(1.0), 0.0), pair)]
     cases = {"stability_grid_s": grid, "criterion4_map_s": cmap,
-             "sampled_200_s": sampled, "qnd_default_s": qnd_case}
+             "sampled_200_s": sampled, "qnd_default_s": qnd_case,
+             "beyond_big_s": beyond}
     out = {"import_s": import_s}
     for name, group in cases.items():
         out[name] = _ab.best_of(lambda: decisions(group), repeats)

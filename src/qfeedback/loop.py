@@ -37,9 +37,9 @@ class SinglePole:
         return self.gamma / (self.gamma + 1j * np.asarray(omega, dtype=float))
 
     @property
-    def fastest_rate(self) -> float:
-        """gamma; |h~(omega)| = gamma / |gamma + i omega| <= 2 gamma / |omega|,
-        the bound the Nyquist contour cut relies on."""
+    def ft_bound(self) -> float:
+        """gamma = sup over omega of |omega h~(omega)| = gamma |omega| /
+        |gamma + i omega|, the bound the Nyquist contour cut relies on."""
         return self.gamma
 
 
@@ -72,18 +72,29 @@ class Sampled:
         small = np.abs(omega) * self.dt < 1e-12
         if np.any(small):
             out[small] = self.h.sum() * self.dt
-        big = ~small
-        if np.any(big):
-            z = np.exp(-1j * omega[big] * self.dt)
-            out[big] = (1 - z) / (1j * omega[big]) * np.polyval(self.h[::-1], z)
+        rest = ~small
+        if np.any(rest):
+            z = np.exp(-1j * omega[rest] * self.dt)
+            out[rest] = ((1 - z) / (1j * omega[rest])
+                         * np.polyval(self.h[::-1], z))
         return out[0] if scalar else out
 
     @property
-    def fastest_rate(self) -> float:
-        """1 / dt; |1 - z| <= 2 and sum_k h_k = 1 / dt give
-        |h~(omega)| <= 2 / (dt |omega|), the bound the Nyquist contour cut
-        relies on."""
-        return 1.0 / self.dt
+    def ft_bound(self) -> float:
+        """An upper bound on sup over omega of |omega h~(omega)|, the bound
+        the Nyquist contour cut relies on.
+
+        |omega h~(omega)| = |(1 - z) P(z)| with P(z) = sum_k h_k z^k on the
+        unit circle, a trigonometric polynomial of degree N = len(h). Its
+        maximum on n = 64 (N + 1) equally spaced points is within
+        N pi / n of the true maximum, relatively, by Bernstein's inequality
+        |T'| <= N max |T|; dividing by 1 - N pi / n makes it an upper bound.
+        |1 - z| <= 2 and |P(z)| <= P(1) = 1 / dt cap it at 2 / dt."""
+        n_deg = len(self.h)
+        n = 64 * (n_deg + 1)
+        coeffs = np.diff(self.h, prepend=0.0, append=0.0)
+        peak = np.max(np.abs(np.fft.rfft(coeffs, n)))
+        return min(peak / (1.0 - n_deg * math.pi / n), 2.0 / self.dt)
 
 
 Response = Union[SinglePole, Sampled]
@@ -175,39 +186,36 @@ def _nyquist_winding(filt: LoopFilter, extra=None):
 
     h(t) and the extra response are real, so L(-omega) = conj L(omega) and
     the winding over the whole axis is the phase change of (L - 1) over
-    omega >= 0 divided by pi. That half contour is sampled on a combined
-    linear + logarithmic grid and refined until the phase of (L - 1) changes
-    slowly between samples, so widely separated loop time scales are
-    resolved.
+    omega >= 0 divided by pi.
 
-    Both responses obey |h~(omega)| <= 2 fastest_rate / |omega| and
-    |extra| <= 1, so at omega >= cut = 4 |g| fastest_rate |L| <= 1/2 and
-    Re(L - 1) <= -1/2: beyond the cut the locus cannot reach or wind around
-    the critical point, and its phase change out to omega -> infinity, where
-    L -> 0, is exactly angle(-1 / (L(cut) - 1)). The grid stops at the cut
-    and adds that tail, so the total is a whole multiple of pi up to rounding
-    (the tail is at most pi/6, so the rounded count never hinges on it).
-    For |g| < 1 - CRITICAL_TOL, |L| <= |g| keeps (L - 1) in the left half
-    plane and more than CRITICAL_TOL away from 0, so the winding is 0
-    without sampling. When the cut lies beyond the grid's reach (100 times
-    the fastest of the loop's rates, 1 and 1/T), the contour stops there and
-    takes L as negligible. If the phase still jumps between samples after 30
-    refinements, raises NyquistUnresolved.
+    The response's `ft_bound` B bounds |omega h~(omega)| and |extra| <= 1,
+    so at omega >= cut = 2 |g| B, |L| <= 1/2 and Re(L - 1) <= -1/2: beyond
+    the cut the locus cannot reach or wind around the critical point, and
+    its phase change out to omega -> infinity, where L -> 0, is exactly
+    angle(-1 / (L(cut) - 1)). The contour runs from omega = 0 (so a gain
+    within CRITICAL_TOL of 1 is marginal) to the cut on a logarithmic grid
+    joined with a linear one of spacing pi / (4 lag), lag the delay plus
+    the span of a sampled response, so exp(-i omega lag) turns by pi / 4
+    between linear samples. It is refined until the phase of (L - 1)
+    changes slowly between samples, then the tail is added, so the total
+    is a whole multiple of pi up to rounding (the tail is at most pi/6, so
+    the rounded count never hinges on it). For |g| < 1 - CRITICAL_TOL,
+    |L| <= |g| keeps (L - 1) in the left half plane and more than
+    CRITICAL_TOL away from 0, so the winding is 0 without sampling. If the
+    phase still jumps between samples after 30 refinements, raises
+    NyquistUnresolved.
     """
     g = abs(filt.g)
     if g < 1.0 - CRITICAL_TOL:
         return 0
-    rate = filt.response.fastest_rate
-    rates = [rate, 1.0]
-    if filt.delay_T > 0:
-        rates.append(1.0 / filt.delay_T)
-    big = 100.0 * max(rates)
-    top = min(4.0 * g * rate, big)
-    step = big / ((1 << 15) - 1)
-    lin = step * np.arange(math.ceil(top / step))
-    logs = np.geomspace(big * 1e-9, big, 3000)
-    omegas = np.unique(np.concatenate([lin[lin < top], logs[logs < top],
-                                       [top]]))
+    resp = filt.response
+    cut = 2.0 * g * resp.ft_bound
+    lag = filt.delay_T
+    if isinstance(resp, Sampled):
+        lag += len(resp.h) * resp.dt
+    lin = np.arange(0.0, cut, math.pi / (4.0 * lag)) if lag > 0 else []
+    omegas = np.unique(np.concatenate(
+        [[0.0], lin, np.geomspace(cut * 1e-9, cut, 3000)]))
 
     def locus(om):
         return loop_transfer(filt, om, extra) - 1.0
@@ -226,9 +234,7 @@ def _nyquist_winding(filt: LoopFilter, extra=None):
         z = locus(omegas)
     else:
         raise NyquistUnresolved("Nyquist contour failed to converge")
-    total = np.sum(np.angle(z[1:] / z[:-1]))
-    if top < big:
-        total += np.angle(-1.0 / z[-1])
+    total = np.sum(np.angle(z[1:] / z[:-1])) + np.angle(-1.0 / z[-1])
     return int(round(total / math.pi))
 
 
@@ -238,9 +244,12 @@ def is_stable(filt: LoopFilter, extra=None) -> bool:
     The open loop is stable (causal normalized response), so closed-loop
     stability is equivalent to zero winding of the locus around +1.
 
-    extra, if given, multiplies the loop transfer and must be the Fourier
-    transform of a nonnegative unit-area response (|extra| <= 1): the
-    contour cut of `_nyquist_winding` is proven only under that bound.
+    The winding is counted on a contour that runs to the cut
+    2 |g| ft_bound, past which the locus provably cannot wind, and adds the
+    exact phase change beyond it. extra, if given, multiplies the loop
+    transfer and must be the Fourier transform of a nonnegative unit-area
+    response (|extra| <= 1): the contour cut of `_nyquist_winding` is
+    proven only under that bound.
     extra(0) must be 1 to within 1e-12, else ValueError.
     """
     if extra is not None and abs(extra(0.0) - 1.0) > 1e-12:

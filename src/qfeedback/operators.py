@@ -35,10 +35,6 @@ def destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
 
 
-def create(dim: int) -> np.ndarray:
-    return destroy(dim).conj().T
-
-
 def number(dim: int) -> np.ndarray:
     return np.diag(np.arange(dim, dtype=float)).astype(complex)
 

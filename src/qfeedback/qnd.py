@@ -41,8 +41,6 @@ class QndParams:
 class QndFeedbackParams:
     qnd: QndParams
     filter: LoopFilter
-    s_in_x: float = 1.0
-    s_in_y: float = 1.0
 
 
 def quadrature_transfer(params: QndParams, omega):
@@ -81,11 +79,11 @@ def qnd_feedback_output_spectra(params: QndFeedbackParams, omega_grid,
     """Output spectra of the squeezed free beam produced by feeding back the
     QND readout:
 
-        S_out_x = (S_in_x + g^2 / Q^2) / |1 - g p~ h~ e^{-i omega T}|^2
-        S_out_y = S_in_y + |Q p~|^2
+        S_out_x = (1 + g^2 / Q^2) / |1 - g p~ h~ e^{-i omega T}|^2
+        S_out_y = 1 + |Q p~|^2
 
-    The effective loop response is the electronic filter times the
-    two-cavity pair response p~.
+    for vacuum inputs (unit spectra). The effective loop response is the
+    electronic filter times the two-cavity pair response p~.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     filt = params.filter
@@ -94,9 +92,9 @@ def qnd_feedback_output_spectra(params: QndFeedbackParams, omega_grid,
     q = params.qnd.q_factor
     lt = loop_transfer(filt, omega_grid, extra=params.qnd.pair_response)
     den = np.abs(1.0 - lt) ** 2
-    sx = (params.s_in_x + filt.g ** 2 / q ** 2) / den
+    sx = (1.0 + filt.g ** 2 / q ** 2) / den
     p = params.qnd.pair_response(omega_grid)
-    sy = params.s_in_y + np.abs(q * p) ** 2
+    sy = 1.0 + np.abs(q * p) ** 2
     return Spectrum(omega_grid, sx), Spectrum(omega_grid, sy)
 
 

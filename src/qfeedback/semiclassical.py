@@ -71,6 +71,9 @@ class SemiclassicalSim:
     classical_noise: Optional[ClassicalNoise] = None
 
     def __post_init__(self):
+        if not isinstance(self.filter.response, SinglePole):
+            raise ValueError("the simulation runs single-pole loops only; "
+                             "a sampled response runs in diverges")
         if not self.dt > 0:
             raise ValueError(f"dt = {self.dt} must be > 0")
         slowest = self._slowest_time()
@@ -86,18 +89,13 @@ class SemiclassicalSim:
             raise DegenerateSplit("eta2 must be > 0 for the in-loop detector")
 
     def _slowest_time(self) -> float:
-        times = [1.0 / self.filter.response.fastest_rate]
-        if self.filter.delay_T > 0:
-            times.append(self.filter.delay_T)
-        if self.classical_noise is not None:
-            times.append(1.0 / self.classical_noise.pole)
-        return max(times)
+        noise = self.classical_noise
+        return max(1.0 / self.filter.response.gamma, self.filter.delay_T,
+                   1.0 / noise.pole if noise is not None else 0.0)
 
     def _fast_time(self) -> float:
-        times = [1.0 / self.filter.response.fastest_rate]
-        if self.filter.delay_T > 0:
-            times.append(self.filter.delay_T)
-        return min(times)
+        return min(1.0 / self.filter.response.gamma,
+                   self.filter.delay_T or math.inf)
 
 
 @dataclass(frozen=True)

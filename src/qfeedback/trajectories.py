@@ -171,9 +171,14 @@ class SmeConfig:
 def _check_unraveling(model: LindbladModel, dt: float, detection: Detection,
                       feedback: Optional[Feedback] = None) -> None:
     """The checks an unraveling must pass at step dt, beyond those of its
-    detection and feedback objects: the monitored channel, the step small
-    against every rate and beta^2, and a feedback operator of the model's
-    dimension under diffusive detection."""
+    detection and feedback objects: that they are a Detection and a Feedback
+    or None, the monitored channel, the step small against every rate and
+    beta^2, and a feedback operator of the model's dimension under diffusive
+    detection."""
+    if not (isinstance(detection, Detection)
+            and isinstance(feedback, Optional[Feedback])):
+        raise ValueError(f"detection {detection!r} must be a Detection and "
+                         f"feedback {feedback!r} a Feedback or None")
     if not dt > 0:
         raise ValueError(f"dt = {dt} must be > 0")
     if not model.collapses or model.collapses[0][0] != 1.0:
@@ -195,11 +200,6 @@ class TrajectoryResult:
     states: Optional[np.ndarray]  # thinned conditioned states, or None
     state_times: Optional[np.ndarray] = None
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def event_times(self) -> np.ndarray:
-        """Jump times, for counting-type records."""
-        return self.times[self.record > 0.5]
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,10 @@ class TestLoopTransfer:
         assert np.max(np.abs(resp.ft(omega) - box * direct)) < 1e-12
 
     def test_high_frequency_bound(self):
-        # |omega| |h~(omega)| <= 2 fastest_rate: the bound behind the cut of
-        # the Nyquist contour
+        # |omega| |h~(omega)| <= ft_bound: the bound behind the cut of the
+        # Nyquist contour; a Sampled bound is within 1.06 of the maximum
+        # over one period of omega (it exceeds it by at most
+        # 1 / (1 - N pi / n) ~ 1.05 at n = 64 (N + 1) points)
         rng = np.random.default_rng(9)
         omega = np.concatenate([-np.geomspace(1e-3, 1e6, 400),
                                 np.geomspace(1e-3, 1e6, 400)])
@@ -73,7 +75,11 @@ class TestLoopTransfer:
             responses.append(loop.Sampled(h, 10 ** rng.uniform(-3, 0)))
         for resp in responses:
             bound = np.abs(omega) * np.abs(resp.ft(omega))
-            assert np.all(bound <= 2.0 * resp.fastest_rate * (1 + 1e-12))
+            assert np.all(bound <= resp.ft_bound * (1 + 1e-12))
+            if isinstance(resp, loop.Sampled):
+                period = np.linspace(0.0, 2.0 * np.pi / resp.dt, 1 << 16)
+                peak = np.max(period * np.abs(resp.ft(period)))
+                assert peak <= resp.ft_bound <= 1.06 * peak
 
     def test_sampled_normalization(self):
         box = loop.Sampled(np.full(100, 7.0), 0.01)
@@ -121,6 +127,17 @@ class TestIsStable:
                     assert loop.is_stable(pole_filter(g_c * (1 - eps), gamma, T))
                     assert not loop.is_stable(
                         pole_filter(g_c * (1 + eps), gamma, T))
+
+    def test_random_single_poles_match_critical_gain(self):
+        # 26 of these have the contour cut 2 |g| gamma beyond
+        # 100 max(gamma, 1, 1/T), far past the loop's own rates
+        rng = np.random.default_rng(16)
+        for _ in range(150):
+            gamma = 10 ** rng.uniform(-1.5, 1.5)
+            T = 10 ** rng.uniform(-2.0, 1.0)
+            g = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(0.0, np.log10(400))
+            g_c = self.critical_gain(gamma, T)
+            assert loop.is_stable(pole_filter(g, gamma, T)) == (g_c < g < 1)
 
     def test_unit_gain_with_delay_is_marginal(self):
         # gains within CRITICAL_TOL of 1 are marginal too, as the T = 0 shortcut

@@ -88,6 +88,16 @@ class TestSimulate:
         assert np.array_equal(rec.di2, di2[burn:])
         assert np.array_equal(rec.di3, di3[burn:])
 
+    @pytest.mark.parametrize("dt", [0.02, 0.001])
+    def test_sampled_response_rejected(self, dt):
+        # at dt = 0.02 the grid would be too coarse for the response and at
+        # dt = 0.001 not its own: rejected once, for the response itself
+        bl = loop.FeedbackBeamline(beta=1.0, eta1=1.0, eta2=0.5)
+        filt = loop.LoopFilter(-1.0, loop.Sampled(np.ones(10), 0.02), 0.0)
+        with pytest.raises(ValueError, match="single-pole loops only"):
+            sc.SemiclassicalSim(beamline=bl, filter=filt, dt=dt,
+                                duration=400.0, seed=1)
+
     def test_noise_cross_independence(self):
         rec = sc.simulate(make_sim(g=0.0, eta1=0.0, seed=5))
         r = np.corrcoef(rec.di2, rec.di3)[0, 1]
@@ -162,6 +172,13 @@ class TestDiverges:
     def test_sampled_200_tap_agrees_with_nyquist(self):
         filt = loop.LoopFilter(-3.0, loop.Sampled(np.exp(-0.02 * np.arange(200)),
                                                   0.02), 0.2)
+        assert sc.diverges(filt, 0.02, 400.0) == (not loop.is_stable(filt))
+
+    def test_sampled_loop_cut_far_past_its_rates(self):
+        # the Nyquist cut 2 |g| ft_bound lies beyond 100 max(1/dt, 1, 1/T)
+        filt = loop.LoopFilter(-80.0, loop.Sampled([1.0, 0.5, 0.25], 0.02),
+                               0.1)
+        assert 2.0 * 80.0 * filt.response.ft_bound > 100.0 / 0.02
         assert sc.diverges(filt, 0.02, 400.0) == (not loop.is_stable(filt))
 
     @pytest.mark.parametrize("dt, duration", [

@@ -135,6 +135,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             config(atom(), tj.PhotonCounting(), feedback=fb)
 
+    @pytest.mark.parametrize("detection, feedback", [
+        (None, None), (tj.HomodyneDiffusive, None), ("x", None),
+        (tj.HomodyneDiffusive(0.8), "x"),
+        (tj.HomodyneDiffusive(0.8), 0.1 * ops.sigma_y()),
+    ])
+    def test_untyped_unraveling_rejected(self, detection, feedback):
+        with pytest.raises(ValueError, match="must be a Detection"):
+            config(atom(), detection, feedback=feedback)
+
     def test_feedback_operator_hermitian(self):
         with pytest.raises(ValueError):
             tj.Feedback(1j * np.eye(2))
