@@ -55,8 +55,8 @@ class FreeSqueezeParams:
     def __post_init__(self):
         if not 0.0 <= self.eta_mm <= 1.0:
             raise ValueError("eta_mm must be in [0, 1]")
-        if not self.big_l > 0:
-            raise ValueError(f"L = {self.big_l} must be > 0")
+        if not 0 < self.big_l < math.inf:
+            raise ValueError(f"L = {self.big_l} must be finite and > 0")
 
 
 def atom_feedback_master_equation(params: AtomLoopParams) -> LindbladModel:

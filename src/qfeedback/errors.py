@@ -95,10 +95,6 @@ class NegativePrefactor(QFeedbackError):
     """Fluorescence-spectrum prefactor is negative (out-of-domain rates)."""
 
 
-class EmptyDelayBuffer(QFeedbackError):
-    """Delayed feedback requested before the delay buffer was created."""
-
-
 class ParseError(QFeedbackError, ValueError):
     """Config file could not be parsed."""
     exit_code = 2

@@ -43,8 +43,9 @@ class Qnd:
     strength: float
 
     def __post_init__(self):
-        if not self.strength > 0:
-            raise ValueError(f"measurement strength {self.strength} must be > 0")
+        if not 0 < self.strength < math.inf:
+            raise ValueError(
+                f"measurement strength {self.strength} must be finite and > 0")
 
 
 Measurement = Union[Homodyne, Qnd]
@@ -57,8 +58,8 @@ class LinearCavityParams:
     measurement: Measurement = Homodyne(1.0)
 
     def __post_init__(self):
-        if not self.l >= 0:
-            raise ValueError(f"l = {self.l} must be >= 0")
+        if not 0 <= self.l < math.inf:
+            raise ValueError(f"l = {self.l} must be finite and >= 0")
         if not 0.0 <= self.theta <= THETA_MAX:
             raise ValueError(f"theta must be in [0, {THETA_MAX}] (below threshold)")
 

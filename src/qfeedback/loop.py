@@ -29,8 +29,8 @@ class SinglePole:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma = {self.gamma} must be > 0")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma = {self.gamma} must be finite and > 0")
 
     def ft(self, omega):
         """h~(omega) = gamma / (gamma + i omega)."""

@@ -165,8 +165,8 @@ class LindbladModel:
             raise InvalidState("Hamiltonian must be Hermitian")
         cs = []
         for rate, op in self.collapses:
-            if not rate >= 0:
-                raise InvalidState(f"collapse rate {rate} is not >= 0")
+            if not 0 <= rate < np.inf:
+                raise InvalidState(f"collapse rate {rate} is not finite and >= 0")
             op = np.asarray(op, dtype=complex)
             _check_dims(h, op)
             cs.append((float(rate), op))

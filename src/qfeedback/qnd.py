@@ -23,8 +23,9 @@ class QndParams:
 
     def __post_init__(self):
         for name in ("kappa", "gamma", "chi"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} = {getattr(self, name)} must be > 0")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(
+                    f"{name} = {getattr(self, name)} must be finite and > 0")
 
     @property
     def q_factor(self) -> float:

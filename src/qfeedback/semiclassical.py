@@ -53,8 +53,10 @@ class ClassicalNoise:
             raise SemiclassicalInexpressible(
                 f"excess = {self.excess}: classical noise cannot push s0x below"
                 " shot noise")
-        if not self.pole > 0:
-            raise ValueError(f"pole = {self.pole} must be > 0")
+        if self.excess == math.inf:
+            raise ValueError(f"excess = {self.excess} must be finite")
+        if not 0 < self.pole < math.inf:
+            raise ValueError(f"pole = {self.pole} must be finite and > 0")
 
     def spectrum(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -337,7 +339,14 @@ def diverges(filt: LoopFilter, dt: float, duration: float) -> bool:
     zero-input carry. A response that is not finite (an unstable loop may
     overflow to inf or nan) or that exceeds DIVERGENCE_LIMIT counts as
     diverging. ValueError for a non-finite or non-positive dt and for a
-    duration that is not finite or spans fewer than 4 steps."""
+    duration that is not finite or spans fewer than 4 steps.
+
+    A Sampled response runs as the zero-order-hold recursion
+    y_n = sum_k h_k dt u_{n-1-d-k}, one sample of lag more than the
+    continuous loop that loop.is_stable judges, so the two verdicts can
+    differ: the one-tap box Sampled([1.0], 0.02) with T = 0 recurses as
+    y_n = g y_{n-1} and diverges for every g < -1, while is_stable finds the
+    continuous loop stable for every g < 1 (both hold at g = -1.5)."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt = {dt} must be finite and > 0")
     if not math.isfinite(duration):

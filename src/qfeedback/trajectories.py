@@ -11,8 +11,7 @@ expectation value or the trace is one real column.
 
 Every step is one product of the rows against Kraus blocks and an
 expectation column, a combination weighted by the noise, and the division by
-the trace (every step, so the state a step_* call returns is the one the
-drivers step on). With G = iH + sum r L†L / 2 over the model's collapses:
+the trace. With G = iH + sum r L†L / 2 over the model's collapses:
 
 * diffusive homodyne: the completely positive map (Rouchon & Ralph, PRA 91,
   012118 (2015)) rho' = K rho K† + dt [(1 - eta) c rho c† + sum_k r_k L_k rho
@@ -25,9 +24,9 @@ drivers step on). With G = iH + sum r L†L / 2 over the model's collapses:
   Delayed feedback then applies the kick K_fb = I - dt F^2 / 2 eta - i theta F,
   theta = I_old dt / sqrt(eta) for the photocurrent I_old one delay earlier,
   as a second three-block product to the unnormalized measured state; the
-  one division by the trace after the kick normalizes both. The drivers
-  read I_old from the stored record; step_homodyne_feedback keeps it in its
-  delay buffer.
+  one division by the trace after the kick normalizes both. _integrate
+  reads I_old from the stored record; there is no kick during the first
+  delay.
 * jump unravelings (photon counting, finite local oscillator beta): one
   product r @ [N | e]: N rho = M0 rho M0† + dt sum_k r_k L_k rho L_k† with
   M0 = I - dt (G + beta c), and e gives Tr[J†J rho], dt times which is the
@@ -51,15 +50,13 @@ d <= 14). Without the row padding, products of very few rows take other code
 paths that round differently; without the column padding, the last columns of
 a real product (a column count of 8k + 1 or 8k + 4) changed in their last bits
 between batches of 8 and of 40 or more rows at d >= 6. A trajectory therefore
-gets bit-identical records and states whether it runs alone (run_trajectory,
-the step_* functions) or in a batch of any size (run_ensemble).
+gets bit-identical records and states whether it runs alone (run_trajectory)
+or in a batch of any size (run_ensemble); both run _integrate, the one driver.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -67,7 +64,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import operators as ops
-from .errors import EmptyDelayBuffer, JumpFromDarkState, PositivityViolation
+from .errors import JumpFromDarkState, PositivityViolation
 from .loop import Spectrum
 from .operators import LindbladModel, _vec, steady_state
 from .operators import two_time_correlation  # noqa: F401  (re-exported)
@@ -102,8 +99,8 @@ class HomodyneJump:
     beta: float
 
     def __post_init__(self):
-        if not self.beta >= 0:
-            raise ValueError(f"beta = {self.beta} must be >= 0")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta = {self.beta} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -127,6 +124,10 @@ class Markovian:
 class Delayed:
     delay: float
 
+    def __post_init__(self):
+        if not 0 < self.delay < math.inf:
+            raise ValueError(f"delay = {self.delay} must be finite and > 0")
+
 
 @dataclass(frozen=True)
 class Feedback:
@@ -145,7 +146,10 @@ class SmeConfig:
     """A conditioned-evolution experiment.
 
     The model's first collapse is the monitored channel and must have rate 1
-    (scaled units); further collapses evolve unconditionally.
+    (scaled units); further collapses evolve unconditionally. dt must be small
+    against every rate and beta^2. Feedback needs diffusive detection and an
+    operator of the model's dimension; a delay must be a whole number of
+    steps.
     """
     model: LindbladModel
     detection: Detection
@@ -158,39 +162,31 @@ class SmeConfig:
     def __post_init__(self):
         if not self.steps > 0:
             raise ValueError(f"steps = {self.steps} must be > 0")
-        _check_unraveling(self.model, self.dt, self.detection, self.feedback)
-        fb = self.feedback
-        if fb is not None and isinstance(fb.mode, Delayed):
-            ratio = fb.mode.delay / self.dt
-            if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-                raise ValueError("delay must be a positive integer multiple of dt")
+        model, dt, detection, fb = (self.model, self.dt, self.detection,
+                                    self.feedback)
+        if not (isinstance(detection, Detection)
+                and isinstance(fb, Optional[Feedback])):
+            raise ValueError(f"detection {detection!r} must be a Detection and "
+                             f"feedback {fb!r} a Feedback or None")
+        if not dt > 0:
+            raise ValueError(f"dt = {dt} must be > 0")
+        if not model.collapses or model.collapses[0][0] != 1.0:
+            raise ValueError("first collapse must be the monitored channel with rate 1")
+        if isinstance(detection, HomodyneJump) and detection.beta ** 2 * dt >= 0.1:
+            raise ValueError("beta^2 dt must be < 0.1")
+        if dt * max(r for r, _ in model.collapses) >= 0.1:
+            raise ValueError("dt * max collapse rate must be < 0.1")
+        if fb is not None:
+            ops._check_dims(model.hamiltonian, fb.operator)
+            if not isinstance(detection, HomodyneDiffusive):
+                raise ValueError("feedback requires diffusive homodyne detection")
+            if isinstance(fb.mode, Delayed):
+                ratio = fb.mode.delay / dt
+                if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+                    raise ValueError(
+                        "delay must be a positive integer multiple of dt")
         if not 0 <= self.snapshot_every <= self.steps:
             raise ValueError("snapshot_every must be in [0, steps]")
-
-
-def _check_unraveling(model: LindbladModel, dt: float, detection: Detection,
-                      feedback: Optional[Feedback] = None) -> None:
-    """The checks an unraveling must pass at step dt, beyond those of its
-    detection and feedback objects: that they are a Detection and a Feedback
-    or None, the monitored channel, the step small against every rate and
-    beta^2, and a feedback operator of the model's dimension under diffusive
-    detection."""
-    if not (isinstance(detection, Detection)
-            and isinstance(feedback, Optional[Feedback])):
-        raise ValueError(f"detection {detection!r} must be a Detection and "
-                         f"feedback {feedback!r} a Feedback or None")
-    if not dt > 0:
-        raise ValueError(f"dt = {dt} must be > 0")
-    if not model.collapses or model.collapses[0][0] != 1.0:
-        raise ValueError("first collapse must be the monitored channel with rate 1")
-    if isinstance(detection, HomodyneJump) and detection.beta ** 2 * dt >= 0.1:
-        raise ValueError("beta^2 dt must be < 0.1")
-    if dt * max(r for r, _ in model.collapses) >= 0.1:
-        raise ValueError("dt * max collapse rate must be < 0.1")
-    if feedback is not None:
-        ops._check_dims(model.hamiltonian, feedback.operator)
-        if not isinstance(detection, HomodyneDiffusive):
-            raise ValueError("feedback requires diffusive homodyne detection")
 
 
 @dataclass
@@ -233,7 +229,7 @@ class _Kernel:
 
     The unraveling is read from the detection and feedback objects of
     SmeConfig (photon counting as beta = 0). The kernel checks nothing
-    itself: SmeConfig and _step_kernel run _check_unraveling first.
+    itself: SmeConfig has checked the unraveling.
     """
 
     def __init__(self, model: LindbladModel, dt: float, detection: Detection,
@@ -392,21 +388,6 @@ class _Kernel:
         return np.where(low >= POSITIVITY_TOL, 0,
                         np.where(np.isnan(low), _COLLAPSED, _NEGATIVE))
 
-    def step_one(self, rho_c: np.ndarray, noise: float, old=None):
-        """One step of a single state, run as a full block of rows, then the
-        gate. Raises the row's failure; returns (rho', record)."""
-        rows = np.tile(self.rows(rho_c), (_ROW_PAD, 1))
-        noise_rows = np.full(_ROW_PAD, self.idle_noise)
-        noise_rows[0] = noise
-        if old is not None:
-            old = np.full(_ROW_PAD, old, dtype=float)
-        with np.errstate(all="ignore"):
-            r, record, bad = self.step(rows, noise_rows, old)
-        code = bad[0] if bad is not None and bad[0] else self.check(r[:1])[0]
-        if code:
-            raise _failure(code)
-        return self.states(r[0]), record[0]
-
 
 def _no_jump_generator(model: LindbladModel) -> np.ndarray:
     """G = iH + sum_k r_k L_k†L_k / 2 over every collapse."""
@@ -425,98 +406,6 @@ def _failure(code: int) -> Exception:
 
 
 # ---------------------------------------------------------------------------
-# single steps
-
-# kernels of recent step_* calls, reused while the maps they encode stay equal
-_STEP_KERNELS: dict = {}
-_STEP_KERNELS_MAX = 8
-_STEP_KERNELS_LOCK = threading.Lock()
-
-
-def _array_key(a: np.ndarray) -> tuple:
-    return a.dtype.str, a.shape, a.tobytes()
-
-
-def _step_kernel(model: LindbladModel, dt: float, detection: Detection,
-                 feedback: Optional[Feedback] = None) -> _Kernel:
-    """The _Kernel of a step_* call, checked like SmeConfig and built once
-    per (operators by value, dt, detection, F and its mode's type), then
-    reused by later calls; a cached key was valid when it was built."""
-    key = (_array_key(model.hamiltonian),
-           tuple((rate, _array_key(op)) for rate, op in model.collapses), dt,
-           detection, None if feedback is None else (
-               _array_key(feedback.operator), type(feedback.mode)))
-    with _STEP_KERNELS_LOCK:
-        kernel = _STEP_KERNELS.get(key)
-        if kernel is None:
-            _check_unraveling(model, dt, detection, feedback)
-            if len(_STEP_KERNELS) >= _STEP_KERNELS_MAX:
-                del _STEP_KERNELS[next(iter(_STEP_KERNELS))]  # oldest first
-            kernel = _STEP_KERNELS[key] = _Kernel(model, dt, detection, feedback)
-    return kernel
-
-
-def step_photon_counting(rho_c: np.ndarray, model: LindbladModel, dt: float,
-                         rng: Generator):
-    """One step of the direct-detection jump unraveling: (rho', dN), with
-    P(dN=1) = Tr[c†c rho] dt; a jump applies c . c†, no jump the map N of
-    the module docstring, each renormalized."""
-    return step_homodyne_jump(rho_c, model, 0.0, dt, rng)
-
-
-def step_homodyne_jump(rho_c: np.ndarray, model: LindbladModel, beta: float,
-                       dt: float, rng: Generator):
-    """Jump unraveling with the local oscillator folded into the jump operator
-    c + beta; detection rate Tr[(beta^2 + beta x + c†c) rho] dt."""
-    kernel = _step_kernel(model, dt, HomodyneJump(beta))
-    rho, record = kernel.step_one(rho_c, rng.random())
-    return rho, int(record)
-
-
-def step_homodyne_diffusive(rho_c: np.ndarray, model: LindbladModel, eta: float,
-                            dt: float, rng: Generator):
-    """Diffusive homodyne unraveling: (rho', I), rho' the normalized
-    K rho K† + dt (1 - eta) c rho c† (plus unmonitored collapses) with
-    K = I - dt (iH + c†c/2) + dy sqrt(eta) c, dy = sqrt(eta) <x>_c dt + dW,
-    dW ~ Normal(0, dt), and I = dy / dt. It averages to the master equation.
-    """
-    kernel = _step_kernel(model, dt, HomodyneDiffusive(eta))
-    return kernel.step_one(rho_c, rng.standard_normal() * math.sqrt(dt))
-
-
-def step_homodyne_feedback(rho_c: np.ndarray, model: LindbladModel,
-                           f_op: np.ndarray, eta: float, dt: float,
-                           rng: Generator, delay_buffer: Optional[deque] = None):
-    """Diffusive homodyne step with photocurrent feedback Hamiltonian ~ F I.
-
-    Markovian (delay_buffer is None): the feedback acts after the
-    measurement, folded into the Kraus operator of step_homodyne_diffusive,
-        K = I - dt (iH + c†c/2 + iFc + F^2/2eta) + dy (sqrt(eta) c - iF/sqrt(eta)),
-    which averages to feedback_master_equation.
-
-    Delayed: delay_buffer is a deque with maxlen = T/dt holding photocurrent
-    samples. Once it is full, the measured state (F = 0 above) gets the kick
-    K_fb . K_fb†, K_fb = I - dt F^2 / (2 eta) - i (I_old dt / sqrt(eta)) F,
-    from the current I_old one delay ago; during warm-up there is no kick.
-    The step pushes its own photocurrent sample onto the buffer.
-    """
-    delayed = delay_buffer is not None
-    if delayed and (delay_buffer.maxlen is None or delay_buffer.maxlen < 1):
-        raise EmptyDelayBuffer("delay buffer must have maxlen = T/dt >= 1")
-    mode = Delayed(delay_buffer.maxlen * dt) if delayed else Markovian()
-    kernel = _step_kernel(model, dt, HomodyneDiffusive(eta),
-                          Feedback(f_op, mode))
-    dw = rng.standard_normal() * math.sqrt(dt)
-    old = None
-    if delayed and len(delay_buffer) == delay_buffer.maxlen:
-        old = delay_buffer[0]
-    rho, i_sample = kernel.step_one(rho_c, dw, old)
-    if delayed:
-        delay_buffer.append(i_sample)
-    return rho, i_sample
-
-
-# ---------------------------------------------------------------------------
 # deterministic feedback master equation and in-loop spectrum
 
 
@@ -524,9 +413,9 @@ def feedback_master_equation(model: LindbladModel, f_op: np.ndarray,
                              eta: float) -> LindbladModel:
     """Unconditional master equation of Markovian homodyne feedback,
         d rho / dt = -i[H, rho] + D[c]rho - i[F, c rho + rho c†] + D[F]rho/eta,
-    the ensemble average of the feedback SME of step_homodyne_feedback
-    (Wiseman & Milburn, PRL 70, 548 (1993)); its iH' + sum r L†L / 2 is the G
-    of the diffusive _Kernel's Kraus operator under Markovian feedback.
+    the ensemble average of the Markovian feedback SME (Wiseman & Milburn,
+    PRL 70, 548 (1993)); its iH' + sum r L†L / 2 is the G of the diffusive
+    _Kernel's Kraus operator under Markovian feedback.
 
     H' = H + (c†F + Fc)/2; collapses become (1, c - iF) plus, for imperfect
     detection, ((1-eta)/eta, F); extra collapses pass through untouched.

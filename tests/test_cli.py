@@ -19,7 +19,7 @@ EXIT_CODES = {
     "DegenerateSteadyState": 3, "UnstableLoop": 3, "MarginalStability": 3,
     "NyquistUnresolved": 3,
     "DivergenceDetected": 3, "ComplexRoot": 3, "UnstableMean": 3,
-    "NegativePrefactor": 3, "EmptyDelayBuffer": 3,
+    "NegativePrefactor": 3,
 }
 
 
@@ -149,6 +149,14 @@ class TestExitCodes:
         out = tmp_path / "x.csv"
         assert cli.run([sub, f"--{flag}", "nan", "--output", str(out)]) == 2
         assert f"invalid parameters: {flag} = nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub, flag", [("stability", "gamma"),
+                                           ("qnd", "kappa")])
+    def test_inf_parameter_exits_2(self, sub, flag, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli.run([sub, f"--{flag}", "inf", "--output", str(out)]) == 2
+        assert f"invalid parameters: {flag} = inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_atom_invalid_lambda(self, tmp_path):

@@ -174,6 +174,14 @@ class TestDiverges:
                                                   0.02), 0.2)
         assert sc.diverges(filt, 0.02, 400.0) == (not loop.is_stable(filt))
 
+    def test_one_tap_box_recursion_lags_the_continuous_loop(self):
+        # diverges runs the recursion y_n = g y_{n-1}, one sample of lag
+        # more than the continuous loop is_stable judges: at g = -1.5 the
+        # loop is stable and the recursion diverges
+        filt = loop.LoopFilter(-1.5, loop.Sampled([1.0], 0.02), 0.0)
+        assert loop.is_stable(filt)
+        assert sc.diverges(filt, 0.02, 400.0)
+
     def test_sampled_loop_cut_far_past_its_rates(self):
         # the Nyquist cut 2 |g| ft_bound lies beyond 100 max(1/dt, 1, 1/T)
         filt = loop.LoopFilter(-80.0, loop.Sampled([1.0, 0.5, 0.25], 0.02),

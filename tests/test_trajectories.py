@@ -1,16 +1,14 @@
 """Stochastic master equations: steps, ensembles, feedback, in-loop spectrum."""
 
 import math
-from collections import deque
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
 from scipy import stats
 
 from literal_generators import master_equation_rhs
 from qfeedback import loop, operators as ops, trajectories as tj
-from qfeedback.errors import (EmptyDelayBuffer, JumpFromDarkState,
+from qfeedback.errors import (DimensionMismatch, JumpFromDarkState,
                               PositivityViolation, TooShort)
 
 
@@ -31,17 +29,15 @@ def config(model, detection, dt=1e-3, steps=100, seed=42, **kw):
                         seed=seed, **kw)
 
 
-class _ForcedRng:
-    """Deterministic stand-in for a Generator, to force a jump branch."""
-
-    def __init__(self, uniform):
-        self._u = uniform
-
-    def random(self):
-        return self._u
-
-    def standard_normal(self):
-        return 0.0
+def lone_step(kernel, rho, noise):
+    """One kernel step of rho alone, as _integrate runs a lone trajectory:
+    row 0 of a block of _ROW_PAD copies, the other rows idle. Returns the
+    row's state, record and failure code (0 if it stepped cleanly)."""
+    rows = np.tile(kernel.rows(rho), (tj._ROW_PAD, 1))
+    noise_rows = np.full(tj._ROW_PAD, kernel.idle_noise)
+    noise_rows[0] = noise
+    r, record, bad = kernel.step(rows, noise_rows)
+    return kernel.states(r[0]), record[0], 0 if bad is None else bad[0]
 
 
 def _rate_two_atom():
@@ -49,52 +45,45 @@ def _rate_two_atom():
                              ((2.0, ops.sigma_minus()),))
 
 
-_RHO = ops.fock_dm(2, 1)
 _F = 0.1 * ops.sigma_y()
 
-# a step_* call that SmeConfig would reject, and the SmeConfig of the same
-# unraveling: the step must raise the config's error
+# unravelings at a step dt that SmeConfig rejects, and the error each raises
+_ETA = ValueError("eta must be in (0, 1]")
 _REJECTED_STEPS = {
     "diffusive eta=1.5": (
-        lambda rng: tj.step_homodyne_diffusive(_RHO, atom(), 1.5, 1e-3, rng),
-        lambda: config(atom(), tj.HomodyneDiffusive(1.5))),
+        lambda: config(atom(), tj.HomodyneDiffusive(1.5)), _ETA),
     "diffusive eta=0": (
-        lambda rng: tj.step_homodyne_diffusive(_RHO, atom(), 0.0, 1e-3, rng),
-        lambda: config(atom(), tj.HomodyneDiffusive(0.0))),
+        lambda: config(atom(), tj.HomodyneDiffusive(0.0)), _ETA),
     "diffusive eta=-0.5": (
-        lambda rng: tj.step_homodyne_diffusive(_RHO, atom(), -0.5, 1e-3, rng),
-        lambda: config(atom(), tj.HomodyneDiffusive(-0.5))),
+        lambda: config(atom(), tj.HomodyneDiffusive(-0.5)), _ETA),
     "delayed feedback eta=0": (
-        lambda rng: tj.step_homodyne_feedback(_RHO, atom(), _F, 0.0, 1e-3, rng,
-                                              deque(maxlen=2)),
         lambda: config(atom(), tj.HomodyneDiffusive(0.0),
-                       feedback=tj.Feedback(_F, tj.Delayed(2e-3)))),
+                       feedback=tj.Feedback(_F, tj.Delayed(2e-3))), _ETA),
     "jump beta=-1": (
-        lambda rng: tj.step_homodyne_jump(_RHO, atom(), -1.0, 1e-3, rng),
-        lambda: config(atom(), tj.HomodyneJump(-1.0))),
+        lambda: config(atom(), tj.HomodyneJump(-1.0)),
+        ValueError("beta = -1.0 must be finite and >= 0")),
     "jump beta=nan": (
-        lambda rng: tj.step_homodyne_jump(_RHO, atom(), math.nan, 1e-3, rng),
-        lambda: config(atom(), tj.HomodyneJump(math.nan))),
+        lambda: config(atom(), tj.HomodyneJump(math.nan)),
+        ValueError("beta = nan must be finite and >= 0")),
     "jump beta^2 dt=0.4": (
-        lambda rng: tj.step_homodyne_jump(_RHO, atom(), 20.0, 1e-3, rng),
-        lambda: config(atom(), tj.HomodyneJump(20.0), dt=1e-3)),
+        lambda: config(atom(), tj.HomodyneJump(20.0), dt=1e-3),
+        ValueError("beta^2 dt must be < 0.1")),
     "counting dt=0.5": (
-        lambda rng: tj.step_photon_counting(_RHO, atom(), 0.5, rng),
-        lambda: config(atom(), tj.PhotonCounting(), dt=0.5)),
+        lambda: config(atom(), tj.PhotonCounting(), dt=0.5),
+        ValueError("dt * max collapse rate must be < 0.1")),
     "counting dt=0": (
-        lambda rng: tj.step_photon_counting(_RHO, atom(), 0.0, rng),
-        lambda: config(atom(), tj.PhotonCounting(), dt=0.0)),
+        lambda: config(atom(), tj.PhotonCounting(), dt=0.0),
+        ValueError("dt = 0.0 must be > 0")),
     "counting dt=-1e-3": (
-        lambda rng: tj.step_photon_counting(_RHO, atom(), -1e-3, rng),
-        lambda: config(atom(), tj.PhotonCounting(), dt=-1e-3)),
+        lambda: config(atom(), tj.PhotonCounting(), dt=-1e-3),
+        ValueError("dt = -0.001 must be > 0")),
     "monitored rate 2": (
-        lambda rng: tj.step_photon_counting(_RHO, _rate_two_atom(), 1e-3, rng),
-        lambda: config(_rate_two_atom(), tj.PhotonCounting())),
+        lambda: config(_rate_two_atom(), tj.PhotonCounting()),
+        ValueError("first collapse must be the monitored channel with rate 1")),
     "3x3 F on a 2x2 model": (
-        lambda rng: tj.step_homodyne_feedback(_RHO, atom(), ops.quad_y(3),
-                                              0.8, 1e-3, rng),
         lambda: config(atom(), tj.HomodyneDiffusive(0.8),
-                       feedback=tj.Feedback(ops.quad_y(3)))),
+                       feedback=tj.Feedback(ops.quad_y(3))),
+        DimensionMismatch("shapes [(2, 2), (3, 3)] do not match")),
 }
 
 
@@ -150,30 +139,26 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("case", list(_REJECTED_STEPS))
     def test_step_rejects_what_config_rejects(self, case):
-        step, build = _REJECTED_STEPS[case]
-        with pytest.raises(ValueError) as want:
-            build()
+        build, want = _REJECTED_STEPS[case]
         with pytest.raises(ValueError) as got:
-            step(Generator(Philox(key=1)))
-        assert type(got.value) is type(want.value)
-        assert str(got.value) == str(want.value)
+            build()
+        assert type(got.value) is type(want)
+        assert str(got.value) == str(want)
 
 
 class TestSingleSteps:
     def test_dark_state_never_jumps(self):
-        model = cavity(3)
-        rho = ops.fock_dm(3, 0)
-        rng = Generator(Philox(key=7))
-        for _ in range(200):
-            rho, dn = tj.step_photon_counting(rho, model, 1e-2, rng)
-            assert dn == 0
-        assert np.allclose(rho, ops.fock_dm(3, 0), atol=1e-12)
+        cfg = config(cavity(3), tj.PhotonCounting(), dt=1e-2, steps=200,
+                     seed=7, snapshot_every=200)
+        res = tj.run_trajectory(cfg, ops.fock_dm(3, 0))
+        assert not res.record.any()
+        assert np.allclose(res.states[-1], ops.fock_dm(3, 0), atol=1e-12)
 
     def test_jump_from_one_photon(self):
-        model = cavity(3)
-        rho, dn = tj.step_photon_counting(ops.fock_dm(3, 1), model, 1e-2,
-                                          _ForcedRng(0.0))
-        assert dn == 1
+        # a uniform draw of 0 is below any positive detection probability
+        kernel = tj._Kernel(cavity(3), 1e-2, tj.PhotonCounting())
+        rho, dn, code = lone_step(kernel, ops.fock_dm(3, 1), 0.0)
+        assert dn == 1 and code == 0
         assert np.allclose(rho, ops.fock_dm(3, 0), atol=1e-12)
 
     def test_beta_zero_reduces_to_counting(self):
@@ -194,15 +179,15 @@ class TestSingleSteps:
         assert abs(res.record.sum() - expected) < 4.0 * math.sqrt(expected)
 
     def test_feedback_f_zero_bit_exact(self):
-        model = atom()
+        # F = 0 Markovian feedback builds the plain diffusive maps
         rho0 = 0.5 * np.eye(2, dtype=complex)
-        rng_a = Generator(Philox(key=5))
-        rng_b = Generator(Philox(key=5))
         f0 = np.zeros((2, 2), dtype=complex)
-        ra, ia = tj.step_homodyne_feedback(rho0, model, f0, 0.7, 1e-3, rng_a)
-        rb, ib = tj.step_homodyne_diffusive(rho0, model, 0.7, 1e-3, rng_b)
-        assert np.array_equal(ra, rb)
-        assert ia == ib
+        runs = [tj.run_trajectory(config(atom(), tj.HomodyneDiffusive(0.7),
+                                         seed=5, snapshot_every=50,
+                                         feedback=fb), rho0)
+                for fb in (tj.Feedback(f0), None)]
+        assert np.array_equal(runs[0].record, runs[1].record)
+        assert np.array_equal(runs[0].states, runs[1].states)
 
     def test_eta_to_zero_follows_master_equation(self):
         model = atom()
@@ -212,52 +197,30 @@ class TestSingleSteps:
         target = ops.evolve(model, ops.fock_dm(2, 1), 1.0)
         assert np.max(np.abs(res.states[-1] - target)) < 1e-2
 
-    def test_delay_buffer_needs_maxlen(self):
-        with pytest.raises(EmptyDelayBuffer):
-            tj.step_homodyne_feedback(
-                0.5 * np.eye(2, dtype=complex), atom(), 0.1 * ops.sigma_y(),
-                0.8, 1e-3, Generator(Philox(key=1)), delay_buffer=deque())
-
-    @pytest.mark.parametrize("buffer", [None, deque(maxlen=1)])
-    def test_feedback_step_needs_hermitian_operator(self, buffer):
+    @pytest.mark.parametrize("mode", [None, tj.Delayed(2e-3)])
+    def test_feedback_step_needs_hermitian_operator(self, mode):
+        f_op = 1j * ops.sigma_x()
         with pytest.raises(ValueError, match="Hermitian"):
-            tj.step_homodyne_feedback(
-                0.5 * np.eye(2, dtype=complex), atom(), 1j * ops.sigma_x(),
-                0.8, 1e-3, Generator(Philox(key=1)), delay_buffer=buffer)
-
-    def test_delay_buffer_matches_run_trajectory(self):
-        # both drivers feed back the photocurrent from three steps earlier:
-        # 200 step calls sharing one Philox stream and a deque(maxlen=3)
-        # reproduce run_trajectory's record and final state bit for bit
-        dt, steps, seed = 1e-3, 200, 31
-        model, f_op = cavity(4), -0.15 * ops.quad_y(4)
-        rho0 = ops.fock_dm(4, 2)
-        cfg = config(model, tj.HomodyneDiffusive(0.8), dt=dt, steps=steps,
-                     seed=seed, snapshot_every=steps,
-                     feedback=tj.Feedback(f_op, tj.Delayed(3 * dt)))
-        res = tj.run_trajectory(cfg, rho0)
-        rng, buffer = Generator(Philox(key=seed)), deque(maxlen=3)
-        rho, record = rho0.astype(complex), []
-        for _ in range(steps):
-            rho, i_sample = tj.step_homodyne_feedback(rho, model, f_op, 0.8,
-                                                      dt, rng, buffer)
-            record.append(i_sample)
-        assert np.array_equal(res.record, np.array(record))
-        assert np.array_equal(res.states[-1], rho)
+            config(atom(), tj.HomodyneDiffusive(0.8),
+                   feedback=tj.Feedback(f_op) if mode is None
+                   else tj.Feedback(f_op, mode))
 
     def test_jump_from_dark_state_raises(self):
         eps = 1e-15                       # Tr[c rho c†] below TOL_JUMP
         rho = np.diag([1.0 - eps, eps]).astype(complex)
-        with pytest.raises(JumpFromDarkState):
-            tj.step_photon_counting(rho, atom(), 1e-3, _ForcedRng(0.0))
+        kernel = tj._Kernel(atom(), 1e-3, tj.PhotonCounting())
+        _, dn, code = lone_step(kernel, rho, 0.0)
+        assert dn == 1
+        assert isinstance(tj._failure(code), JumpFromDarkState)
 
     def test_no_jump_step_stays_positive(self):
-        # the Kraus no-jump map keeps a pure Fock state positive at any beta
+        # the Kraus no-jump map keeps a pure Fock state positive at any beta;
+        # a uniform draw of inf never detects
+        kernel = tj._Kernel(cavity(6), 1e-2, tj.HomodyneJump(3.0))
         rho = ops.fock_dm(6, 3)
         for _ in range(20):
-            rho, dn = tj.step_homodyne_jump(rho, cavity(6), 3.0, 1e-2,
-                                            _ForcedRng(1.0))
-            assert dn == 0
+            rho, dn, code = lone_step(kernel, rho, np.inf)
+            assert dn == 0 and code == 0
             assert np.linalg.eigvalsh(rho).min() > -1e-14
 
     @pytest.mark.parametrize("dt", [1e-2, 3e-2])
@@ -270,12 +233,13 @@ class TestSingleSteps:
         ad = a.conj().T
         model = ops.LindbladModel(0.3 * (a + ad),
                                   ((1.0, a), (2.0, ad @ a), (0.5, ad)))
+        kernel = tj._Kernel(model, dt, tj.PhotonCounting())
         psi = np.zeros(4, dtype=complex)
         psi[1], psi[2] = 1.0, 1j
         rho = np.outer(psi, psi.conj()) / 2
         for _ in range(50):
-            rho, dn = tj.step_photon_counting(rho, model, dt, _ForcedRng(1.0))
-            assert dn == 0
+            rho, dn, code = lone_step(kernel, rho, np.inf)
+            assert dn == 0 and code == 0
             assert np.linalg.eigvalsh(rho).min() > -1e-14
 
 
@@ -306,7 +270,7 @@ class TestKernel:
         r = kernel.rows(np.array(rhos + [rhos[0]] * 7))
         r_new, record, _ = kernel.step(r, np.concatenate([dws, np.zeros(7)]))
         for i, (rho, dw) in enumerate(zip(rhos, dws)):
-            one, i_sample = kernel.step_one(rho, dw)
+            one, i_sample, _ = lone_step(kernel, rho, dw)
             assert np.array_equal(one, kernel.states(r_new[i]))
             assert i_sample == record[i]
 
@@ -338,7 +302,7 @@ class TestKernel:
         assert bad is None
         assert list(np.flatnonzero(record)) == list(jumpers)
         for i, rho in enumerate(rhos):
-            one, dn = kernel.step_one(rho, noise[i])
+            one, dn, _ = lone_step(kernel, rho, noise[i])
             assert np.array_equal(one, kernel.states(r_new[i]))
             assert dn == record[i]
 
@@ -520,39 +484,6 @@ class TestKernel:
         traces = np.array([np.trace(op @ rho).real for rho in herm])
         got = kernel.rows(herm) @ kernel.expect_col(op)
         assert np.max(np.abs(got - traces)) < 1e-13
-
-    def test_step_functions_reuse_their_kernel(self, monkeypatch):
-        # ten identical step_homodyne_feedback calls build one kernel, and
-        # match calls that each build their own bit for bit
-        builds = []
-
-        class Spy(tj._Kernel):
-            def __init__(self, *args, **kwargs):
-                builds.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(tj, "_Kernel", Spy)
-        monkeypatch.setattr(tj, "_STEP_KERNELS", {})
-        model, f_op = cavity(6), -0.15 * ops.quad_y(6)
-
-        def run(fresh_kernels):
-            rng = Generator(Philox(key=3))
-            rho, out = ops.fock_dm(6, 3), []
-            for _ in range(10):
-                if fresh_kernels:
-                    tj._STEP_KERNELS.clear()
-                rho, i_sample = tj.step_homodyne_feedback(rho, model, f_op,
-                                                          0.8, 1e-3, rng)
-                out.append((rho, i_sample))
-            return out
-
-        cached = run(fresh_kernels=False)
-        assert len(builds) == 1
-        uncached = run(fresh_kernels=True)
-        assert len(builds) == 11
-        for (rho_a, i_a), (rho_b, i_b) in zip(cached, uncached):
-            assert np.array_equal(rho_a, rho_b)
-            assert i_a == i_b
 
 
 class TestJumpToDiffusiveConvergence:

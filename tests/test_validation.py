@@ -10,7 +10,7 @@ from qfeedback import intracavity as ic
 from qfeedback import loop, operators as ops, qnd, semiclassical as sc
 from qfeedback import trajectories as tj
 
-NAN = math.nan
+NAN, INF = math.nan, math.inf
 
 
 def _atom(rate=1.0):
@@ -33,6 +33,7 @@ def _sim(dt=0.01, duration=2000.0):
 # each entry builds an object from one NaN (or infinite) parameter
 CASES = {
     "SinglePole.gamma": lambda: loop.SinglePole(NAN),
+    "SinglePole.gamma inf": lambda: loop.SinglePole(INF),
     "Sampled.dt": lambda: loop.Sampled(np.ones(4), NAN),
     "Sampled.dt inf": lambda: loop.Sampled(np.ones(4), math.inf),
     "Sampled.h nan tap": lambda: loop.Sampled(np.array([1.0, NAN]), 0.1),
@@ -44,21 +45,34 @@ CASES = {
     "LoopFilter.delay_T inf": lambda: loop.LoopFilter(
         -1.0, loop.SinglePole(1.0), math.inf),
     "LinearCavityParams.l": lambda: ic.LinearCavityParams(l=NAN, theta=0.5),
+    "LinearCavityParams.l inf": lambda: ic.LinearCavityParams(l=INF,
+                                                             theta=0.5),
     "Qnd.strength": lambda: ic.Qnd(NAN),
+    "Qnd.strength inf": lambda: ic.Qnd(INF),
     "conditioned_variance_trajectory.u_init": lambda: (
         ic.conditioned_variance_trajectory(
             ic.LinearCavityParams(l=0.1, theta=0.5), NAN, np.linspace(0, 1, 3))),
     "QndParams.kappa": lambda: qnd.QndParams(NAN, 1.0, 2.0),
+    "QndParams.kappa inf": lambda: qnd.QndParams(INF, 1.0, 2.0),
+    "QndParams.gamma inf": lambda: qnd.QndParams(1.0, INF, 2.0),
     "QndParams.chi": lambda: qnd.QndParams(1.0, 1.0, NAN),
+    "QndParams.chi inf": lambda: qnd.QndParams(1.0, 1.0, INF),
     "ClassicalNoise.excess": lambda: sc.ClassicalNoise(NAN, 0.5),
+    "ClassicalNoise.excess inf": lambda: sc.ClassicalNoise(INF, 0.5),
     "ClassicalNoise.pole": lambda: sc.ClassicalNoise(2.0, NAN),
+    "ClassicalNoise.pole inf": lambda: sc.ClassicalNoise(2.0, INF),
     "SemiclassicalSim.dt": lambda: _sim(dt=NAN),
     "SemiclassicalSim.duration": lambda: _sim(duration=NAN),
     "HomodyneJump.beta": lambda: tj.HomodyneJump(NAN),
+    "HomodyneJump.beta inf": lambda: tj.HomodyneJump(INF),
+    "Delayed.delay": lambda: tj.Delayed(NAN),
+    "Delayed.delay inf": lambda: tj.Delayed(INF),
     "SmeConfig.dt": lambda: _sme(NAN),
     "LindbladModel.rate": lambda: _atom(NAN),
+    "LindbladModel.rate inf": lambda: _atom(INF),
     "AtomLoopParams.g": lambda: at.AtomLoopParams(1.0, 1.0, NAN),
     "FreeSqueezeParams.big_l": lambda: at.FreeSqueezeParams(1.0, NAN),
+    "FreeSqueezeParams.big_l inf": lambda: at.FreeSqueezeParams(1.0, INF),
 }
 
 
