@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 
@@ -99,8 +100,6 @@ _OPTIONS = {
         ("lam", float, 0.0, "feedback parameter"),
         ("lambda-opt", bool, False, "use the optimal lambda = -eta eps"),
         ("compare-l", float, 0.0, "if > 0, free-squeezing comparison at L"),
-        ("wmax", float, 10.0, "max frequency for P(omega)"),
-        ("n", int, 401, "number of frequencies"),
     ],
 }
 
@@ -165,7 +164,8 @@ def load_config(path: str, subcommand: str) -> dict:
 
 
 def _merge(args: argparse.Namespace, subcommand: str):
-    """flags > config file > defaults; returns (values, provenance)."""
+    """flags > config file > defaults; returns (values, provenance). Every
+    float option must be finite."""
     from_file = load_config(args.config, subcommand) if args.config else {}
     values, source = {}, {}
     for opt, typ, default, _ in _OPTIONS[subcommand]:
@@ -177,6 +177,8 @@ def _merge(args: argparse.Namespace, subcommand: str):
             values[dest], source[dest] = from_file[dest], "file"
         else:
             values[dest], source[dest] = default, "default"
+        if typ is float and not math.isfinite(values[dest]):
+            raise ValueError(f"{opt} = {values[dest]} must be finite")
     return values, source
 
 

@@ -77,26 +77,34 @@ def variance_no_feedback(params: LinearCavityParams) -> float:
     return (params.l - params.theta) / (1.0 + params.theta)
 
 
-def conditioned_variance_rhs(params: LinearCavityParams, u: float) -> float:
-    """Riccati right-hand side for the conditioned variance.
-
-    Homodyne: dU/dt = -2 k0 U - 2 k0 + D0 - eta U^2 (U normally ordered).
-    QND:      dV/dt = -2 k0 V + D0 - H V^2        (V symmetric ordered).
-    The two coincide under (V - 1) -> V, eta -> H in the measurement term.
+def _riccati(params: LinearCavityParams) -> tuple[float, float, float]:
+    """(s, c, floor) of the conditioned-variance Riccati equation
+        dU/dt = -2 k0 U + c - s U^2,   U >= floor.
+    Homodyne (U normally ordered): s = eta, c = D0 - 2 k0, floor -1.
+    QND (V symmetric ordered):     s = H,   c = D0,        floor 0.
     """
-    k0, d0 = params.k0, params.d0
-    if isinstance(params.measurement, Homodyne):
-        return -2.0 * k0 * u - 2.0 * k0 + d0 - params.measurement.eta * u * u
-    return -2.0 * k0 * u + d0 - params.measurement.strength * u * u
+    m = params.measurement
+    if isinstance(m, Homodyne):
+        return m.eta, params.d0 - 2.0 * params.k0, -1.0
+    return m.strength, params.d0, 0.0
+
+
+def conditioned_variance_rhs(params: LinearCavityParams, u: float) -> float:
+    """Riccati right-hand side -2 k0 U + c - s U^2 for the conditioned
+    variance (see _riccati: homodyne U normally ordered, QND V symmetric
+    ordered; the two coincide under (V - 1) -> V, eta -> H)."""
+    s, c, _ = _riccati(params)
+    return -2.0 * params.k0 * u + c - s * u * u
 
 
 def conditioned_variance_trajectory(params: LinearCavityParams, u_init: float,
                                     t_grid) -> np.ndarray:
     """Deterministic relaxation of the conditioned variance from
-    U(t_grid[0]) = u_init; independent of the feedback strength.
+    U(t_grid[0]) = u_init >= floor (see _riccati); independent of the
+    feedback strength.
 
-    Both branches are dU/dt = -s (U - u+)(U - u-) with s = eta (or H) and
-    roots u+ > u-, so with E = exp(-s (u+ - u-) t) the exact solution is
+    The Riccati equation is dU/dt = -s (U - u+)(U - u-) with roots u+ > u-,
+    so with E = exp(-s (u+ - u-) t) the exact solution is
         U(t) = u+ + (u+ - u-) a E / (b - a E),  a = U0 - u+, b = U0 - u-,
     i.e. u+ + (u+ - u-) / (C e^{s (u+ - u-) t} - 1) with C = b / a. The
     allowed starts satisfy U0 >= u-, so the denominator never vanishes; the
@@ -104,14 +112,9 @@ def conditioned_variance_trajectory(params: LinearCavityParams, u_init: float,
     the repelling fixed point and stays there.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if isinstance(params.measurement, Homodyne):
-        if not u_init >= -1.0:
-            raise ValueError("U_init must be >= -1")
-        s = params.measurement.eta
-    else:
-        if not u_init >= 0.0:
-            raise ValueError("V_init must be >= 0")
-        s = params.measurement.strength
+    s, _, floor = _riccati(params)
+    if not u_init >= floor:
+        raise ValueError(f"initial variance {u_init} must be >= {floor:g}")
     u_plus = conditioned_variance_ss(params)
     # the two roots of the right-hand side sum to -2 k0 / s
     u_minus = -2.0 * params.k0 / s - u_plus
@@ -123,32 +126,22 @@ def conditioned_variance_trajectory(params: LinearCavityParams, u_init: float,
 
 
 def conditioned_variance_ss(params: LinearCavityParams) -> float:
-    """Stable Riccati fixed point.
-
-    Homodyne: U_c = (−k0 + sqrt(k0^2 + eta (D0 − 2 k0))) / eta.
-    QND:      V_c = (−k0 + sqrt(k0^2 + H D0)) / H.
-    """
-    k0, d0 = params.k0, params.d0
-    if isinstance(params.measurement, Homodyne):
-        eta = params.measurement.eta
-        return (-k0 + math.sqrt(k0 * k0 + eta * (d0 - 2.0 * k0))) / eta
-    h = params.measurement.strength
-    return (-k0 + math.sqrt(k0 * k0 + h * d0)) / h
+    """Stable Riccati fixed point u+ = (-k0 + sqrt(k0^2 + s c)) / s:
+    homodyne U_c = (-k0 + sqrt(k0^2 + eta (D0 - 2 k0))) / eta,
+    QND V_c = (-k0 + sqrt(k0^2 + H D0)) / H."""
+    return optimal_lambda(params) / _riccati(params)[0]
 
 
 def optimal_lambda(params: LinearCavityParams) -> float:
     """Feedback strength that cancels the noise in the conditioned mean, at
-    which the unconditioned variance equals the conditioned one."""
+    which the unconditioned variance equals the conditioned one:
+    lambda* = s u+ = -k0 + sqrt(k0^2 + s c) (homodyne: s c = 2 eta k0 U0)."""
+    s, c, _ = _riccati(params)
     k0 = params.k0
-    if isinstance(params.measurement, Homodyne):
-        eta = params.measurement.eta
-        u0 = variance_no_feedback(params)
-        arg = k0 * k0 + 2.0 * eta * k0 * u0
-        if arg < 0:
-            raise ComplexRoot(f"k0^2 + 2 eta k0 U0 = {arg} < 0")
-        return -k0 + math.sqrt(arg)
-    h = params.measurement.strength
-    return -k0 + math.sqrt(k0 * k0 + h * params.d0)
+    arg = k0 * k0 + s * c
+    if arg < 0:
+        raise ComplexRoot(f"k0^2 + s c = {arg} < 0")
+    return -k0 + math.sqrt(arg)
 
 
 def unconditioned_variance(params: LinearCavityParams, lam: float) -> float:
@@ -176,8 +169,8 @@ def u_min(params: LinearCavityParams) -> float:
     return conditioned_variance_ss(params)
 
 
-def squeezed_bath_model(n_bath: float, m_bath: complex, dim: int,
-                        hamiltonian: np.ndarray | None = None) -> LindbladModel:
+def squeezed_bath_model(n_bath: float, m_bath: complex,
+                        dim: int) -> LindbladModel:
     """Cavity damped into a broad-band squeezed bath with moments (N, M).
 
     Generator (N+1) D[a] + N D[a†] − (M/2)[a†,[a†,·]] − (M*/2)[a,[a,·]],
@@ -199,9 +192,7 @@ def squeezed_bath_model(n_bath: float, m_bath: complex, dim: int,
             continue
         op = v[0] * a + v[1] * ad
         collapses.append((float(lam_i), op))
-    if hamiltonian is None:
-        hamiltonian = np.zeros((dim, dim), dtype=complex)
-    return LindbladModel(hamiltonian, tuple(collapses))
+    return LindbladModel(np.zeros((dim, dim), dtype=complex), tuple(collapses))
 
 
 def parametric_model(params: LinearCavityParams, dim: int) -> LindbladModel:

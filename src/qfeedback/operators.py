@@ -1,8 +1,9 @@
 """Finite-dimensional operator algebra and master-equation machinery.
 
-Operators and density matrices are plain complex ndarrays. The superoperators
-here are the building blocks of both the deterministic master equation and the
-conditioned (stochastic) evolutions in :mod:`qfeedback.trajectories`.
+Operators and density matrices are plain complex ndarrays. One non-Hermitian
+generator, `LindbladModel.no_jump_generator`, and the sandwich superoperator
+`sprepost` build both the deterministic master equation and the conditioned
+(stochastic) evolutions in :mod:`qfeedback.trajectories`.
 """
 
 from __future__ import annotations
@@ -127,24 +128,6 @@ def sprepost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                        order="C").reshape(dim * dim, -1)
 
 
-def spre(a: np.ndarray) -> np.ndarray:
-    """Left-multiplication superoperator on column-stacked (vec) matrices."""
-    return sprepost(a, np.eye(a.shape[0]))
-
-
-def spost(a: np.ndarray) -> np.ndarray:
-    """Right-multiplication superoperator on column-stacked matrices."""
-    return sprepost(np.eye(a.shape[0]), a)
-
-
-def dissipator(a: np.ndarray) -> np.ndarray:
-    """Superoperator of the Lindblad dissipator D[a] on column-stacked
-    matrices."""
-    ad = a.conj().T
-    ada = ad @ a
-    return sprepost(a, ad) - 0.5 * spre(ada) - 0.5 * spost(ada)
-
-
 # ---------------------------------------------------------------------------
 # Lindblad model
 
@@ -177,12 +160,21 @@ class LindbladModel:
         return self.hamiltonian.shape[0]
 
     @cached_property
+    def no_jump_generator(self) -> np.ndarray:
+        """G = iH + sum_k r_k L_k†L_k / 2 over every collapse, so that the
+        generator is rho -> -G rho - rho G† + sum_k r_k L_k rho L_k†."""
+        return 1j * self.hamiltonian + sum((0.5 * rate) * op.conj().T @ op
+                                           for rate, op in self.collapses)
+
+    @cached_property
     def liouvillian(self) -> np.ndarray:
-        """Matrix of the generator on column-stacked density matrices."""
-        h = self.hamiltonian
-        lv = -1j * (spre(h) - spost(h))
+        """Matrix of the generator on column-stacked density matrices, built
+        from no_jump_generator."""
+        g, eye = self.no_jump_generator, np.eye(self.dim)
+        lv = -sprepost(g, eye)
+        lv -= sprepost(eye, g.conj().T)
         for rate, op in self.collapses:
-            lv += rate * dissipator(op)
+            lv += sprepost(rate * op, op.conj().T)
         return lv
 
 

@@ -11,14 +11,15 @@ expectation value or the trace is one real column.
 
 Every step is one product of the rows against Kraus blocks and an
 expectation column, a combination weighted by the noise, and the division by
-the trace. With G = iH + sum r L†L / 2 over the model's collapses:
+the trace. With G = iH + sum r L†L / 2 over the model's collapses, the
+`LindbladModel.no_jump_generator` its Liouvillian is built from:
 
 * diffusive homodyne: the completely positive map (Rouchon & Ralph, PRA 91,
   012118 (2015)) rho' = K rho K† + dt [(1 - eta) c rho c† + sum_k r_k L_k rho
   L_k†] over the unmonitored collapses, K = I - dt G + dy K1, K1 = sqrt(eta) c,
   dy = sqrt(eta) <x>_c dt + dW and I = dy / dt. Markovian feedback takes G of
-  feedback_master_equation and K1 = sqrt(eta) c - iF / sqrt(eta). K rho K† is
-  quadratic in dy: one product r @ [P0 | P1 | P2 | t | x] gives
+  the feedback_master_equation model and K1 = sqrt(eta) c - iF / sqrt(eta).
+  K rho K† is quadratic in dy: one product r @ [P0 | P1 | P2 | t | x] gives
   rho' = P0 rho + dy P1 rho + dy^2 P2 rho, the traces t of the three terms
   that normalize it, and <x>_c = Tr[(c + c†) rho].
   Delayed feedback then applies the kick K_fb = I - dt F^2 / 2 eta - i theta F,
@@ -136,6 +137,8 @@ class Feedback:
 
     def __post_init__(self):
         f = np.asarray(self.operator, dtype=complex)
+        if not np.all(np.isfinite(f)):
+            raise ValueError("feedback operator must be finite")
         if not ops.is_hermitian(f):
             raise ValueError("feedback operator must be Hermitian")
         object.__setattr__(self, "operator", f)
@@ -227,6 +230,10 @@ class _Kernel:
     a multiple of _ROW_PAD rows. Each map carries zero columns up to a
     multiple of _COL_PAD.
 
+    G is the model's `LindbladModel.no_jump_generator`, under Markovian
+    feedback that of the feedback_master_equation model: the same G the
+    Liouvillian is built from.
+
     The unraveling is read from the detection and feedback objects of
     SmeConfig (photon counting as beta = 0). The kernel checks nothing
     itself: SmeConfig has checked the unraveling.
@@ -264,7 +271,7 @@ class _Kernel:
         if not self.diffusive:
             # photon counting is the jump unraveling with beta = 0
             beta = detection.beta if isinstance(detection, HomodyneJump) else 0.0
-            m0 = eye - dt * (_no_jump_generator(model) + beta * c)
+            m0 = eye - dt * (model.no_jump_generator + beta * c)
             jump = c + beta * eye
             # [N | e]: the no-jump map and Tr[J†J rho]
             self.maps = _padded(
@@ -287,7 +294,7 @@ class _Kernel:
             k1 = k1 - (1j / self.sqrt_eta) * f_op
         # [P0 | P1 | P2 | t0 t1 t2 | x]
         self.maps = _padded(
-            *self._kraus_blocks(eye - dt * _no_jump_generator(generator), k1,
+            *self._kraus_blocks(eye - dt * generator.no_jump_generator, k1,
                                 unmonitored
                                 + dt * (1 - eta) * ops.sprepost(c, cd)),
             self.expect_col(c + cd)[:, None])
@@ -389,12 +396,6 @@ class _Kernel:
                         np.where(np.isnan(low), _COLLAPSED, _NEGATIVE))
 
 
-def _no_jump_generator(model: LindbladModel) -> np.ndarray:
-    """G = iH + sum_k r_k L_k†L_k / 2 over every collapse."""
-    return 1j * model.hamiltonian + sum((0.5 * rate) * op.conj().T @ op
-                                        for rate, op in model.collapses)
-
-
 def _failure(code: int) -> Exception:
     if code == _DARK_JUMP:
         return JumpFromDarkState(
@@ -414,8 +415,8 @@ def feedback_master_equation(model: LindbladModel, f_op: np.ndarray,
     """Unconditional master equation of Markovian homodyne feedback,
         d rho / dt = -i[H, rho] + D[c]rho - i[F, c rho + rho c†] + D[F]rho/eta,
     the ensemble average of the Markovian feedback SME (Wiseman & Milburn,
-    PRL 70, 548 (1993)); its iH' + sum r L†L / 2 is the G of the diffusive
-    _Kernel's Kraus operator under Markovian feedback.
+    PRL 70, 548 (1993)); its no_jump_generator iH' + sum r L†L / 2 is the G
+    of the diffusive _Kernel's Kraus operator under Markovian feedback.
 
     H' = H + (c†F + Fc)/2; collapses become (1, c - iF) plus, for imperfect
     detection, ((1-eta)/eta, F); extra collapses pass through untouched.

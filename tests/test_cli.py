@@ -143,20 +143,42 @@ class TestExitCodes:
         assert "whole number" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("sub, flag", [("intracavity", "l"),
-                                           ("trajectory", "dt")])
-    def test_nan_parameter_exits_2(self, sub, flag, tmp_path, capsys):
+    # every float option is checked once, where flags and config merge
+    @pytest.mark.parametrize("args, flag", [
+        pytest.param(["intracavity"], "l", id="intracavity-l"),
+        pytest.param(["trajectory"], "dt", id="trajectory-dt"),
+        pytest.param(["intracavity"], "lam-min", id="intracavity-lam-min"),
+        pytest.param(["intracavity", "--mode", "series"], "t-max",
+                     id="intracavity-series-t-max"),
+        pytest.param(["spectra"], "wmax", id="spectra-wmax"),
+        pytest.param(["qnd"], "wmax", id="qnd-wmax"),
+    ])
+    def test_nan_parameter_exits_2(self, args, flag, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        assert cli.run([sub, f"--{flag}", "nan", "--output", str(out)]) == 2
+        assert cli.run(args + [f"--{flag}", "nan", "--output", str(out)]) == 2
         assert f"invalid parameters: {flag} = nan" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("sub, flag", [("stability", "gamma"),
-                                           ("qnd", "kappa")])
-    def test_inf_parameter_exits_2(self, sub, flag, tmp_path, capsys):
+    @pytest.mark.parametrize("args, flag", [
+        pytest.param(["stability"], "gamma", id="stability-gamma"),
+        pytest.param(["qnd"], "kappa", id="qnd-kappa"),
+        pytest.param(["intracavity"], "lam-max", id="intracavity-lam-max"),
+        pytest.param(["trajectory", "--preset", "atom-feedback"], "lam",
+                     id="trajectory-atom-feedback-lam"),
+    ])
+    def test_inf_parameter_exits_2(self, args, flag, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        assert cli.run([sub, f"--{flag}", "inf", "--output", str(out)]) == 2
+        assert cli.run(args + [f"--{flag}", "inf", "--output", str(out)]) == 2
         assert f"invalid parameters: {flag} = inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_from_config_file_exits_2(self, tmp_path, capsys):
+        ini = tmp_path / "c.ini"
+        ini.write_text("[intracavity]\nlam-max = nan\n")
+        out = tmp_path / "x.csv"
+        assert cli.run(["intracavity", "--config", str(ini),
+                        "--output", str(out)]) == 2
+        assert "invalid parameters: lam-max = nan" in capsys.readouterr().err
         assert not out.exists()
 
     def test_atom_invalid_lambda(self, tmp_path):

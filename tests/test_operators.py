@@ -46,17 +46,21 @@ class TestSuperopD:
             ops.superop_D(ops.destroy(3), ops.fock_dm(2, 0))
 
     def test_column_stacked_matrices(self):
-        # sprepost is np.kron(b^T, a) bit for bit, for any memory layout, and
-        # the dissipator matrix acts on vec(rho) as superop_D acts on rho
+        # sprepost is np.kron(b^T, a) bit for bit, for any memory layout; the
+        # Liouvillian built from G acts on vec(rho) as the rho-form generator
         rng = np.random.default_rng(4)
-        a, b, rho = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        a, b, rho, h = (rng.normal(size=(4, 4, 4))
+                        + 1j * rng.normal(size=(4, 4, 4)))
         for x, y in ((a, b), (a.T, b.conj().T)):
             assert np.array_equal(ops.sprepost(x, y), np.kron(y.T, x))
-            assert np.array_equal(ops.spre(x), np.kron(np.eye(4), x))
-            assert np.array_equal(ops.spost(x), np.kron(x.T, np.eye(4)))
-        got = ops.dissipator(a) @ rho.reshape(-1, order="F")
-        want = ops.superop_D(a, rho).reshape(-1, order="F")
-        assert np.max(np.abs(got - want)) < 1e-13
+        h = h + h.conj().T
+        model = ops.LindbladModel(h, ((0.7, a), (1.3, b)))
+        got = model.liouvillian @ rho.reshape(-1, order="F")
+        want = (-1j * (h @ rho - rho @ h) + 0.7 * ops.superop_D(a, rho)
+                + 1.3 * ops.superop_D(b, rho))
+        assert np.max(np.abs(got - want.reshape(-1, order="F"))) < 1e-13
+        g = 1j * h + 0.35 * a.conj().T @ a + 0.65 * b.conj().T @ b
+        assert np.max(np.abs(model.no_jump_generator - g)) < 1e-13
 
 
 class TestEvolve:

@@ -1,5 +1,6 @@
 """Package-level contracts: import cost, `python -m` entry points, README."""
 
+import importlib.util
 import json
 import os
 import re
@@ -11,8 +12,8 @@ import pytest
 import qfeedback
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(qfeedback.__file__)))
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 
 def run_python(args, cwd=None):
@@ -85,6 +86,21 @@ def test_lazy_namespace():
         assert getattr(qfeedback, name) is not None
     with pytest.raises(AttributeError, match="no_such_name"):
         qfeedback.no_such_name  # noqa: B018
+
+
+def test_benchmark_entry_points_exist():
+    # the benchmark tracer wraps these names by getattr: one that a change
+    # deletes or renames would break the traced benchmark, not this suite
+    path = os.path.join(ROOT, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for short, names in spans.ENTRY_POINTS.items():
+        mod = importlib.import_module(f"qfeedback.{short}")
+        names = names or spans._public_functions(mod)
+        assert names, short
+        missing = [n for n in names if not callable(getattr(mod, n, None))]
+        assert not missing, f"qfeedback.{short} lacks {missing}"
 
 
 def test_riccati_series_loads_no_scipy_integrate():

@@ -65,6 +65,8 @@ CASES = {
     "SemiclassicalSim.duration": lambda: _sim(duration=NAN),
     "HomodyneJump.beta": lambda: tj.HomodyneJump(NAN),
     "HomodyneJump.beta inf": lambda: tj.HomodyneJump(INF),
+    "Feedback.operator": lambda: tj.Feedback(np.full((2, 2), NAN)),
+    "Feedback.operator inf": lambda: tj.Feedback(np.diag([INF, 1.0])),
     "Delayed.delay": lambda: tj.Delayed(NAN),
     "Delayed.delay inf": lambda: tj.Delayed(INF),
     "SmeConfig.dt": lambda: _sme(NAN),
