@@ -8,8 +8,8 @@ samples into the JSON written to --out. This module holds the rest: the
 command line (--parent, --out, --rounds, --repeats and the internal
 --worker), the rounds, each of which runs both sides with the side that goes
 first alternating so that slow drift of a shared host reaches both alike,
-best-of timing, quartile summaries, round wins, fresh-process CLI timing and
-the env block.
+best-of timing, quartile summaries, round wins, fresh-process timing and the
+env block.
 """
 
 from __future__ import annotations
@@ -92,22 +92,26 @@ def run_worker(script: str, src: str, repeats: int, cwd: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def time_cli(args: list, src: str, cwd: str, environ: dict | None = None):
-    """Run `python -m qfeedback *args` on `src` as a fresh process: its wall
-    seconds and peak resident MiB. Raises if it exits nonzero. The process
-    gets `environ` (default: this process's environment) with PYTHONPATH set
-    to `src`."""
+def time_python(args: list, src: str, cwd: str, environ: dict | None = None):
+    """Run `python *args` on `src` as a fresh process: its wall seconds and
+    peak resident MiB. Raises if it exits nonzero. The process gets `environ`
+    (default: this process's environment) with PYTHONPATH set to `src`."""
     start = time.perf_counter()
-    cli = subprocess.Popen(
-        [sys.executable, "-m", "qfeedback"] + list(args),
+    proc = subprocess.Popen(
+        [sys.executable] + list(args),
         env=dict(os.environ if environ is None else environ, PYTHONPATH=src),
         cwd=cwd,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(cli.pid, 0)
+    _, status, usage = os.wait4(proc.pid, 0)
     seconds = time.perf_counter() - start
     if os.waitstatus_to_exitcode(status) != 0:
-        raise RuntimeError(f"qfeedback {args[0]} failed with {src}")
+        raise RuntimeError(f"python {' '.join(args)} failed with {src}")
     return seconds, usage.ru_maxrss / 1024.0
+
+
+def time_cli(args: list, src: str, cwd: str, environ: dict | None = None):
+    """time_python for `python -m qfeedback *args`."""
+    return time_python(["-m", "qfeedback"] + list(args), src, cwd, environ)
 
 
 def main(argv, script: str, doc: str, worker, report, rounds: int,

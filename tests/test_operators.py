@@ -2,13 +2,20 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qfeedback import operators as ops
+from qfeedback import trajectories as tj
 from qfeedback.errors import (
     DegenerateSteadyState,
     DimensionMismatch,
+    InvalidState,
 )
-from qfeedback.intracavity import squeezed_bath_model
+from qfeedback.intracavity import (
+    LinearCavityParams,
+    parametric_model,
+    squeezed_bath_model,
+)
 
 
 def damped_cavity(dim):
@@ -61,6 +68,61 @@ class TestSuperopD:
         assert np.max(np.abs(got - want.reshape(-1, order="F"))) < 1e-13
         g = 1j * h + 0.35 * a.conj().T @ a + 0.65 * b.conj().T @ b
         assert np.max(np.abs(model.no_jump_generator - g)) < 1e-13
+
+
+def parametric(dim):
+    return parametric_model(LinearCavityParams(l=0.0, theta=0.5), dim)
+
+
+class TestModel:
+    @pytest.mark.parametrize("hamiltonian, collapse, named", [
+        (np.diag([np.nan, 0.0]), np.eye(2), "Hamiltonian"),
+        (np.zeros((2, 2)), np.diag([np.inf, 0.0]), "collapse operator 1")],
+        ids=["hamiltonian-nan", "collapse-inf"])
+    def test_non_finite_operator_named(self, hamiltonian, collapse, named):
+        with pytest.raises(InvalidState, match=f"{named} must be finite"):
+            ops.LindbladModel(hamiltonian,
+                              ((1.0, ops.sigma_minus()), (1.0, collapse)))
+
+
+# (model, t) pairs on which the Taylor action must match scipy's dense expm:
+# the paper's feedback models, the parametric cavity at two truncations, a
+# long squeezed-bath run (t ||L||_1 about 5500), and the edge cases
+EXPM_CASES = {
+    "atom-feedback": lambda: (tj.feedback_master_equation(
+        atom_decay(), -0.38 * ops.sigma_y(), 0.76), 0.5),
+    "cavity-d12": lambda: (damped_cavity(12), 0.6),
+    "cavity-d12-feedback": lambda: (tj.feedback_master_equation(
+        damped_cavity(12), -0.15 * ops.quad_y(12), 0.8), 0.6),
+    "parametric-d10": lambda: (parametric(10), 1.0),
+    "parametric-d30": lambda: (parametric(30), 1.0),
+    "squeezed-bath-t50": lambda: (squeezed_bath_model(1.0, np.sqrt(2.0), 12),
+                                  50.0),
+    "unitary": lambda: (ops.LindbladModel(
+        ops.quad_x(6) + 0.3 * ops.number(6), ()), 3.0),
+    "zero": lambda: (ops.LindbladModel(np.zeros((3, 3)), ()), 2.0),
+    "t-zero": lambda: (damped_cavity(4), 0.0),
+}
+
+
+def dense_propagator(model, t):
+    """scipy's expm(L t); a real L (no feedback) in real arithmetic, the same
+    map at a quarter of the cost."""
+    lv = model.liouvillian
+    return expm((lv if lv.imag.any() else lv.real) * t)
+
+
+class TestExpmAction:
+    @pytest.mark.parametrize("name", sorted(EXPM_CASES))
+    def test_matches_scipy_expm(self, name):
+        model, t = EXPM_CASES[name]()
+        rng = np.random.default_rng(11)
+        n = model.dim ** 2
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        got = ops._expm_action(model.liouvillian, v, [t])
+        want = dense_propagator(model, t) @ v
+        assert got.shape == (1, n)
+        assert np.max(np.abs(got[0] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestEvolve:
@@ -145,6 +207,22 @@ class TestTwoTimeCorrelation:
         dev = sm @ rho + rho @ sm.conj().T
         corr = ops.two_time_correlation(model, ops.sigma_x(), dev, [0.0])
         assert abs(corr[0] - np.trace(ops.sigma_x() @ dev)) < 1e-12
+
+    def test_non_uniform_grid_matches_scipy_expm(self):
+        model = parametric(10)
+        rho = ops.steady_state(model)
+        x = ops.quad_x(10)
+        tau = np.array([0.0, 0.1, 0.15, 0.15, 0.7, 2.0, 2.05])
+        corr = ops.two_time_correlation(model, x, x @ rho, tau)
+        dev = ops._vec(x @ rho)
+        want = np.array([np.trace(x @ ops._unvec(
+            dense_propagator(model, t) @ dev, 10)) for t in tau])
+        assert np.max(np.abs(corr - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_empty_grid(self):
+        corr = ops.two_time_correlation(atom_decay(), ops.sigma_x(),
+                                        ops.sigma_x(), [])
+        assert corr.shape == (0,)
 
     def test_exponential_decay_rate(self):
         # sigma_x deviation under plain decay relaxes at gamma_x = 1/2

@@ -1,8 +1,10 @@
 """Package-level contracts: import cost, `python -m` entry points, README."""
 
+import ast
 import importlib.util
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -31,6 +33,36 @@ def test_import_loads_no_scipy_submodules():
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_source_imports_no_scipy():
+    pkg = pathlib.Path(qfeedback.__file__).parent
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert all(m.split(".")[0] != "scipy" for m in modules), (
+                f"{path.name}:{node.lineno} imports scipy")
+
+
+def test_exact_linear_algebra_loads_no_scipy():
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from qfeedback import operators as ops\n"
+            "model = ops.LindbladModel(ops.quad_x(4),"
+            " ((1.0, ops.destroy(4)),))\n"
+            "rho = ops.steady_state(model)\n"
+            "ops.evolve(model, ops.fock_dm(4, 2), 1.0)\n"
+            "ops.two_time_correlation(model, ops.quad_x(4),"
+            " ops.destroy(4) @ rho, np.linspace(0.0, 2.0, 5))\n"
+            "print('scipy' in sys.modules)")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def loaded_modules(code):

@@ -72,6 +72,20 @@ CASES = {
     "SmeConfig.dt": lambda: _sme(NAN),
     "LindbladModel.rate": lambda: _atom(NAN),
     "LindbladModel.rate inf": lambda: _atom(INF),
+    "LindbladModel.hamiltonian": lambda: ops.LindbladModel(
+        np.full((2, 2), NAN), ()),
+    "LindbladModel.hamiltonian inf": lambda: ops.LindbladModel(
+        np.diag([INF, 0.0]), ()),
+    "LindbladModel.collapse": lambda: ops.LindbladModel(
+        np.zeros((2, 2)), ((1.0, np.full((2, 2), NAN)),)),
+    "LindbladModel.collapse inf": lambda: ops.LindbladModel(
+        np.zeros((2, 2)), ((1.0, np.diag([INF, 0.0])),)),
+    "evolve.t": lambda: ops.evolve(_atom(), ops.fock_dm(2, 1), NAN),
+    "evolve.t inf": lambda: ops.evolve(_atom(), ops.fock_dm(2, 1), INF),
+    "two_time_correlation.tau_grid": lambda: ops.two_time_correlation(
+        _atom(), ops.sigma_x(), ops.sigma_x(), [0.0, NAN, 1.0]),
+    "two_time_correlation.tau_grid inf": lambda: ops.two_time_correlation(
+        _atom(), ops.sigma_x(), ops.sigma_x(), [0.0, 1.0, INF]),
     "AtomLoopParams.g": lambda: at.AtomLoopParams(1.0, 1.0, NAN),
     "FreeSqueezeParams.big_l": lambda: at.FreeSqueezeParams(1.0, NAN),
     "FreeSqueezeParams.big_l inf": lambda: at.FreeSqueezeParams(1.0, INF),
