@@ -84,9 +84,6 @@ class Case:
         """A kernel for a fresh configuration, and that configuration."""
         from qfeedback import trajectories as tj
         config = config_for(self.name, self.dim)
-        # a checkout whose _Kernel still takes keywords builds through for_config
-        if hasattr(tj._Kernel, "for_config"):
-            return tj._Kernel.for_config(config), config
         return tj._Kernel(config.model, config.dt, config.detection,
                           config.feedback), config
 

@@ -62,22 +62,16 @@ class Sampled:
         object.__setattr__(self, "h", h / area)
 
     def ft(self, omega):
-        """Exact Fourier transform of the piecewise-constant interpolant:
-        (1 - z)/(i omega) * sum_k h_k z^k with z = exp(-i omega dt), the sum
-        evaluated by Horner's rule."""
+        """Exact Fourier transform of the piecewise-constant interpolant,
+        dt e^{-i omega dt/2} sinc(omega dt / 2 pi) sum_k h_k z^k with
+        z = e^{-i omega dt}, the sum evaluated by Horner's rule. It equals
+        (1 - z)/(i omega) sum_k h_k z^k, and np.sinc keeps full relative
+        accuracy down to omega = 0, where it is exactly 1."""
         omega = np.asarray(omega, dtype=float)
-        scalar = omega.ndim == 0
-        omega = np.atleast_1d(omega)
-        out = np.empty(len(omega), dtype=complex)
-        small = np.abs(omega) * self.dt < 1e-12
-        if np.any(small):
-            out[small] = self.h.sum() * self.dt
-        rest = ~small
-        if np.any(rest):
-            z = np.exp(-1j * omega[rest] * self.dt)
-            out[rest] = ((1 - z) / (1j * omega[rest])
-                         * np.polyval(self.h[::-1], z))
-        return out[0] if scalar else out
+        half = 0.5 * omega * self.dt
+        z = np.exp(-1j * omega * self.dt)
+        return (self.dt * np.exp(-1j * half) * np.sinc(half / math.pi)
+                * np.polyval(self.h[::-1], z))
 
     @property
     def ft_bound(self) -> float:
@@ -181,26 +175,39 @@ def loop_transfer(filt: LoopFilter, omega, extra=None):
     return out
 
 
+def _closed_loop(filt: LoopFilter, omega, extra=None):
+    """The closed-loop denominator 1 - L(omega), with the one marginal
+    guard: MarginalStability where |1 - L| < CRITICAL_TOL."""
+    den = 1.0 - loop_transfer(filt, omega, extra)
+    if np.any(np.abs(den) < CRITICAL_TOL):
+        raise MarginalStability(
+            f"|1 - loop transfer| < {CRITICAL_TOL} at a requested omega")
+    return den
+
+
 def _nyquist_winding(filt: LoopFilter, extra=None):
-    """Winding number of the open-loop locus around the critical point +1.
+    """Winding number of the open-loop locus around the critical point +1,
+    that of 1 - L around 0.
 
     h(t) and the extra response are real, so L(-omega) = conj L(omega) and
-    the winding over the whole axis is the phase change of (L - 1) over
+    the winding over the whole axis is the phase change of 1 - L over
     omega >= 0 divided by pi.
 
     The response's `ft_bound` B bounds |omega h~(omega)| and |extra| <= 1,
-    so at omega >= cut = 2 |g| B, |L| <= 1/2 and Re(L - 1) <= -1/2: beyond
+    so at omega >= cut = 2 |g| B, |L| <= 1/2 and Re(1 - L) >= 1/2: beyond
     the cut the locus cannot reach or wind around the critical point, and
     its phase change out to omega -> infinity, where L -> 0, is exactly
-    angle(-1 / (L(cut) - 1)). The contour runs from omega = 0 (so a gain
+    angle(1 / (1 - L(cut))). The contour runs from omega = 0 (so a gain
     within CRITICAL_TOL of 1 is marginal) to the cut on a logarithmic grid
     joined with a linear one of spacing pi / (4 lag), lag the delay plus
     the span of a sampled response, so exp(-i omega lag) turns by pi / 4
-    between linear samples. It is refined until the phase of (L - 1)
+    between linear samples. It is refined until the phase of 1 - L
     changes slowly between samples, then the tail is added, so the total
     is a whole multiple of pi up to rounding (the tail is at most pi/6, so
-    the rounded count never hinges on it). For |g| < 1 - CRITICAL_TOL,
-    |L| <= |g| keeps (L - 1) in the left half plane and more than
+    the rounded count never hinges on it). Every sample goes through
+    _closed_loop, so a contour that passes within CRITICAL_TOL of the
+    critical point raises MarginalStability. For |g| < 1 - CRITICAL_TOL,
+    |L| <= |g| keeps 1 - L in the right half plane and more than
     CRITICAL_TOL away from 0, so the winding is 0 without sampling. If the
     phase still jumps between samples after 30 refinements, raises
     NyquistUnresolved.
@@ -216,25 +223,17 @@ def _nyquist_winding(filt: LoopFilter, extra=None):
     lin = np.arange(0.0, cut, math.pi / (4.0 * lag)) if lag > 0 else []
     omegas = np.unique(np.concatenate(
         [[0.0], lin, np.geomspace(cut * 1e-9, cut, 3000)]))
-
-    def locus(om):
-        return loop_transfer(filt, om, extra) - 1.0
-
-    z = locus(omegas)
+    den = _closed_loop(filt, omegas, extra)
     for _ in range(30):
-        if np.min(np.abs(z)) < CRITICAL_TOL:
-            raise MarginalStability(
-                "open-loop locus within 1e-9 of the critical point")
-        dphi = np.angle(z[1:] / z[:-1])
-        bad = np.abs(dphi) > 0.5
+        bad = np.abs(np.angle(den[1:] / den[:-1])) > 0.5
         if not np.any(bad):
             break
         mids = 0.5 * (omegas[:-1][bad] + omegas[1:][bad])
         omegas = np.sort(np.concatenate([omegas, mids]))
-        z = locus(omegas)
+        den = _closed_loop(filt, omegas, extra)
     else:
         raise NyquistUnresolved("Nyquist contour failed to converge")
-    total = np.sum(np.angle(z[1:] / z[:-1])) + np.angle(-1.0 / z[-1])
+    total = np.sum(np.angle(den[1:] / den[:-1])) + np.angle(1.0 / den[-1])
     return int(round(total / math.pi))
 
 
@@ -250,7 +249,8 @@ def is_stable(filt: LoopFilter, extra=None) -> bool:
     transfer and must be the Fourier transform of a nonnegative unit-area
     response (|extra| <= 1): the contour cut of `_nyquist_winding` is
     proven only under that bound.
-    extra(0) must be 1 to within 1e-12, else ValueError.
+    extra(0) must be 1 to within 1e-12, else ValueError. A loop within
+    CRITICAL_TOL of the critical point raises MarginalStability.
     """
     if extra is not None and abs(extra(0.0) - 1.0) > 1e-12:
         raise ValueError("extra must be the transform of a unit-area "
@@ -258,7 +258,7 @@ def is_stable(filt: LoopFilter, extra=None) -> bool:
     if (extra is None and filt.delay_T == 0
             and isinstance(filt.response, SinglePole)):
         # closed-loop pole at s = gamma (g - 1): analytic shortcut
-        if abs(filt.g - 1.0) < 1e-9:
+        if abs(filt.g - 1.0) < CRITICAL_TOL:
             raise MarginalStability("single-pole loop with g = 1")
         return filt.g < 1.0
     return _nyquist_winding(filt, extra) == 0
@@ -266,10 +266,10 @@ def is_stable(filt: LoopFilter, extra=None) -> bool:
 
 def max_bandwidth(g: float, T: float) -> float:
     """Bandwidth bound B <= pi / (T |g|) for strong low-frequency feedback."""
-    if g == 0:
-        raise ValueError("g must be nonzero")
-    if T < 0:
-        raise ValueError("T must be >= 0")
+    if not (math.isfinite(g) and g != 0):
+        raise ValueError(f"g = {g} must be finite and nonzero")
+    if not 0 <= T < math.inf:
+        raise ValueError(f"T = {T} must be finite and >= 0")
     if T == 0:
         return math.inf
     return math.pi / (T * abs(g))
@@ -278,19 +278,21 @@ def max_bandwidth(g: float, T: float) -> float:
 # ---------------------------------------------------------------------------
 # spectra
 
-def _denominator(filt: LoopFilter, omega_grid: np.ndarray) -> np.ndarray:
-    lt = loop_transfer(filt, omega_grid)
-    den = np.abs(1.0 - lt) ** 2
-    if np.any(np.abs(1.0 - lt) < 1e-12):
-        raise MarginalStability("|1 - loop transfer| < 1e-12 at a requested omega")
-    return den
-
-
 def _require_stable(beamline: FeedbackBeamline, filt: LoopFilter) -> None:
     if filt.g != 0 and beamline.eta2 == 0.0:
         raise DegenerateSplit("eta2 = 0: no light reaches the in-loop detector")
     if not is_stable(filt):
         raise UnstableLoop(f"loop with g = {filt.g} is unstable")
+
+
+def _fed_back_noise(beamline: FeedbackBeamline, filt: LoopFilter,
+                    omega_grid: np.ndarray):
+    """The in-loop detector's noise the loop writes onto the beam,
+    g^2 |h~|^2 (1 - eta2) / eta2, and 0 without feedback."""
+    if filt.g == 0:
+        return 0.0
+    h2 = np.abs(filt.response.ft(omega_grid)) ** 2
+    return filt.g ** 2 * h2 * (1.0 - beamline.eta2) / beamline.eta2
 
 
 def in_loop_spectrum(beamline: FeedbackBeamline, filt: LoopFilter,
@@ -300,7 +302,8 @@ def in_loop_spectrum(beamline: FeedbackBeamline, filt: LoopFilter,
     omega_grid = np.asarray(omega_grid, dtype=float)
     _require_stable(beamline, filt)
     sx, _ = beamline.input_spectra(omega_grid)
-    vals = (1.0 + beamline.eta1 * beamline.eta2 * (sx - 1.0)) / _denominator(filt, omega_grid)
+    vals = ((1.0 + beamline.eta1 * beamline.eta2 * (sx - 1.0))
+            / np.abs(_closed_loop(filt, omega_grid)) ** 2)
     return Spectrum(omega_grid, vals)
 
 
@@ -310,13 +313,10 @@ def out_of_loop_spectrum(beamline: FeedbackBeamline, filt: LoopFilter,
     port is anticorrelated, so feedback can only add noise here."""
     omega_grid = np.asarray(omega_grid, dtype=float)
     _require_stable(beamline, filt)
-    eta1, eta2 = beamline.eta1, beamline.eta2
     sx, _ = beamline.input_spectra(omega_grid)
-    h2 = np.abs(filt.response.ft(omega_grid)) ** 2
-    extra = (1.0 - eta2) * eta1 * (sx - 1.0)
-    if filt.g != 0:
-        extra = extra + filt.g ** 2 * h2 * (1.0 - eta2) / eta2
-    vals = 1.0 + extra / _denominator(filt, omega_grid)
+    extra = ((1.0 - beamline.eta2) * beamline.eta1 * (sx - 1.0)
+             + _fed_back_noise(beamline, filt, omega_grid))
+    vals = 1.0 + extra / np.abs(_closed_loop(filt, omega_grid)) ** 2
     return Spectrum(omega_grid, vals)
 
 
@@ -337,23 +337,23 @@ def in_loop_qnd_spectrum(beamline: FeedbackBeamline, filt: LoopFilter,
     meter (the equivalent single-detector picture with efficiency eta2)."""
     omega_grid = np.asarray(omega_grid, dtype=float)
     _require_stable(beamline, filt)
-    eta1, eta2 = beamline.eta1, beamline.eta2
     sx, _ = beamline.input_spectra(omega_grid)
-    h2 = np.abs(filt.response.ft(omega_grid)) ** 2
-    num = 1.0 + eta1 * (sx - 1.0)
-    if filt.g != 0:
-        num = num + filt.g ** 2 * h2 * (1.0 - eta2) / eta2
-    return Spectrum(omega_grid, num / _denominator(filt, omega_grid))
+    num = (1.0 + beamline.eta1 * (sx - 1.0)
+           + _fed_back_noise(beamline, filt, omega_grid))
+    return Spectrum(omega_grid,
+                    num / np.abs(_closed_loop(filt, omega_grid)) ** 2)
 
 
 def optimal_gain_for_input(beamline: FeedbackBeamline, omega: float):
     """Loop transfer minimizing the out-of-loop noise at one frequency, and
     the resulting optimum value.
 
-    For a squeezed input (s0x < 1) the required transfer is positive:
-    destabilizing feedback puts squeezing back into the free beam.
+    The input spectra are read through `input_spectra`, so an input with
+    s0x * s0y < 1 raises ValueError. For a squeezed input (s0x < 1) the
+    required transfer is positive: destabilizing feedback puts squeezing
+    back into the free beam.
     """
-    sx = float(_as_spectrum_fn(beamline.s0x)(np.asarray(omega, dtype=float)))
+    sx = float(beamline.input_spectra(omega)[0])
     eta1, eta2 = beamline.eta1, beamline.eta2
     base = 1.0 + eta2 * eta1 * (sx - 1.0)
     if base <= 0:
@@ -371,7 +371,4 @@ def commutator_factor(filt: LoopFilter, omega):
     """
     if not is_stable(filt):
         raise UnstableLoop(f"loop with g = {filt.g} is unstable")
-    lt = loop_transfer(filt, omega)
-    if np.any(np.abs(1.0 - lt) < 1e-12):
-        raise MarginalStability("loop transfer at the critical point")
-    return 1.0 / (1.0 - lt)
+    return 1.0 / _closed_loop(filt, omega)

@@ -260,13 +260,15 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float,
     """State at time t: exp(L t) applied to vec(rho0) as a truncated Taylor
     action (see _expm_action), without forming exp(L t).
 
-    The result is hermitized and its trace and positivity are checked. With
+    rho0 must be a density matrix (else InvalidState). The result is
+    hermitized and its trace and positivity are checked. With
     watch_truncation=True, population of the top two levels of the result
     above 1e-6 emits a TruncationWarning (bosonic truncated modes).
     """
     if not 0 <= t < np.inf:
         raise ValueError(f"t = {t} must be finite and >= 0")
     rho0 = np.asarray(rho0, dtype=complex)
+    validate_density_matrix(rho0)
     dim = _check_dims(model.hamiltonian, rho0)
     rho = _unvec(_expm_action(model.liouvillian, _vec(rho0), [t])[0], dim)
     rho = 0.5 * (rho + rho.conj().T)

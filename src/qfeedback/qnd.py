@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnstableLoop
-from .loop import LoopFilter, Spectrum, is_stable, loop_transfer
+from .loop import LoopFilter, Spectrum, _closed_loop, is_stable
 
 
 @dataclass(frozen=True)
@@ -85,17 +85,18 @@ def qnd_feedback_output_spectra(params: QndFeedbackParams, omega_grid,
 
     for vacuum inputs (unit spectra). The effective loop response is the
     electronic filter times the two-cavity pair response p~.
+
+    check_stability runs the Nyquist test first (UnstableLoop); either way
+    |1 - L| < loop.CRITICAL_TOL on the grid raises MarginalStability.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
-    filt = params.filter
-    if check_stability and not is_stable(filt, extra=params.qnd.pair_response):
+    filt, pair = params.filter, params.qnd.pair_response
+    if check_stability and not is_stable(filt, extra=pair):
         raise UnstableLoop(f"QND loop with g = {filt.g} is unstable")
     q = params.qnd.q_factor
-    lt = loop_transfer(filt, omega_grid, extra=params.qnd.pair_response)
-    den = np.abs(1.0 - lt) ** 2
+    den = np.abs(_closed_loop(filt, omega_grid, extra=pair)) ** 2
     sx = (1.0 + filt.g ** 2 / q ** 2) / den
-    p = params.qnd.pair_response(omega_grid)
-    sy = 1.0 + np.abs(q * p) ** 2
+    sy = 1.0 + np.abs(q * pair(omega_grid)) ** 2
     return Spectrum(omega_grid, sx), Spectrum(omega_grid, sy)
 
 

@@ -31,6 +31,9 @@ DIVERGENCE_LIMIT = 1e6
 # the variance of a Welch estimate over K windows (periodic Hann, 50% overlap)
 # is about HANN_VARIANCE_FACTOR / K times its square
 HANN_VARIANCE_FACTOR = 1.06
+# record samples per estimate_psd transform: one transform over 256 records
+# of 1000 samples took 14 MB more peak memory, and was no faster
+_PSD_CHUNK = 1 << 15
 _BLOCK = 256                  # fewest samples per block of _lfilter
 _BLOCK_SCALAR = 128           # samples per block of an order-1 _lfilter
 _FLUSH = 1e-250               # _lfilter's carried outputs below this scale are 0
@@ -410,22 +413,29 @@ def estimate_psd(series: np.ndarray, dt: float, n_segments: int) -> Spectrum:
     so unit white noise has expected density 1, at the frequencies
     0 <= omega < pi / dt of the segment's grid. Returns standard errors.
 
-    series may hold several records along its last axis; values and stderr
-    then carry the leading axes, one spectrum per record.
+    series may hold several records of one length along its leading axes;
+    the estimate pools them, averaging every window of every record, and
+    its stderr counts all of those windows. _PSD_CHUNK samples (at least
+    one record) are transformed at a time, which bounds the memory.
     """
     series = np.asarray(series, dtype=float)
     n = series.shape[-1]
     nperseg = welch_segment_length(n, n_segments)
-    step = nperseg // 2
-    frames = sliding_window_view(series, nperseg, axis=-1)[..., ::step, :]
+    frames = sliding_window_view(series.reshape(-1, n), nperseg,
+                                 axis=-1)[:, ::nperseg // 2]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
     # the two-sided density at omega >= 0; nperseg is even, and its Nyquist
     # bin is dropped, as a two-sided grid labels it negative
     keep = nperseg // 2
-    spectra = np.fft.rfft(frames * window, axis=-1)[..., :keep]
-    vals = np.mean(spectra.real ** 2 + spectra.imag ** 2, axis=-2)
+    per_call = max(1, _PSD_CHUNK // n)
+    vals = 0.0
+    for lo in range(0, len(frames), per_call):
+        spectra = np.fft.rfft(frames[lo:lo + per_call] * window)[..., :keep]
+        power = spectra.real ** 2 + spectra.imag ** 2
+        vals = vals + power.reshape(-1, keep).sum(axis=0)
+    windows = welch_window_count(n, n_segments) * len(frames)
+    vals /= windows
     vals *= dt / np.sum(window ** 2)
     omega = 2.0 * np.pi * np.fft.rfftfreq(nperseg, dt)[:keep]
-    stderr = vals * np.sqrt(HANN_VARIANCE_FACTOR
-                            / welch_window_count(n, n_segments))
-    return Spectrum(omega, vals, stderr=stderr)
+    return Spectrum(omega, vals,
+                    stderr=vals * np.sqrt(HANN_VARIANCE_FACTOR / windows))

@@ -69,8 +69,7 @@ from .errors import JumpFromDarkState, PositivityViolation
 from .loop import Spectrum
 from .operators import LindbladModel, _vec, steady_state
 from .operators import two_time_correlation  # noqa: F401  (re-exported)
-from .semiclassical import (HANN_VARIANCE_FACTOR, estimate_psd,
-                            welch_segment_length, welch_window_count)
+from .semiclassical import estimate_psd, welch_segment_length
 
 # every step map is completely positive: eigenvalues dip below 0 by rounding
 POSITIVITY_TOL = -ops.TOL_POS
@@ -79,7 +78,6 @@ POSITIVITY_CHECK_EVERY = 50
 _ROW_PAD = 8                 # products run on a multiple of this many rows
 _COL_PAD = 8                 # ... against maps padded to this many columns
 _NOISE_CHUNK = 1 << 18       # noise values drawn at once per batch
-_PSD_CHUNK = 1 << 15         # record samples per Welch call
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
 # per-row failure codes
@@ -583,8 +581,9 @@ def run_ensemble(config: SmeConfig, n_traj: int, rho0: np.ndarray,
     Trajectory i uses the Philox stream keyed by seed XOR i, so its record and
     states are bit-identical for any batch size and equal to run_trajectory
     with that seed. A diffusive ensemble whose records are too short for
-    psd_segments Welch segments raises TooShort before any stepping. The run
-    aborts only if more than 10% of trajectories fail.
+    psd_segments Welch segments raises TooShort before any stepping; the PSD
+    pools the Welch windows of every successful record. The run aborts only
+    if more than 10% of trajectories fail, raising the first failure's type.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -601,27 +600,15 @@ def run_ensemble(config: SmeConfig, n_traj: int, rho0: np.ndarray,
     failures = [(int(i), _failure(codes[i]))
                 for i in np.flatnonzero(codes)]
     if len(ok) < math.ceil(0.9 * n_traj):
-        raise PositivityViolation(
-            f"only {len(ok)}/{n_traj} trajectories succeeded")
+        first = failures[0][1]
+        raise type(first)(f"only {len(ok)}/{n_traj} trajectories succeeded;"
+                          f" the first failure: {first}") from first
 
     c = config.model.collapses[0][1]
     good = snaps[ok]                             # (n_ok, n_snap, d^2)
     xbars = good @ kernel.expect_col(c + c.conj().T)
-    psd = None
-    if kernel.diffusive:
-        # one Welch call per block of records: _PSD_CHUNK samples keep its
-        # segment and FFT arrays within a few MB (one call over 256 x 1000
-        # samples took 14 MB more peak memory, and was no faster)
-        per_call = max(1, _PSD_CHUNK // config.steps)
-        total = 0.0
-        for lo in range(0, len(ok), per_call):
-            s = estimate_psd(records[ok[lo:lo + per_call]], config.dt,
-                             psd_segments)
-            total = total + s.values.sum(axis=0)
-        mean = total / len(ok)
-        windows = welch_window_count(config.steps, psd_segments) * len(ok)
-        psd = Spectrum(s.omega, mean,
-                       stderr=mean * np.sqrt(HANN_VARIANCE_FACTOR / windows))
+    psd = (estimate_psd(records[ok], config.dt, psd_segments)
+           if kernel.diffusive else None)
     return EnsembleSummary(
         state_times=_state_times(config),
         mean_states=kernel.states(good.mean(axis=0)),

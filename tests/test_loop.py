@@ -59,6 +59,21 @@ class TestLoopTransfer:
                            (1 - np.exp(-1j * omega * dt)) / (1j * omega))
         assert np.max(np.abs(resp.ft(omega) - box * direct)) < 1e-12
 
+    @pytest.mark.parametrize("x", [1e-10, 1e-8, 1e-6])
+    def test_sampled_ft_small_omega_dt(self, x):
+        # the transform of a box of unit area over [k dt, (k + 1) dt) is
+        # e^{-i omega k dt} (1 - e^{-i x}) / (i x), x = omega dt; expm1 keeps
+        # 1 - e^{-i x} exact to rounding where the subtraction cancels
+        dt = 0.01
+        h = np.array([0.5, 0.0, 2.0])
+        resp = loop.Sampled(h, dt)
+        omega = x / dt
+        box = -np.expm1(-1j * x) / (1j * x)
+        taps = np.exp(-1j * omega * dt * np.arange(3)) @ resp.h * dt
+        exact = box * taps
+        assert abs(resp.ft(omega) - exact) <= 1e-15 * abs(exact)
+        assert abs(resp.ft(np.array([omega]))[0] - exact) <= 1e-15 * abs(exact)
+
     def test_high_frequency_bound(self):
         # |omega| |h~(omega)| <= ft_bound: the bound behind the cut of the
         # Nyquist contour; a Sampled bound is within 1.06 of the maximum
@@ -273,6 +288,13 @@ class TestOptimalGainForInput:
                                    s0x=1e-9, s0y=1e9)
         _, s3 = loop.optimal_gain_for_input(bl, 0.0)
         assert s3 < 1e-6
+
+
+    def test_input_below_uncertainty_product_rejected(self):
+        bl = loop.FeedbackBeamline(beta=1.0, eta1=1.0, eta2=0.5,
+                                   s0x=0.5, s0y=1.0)
+        with pytest.raises(ValueError, match="s0x \\* s0y >= 1"):
+            loop.optimal_gain_for_input(bl, 0.0)
 
 
 class TestCommutatorFactor:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qfeedback import loop, qnd
-from qfeedback.errors import UnstableLoop
+from qfeedback.errors import MarginalStability, UnstableLoop
 
 
 def params(kappa=1.0, gamma=1.0, chi=2.0):
@@ -78,6 +78,14 @@ class TestFeedbackSpectra:
                                    self.filt(-1e4, gamma_f=1.0, T=0.0))
         with pytest.raises(UnstableLoop):
             qnd.qnd_feedback_output_spectra(fb, np.array([0.0]))
+
+    def test_marginal_without_stability_check(self):
+        # at g = 1 and omega = 0 the loop transfer is exactly 1: the one
+        # marginal guard holds with the Nyquist test switched off
+        fb = qnd.QndFeedbackParams(params(), self.filt(1.0))
+        with pytest.raises(MarginalStability):
+            qnd.qnd_feedback_output_spectra(fb, np.array([0.0, 1.0]),
+                                            check_stability=False)
 
     def test_large_q_limit(self):
         # added measurement noise vanishes as Q^-2

@@ -1,5 +1,6 @@
 """Semiclassical Monte Carlo loop and PSD estimator."""
 
+import math
 import warnings
 
 import numpy as np
@@ -307,6 +308,19 @@ class TestLfilter:
         assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _scipy_welch(series, dt, k):
+    """scipy's per-record Welch density at the grid of estimate_psd: the
+    angular frequencies >= 0, and the values along the last axis."""
+    nperseg = sc.welch_segment_length(series.shape[-1], k)
+    freqs, pxx = signal.welch(
+        series, fs=1.0 / dt, window="hann", nperseg=nperseg,
+        noverlap=nperseg // 2, detrend=False, return_onesided=False,
+        scaling="density", axis=-1)
+    keep = np.nonzero(freqs >= 0)[0]
+    keep = keep[np.argsort(freqs[keep])]
+    return 2.0 * np.pi * freqs[keep], pxx[..., keep]
+
+
 class TestEstimatePsd:
     def test_white_noise_normalization(self):
         rng = np.random.default_rng(11)
@@ -345,27 +359,37 @@ class TestEstimatePsd:
         assert np.allclose(psd.stderr, psd.values * np.sqrt(1.06 / count),
                            rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("shape, k", [((1000,), 8), ((1000,), 13),
-                                          ((3, 2, 1000), 8), ((3, 2, 1000), 13)],
-                             ids=["1d-even", "1d-odd", "stacked-even",
-                                  "stacked-odd"])
-    def test_matches_scipy_welch(self, shape, k):
+    @pytest.mark.parametrize("n, k", [(1000, 8), (1000, 13)],
+                             ids=["1d-even", "1d-odd"])
+    def test_matches_scipy_welch(self, n, k):
         # k = 8 gives nperseg = 216 and k = 13 gives 128 (the ids name the
         # parity of k; every segment length is even)
-        dt = 0.05
+        series = np.random.default_rng(12).standard_normal(n)
+        omega, pxx = _scipy_welch(series, 0.05, k)
+        psd = sc.estimate_psd(series, 0.05, k)
+        assert psd.values.shape == omega.shape
+        assert np.allclose(psd.omega, omega, rtol=1e-12, atol=0)
+        assert np.allclose(psd.values, pxx, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shape, k", [((3, 2, 1000), 8),
+                                          ((3, 2, 1000), 13),
+                                          ((40, 1000), 8)],
+                             ids=["stacked-even", "stacked-odd",
+                                  "stacked-chunked"])
+    def test_pools_records_as_mean_of_scipy_welch(self, shape, k):
+        # records along leading axes pool into one estimate, the mean of
+        # scipy's per-record spectra, whose stderr counts every window of
+        # every record; 40 x 1000 samples take two transforms of _PSD_CHUNK
         series = np.random.default_rng(12).standard_normal(shape)
-        nperseg = sc.welch_segment_length(shape[-1], k)
-        freqs, pxx = signal.welch(
-            series, fs=1.0 / dt, window="hann", nperseg=nperseg,
-            noverlap=nperseg // 2, detrend=False, return_onesided=False,
-            scaling="density", axis=-1)
-        keep = np.nonzero(freqs >= 0)[0]
-        keep = keep[np.argsort(freqs[keep])]
-        psd = sc.estimate_psd(series, dt, k)
-        assert psd.values.shape == shape[:-1] + (len(keep),)
-        assert np.allclose(psd.omega, 2.0 * np.pi * freqs[keep],
-                           rtol=1e-12, atol=0)
-        assert np.allclose(psd.values, pxx[..., keep], rtol=1e-12, atol=0)
+        omega, pxx = _scipy_welch(series, 0.05, k)
+        psd = sc.estimate_psd(series, 0.05, k)
+        assert psd.values.shape == omega.shape
+        assert np.allclose(psd.omega, omega, rtol=1e-12, atol=0)
+        mean = pxx.reshape(-1, len(omega)).mean(axis=0)
+        assert np.allclose(psd.values, mean, rtol=1e-12, atol=0)
+        windows = sc.welch_window_count(shape[-1], k) * math.prod(shape[:-1])
+        assert np.allclose(psd.stderr, psd.values * np.sqrt(1.06 / windows),
+                           rtol=1e-15, atol=0)
 
     def test_too_short(self):
         with pytest.raises(TooShort):

@@ -828,3 +828,54 @@ class TestEnsembleContract:
             solo = tj.run_trajectory(self.cfg(), rho0, seed=42 ^ i)
             assert np.array_equal(res.record, solo.record)
             assert np.array_equal(res.states, solo.states)
+
+
+class _DarkStream:
+    """A stand-in for trajectories.Generator whose uniform draws are all -1,
+    below every detection probability: each step detects, even from a state
+    that cannot emit."""
+
+    def __init__(self, bit_generator):
+        pass
+
+    def random(self, m):
+        return np.full(m, -1.0)
+
+
+class TestFailurePath:
+    """A forced detection from the photon-counting vacuum fails its
+    trajectory by a dark jump, flagged by the step itself."""
+
+    def cfg(self):
+        return config(cavity(3), tj.PhotonCounting(), dt=1e-3, steps=20,
+                      seed=9, snapshot_every=10)
+
+    def test_trajectory_raises_dark_jump(self, monkeypatch):
+        monkeypatch.setattr(tj, "Generator", _DarkStream)
+        with pytest.raises(JumpFromDarkState):
+            tj.run_trajectory(self.cfg(), ops.fock_dm(3, 0))
+
+    def test_one_failed_seed_is_listed(self, monkeypatch):
+        # the streams are made in seed order: only trajectory 0 is forced
+        made = []
+
+        def first_dark(bit_generator):
+            made.append(bit_generator)
+            if len(made) == 1:
+                return _DarkStream(bit_generator)
+            return np.random.Generator(bit_generator)
+
+        monkeypatch.setattr(tj, "Generator", first_dark)
+        summary = tj.run_ensemble(self.cfg(), 10, ops.fock_dm(3, 0),
+                                  keep_trajectories=True)
+        assert (summary.n_success, summary.n_failed) == (9, 1)
+        [(row, err)] = summary.failures
+        assert row == 0 and isinstance(err, JumpFromDarkState)
+        assert [r.diagnostics["seed"] for r in summary.trajectories] == [
+            9 ^ i for i in range(1, 10)]
+
+    def test_abort_keeps_the_failure_type(self, monkeypatch):
+        monkeypatch.setattr(tj, "Generator", _DarkStream)
+        with pytest.raises(JumpFromDarkState,
+                           match="only 0/4 trajectories succeeded"):
+            tj.run_ensemble(self.cfg(), 4, ops.fock_dm(3, 0))

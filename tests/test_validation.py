@@ -9,6 +9,7 @@ from qfeedback import atom_squash as at
 from qfeedback import intracavity as ic
 from qfeedback import loop, operators as ops, qnd, semiclassical as sc
 from qfeedback import trajectories as tj
+from qfeedback.errors import InvalidState
 
 NAN, INF = math.nan, math.inf
 
@@ -96,3 +97,24 @@ CASES = {
 def test_nan_parameter_rejected(name):
     with pytest.raises(ValueError):
         CASES[name]()
+
+
+@pytest.mark.parametrize("g, T, arg", [(NAN, 1.0, "g"), (INF, 1.0, "g"),
+                                       (-2.0, NAN, "T"), (-2.0, INF, "T")])
+def test_max_bandwidth_rejects_non_finite(g, T, arg):
+    with pytest.raises(ValueError, match=f"^{arg} = "):
+        loop.max_bandwidth(g, T)
+
+
+# matrices that are not density matrices, as initial states of evolve
+BAD_STATES = {
+    "non-Hermitian": np.array([[0.5, 1.0], [0.0, 0.5]]),
+    "negative eigenvalue": np.diag([2.0, -1.0]),
+    "nan": np.full((2, 2), NAN),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_STATES))
+def test_evolve_rejects_invalid_initial_state(name):
+    with pytest.raises(InvalidState):
+        ops.evolve(_atom(), BAD_STATES[name], 1.0)
