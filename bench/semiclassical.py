@@ -7,7 +7,12 @@ Per side and round:
   classical noise 2.0 / 0.5, dt = 0.01, duration 2000, seed 1234);
 - `simulate_peak_mb`: the `tracemalloc` peak of one such call, in MB
   (10^6 bytes) of Python-level allocations, taken after the timings;
-- `estimate_psd_s`: `estimate_psd` on 10^6 white-noise samples, 64 segments;
+- `oracle_simulate_s` and `oracle_simulate_peak_mb`: the same for the larger
+  of acceptance criterion 3's loops at the oracle's size (g = -0.8,
+  gamma = 0.5, T = 0.5, eta1 = 0.9, eta2 = 0.7, classical noise 2.0 / 0.5,
+  dt = 0.02, 10^6 samples: an order-26 recursion);
+- `estimate_psd_s` and `estimate_psd_peak_mb`: `estimate_psd` on 10^6
+  white-noise samples, 64 segments, and the tracemalloc peak of one call;
 - `diverges_map_s`: `diverges` over acceptance criterion 4's stability map
   (10 gains x 5 (gamma, T) configurations, dt = T / 64, 400 time units,
   marginal gains skipped as the criterion skips them);
@@ -45,8 +50,10 @@ import _ab
 GAINS = (-12.0, -8.0, -4.0, -1.5, -0.8, 0.5, 1.5, 3.0, 6.0, 10.0)
 CONFIGS = ((1.0, 1.0), (0.1, 1.0), (1.0, 0.3), (2.0, 0.2), (1.0, 0.05))
 ROWS = tuple(f"diverges_s.gamma{gamma}_T{delay}" for gamma, delay in CONFIGS)
-IN_PROCESS = ("simulate_s", "estimate_psd_s", "diverges_map_s") + ROWS
-METRICS = IN_PROCESS + ("simulate_peak_mb", "cli_s", "cli_rss_mb", "import_s")
+IN_PROCESS = ("simulate_s", "oracle_simulate_s", "estimate_psd_s",
+              "diverges_map_s") + ROWS
+PEAKS = ("simulate_peak_mb", "oracle_simulate_peak_mb", "estimate_psd_peak_mb")
+METRICS = IN_PROCESS + PEAKS + ("cli_s", "cli_rss_mb", "import_s")
 
 
 def worker(repeats: int) -> None:
@@ -65,6 +72,11 @@ def worker(repeats: int) -> None:
     sim = sc.SemiclassicalSim(
         beamline=beam, filter=loop.LoopFilter(-2.0, loop.SinglePole(1.0), 0.0),
         dt=0.01, duration=2000.0, seed=1234, classical_noise=noise)
+    oracle = sc.SemiclassicalSim(
+        beamline=loop.FeedbackBeamline(beta=1.0, eta1=0.9, eta2=0.7,
+                                       s0x=noise.spectrum, s0y=1.0),
+        filter=loop.LoopFilter(-0.8, loop.SinglePole(0.5), 0.5),
+        dt=0.02, duration=20000.0, seed=31, classical_noise=noise)
     series = np.random.default_rng(8).standard_normal(10 ** 6)
     rows = {row: [] for row in ROWS}
     for row, (gamma, delay) in zip(ROWS, CONFIGS):
@@ -92,12 +104,16 @@ def worker(repeats: int) -> None:
     out = {
         "import_s": import_s,
         "simulate_s": _ab.best_of(lambda: sc.simulate(sim), repeats),
+        "oracle_simulate_s": _ab.best_of(lambda: sc.simulate(oracle), repeats),
         "estimate_psd_s": _ab.best_of(lambda: sc.estimate_psd(series, 0.01, 64),
                                   repeats),
         "diverges_map_s": _ab.best_of(lambda: run_map(probes), repeats),
         **{row: _ab.best_of(lambda: run_map(rows[row]), repeats)
            for row in ROWS},
         "simulate_peak_mb": peak_mb(lambda: sc.simulate(sim)),
+        "oracle_simulate_peak_mb": peak_mb(lambda: sc.simulate(oracle)),
+        "estimate_psd_peak_mb": peak_mb(
+            lambda: sc.estimate_psd(series, 0.01, 64)),
         "probes": len(probes),
         "scipy_signal_loaded": "scipy.signal" in sys.modules,
     }
@@ -122,7 +138,7 @@ def report(samples: dict, args) -> dict:
     _ab.print_summary(sides, wins, args.rounds)
     return {
         "rounds": args.rounds, "repeats": args.repeats,
-        "metric": "seconds (cli_rss_mb: MiB, simulate_peak_mb: MB of "
+        "metric": "seconds (cli_rss_mb: MiB, *_peak_mb: MB of "
                   "tracemalloc peak); in-process timings are the "
                   "best of repeats after one warm-up call, one sample per "
                   "side and round; summary over rounds",

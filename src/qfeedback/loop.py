@@ -21,6 +21,7 @@ from .errors import (
 )
 
 CRITICAL_TOL = 1e-9
+_CONTOUR_CHUNK = 1 << 15      # most Nyquist contour samples counted at once
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,8 @@ class SinglePole:
             raise ValueError(f"gamma = {self.gamma} must be finite and > 0")
 
     def ft(self, omega):
-        """h~(omega) = gamma / (gamma + i omega)."""
-        return self.gamma / (self.gamma + 1j * np.asarray(omega, dtype=float))
+        """h~(omega) = 1 / (1 + i omega / gamma), exactly 1 at omega = 0."""
+        return 1.0 / (1.0 + 1j * (np.asarray(omega, dtype=float) / self.gamma))
 
     @property
     def ft_bound(self) -> float:
@@ -185,6 +186,42 @@ def _closed_loop(filt: LoopFilter, omega, extra=None):
     return den
 
 
+def _contour(cut: float, lag: float):
+    """The Nyquist contour's samples in increasing order and without
+    repeats: omega = 0, the linear grid of spacing pi / (4 lag) below cut
+    (none at lag 0) and geomspace(cut 1e-9, cut, 3000). Yields them in
+    consecutive chunks of at most _CONTOUR_CHUNK samples, so that no more
+    are held at once."""
+    spacing = math.pi / (4.0 * lag) if lag > 0 else 0.0
+    n_lin = math.ceil(cut / spacing) if lag > 0 else 1
+    geom = np.geomspace(cut * 1e-9, cut, 3000)
+    i = j = 0
+    while i < n_lin or j < len(geom):
+        lin = np.arange(i, min(i + _CONTOUR_CHUNK, n_lin)) * spacing
+        log = geom[j:j + _CONTOUR_CHUNK]
+        chunk = np.unique(np.concatenate([lin, log]))[:_CONTOUR_CHUNK]
+        i += np.count_nonzero(lin <= chunk[-1])
+        j += np.count_nonzero(log <= chunk[-1])
+        yield chunk
+
+
+def _phase_change(filt: LoopFilter, omegas: np.ndarray, extra=None):
+    """The phase change of 1 - L over the sorted samples omegas, refined
+    until it changes by at most 0.5 between samples, and 1 - L at the last
+    sample. Each refinement puts a sample midway in every interval that
+    jumps; NyquistUnresolved if one still jumps after 30."""
+    den = _closed_loop(filt, omegas, extra)
+    for _ in range(30):
+        steps = np.angle(den[1:] / den[:-1])
+        bad = np.nonzero(np.abs(steps) > 0.5)[0]
+        if not len(bad):
+            return np.sum(steps), den[-1]
+        mids = 0.5 * (omegas[bad] + omegas[bad + 1])
+        omegas = np.insert(omegas, bad + 1, mids)
+        den = np.insert(den, bad + 1, _closed_loop(filt, mids, extra))
+    raise NyquistUnresolved("Nyquist contour failed to converge")
+
+
 def _nyquist_winding(filt: LoopFilter, extra=None):
     """Winding number of the open-loop locus around the critical point +1,
     that of 1 - L around 0.
@@ -201,16 +238,17 @@ def _nyquist_winding(filt: LoopFilter, extra=None):
     within CRITICAL_TOL of 1 is marginal) to the cut on a logarithmic grid
     joined with a linear one of spacing pi / (4 lag), lag the delay plus
     the span of a sampled response, so exp(-i omega lag) turns by pi / 4
-    between linear samples. It is refined until the phase of 1 - L
-    changes slowly between samples, then the tail is added, so the total
-    is a whole multiple of pi up to rounding (the tail is at most pi/6, so
-    the rounded count never hinges on it). Every sample goes through
-    _closed_loop, so a contour that passes within CRITICAL_TOL of the
-    critical point raises MarginalStability. For |g| < 1 - CRITICAL_TOL,
-    |L| <= |g| keeps 1 - L in the right half plane and more than
-    CRITICAL_TOL away from 0, so the winding is 0 without sampling. If the
-    phase still jumps between samples after 30 refinements, raises
-    NyquistUnresolved.
+    between linear samples. It is counted a chunk of samples at a time
+    (`_contour`), each chunk starting at the last sample of the one before
+    and refined on its own until the phase of 1 - L changes slowly between
+    samples, and then the tail is added, so the total is a whole multiple
+    of pi up to rounding (the tail is at most pi/6, so the rounded count
+    never hinges on it). Every sample goes through _closed_loop, so a
+    contour that passes within CRITICAL_TOL of the critical point raises
+    MarginalStability. For |g| < 1 - CRITICAL_TOL, |L| <= |g| keeps 1 - L
+    in the right half plane and more than CRITICAL_TOL away from 0, so the
+    winding is 0 without sampling. If the phase still jumps between samples
+    after 30 refinements, raises NyquistUnresolved.
     """
     g = abs(filt.g)
     if g < 1.0 - CRITICAL_TOL:
@@ -220,20 +258,13 @@ def _nyquist_winding(filt: LoopFilter, extra=None):
     lag = filt.delay_T
     if isinstance(resp, Sampled):
         lag += len(resp.h) * resp.dt
-    lin = np.arange(0.0, cut, math.pi / (4.0 * lag)) if lag > 0 else []
-    omegas = np.unique(np.concatenate(
-        [[0.0], lin, np.geomspace(cut * 1e-9, cut, 3000)]))
-    den = _closed_loop(filt, omegas, extra)
-    for _ in range(30):
-        bad = np.abs(np.angle(den[1:] / den[:-1])) > 0.5
-        if not np.any(bad):
-            break
-        mids = 0.5 * (omegas[:-1][bad] + omegas[1:][bad])
-        omegas = np.sort(np.concatenate([omegas, mids]))
-        den = _closed_loop(filt, omegas, extra)
-    else:
-        raise NyquistUnresolved("Nyquist contour failed to converge")
-    total = np.sum(np.angle(den[1:] / den[:-1])) + np.angle(1.0 / den[-1])
+    total, start = 0.0, []
+    for omegas in _contour(cut, lag):
+        change, end = _phase_change(filt, np.concatenate([start, omegas]),
+                                    extra)
+        total += change
+        start = omegas[-1:]
+    total += np.angle(1.0 / end)
     return int(round(total / math.pi))
 
 

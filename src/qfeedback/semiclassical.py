@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Optional
 
@@ -31,14 +32,16 @@ DIVERGENCE_LIMIT = 1e6
 # the variance of a Welch estimate over K windows (periodic Hann, 50% overlap)
 # is about HANN_VARIANCE_FACTOR / K times its square
 HANN_VARIANCE_FACTOR = 1.06
-# record samples per estimate_psd transform: one transform over 256 records
-# of 1000 samples took 14 MB more peak memory, and was no faster
+# record samples whose windows estimate_psd transforms at a time: one
+# transform over 256 records of 1000 samples took 14 MB more peak memory,
+# and was no faster
 _PSD_CHUNK = 1 << 15
-_BLOCK = 256                  # fewest samples per block of _lfilter
-_BLOCK_SCALAR = 128           # samples per block of an order-1 _lfilter
-_FLUSH = 1e-250               # _lfilter's carried outputs below this scale are 0
-_FLUSH_EVERY = 64             # blocks between flushes inside _lfilter's carry loops
-_TAIL_STEP = 8                # blocks per carry step of _lfilter past its input
+_BLOCK = 256                  # fewest samples per block of a _BlockRecursion
+_BLOCK_SCALAR = 128           # samples per block of an order-1 recursion
+_CHUNK_BLOCKS = 128           # blocks per chunk of a _BlockRecursion pass
+_FLUSH = 1e-250               # carried outputs below this scale are 0
+_FLUSH_EVERY = 64             # blocks between flushes inside the carry loops
+_TAIL_STEP = 8                # blocks per carry step past the input
 
 
 @dataclass(frozen=True)
@@ -117,121 +120,201 @@ def _toeplitz(diagonals: np.ndarray, cols: int) -> np.ndarray:
     return sliding_window_view(diagonals, cols)[:, ::-1]
 
 
-def _lfilter(b, a, x, n: Optional[int] = None) -> np.ndarray:
-    """Output from rest of y[n] = sum_k b[k] x[n-k] - sum_{k>=1} a[k] y[n-k]
-    (a[0] = 1) for the 1-D input x followed by zeros: n >= len(x) samples
-    (default len(x)).
+def _impulse_response(a: np.ndarray, m: int) -> np.ndarray:
+    """The first m samples of the impulse response of 1/a (a[0] = 1).
+
+    Newton's iteration for the inverse of a power series: from the first k
+    samples h, the next k are h * e, e the samples k..2k-1 of 1 - a * h (its
+    first k are zero). Each step doubles the samples known."""
+    h = np.ones(1)
+    while len(h) < m:
+        k = len(h)
+        e = -np.convolve(a[:2 * k], h)[k:2 * k]
+        h = np.concatenate([h, np.convolve(h, e)[:k]])
+    return h[:m]
+
+
+class _BlockRecursion:
+    """The difference equation y[n] = sum_k b[k] x[n-k] - sum_{k>=1} a[k]
+    y[n-k] (a[0] = 1), run from rest over consecutive chunks of its input.
 
     Evaluated in blocks of m samples, p the order. Each block's output is
     one linear map of its state: its own inputs, the p inputs before it and
-    the p outputs before it. For the blocks whose state holds an input, one
-    product gives every block's last p outputs from its inputs alone, a loop
-    over blocks adds the outputs carried from the block before (p x p work
-    per block), and one product applies the whole map to every block's
-    state, m + 2p multiply-adds per sample. An order-1 carry is a
-    Python-float recursion that costs little per block, so it takes the
-    shorter m = _BLOCK_SCALAR; higher orders take m = max(_BLOCK, p), as
-    each block's carry is an array product.
+    the p outputs before it. For the blocks of a chunk, one product gives
+    every block's last p outputs from its inputs alone, a loop over blocks
+    adds the outputs carried from the block before (p x p work per block),
+    and one product applies the whole map to every block's state, m + 2p
+    multiply-adds per sample. An order-1 carry is a Python-float recursion
+    that costs little per block, so it takes the shorter m = _BLOCK_SCALAR;
+    higher orders take m = max(_BLOCK, p), as each block's carry is an array
+    product.
 
-    Past x a block's state is its p carried outputs alone. The carry then
-    steps s blocks at a time through last^s (last the p x p carry map), and
-    one product against the span [tail | last tail | ... | last^(s-1) tail]
-    (tail the p x m map from carried outputs to a block's outputs) gives
-    those blocks' outputs, p multiply-adds per sample. s is the largest
-    power of two up to _TAIL_STEP whose span costs no more to build than
-    that product. Once the carry is exactly zero the rest of the output is
-    zero.
+    The maps are built once. Between chunks the object carries the last p
+    inputs, the p outputs carried into the next block (from the carry
+    recursion) and the running flush level, so a run cut into chunks does
+    the same arithmetic as one over the whole input would. A chunk is
+    _CHUNK_BLOCKS blocks, `step` samples, which bounds the working memory.
+    The full input map is formed only for a run with input beyond its first
+    block: a shorter one reads only the map's rows of its own samples.
+
+    Past the input a block's state is its p carried outputs alone. The carry
+    then steps s blocks at a time through last^s (last the p x p carry map),
+    and one product against the span [tail | last tail | ... | last^(s-1)
+    tail] (tail the p x m map from carried outputs to a block's outputs)
+    gives those blocks' outputs, p multiply-adds per sample. s is the
+    largest power of two up to _TAIL_STEP whose span costs no more to build
+    than that product. Once the carry is exactly zero the rest of the output
+    is zero.
 
     Carried outputs below _FLUSH times the running maximum of |heads| are
     set to zero: every _FLUSH_EVERY blocks inside the carry loops, and all
-    of them before the last products. A decaying response then reaches both
-    as zeros rather than as subnormal floats, which make every product that
-    touches them many times slower. Every value flushed is below _FLUSH of
-    the response's scale; with all heads zero nothing is flushed.
+    of them before the output products. A decaying response then reaches
+    both as zeros rather than as subnormal floats, which make every product
+    that touches them many times slower. Every value flushed is below
+    _FLUSH of the response's scale; with all heads zero nothing is flushed.
     """
-    p = max(len(a), len(b)) - 1
-    b = np.pad(np.asarray(b, dtype=float), (0, p + 1 - len(b)))
-    a = np.pad(np.asarray(a, dtype=float), (0, p + 1 - len(a)))
-    m = _BLOCK_SCALAR if p == 1 else max(_BLOCK, p)
-    # h: impulse response of 1/a over one block
-    h = np.zeros(m)
-    h[0] = 1.0
-    rev_a = a[:0:-1]
-    for i in range(1, m):
-        k = min(i, p)
-        h[i] = -(rev_a[p - k:] @ h[i - k:i])
-    # rows: the m + p inputs, then the p earlier outputs; columns: outputs
-    zeros = np.zeros(m - 1)
-    maps = np.vstack([
-        _toeplitz(np.concatenate([zeros, b[::-1], zeros]), m),
-        _toeplitz(np.concatenate([zeros, -rev_a]), m),
-    ]) @ _toeplitz(np.concatenate([h[::-1], zeros]), m)
 
+    def __init__(self, b, a):
+        p = max(len(a), len(b)) - 1
+        self.b = np.pad(np.asarray(b, dtype=float), (0, p + 1 - len(b)))
+        a = np.pad(np.asarray(a, dtype=float), (0, p + 1 - len(a)))
+        m = _BLOCK_SCALAR if p == 1 else max(_BLOCK, p)
+        self.p, self.m, self.step = p, m, _CHUNK_BLOCKS * m
+        # block inputs through 1/a to the block's outputs
+        self._h = _toeplitz(np.concatenate([_impulse_response(a, m)[::-1],
+                                            np.zeros(m - 1)]), m)
+        # rows: the p earlier outputs; columns: the block's outputs
+        self.tail = _toeplitz(np.concatenate([np.zeros(m - 1), -a[:0:-1]]),
+                              m) @ self._h
+        self.last = np.ascontiguousarray(self.tail[:, m - p:])
+        self._inputs = np.zeros(p)   # the last p inputs
+        self._carry = np.zeros(p)    # the p outputs before the next block
+        self._level = 0.0            # _FLUSH times the largest |head| so far
+        self._block = 0              # the index of the next block
+
+    def _input_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of the map from a block's m + p inputs (the p before
+        it first) to its outputs."""
+        zeros = np.zeros(self.m - 1)
+        diagonals = np.concatenate([zeros, self.b[::-1], zeros])
+        return _toeplitz(diagonals, self.m)[lo:hi] @ self._h
+
+    @cached_property
+    def maps(self) -> np.ndarray:
+        """The block map: rows the m + p inputs, then the p earlier
+        outputs; columns the block's outputs."""
+        return np.vstack([self._input_rows(0, self.m + self.p), self.tail])
+
+    def __call__(self, x) -> np.ndarray:
+        """The outputs for the next len(x) input samples of the run: len(x)
+        is `step`, but for the run's last chunk."""
+        return self.blocks(x, -(-len(x) // self.m))[:len(x)]
+
+    def blocks(self, x, count: int, out=None) -> np.ndarray:
+        """The outputs of the next `count` blocks (into out, if given) for
+        the input samples x, at most count m of them, followed by zeros."""
+        m, p = self.m, self.p
+        padded = np.zeros(p + count * m)
+        padded[:p] = self._inputs
+        padded[p:p + len(x)] = x
+        self._inputs = padded[count * m:].copy()
+        if self._block == 0 and count == 1:   # no input beyond this block
+            y = np.dot(x, self._input_rows(p, p + len(x)), out=out)
+            self._level = _FLUSH * np.max(np.abs(y[m - p:]))
+            self._carry = y[m - p:].copy()
+            self._carry[np.abs(self._carry) < self._level] = 0.0
+            self._block = 1
+            return y
+        state = np.empty((count, m + 2 * p))
+        state[:, :m + p] = sliding_window_view(padded, m + p)[::m]
+        del padded
+        maps = self.maps
+        heads = state[:, :m + p] @ maps[:m + p, m - p:]
+        # tails[k]: the p outputs before block k, block k - 1's head plus its
+        # own tails carried through `last`
+        tails = state[:, m + p:]
+        # floor[k]: the flush level of the carry out of block k, which the
+        # heads up to block k drive; before[k] that of the carry into it
+        floor = _FLUSH * np.maximum.accumulate(np.max(np.abs(heads), axis=1))
+        np.maximum(floor, self._level, out=floor)
+        before = np.concatenate([[self._level], floor[:-1]])
+        if p == 1:   # a scalar recursion: Python floats beat 1x1 array products
+            lam = float(self.last[0, 0])
+            carries = list(accumulate(heads[:, 0].tolist(),
+                                      lambda t, z: z + t * lam,
+                                      initial=float(self._carry[0])))
+            tails[:, 0] = carries[:-1]
+            carry = np.array(carries[-1:])
+        else:
+            rows = list(tails) + [np.empty(p)]
+            rows[0][:] = self._carry
+            for j, (prev, cur, head) in enumerate(zip(rows, rows[1:], heads)):
+                np.dot(prev, self.last, out=cur)
+                cur += head
+                if (self._block + j) % _FLUSH_EVERY == 0:   # off subnormals
+                    cur[np.abs(cur) < floor[j]] = 0.0
+            carry = rows[-1]
+        tails[np.abs(tails) < before[:, None]] = 0.0
+        self._carry, self._level = carry, floor[-1]
+        self._block += count
+        if out is not None:
+            out = out.reshape(count, m)
+        return np.dot(state, maps, out=out).reshape(-1)
+
+    def zero_input(self, out: np.ndarray, s: int) -> None:
+        """Fill the rows of out, groups of s blocks each, with the outputs
+        of the zero-input blocks that follow: carries[j] is the carry into
+        group j."""
+        groups, p = len(out), self.p
+        carries = np.zeros((groups, p))
+        carries[0] = self._carry
+        jump = np.linalg.matrix_power(self.last, s)
+        rows, live = list(carries), 1
+        for j, (prev, cur) in enumerate(zip(rows, rows[1:])):
+            if not prev.any():   # a zero carry stays zero, and so do its outputs
+                break
+            np.dot(prev, jump, out=cur)
+            live += 1
+            if j % (_FLUSH_EVERY // s) == 0:
+                cur[np.abs(cur) < self._level] = 0.0
+        carries = carries[:live]
+        carries[np.abs(carries) < self._level] = 0.0
+        span = [self.tail]
+        for _ in range(1, s):
+            span.append(self.last @ span[-1])
+        np.dot(carries, np.hstack(span), out=out[:live])
+        out[live:] = 0.0
+
+
+def _lfilter(b, a, x, n: Optional[int] = None) -> np.ndarray:
+    """Output from rest of y[n] = sum_k b[k] x[n-k] - sum_{k>=1} a[k] y[n-k]
+    (a[0] = 1) for the 1-D input x followed by zeros: n >= len(x) samples
+    (default len(x)). One pass of a _BlockRecursion over x, chunk by chunk
+    as `simulate` runs it, then its zero-input blocks."""
+    x = np.asarray(x, dtype=float)
     nx = len(x)
     n = nx if n is None else n
     if n < nx:
         raise ValueError(f"n = {n} is shorter than the {nx} input samples")
+    rec = _BlockRecursion(b, a)
+    m, p = rec.m, rec.p
     nb = -(-n // m)
     # the blocks whose state holds an input: block k reads x[km - p:(k + 1)m]
     nbx = min(nb, -(-(nx + p) // m))
-    padded = np.zeros(p + nbx * m)
-    padded[p:p + nx] = x
-    state = np.empty((nbx, m + 2 * p))
-    state[:, :m + p] = sliding_window_view(padded, m + p)[::m]
-    del padded
-    heads = state[:, :m + p] @ maps[:m + p, m - p:]
-    # tails[k]: the p outputs before block k, block k - 1's head plus its
-    # own tails carried through `last`
-    tails = state[:, m + p:]
-    tails[0] = 0.0
-    last = np.ascontiguousarray(maps[m + p:, m - p:])
-    # floor[k]: the flush level of tails[k + 1], which heads[:k + 1] drive
-    floor = _FLUSH * np.maximum.accumulate(np.max(np.abs(heads), axis=1))
-    if p == 1:   # a scalar recursion: Python floats beat 1x1 array products
-        lam = float(last[0, 0])
-        tails[1:, 0] = list(accumulate(heads[:-1, 0].tolist(),
-                                       lambda t, z: z + t * lam))
-    else:
-        rows = list(tails)
-        for k, (prev, cur, head) in enumerate(zip(rows, rows[1:], heads)):
-            np.dot(prev, last, out=cur)
-            cur += head
-            if k % _FLUSH_EVERY == 0:   # keep the recursion off subnormals
-                cur[np.abs(cur) < floor[k]] = 0.0
-    carried = tails[1:]
-    carried[np.abs(carried) < floor[:-1, None]] = 0.0
-    if nbx == nb:
-        return (state @ maps).reshape(-1)[:n]
-
-    # past x: carries[j] is the carry into block nbx + j s. The span costs
-    # (s - 1) p^2 m multiply-adds to build, at most the nt m p of its product
+    # past x, the carry steps s blocks at a time. The span costs (s - 1) p^2 m
+    # multiply-adds to build, at most the nt m p of its product
     nt = nb - nbx
     s = _TAIL_STEP
     while s > 1 and (s - 1) * p > nt:
         s //= 2
     groups = -(-nt // s)
     y = np.empty((nbx + groups * s) * m)
-    np.dot(state, maps, out=y[:nbx * m].reshape(nbx, m))
-    level = floor[-1]
-    carries = np.zeros((groups, p))
-    carries[0] = tails[-1] @ last + heads[-1]
-    jump = np.linalg.matrix_power(last, s)
-    rows, live = list(carries), 1
-    for j, (prev, cur) in enumerate(zip(rows, rows[1:])):
-        if not prev.any():   # a zero carry stays zero, and so do its outputs
-            break
-        np.dot(prev, jump, out=cur)
-        live += 1
-        if j % (_FLUSH_EVERY // s) == 0:
-            cur[np.abs(cur) < level] = 0.0
-    carries = carries[:live]
-    carries[np.abs(carries) < level] = 0.0
-    span = [maps[m + p:]]
-    for _ in range(1, s):
-        span.append(last @ span[-1])
-    out = y[nbx * m:].reshape(groups, s * m)
-    np.dot(carries, np.hstack(span), out=out[:live])
-    out[live:] = 0.0
+    for k in range(0, nbx, _CHUNK_BLOCKS):
+        count = min(_CHUNK_BLOCKS, nbx - k)
+        rec.blocks(x[k * m:(k + count) * m], count,
+                   out=y[k * m:(k + count) * m])
+    if nt:
+        rec.zero_input(y[nbx * m:].reshape(groups, s * m), s)
     return y[:n]
 
 
@@ -276,8 +359,12 @@ def simulate(sim: SemiclassicalSim) -> SimRecord:
     delta I_k / sqrt(I_k) = X_k^cl + xi_k; the first 10 slow time constants
     are discarded as burn-in. Deterministic for a fixed seed.
 
-    The sample arrays are built in place and dropped as soon as they are
-    spent, so at most five full-length arrays are alive at once.
+    Three passes over one Philox stream, each a chunk at a time, fill the
+    two photocurrent buffers in place: the drive, filtered to the classical
+    amplitude x0 and written as s_in x0 and s_out x0; the in-loop shot noise
+    xi2, run through the loop recursion; the out-of-loop shot noise xi3. So
+    only the two returned records are full length, and the working memory
+    is a few chunks of _BlockRecursion.step samples.
     """
     if not is_stable(sim.filter):
         raise UnstableLoop(f"g = {sim.filter.g} loop is unstable")
@@ -291,45 +378,47 @@ def simulate(sim: SemiclassicalSim) -> SimRecord:
     s_in = np.sqrt(eta1 * eta2)
     s_out = np.sqrt(eta1 * (1.0 - eta2))
     g_out = filt.g * np.sqrt((1.0 - eta2) / eta2)
+    # the records are the rows of one block: freed together, they leave one
+    # hole that later large arrays can reuse, where two blocks of 8 MB
+    # (10^6 samples) left holes too small for the 13 MB arrays of a d = 30
+    # steady state, which then peaked 15 MiB higher
+    di2, di3 = np.zeros((2, total))
 
     # classical input amplitude noise (exact OU discretization)
     if sim.classical_noise is not None:
         cn = sim.classical_noise
         decay = np.exp(-cn.pole * dt)
         var_ss = cn.excess * cn.pole / 2.0
-        drive = rng.standard_normal(total)
         sig = np.sqrt(var_ss * (1.0 - decay ** 2))
-        x_init = np.sqrt(var_ss) * drive[0]
-        drive *= sig
-        drive[0] += decay * x_init      # the state before the first sample
-        x0 = _lfilter([1.0], [1.0, -decay], drive)
-        del drive
-    else:
-        x0 = np.zeros(total)
+        ou = _BlockRecursion([1.0], [1.0, -decay])
+        for lo in range(0, total, ou.step):
+            drive = rng.standard_normal(min(ou.step, total - lo))
+            x_init = np.sqrt(var_ss) * drive[0]
+            drive *= sig
+            if lo == 0:   # x_init is the state before the first sample
+                drive[0] += decay * x_init
+            x0 = ou(drive)
+            np.multiply(s_in, x0, out=di2[lo:lo + len(x0)])
+            np.multiply(s_out, x0, out=di3[lo:lo + len(x0)])
 
     root_dt = np.sqrt(dt)
-    xi2 = rng.standard_normal(total)
-    xi2 /= root_dt
-    w = s_in * x0
-    w += xi2
-    b, a = _loop_difference_eq(filt, dt)
-    y = _lfilter(b, a, w)
-    del w
-    di2 = s_in * x0
-    di2 += filt.g * y
-    if np.max(np.abs(di2)) > DIVERGENCE_LIMIT:
-        raise DivergenceDetected("in-loop amplitude exceeded 1e6")
-    di2 += xi2
-    del xi2
-    # xi3 is the next draw of the same stream, taken after xi2 is spent
-    xi3 = rng.standard_normal(total)
-    xi3 /= root_dt
-    di3 = s_out * x0
-    del x0
-    y *= g_out
-    di3 += y
-    del y
-    di3 += xi3
+    closed = _BlockRecursion(*_loop_difference_eq(filt, dt))
+    for lo in range(0, total, closed.step):
+        xi2 = rng.standard_normal(min(closed.step, total - lo))
+        xi2 /= root_dt
+        in2 = di2[lo:lo + len(xi2)]   # s_in x0 until the loop's share is added
+        y = closed(in2 + xi2)
+        in2 += filt.g * y
+        if np.max(np.abs(in2)) > DIVERGENCE_LIMIT:
+            raise DivergenceDetected("in-loop amplitude exceeded 1e6")
+        in2 += xi2
+        y *= g_out
+        di3[lo:lo + len(y)] += y
+    # xi3 is the next draw of the same stream, taken after every xi2
+    for lo in range(0, total, closed.step):
+        xi3 = rng.standard_normal(min(closed.step, total - lo))
+        xi3 /= root_dt
+        di3[lo:lo + len(xi3)] += xi3
     return SimRecord(di2[burn:], di3[burn:], dt)
 
 
@@ -339,9 +428,10 @@ def diverges(filt: LoopFilter, dt: float, duration: float) -> bool:
 
     The response is _lfilter's output for the one-sample input [1.0] over
     round(duration / dt) samples, so every block after the first runs the
-    zero-input carry. A response that is not finite (an unstable loop may
-    overflow to inf or nan) or that exceeds DIVERGENCE_LIMIT counts as
-    diverging. ValueError for a non-finite or non-positive dt and for a
+    zero-input carry, and below order _BLOCK only the carry rows and the
+    impulse's input row of the block map are built. A response that is not finite (an
+    unstable loop may overflow to inf or nan) or that exceeds
+    DIVERGENCE_LIMIT counts as diverging. ValueError for a non-finite or non-positive dt and for a
     duration that is not finite or spans fewer than 4 steps.
 
     A Sampled response runs as the zero-order-hold recursion
@@ -415,25 +505,36 @@ def estimate_psd(series: np.ndarray, dt: float, n_segments: int) -> Spectrum:
 
     series may hold several records of one length along its leading axes;
     the estimate pools them, averaging every window of every record, and
-    its stderr counts all of those windows. _PSD_CHUNK samples (at least
-    one record) are transformed at a time, which bounds the memory.
+    its stderr counts all of those windows. Each transform takes the windows
+    that step through about _PSD_CHUNK record samples, whole records while
+    one fits and a run of one record's windows otherwise, read from a view
+    of the records without a copy, so the memory stays bounded whatever the
+    record length.
     """
     series = np.asarray(series, dtype=float)
     n = series.shape[-1]
     nperseg = welch_segment_length(n, n_segments)
+    hop = nperseg // 2
     frames = sliding_window_view(series.reshape(-1, n), nperseg,
-                                 axis=-1)[:, ::nperseg // 2]
+                                 axis=-1)[:, ::hop]
+    records, count = frames.shape[:2]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
     # the two-sided density at omega >= 0; nperseg is even, and its Nyquist
     # bin is dropped, as a two-sided grid labels it negative
     keep = nperseg // 2
-    per_call = max(1, _PSD_CHUNK // n)
+    per_call = max(1, _PSD_CHUNK // hop)
+    if per_call >= count:
+        step = per_call // count
+        chunks = (frames[lo:lo + step] for lo in range(0, records, step))
+    else:
+        chunks = (frames[r, lo:lo + per_call] for r in range(records)
+                  for lo in range(0, count, per_call))
     vals = 0.0
-    for lo in range(0, len(frames), per_call):
-        spectra = np.fft.rfft(frames[lo:lo + per_call] * window)[..., :keep]
+    for chunk in chunks:
+        spectra = np.fft.rfft(chunk * window)[..., :keep]
         power = spectra.real ** 2 + spectra.imag ** 2
         vals = vals + power.reshape(-1, keep).sum(axis=0)
-    windows = welch_window_count(n, n_segments) * len(frames)
+    windows = welch_window_count(n, n_segments) * records
     vals /= windows
     vals *= dt / np.sum(window ** 2)
     omega = 2.0 * np.pi * np.fft.rfftfreq(nperseg, dt)[:keep]

@@ -1,5 +1,7 @@
 """Closed-form loop spectra, Nyquist stability, optimal gains."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,13 @@ class TestLoopTransfer:
         lt = loop.loop_transfer(pole_filter(g, gamma, T), omega)
         expected = g * gamma / (gamma + 1j * omega) * np.exp(-1j * omega * T)
         assert np.allclose(lt, expected, atol=1e-14)
+
+    def test_single_pole_ft_exact_at_zero(self):
+        # 1 / (1 + i omega / gamma) is exactly 1 at omega = 0, so L(0) = g
+        for gamma in np.random.default_rng(20).uniform(0.01, 10.0, 5000):
+            assert loop.SinglePole(gamma).ft(0.0) == 1.0
+        assert loop.loop_transfer(pole_filter(0.999999999, 0.83127), 0.0) \
+            == 0.999999999
 
     def test_sampled_box_null(self):
         w = 1.0
@@ -135,6 +144,9 @@ class TestIsStable:
         return -np.sqrt(1.0 + (0.5 * (lo + hi) / (gamma * T)) ** 2)
 
     def test_delayed_single_pole_boundary(self):
+        self.check_boundary()
+
+    def check_boundary(self):
         for gamma in (0.01, 0.1, 1.0, 10.0):
             for T in (1e-3, 0.01, 0.1, 1.0, 10.0):
                 g_c = self.critical_gain(gamma, T)
@@ -144,6 +156,9 @@ class TestIsStable:
                         pole_filter(g_c * (1 + eps), gamma, T))
 
     def test_random_single_poles_match_critical_gain(self):
+        self.check_random_single_poles()
+
+    def check_random_single_poles(self):
         # 26 of these have the contour cut 2 |g| gamma beyond
         # 100 max(gamma, 1, 1/T), far past the loop's own rates
         rng = np.random.default_rng(16)
@@ -153,6 +168,28 @@ class TestIsStable:
             g = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(0.0, np.log10(400))
             g_c = self.critical_gain(gamma, T)
             assert loop.is_stable(pole_filter(g, gamma, T)) == (g_c < g < 1)
+
+    def test_boundary_in_small_contour_chunks(self, monkeypatch):
+        # every contour spans many chunks, each refined on its own
+        monkeypatch.setattr(loop, "_CONTOUR_CHUNK", 97)
+        self.check_boundary()
+
+    def test_random_single_poles_in_small_contour_chunks(self, monkeypatch):
+        monkeypatch.setattr(loop, "_CONTOUR_CHUNK", 97)
+        self.check_random_single_poles()
+
+    def test_long_contour_memory_is_bounded(self):
+        # cut 2 |g| gamma = 6000 at spacing pi / 160: about 3e5 samples
+        # before refinement, counted a chunk at a time
+        g, gamma, T = -300.0, 10.0, 40.0
+        tracemalloc.start()
+        try:
+            stable = loop.is_stable(pole_filter(g, gamma, T))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stable == (self.critical_gain(gamma, T) < g < 1)
+        assert peak < 12e6
 
     def test_unit_gain_with_delay_is_marginal(self):
         # gains within CRITICAL_TOL of 1 are marginal too, as the T = 0 shortcut

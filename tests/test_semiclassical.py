@@ -1,6 +1,7 @@
 """Semiclassical Monte Carlo loop and PSD estimator."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -103,6 +104,22 @@ class TestSimulate:
         rec = sc.simulate(make_sim(g=0.0, eta1=0.0, seed=5))
         r = np.corrcoef(rec.di2, rec.di3)[0, 1]
         assert abs(r) < 4.0 / np.sqrt(len(rec.di2))
+
+    def test_peak_memory_is_the_records_and_a_few_chunks(self):
+        # an order-26 loop with classical noise over 10^6 samples: only the
+        # two records are full length
+        sim = make_sim(g=-0.8, gamma=0.5, T=0.5, eta1=0.9, eta2=0.7,
+                       noise=sc.ClassicalNoise(2.0, 0.5), dt=0.02,
+                       duration=20000.0, seed=31)
+        assert len(sc._loop_difference_eq(sim.filter, sim.dt)[1]) == 27
+        tracemalloc.start()
+        try:
+            rec = sc.simulate(sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rec.di2) == 10 ** 6
+        assert peak < 2 * rec.di2.nbytes + 4e6
 
 
 class TestClassicalNoise:
@@ -246,6 +263,11 @@ def _reference_filters():
     impulse[0] = 1.0
     cases.append(("decaying_impulse",
                   *sc._loop_difference_eq(decaying, 0.05 / 64.0), impulse))
+    # order 26 over more than three chunks of its pass
+    _, b25, a25, _ = cases[1]
+    long = np.random.default_rng(21).standard_normal(
+        3 * sc._CHUNK_BLOCKS * sc._BLOCK + 1000)
+    cases.append(("pole_d25_chunks", b25, a25, long))
     # shorter than one block, and for order 65 shorter than the order too
     cases.append(("short_order1", [0.3, 0.2], [1.0, -0.9], noise[:100]))
     _, b64, a64, _ = cases[2]
@@ -291,6 +313,18 @@ class TestLfilter:
         padded = sc._lfilter(b, a, np.pad(short, (0, 20000 - length)))
         assert y.shape == (20000,)
         assert np.max(np.abs(y - padded)) <= 1e-12 * np.max(np.abs(padded))
+
+    def test_impulse_probe_builds_only_the_rows_it_reads(self):
+        # one input sample in the first block: the full input map is never
+        # formed, and the block's outputs equal the full map's
+        b, a, _ = REFERENCE_FILTERS["pole_d64"]
+        probe = sc._BlockRecursion(b, a)
+        y = probe.blocks(np.array([1.0]), 1)
+        assert "maps" not in probe.__dict__
+        full = sc._BlockRecursion(b, a)
+        ref = full.blocks(np.array([1.0]), 2)
+        assert "maps" in full.__dict__
+        assert np.max(np.abs(y - ref[:full.m])) <= 1e-12 * np.max(np.abs(ref))
 
     def test_output_shorter_than_input_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
@@ -359,11 +393,12 @@ class TestEstimatePsd:
         assert np.allclose(psd.stderr, psd.values * np.sqrt(1.06 / count),
                            rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("n, k", [(1000, 8), (1000, 13)],
-                             ids=["1d-even", "1d-odd"])
+    @pytest.mark.parametrize("n, k", [(1000, 8), (1000, 13), (200000, 16)],
+                             ids=["1d-even", "1d-odd", "1d-chunked"])
     def test_matches_scipy_welch(self, n, k):
         # k = 8 gives nperseg = 216 and k = 13 gives 128 (the ids name the
-        # parity of k; every segment length is even)
+        # parity of k; every segment length is even); 200 000 samples are
+        # more than _PSD_CHUNK, so their windows take several transforms
         series = np.random.default_rng(12).standard_normal(n)
         omega, pxx = _scipy_welch(series, 0.05, k)
         psd = sc.estimate_psd(series, 0.05, k)
@@ -394,6 +429,17 @@ class TestEstimatePsd:
     def test_too_short(self):
         with pytest.raises(TooShort):
             sc.estimate_psd(np.zeros(32), 0.1, 64)
+
+    def test_peak_memory_is_bounded_for_a_long_record(self):
+        # one 10^6-sample record is windowed a few windows at a time
+        series = np.random.default_rng(8).standard_normal(10 ** 6)
+        tracemalloc.start()
+        try:
+            sc.estimate_psd(series, 0.02, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 def _is_5_smooth(k):
