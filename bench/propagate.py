@@ -1,5 +1,5 @@
-"""Time exact master-equation propagation of two checkouts, alternating them
-every round.
+"""Time the exact master-equation solvers of two checkouts (propagation,
+steady states, the in-loop spectrum), alternating them every round.
 
 Per side and round:
 
@@ -17,6 +17,15 @@ Per side and round:
 - `squeezed_bath_t50_s`: `evolve` of the squeezed-bath cavity (N = 1,
   M = sqrt 2, d = 12) from vacuum to t = 50, the worst case of an action whose
   cost grows with t ||L||_1 (about 5500 here);
+- `steady_state_d10_s`, `steady_state_d20_s` and `steady_state_d30_s`:
+  `steady_state` of a parametric cavity (theta = 0.5, l = 0) built in the
+  call, as in the `analysis` workload;
+- `steady_state_d30_peak_mb`: the tracemalloc peak, in MB, of that call at
+  d = 30 (the model built before tracing starts);
+- `in_loop_cavity_d10_s`: `in_loop_correlation_spectrum` of the damped cavity
+  at d = 10 under Markovian feedback (F = -0.15 y, eta = 0.8) on 100
+  frequencies of [0, 2], the feedback model built in the call, as in the
+  `analysis` workload;
 - `fresh_s` and `fresh_rss_mb`: a fresh interpreter that imports
   `qfeedback.operators` and calls `evolve` once (the cavity at d = 12,
   t = 0.6): wall time and peak resident memory of that process.
@@ -44,12 +53,16 @@ from __future__ import annotations
 import json
 import sys
 import time
+import tracemalloc
 
 import _ab
 
 IN_PROCESS = ("evolve_cavity_s", "evolve_atom_s", "evolve_d10_s",
-              "evolve_d30_s", "correlation_d10_s", "squeezed_bath_t50_s")
-METRICS = IN_PROCESS + ("fresh_s", "fresh_rss_mb", "import_s")
+              "evolve_d30_s", "correlation_d10_s", "squeezed_bath_t50_s",
+              "steady_state_d10_s", "steady_state_d20_s",
+              "steady_state_d30_s", "in_loop_cavity_d10_s")
+METRICS = IN_PROCESS + ("steady_state_d30_peak_mb", "fresh_s", "fresh_rss_mb",
+                        "import_s")
 FRESH = ("import numpy as np\n"
          "from qfeedback import operators as ops\n"
          "cav = ops.LindbladModel(np.zeros((12, 12)),"
@@ -75,6 +88,9 @@ def worker(repeats: int) -> None:
     x10 = ops.quad_x(10)
     rho10 = ops.steady_state(par10)
     tau = np.linspace(0.0, 2.0, 21)
+    cav10 = ops.LindbladModel(np.zeros((10, 10)), ((1.0, ops.destroy(10)),))
+    f10 = -0.15 * ops.quad_y(10)
+    omega = np.linspace(0.0, 2.0, 100)
 
     cases = {
         "evolve_cavity_s": lambda: [
@@ -88,10 +104,21 @@ def worker(repeats: int) -> None:
             par10, x10, x10 @ rho10, tau)],
         "squeezed_bath_t50_s": lambda: [ops.evolve(bath, ops.fock_dm(12, 0),
                                                    50.0)],
+        **{f"steady_state_d{d}_s": lambda d=d: [
+            ops.steady_state(ic.parametric_model(cav_p, d))]
+           for d in (10, 20, 30)},
+        "in_loop_cavity_d10_s": lambda: [tj.in_loop_correlation_spectrum(
+            tj.feedback_master_equation(cav10, f10, 0.8), ops.destroy(10),
+            f10, 0.8, omega).values],
     }
     out = {"import_s": import_s}
     for name, fn in cases.items():
         out[name] = _ab.best_of(fn, repeats)
+    fresh30 = ic.parametric_model(cav_p, 30)
+    tracemalloc.start()
+    ops.steady_state(fresh30)
+    out["steady_state_d30_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.stop()
     results = {}
     for name, fn in cases.items():
         flat = np.concatenate([r.ravel() for r in fn()])
@@ -132,9 +159,10 @@ def report(samples: dict, args) -> dict:
         print(f"{name:28s} change vs parent: {value:.2e} relative")
     return {
         "rounds": args.rounds, "repeats": args.repeats,
-        "metric": "seconds (fresh_rss_mb: MiB); in-process timings are the "
-                  "best of repeats after one warm-up call, one sample per "
-                  "side and round; summary over rounds",
+        "metric": "seconds (fresh_rss_mb: MiB, steady_state_d30_peak_mb: "
+                  "MB traced); in-process timings are the best of repeats "
+                  "after one warm-up call, one sample per side and round; "
+                  "summary over rounds",
         "relative_difference": rel,
         "change_wins": wins,
         "sides": sides,

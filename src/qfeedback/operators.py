@@ -4,10 +4,20 @@ Operators and density matrices are plain complex ndarrays. One non-Hermitian
 generator, `LindbladModel.no_jump_generator`, and the sandwich superoperator
 `sprepost` build both the deterministic master equation and the conditioned
 (stochastic) evolutions in :mod:`qfeedback.trajectories`.
+
+Every superoperator the package applies preserves Hermiticity, so it is one
+real d^2 x d^2 matrix in one coordinate system, `HermitianCoordinates`:
+Re rho_ij (i >= j) and Im rho_ij (i > j). The SME kernel's Kraus maps are
+converted into it (`HermitianCoordinates.real_map`), and the exact solvers
+(`steady_state`, `evolve`, `two_time_correlation`) run on the real generator
+`LindbladModel.real_liouvillian`, built directly in it. The complex
+column-stacked `LindbladModel.liouvillian` remains as the definition that
+real form is checked against; no solver reads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -129,8 +139,102 @@ def sprepost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                        order="C").reshape(dim * dim, -1)
 
 
+def _vec(m: np.ndarray) -> np.ndarray:
+    """Column-stacked vec(m)."""
+    return np.asarray(m, dtype=complex).reshape(-1, order="F")
+
+
+# ---------------------------------------------------------------------------
+# real coordinates of Hermitian matrices
+
+class HermitianCoordinates:
+    """Real coordinates of Hermitian d x d matrices, and the real matrices of
+    the maps that preserve Hermiticity.
+
+    A Hermitian matrix has d^2 real degrees of freedom: Re rho_ij (i >= j),
+    then Im rho_ij (i > j), both in column-stacked order. `gather` indexes
+    them in the float view of a (d, d) complex array, and `scatter` and
+    `sign` rebuild that float view, so `rows` and `states` convert by exact
+    index copies. Coordinate k stands for the basis matrix states(e_k): e_ii,
+    e_ij + e_ji or i e_ij - i e_ji (i > j), which is not an orthonormal basis.
+
+    A map that preserves Hermiticity is one real matrix R acting as r @ R;
+    row k of R is the coordinates of the map's image of states(e_k)
+    (`real_map`). A trace or an expectation value is one real column
+    (`expect_col`). Use `coordinates(dim)`, which builds one object per
+    dimension.
+    """
+
+    def __init__(self, dim: int):
+        self.dim, self.n2 = dim, dim * dim
+        j, i = np.triu_indices(dim)
+        lower = i > j
+        re = 2 * (i * dim + j)
+        self.gather = np.concatenate([re, re[lower] + 1])
+        src = np.zeros((dim, dim, 2), dtype=np.intp)
+        sign = np.zeros((dim, dim, 2))
+        src[i, j, 0] = src[j, i, 0] = np.arange(len(re))
+        sign[:, :, 0] = 1.0
+        k_im = len(re) + np.arange(lower.sum())
+        src[i[lower], j[lower], 1] = src[j[lower], i[lower], 1] = k_im
+        sign[i[lower], j[lower], 1], sign[j[lower], i[lower], 1] = 1.0, -1.0
+        self.scatter, self.sign = src.ravel(), sign.ravel()
+        # per entry (i, j), i >= j: its row and column, the vec indices of
+        # rho_ij and of rho_ji, and whether it has an imaginary coordinate
+        self.i, self.j, self.lower = i, j, lower
+        self.vec_ij, self.vec_ji = i + j * dim, j + i * dim
+        self.trace_row = self.expect_col(np.eye(dim))
+        for name in ("gather", "scatter", "sign", "i", "j", "lower", "vec_ij",
+                     "vec_ji", "trace_row"):
+            getattr(self, name).flags.writeable = False
+
+    def rows(self, rho: np.ndarray) -> np.ndarray:
+        """(..., d, d) Hermitian matrices -> (..., d^2) real coordinates."""
+        rho = np.ascontiguousarray(rho, dtype=complex)
+        flat = rho.view(np.float64).reshape(rho.shape[:-2] + (2 * self.n2,))
+        return np.take(flat, self.gather, axis=-1)
+
+    def states(self, r: np.ndarray) -> np.ndarray:
+        """(..., d^2) real coordinates -> (..., d, d) Hermitian matrices."""
+        flat = np.take(r, self.scatter, axis=-1) * self.sign
+        return flat.view(complex).reshape(r.shape[:-1] + (self.dim, self.dim))
+
+    def _on_basis(self, x: np.ndarray) -> np.ndarray:
+        """x (..., d^2), linear in a column-stacked matrix, at every basis
+        matrix states(e_k): (..., d^2). In vec form that matrix is e_ij + e_ji
+        (i > j), e_ii, or i e_ij - i e_ji (the imaginary parts)."""
+        a, b, low = self.vec_ij, self.vec_ji, self.lower
+        return np.concatenate([x[..., a] + low * x[..., b],
+                               1j * (x[..., a[low]] - x[..., b[low]])], -1)
+
+    def real_map(self, sup: np.ndarray) -> np.ndarray:
+        """The real matrix R, in C order, of a Hermiticity-preserving
+        superoperator sup on column-stacked matrices:
+        r @ R = rows(unvec(sup vec(states(r)))). A basis matrix has at most
+        two entries, so this is a gather of at most two columns per
+        coordinate, O(d^4) with no product."""
+        image = self._on_basis(sup[self.vec_ij])  # lower triangle of images
+        return np.vstack([image.real, image[self.lower].imag]).T.copy()
+
+    def expect_col(self, op: np.ndarray) -> np.ndarray:
+        """The column e with r @ e = Tr[op states(r)], for Hermitian op."""
+        return self._on_basis(_vec(op.T)).real  # Tr[op M] = vec(op^T).vec(M)
+
+
+@functools.lru_cache(maxsize=None)
+def coordinates(dim: int) -> HermitianCoordinates:
+    """The coordinates of Hermitian dim x dim matrices; one shared, read-only
+    object per dimension."""
+    return HermitianCoordinates(dim)
+
+
 # ---------------------------------------------------------------------------
 # Lindblad model
+
+# complex entries of the rows of the Liouvillian formed at once by
+# real_liouvillian (1 MB)
+_BUILD_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class LindbladModel:
@@ -182,23 +286,47 @@ class LindbladModel:
             lv += sprepost(rate * op, op.conj().T)
         return lv
 
+    def real_liouvillian(self) -> np.ndarray:
+        """The generator as a new real C-ordered matrix A in the coordinates
+        of `coordinates(dim)`: A @ rows(rho) = rows(L rho), the transpose of
+        real_map(liouvillian).
+
+        Built without the complex d^2 x d^2 matrix: a coordinate of L rho is
+        the real or imaginary part of one entry (L rho)_ij with i >= j, and
+        row vec_ij of a sandwich sprepost(a, b) is a[i, :] (x) b[:, j], so
+        only those d(d + 1)/2 rows of -G rho - rho G† + sum_k r_k L_k rho L_k†
+        are formed, _BUILD_BLOCK complex entries at a time.
+        """
+        co = coordinates(self.dim)
+        dim, n2 = self.dim, co.n2
+        g = self.no_jump_generator
+        g_conj = g.conj()
+        out = np.empty((n2, n2))
+        im_row = len(co.i) + np.cumsum(co.lower) - 1   # rows of Im rho_ij
+        n_re, step = len(co.i), max(1, _BUILD_BLOCK // n2)
+        for start in range(0, n_re, step):
+            block = slice(start, min(start + step, n_re))
+            i, j, low = co.i[block], co.j[block], co.lower[block]
+            # t[p, l, k]: the coefficient of rho_kl in (L rho)_{i_p j_p}
+            t = np.zeros((len(i), dim, dim), dtype=complex)
+            for rate, op in self.collapses:
+                t += (rate * op.conj()[j])[:, :, None] * op[i][:, None, :]
+            p = np.arange(len(i))
+            t[p, j, :] -= g[i]          # (G rho)_ij = sum_k G_ik rho_kj
+            t[p, :, i] -= g_conj[j]     # (rho G†)_ij = sum_l rho_il G*_jl
+            z = co._on_basis(t.reshape(len(i), n2))
+            out[block] = z.real
+            out[im_row[block][low]] = z[low].imag
+        return out
+
 
 # ---------------------------------------------------------------------------
-# exact linear algebra on the Liouvillian
+# exact linear algebra on the real Liouvillian
 
 # A trace-constrained Liouvillian (see steady_state) whose 1-norm condition
 # number exceeds this is treated as singular: the kernel of L is then not
 # one-dimensional, or too close to it to single out a state.
 COND_DEGENERATE = 1e10
-
-
-def _vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacked vec(m)."""
-    return np.asarray(m, dtype=complex).reshape(-1, order="F")
-
-
-def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    return v.reshape((dim, dim), order="F")
 
 
 # theta_m: the largest ||t A||_1 for which m terms of the Taylor series of
@@ -216,7 +344,8 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 
 def _expm_action(lv: np.ndarray, v: np.ndarray, times) -> np.ndarray:
     """exp(t lv) v at each t of the nonnegative ascending `times`, one row per
-    t, each propagated from the previous one.
+    t, each propagated from the previous one; v is a vector or a block of
+    columns propagated together.
 
     The truncated Taylor action of Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
     488 (2011), Algorithm 3.2: with mu = tr(lv)/n and A = lv - mu I, a span t
@@ -231,7 +360,7 @@ def _expm_action(lv: np.ndarray, v: np.ndarray, times) -> np.ndarray:
     a = lv.copy()
     a[np.diag_indices(n)] -= mu
     norm = np.linalg.norm(a, 1)
-    out = np.empty((len(times), n), dtype=complex)
+    out = np.empty((len(times),) + v.shape, dtype=np.result_type(lv, v))
     start = 0.0
     for i, t in enumerate(times):
         span, start = t - start, t
@@ -257,11 +386,12 @@ def _expm_action(lv: np.ndarray, v: np.ndarray, times) -> np.ndarray:
 
 def evolve(model: LindbladModel, rho0: np.ndarray, t: float,
            watch_truncation: bool = False) -> np.ndarray:
-    """State at time t: exp(L t) applied to vec(rho0) as a truncated Taylor
-    action (see _expm_action), without forming exp(L t).
+    """State at time t: exp(A t) applied to the real coordinates of rho0, A
+    the model's real_liouvillian, as a truncated Taylor action (see
+    _expm_action), without forming exp(A t).
 
-    rho0 must be a density matrix (else InvalidState). The result is
-    hermitized and its trace and positivity are checked. With
+    rho0 must be a density matrix (else InvalidState); its Hermitian part is
+    propagated. The result's trace and positivity are checked. With
     watch_truncation=True, population of the top two levels of the result
     above 1e-6 emits a TruncationWarning (bosonic truncated modes).
     """
@@ -270,8 +400,9 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float,
     rho0 = np.asarray(rho0, dtype=complex)
     validate_density_matrix(rho0)
     dim = _check_dims(model.hamiltonian, rho0)
-    rho = _unvec(_expm_action(model.liouvillian, _vec(rho0), [t])[0], dim)
-    rho = 0.5 * (rho + rho.conj().T)
+    co = coordinates(dim)
+    r0 = co.rows(_hermitian_part(rho0))
+    rho = co.states(_expm_action(model.real_liouvillian(), r0, [t])[0])
     tr = np.trace(rho).real
     if not abs(tr - 1.0) <= TOL_TRACE:
         raise PositivityViolation(f"trace drifted to {tr}")
@@ -287,32 +418,41 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float,
 
 
 def steady_state(model: LindbladModel) -> np.ndarray:
-    """Stationary state: the solution of L vec(rho) = 0 with Tr rho = 1.
+    """Stationary state: the solution of A rows(rho) = 0 with Tr rho = 1, A the
+    model's real_liouvillian.
 
-    Row 0 of L is replaced by the trace functional <I|. L preserves the trace,
-    so that row is a combination of the other diagonal rows, and the new
-    matrix is invertible exactly when the kernel of L is one-dimensional.
-    Raises DegenerateSteadyState when its condition number exceeds
-    COND_DEGENERATE.
+    Row 0 of A (Re rho_00 of the image) is replaced by the trace functional,
+    in place. L preserves the trace, so that row is a combination of the
+    other diagonal rows, and the new matrix is invertible exactly when the
+    kernel of L is one-dimensional. Raises DegenerateSteadyState when its
+    1-norm condition number exceeds COND_DEGENERATE, or when the residual,
+    the largest entry of L rho, exceeds 1e-10 max(||A||_1 / 2, 1).
+
+    ||A||_1 <= 2 ||L||_1 for the complex column-stacked L, so that bound is at
+    most 1e-10 max(||L||_1, 1): column k of A is the coordinates of
+    M = L states(e_k), and sum |Re M_ij| + |Im M_ij| over i > j plus
+    sum |M_ii| is at most ||vec M||_1; states(e_k) is a sum of at most two
+    matrices with one entry of modulus 1, so ||vec M||_1 <= 2 ||L||_1.
     """
-    lv = model.liouvillian
-    dim = model.dim
-    constrained = lv.copy()
-    constrained[0] = _vec(np.eye(dim))
+    co = coordinates(model.dim)
+    a = model.real_liouvillian()
+    row0 = a[0].copy()
+    a[0] = co.trace_row
     try:
-        inv = np.linalg.inv(constrained)
-        cond = np.linalg.norm(constrained, 1) * np.linalg.norm(inv, 1)
+        inv = np.linalg.inv(a)
+        cond = np.linalg.norm(a, 1) * np.linalg.norm(inv, 1)
     except np.linalg.LinAlgError:
         cond = np.inf
     if not cond <= COND_DEGENERATE:
         raise DegenerateSteadyState(
             f"trace-constrained Liouvillian has condition number {cond:.3g}"
             f" > {COND_DEGENERATE:g}: kernel dimension != 1")
-    rho = _unvec(inv[:, 0], dim)
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = co.states(inv[:, 0])
+    del inv                 # freed before the 1-norm below allocates |A|
     rho = rho / np.trace(rho).real
-    scale = max(np.linalg.norm(lv, 1), 1.0)
-    resid = np.max(np.abs(lv @ _vec(rho)))
+    a[0] = row0
+    scale = max(0.5 * np.linalg.norm(a, 1), 1.0)
+    resid = np.max(np.abs(co.states(a @ co.rows(rho))))
     if resid > 1e-10 * scale:
         raise DegenerateSteadyState(f"kernel residual {resid} too large")
     validate_density_matrix(rho)
@@ -326,15 +466,30 @@ def two_time_correlation(model: LindbladModel, left: np.ndarray,
     ascending tau grid.
 
     The quantum regression formula: the action of exp(L tau) on the deviation
-    matrix, propagated by _expm_action from each grid point to the next.
+    matrix, propagated by _expm_action from each grid point to the next. The
+    deviation M = X + iY splits into its Hermitian parts X and Y, which are
+    propagated together as one real (d^2, 2) block of their coordinates, and
+    Tr[left M] = Tr[left X] + i Tr[left Y].
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if (tau_grid.ndim != 1 or not np.all((0 <= tau_grid) & (tau_grid < np.inf))
             or not np.all(np.diff(tau_grid) >= 0)):
         raise ValueError("tau_grid must be finite, nonnegative and ascending")
     mat = np.asarray(initial_deviation, dtype=complex)
-    _check_dims(model.hamiltonian, mat, left)
-    vs = _expm_action(model.liouvillian, _vec(mat), tau_grid)
+    left = np.asarray(left, dtype=complex)
+    co = coordinates(_check_dims(model.hamiltonian, mat, left))
+    block = np.stack([co.rows(_hermitian_part(mat)),
+                      co.rows(_hermitian_part(-1j * mat))], axis=-1)
+    vs = _expm_action(model.real_liouvillian(), block, tau_grid)
     if not np.all(np.isfinite(vs)):
         raise PositivityViolation("two-time propagation diverged")
-    return vs @ _vec(np.transpose(left))  # Tr[left M] = vec(left^T) . vec(M)
+    # left = P + iQ with P, Q Hermitian: Tr[left X] = e_P . x + i e_Q . x
+    col = (co.expect_col(_hermitian_part(left))
+           + 1j * co.expect_col(_hermitian_part(-1j * left)))
+    return (vs[..., 0] + 1j * vs[..., 1]) @ col
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m†) / 2: m = P + iQ with P = _hermitian_part(m) and
+    Q = _hermitian_part(-i m), both Hermitian."""
+    return 0.5 * (m + m.conj().T)

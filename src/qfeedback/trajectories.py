@@ -2,12 +2,14 @@
 
 Every unraveling runs through one batched kernel, :class:`_Kernel`. A
 conditioned state is Hermitian, so it has d^2 real degrees of freedom: a batch
-of B states is held as the rows of r in R^{B x d^2}, row b holding
-Re rho_ij (i >= j) and Im rho_ij (i > j) of rho_b (`_Kernel.rows` and
-`_Kernel.states` convert, by exact index copies). Every map a step applies
-preserves Hermiticity, so each is one real d^2 x d^2 matrix: the model's
-column-stacked superoperator in these coordinates (`_Kernel.real_map`). An
-expectation value or the trace is one real column.
+of B states is held as the rows of r in R^{B x d^2}, row b holding the
+coordinates of rho_b in `operators.HermitianCoordinates`, Re rho_ij (i >= j)
+and Im rho_ij (i > j), the one coordinate system the exact solvers of
+:mod:`qfeedback.operators` also run in. Every map a step applies preserves
+Hermiticity, so each is one real d^2 x d^2 matrix: the model's column-stacked
+superoperator in these coordinates (`HermitianCoordinates.real_map`). An
+expectation value or the trace is one real column. The in-loop spectrum is a
+resolvent of the real Liouvillian in the same coordinates.
 
 Every step is one product of the rows against Kraus blocks and an
 expectation column, a combination weighted by the noise, and the division by
@@ -67,7 +69,7 @@ from numpy.random import Generator, Philox
 from . import operators as ops
 from .errors import JumpFromDarkState, PositivityViolation
 from .loop import Spectrum
-from .operators import LindbladModel, _vec, steady_state
+from .operators import LindbladModel, steady_state
 from .operators import two_time_correlation  # noqa: F401  (re-exported)
 from .semiclassical import estimate_psd, welch_segment_length
 
@@ -214,13 +216,12 @@ class _Kernel:
     """One unraveling at one dt: its maps as real matrices, and its step.
 
     A batch of B Hermitian states is held as the rows of r in R^{B x d^2} in
-    the coordinates of `rows`. Every map the step applies preserves
-    Hermiticity, so each is one real matrix R acting as r @ R; row k of R is
-    the coordinates of the map's image of the basis matrix states(e_k). The
-    maps are sums of column-stacked Kraus sandwiches (operators.sprepost),
-    converted by `real_map`: a basis matrix has at most two entries, so that is a gather
-    of at most two columns per coordinate, O(d^4) with no product. A trace or
-    an expectation value is one real column, the same gather on a row.
+    the coordinates `coords` (operators.coordinates(d)). Every map the step
+    applies preserves Hermiticity, so each is one real matrix R acting as
+    r @ R; row k of R is the coordinates of the map's image of the basis
+    matrix coords.states(e_k). The maps are sums of column-stacked Kraus
+    sandwiches (operators.sprepost), converted by coords.real_map. A trace or
+    an expectation value is one real column (coords.expect_col).
 
     A step is one product against `maps` ([P0 | P1 | P2 | t | x] or [N | e]),
     plus one against the kick's blocks `kick` under delayed feedback, and one
@@ -240,26 +241,9 @@ class _Kernel:
     def __init__(self, model: LindbladModel, dt: float, detection: Detection,
                  feedback: Optional[Feedback] = None):
         dim = model.dim
-        self.dim, self.n2, self.dt = dim, dim * dim, dt
+        self.coords = co = ops.coordinates(dim)
+        self.n2, self.dt = co.n2, dt
         self.diffusive = isinstance(detection, HomodyneDiffusive)
-        # coordinates: Re rho_ij (i >= j), then Im rho_ij (i > j), both in
-        # column-stacked order; `gather` indexes them in the float view of a
-        # (d, d) complex array, `scatter` and `sign` rebuild that float view
-        j, i = np.triu_indices(dim)
-        lower = i > j
-        re = 2 * (i * dim + j)
-        self.gather = np.concatenate([re, re[lower] + 1])
-        src = np.zeros((dim, dim, 2), dtype=np.intp)
-        sign = np.zeros((dim, dim, 2))
-        src[i, j, 0] = src[j, i, 0] = np.arange(len(re))
-        sign[:, :, 0] = 1.0
-        k_im = len(re) + np.arange(lower.sum())
-        src[i[lower], j[lower], 1] = src[j[lower], i[lower], 1] = k_im
-        sign[i[lower], j[lower], 1], sign[j[lower], i[lower], 1] = 1.0, -1.0
-        self.scatter, self.sign = src.ravel(), sign.ravel()
-        # the vec indices of rho_ij and of rho_ji, per lower-triangle entry
-        self.vec_ij, self.vec_ji, self.lower = i + j * dim, j + i * dim, lower
-        self.trace_row = self.expect_col(np.eye(dim))
 
         c = model.collapses[0][1]
         cd, eye = c.conj().T, np.eye(dim)
@@ -273,9 +257,9 @@ class _Kernel:
             jump = c + beta * eye
             # [N | e]: the no-jump map and Tr[J†J rho]
             self.maps = _padded(
-                self.real_map(ops.sprepost(m0, m0.conj().T) + unmonitored),
-                self.expect_col(jump.conj().T @ jump)[:, None])
-            self.jump = _padded(self.real_map(ops.sprepost(jump, jump.conj().T)))
+                co.real_map(ops.sprepost(m0, m0.conj().T) + unmonitored),
+                co.expect_col(jump.conj().T @ jump)[:, None])
+            self.jump = _padded(co.real_map(ops.sprepost(jump, jump.conj().T)))
             self.idle_noise = np.inf            # a uniform draw that never jumps
             return
         eta = detection.eta
@@ -295,48 +279,18 @@ class _Kernel:
             *self._kraus_blocks(eye - dt * generator.no_jump_generator, k1,
                                 unmonitored
                                 + dt * (1 - eta) * ops.sprepost(c, cd)),
-            self.expect_col(c + cd)[:, None])
+            co.expect_col(c + cd)[:, None])
         self.idle_noise = 0.0
 
     def _kraus_blocks(self, k0, k1, extra=0.0):
         """[P0 | P1 | P2 | t0 t1 t2]: the real maps with (K0 + w K1) rho
         (K0 + w K1)† + extra rho = P0 rho + w P1 rho + w^2 P2 rho, and the
         columns t_k = P_k @ trace_row, with r @ t_k = Tr[P_k rho]."""
-        k0d, k1d = k0.conj().T, k1.conj().T
-        blocks = [self.real_map(ops.sprepost(k0, k0d) + extra),
-                  self.real_map(ops.sprepost(k0, k1d) + ops.sprepost(k1, k0d)),
-                  self.real_map(ops.sprepost(k1, k1d))]
-        return blocks + [np.stack([b @ self.trace_row for b in blocks], 1)]
-
-    def rows(self, rho: np.ndarray) -> np.ndarray:
-        """(..., d, d) Hermitian matrices -> (..., d^2) real coordinates."""
-        rho = np.ascontiguousarray(rho, dtype=complex)
-        flat = rho.view(np.float64).reshape(rho.shape[:-2] + (2 * self.n2,))
-        return np.take(flat, self.gather, axis=-1)
-
-    def states(self, r: np.ndarray) -> np.ndarray:
-        """(..., d^2) real coordinates -> (..., d, d) Hermitian matrices."""
-        flat = np.take(r, self.scatter, axis=-1) * self.sign
-        return flat.view(complex).reshape(r.shape[:-1] + (self.dim, self.dim))
-
-    def _on_basis(self, x: np.ndarray) -> np.ndarray:
-        """x (..., d^2), linear in a column-stacked matrix, at every basis
-        matrix states(e_k): (..., d^2). In vec form that matrix is e_ij + e_ji
-        (i > j), e_ii, or i e_ij - i e_ji (the imaginary parts)."""
-        a, b, low = self.vec_ij, self.vec_ji, self.lower
-        return np.concatenate([x[..., a] + low * x[..., b],
-                               1j * (x[..., a[low]] - x[..., b[low]])], -1)
-
-    def real_map(self, sup: np.ndarray) -> np.ndarray:
-        """The real matrix R, in C order, of a Hermiticity-preserving
-        superoperator sup on column-stacked matrices:
-        r @ R = rows(unvec(sup vec(states(r))))."""
-        image = self._on_basis(sup[self.vec_ij])  # lower triangle of images
-        return np.vstack([image.real, image[self.lower].imag]).T.copy()
-
-    def expect_col(self, op: np.ndarray) -> np.ndarray:
-        """The column e with r @ e = Tr[op states(r)]."""
-        return self._on_basis(_vec(op.T)).real  # Tr[op M] = vec(op^T).vec(M)
+        co, k0d, k1d = self.coords, k0.conj().T, k1.conj().T
+        blocks = [co.real_map(ops.sprepost(k0, k0d) + extra),
+                  co.real_map(ops.sprepost(k0, k1d) + ops.sprepost(k1, k0d)),
+                  co.real_map(ops.sprepost(k1, k1d))]
+        return blocks + [np.stack([b @ co.trace_row for b in blocks], 1)]
 
     def step(self, r: np.ndarray, noise: np.ndarray, old=None):
         """Advance the rows r by one step and renormalize them.
@@ -368,7 +322,8 @@ class _Kernel:
             dark = jump & (emit <= ops.TOL_JUMP)
             if dark.any():
                 bad = np.where(dark, _DARK_JUMP, 0)
-        return new / (new @ self.trace_row)[:, None], jump.astype(float), bad
+        return (new / (new @ self.coords.trace_row)[:, None],
+                jump.astype(float), bad)
 
     def _combine(self, out: np.ndarray, w: np.ndarray,
                  normalize: bool = True) -> np.ndarray:
@@ -389,7 +344,7 @@ class _Kernel:
         """The positivity gate: per-row failure codes, _COLLAPSED for a
         non-finite state, _NEGATIVE for an eigenvalue below POSITIVITY_TOL,
         0 otherwise."""
-        low = np.linalg.eigvalsh(self.states(r))[:, 0]
+        low = np.linalg.eigvalsh(self.coords.states(r))[:, 0]
         return np.where(low >= POSITIVITY_TOL, 0,
                         np.where(np.isnan(low), _COLLAPSED, _NEGATIVE))
 
@@ -447,25 +402,31 @@ def in_loop_correlation_spectrum(model_fb: LindbladModel, c: np.ndarray,
         S(omega) = 1 + eta Re Tr{x [(i omega - K)^-1 + (-i omega - K)^-1] dev}
                  = 1 + 2 eta Re Tr{x (i omega - K)^-1 dev},
     since for Hermitian dev the second resolvent term is the adjoint of the
-    first, and x is Hermitian.
+    first, and x is Hermitian. As dev, rho_ss and x are Hermitian and L
+    preserves Hermiticity, K, dev and Tr[x .] are taken in real coordinates
+    (model_fb.real_liouvillian), with one complex solve per omega.
     With corrected=False the -iF/eta insertion is dropped (the naive
     normally-ordered formula, kept for comparison; it is wrong in a loop).
+    omega_grid must be a finite 1-D array (else ValueError).
     """
     eta, f_op = HomodyneDiffusive(eta).eta, Feedback(f_op).operator
     omega_grid = np.asarray(omega_grid, dtype=float)
+    if omega_grid.ndim != 1 or not np.all(np.isfinite(omega_grid)):
+        raise ValueError("omega_grid must be a finite 1-D array")
     c = np.asarray(c, dtype=complex)
     rho_ss = steady_state(model_fb)
+    co = ops.coordinates(model_fb.dim)
     cd = c.conj().T
     if corrected:
         dev = (c - 1j * f_op / eta) @ rho_ss + rho_ss @ (cd + 1j * f_op / eta)
     else:
         dev = c @ rho_ss + rho_ss @ cd
-    dev = _vec(dev - np.trace(dev) * rho_ss)
-    x_row = _vec((c + cd).T)        # Tr[x M] = vec(x^T) . vec(M)
-    k = model_fb.liouvillian - np.outer(_vec(rho_ss),
-                                        _vec(np.eye(model_fb.dim)))
+    dev = co.rows(dev - np.trace(dev).real * rho_ss)
+    x_col = co.expect_col(c + cd)
+    k = model_fb.real_liouvillian()
+    k -= np.outer(co.rows(rho_ss), co.trace_row)
     eye = np.eye(len(k))
-    vals = np.array([x_row @ np.linalg.solve(1j * w * eye - k, dev)
+    vals = np.array([x_col @ np.linalg.solve(1j * w * eye - k, dev)
                      for w in omega_grid]).real
     return Spectrum(omega_grid, 1.0 + 2.0 * eta * vals)
 
@@ -484,7 +445,7 @@ def _integrate(kernel: _Kernel, config: SmeConfig, rho0: np.ndarray, seeds):
     dt, n, snap = config.dt, config.steps, config.snapshot_every
     b_sz = len(seeds)
     rows = -(-b_sz // _ROW_PAD) * _ROW_PAD
-    r0 = kernel.rows(rho0)
+    r0 = kernel.coords.rows(rho0)
     r = np.tile(r0, (rows, 1))
     fail = np.zeros(rows, dtype=np.int8)
     records = np.empty((rows, n))
@@ -539,7 +500,7 @@ def _results(kernel: _Kernel, config: SmeConfig, records, snaps, seeds,
     snapshots are converted to matrices in one `states` call."""
     times = config.dt * np.arange(1, config.steps + 1)
     state_times = _state_times(config)
-    states = None if snaps is None else kernel.states(snaps[picked])
+    states = None if snaps is None else kernel.coords.states(snaps[picked])
     return [TrajectoryResult(times=times, record=records[i],
                              states=None if states is None else states[row],
                              state_times=state_times,
@@ -606,12 +567,12 @@ def run_ensemble(config: SmeConfig, n_traj: int, rho0: np.ndarray,
 
     c = config.model.collapses[0][1]
     good = snaps[ok]                             # (n_ok, n_snap, d^2)
-    xbars = good @ kernel.expect_col(c + c.conj().T)
+    xbars = good @ kernel.coords.expect_col(c + c.conj().T)
     psd = (estimate_psd(records[ok], config.dt, psd_segments)
            if kernel.diffusive else None)
     return EnsembleSummary(
         state_times=_state_times(config),
-        mean_states=kernel.states(good.mean(axis=0)),
+        mean_states=kernel.coords.states(good.mean(axis=0)),
         xbar_variance=xbars.var(axis=0),
         psd=psd,
         n_success=len(ok),

@@ -1,5 +1,7 @@
 """Operator algebra, superoperators, master-equation integration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -72,6 +74,66 @@ class TestSuperopD:
 
 def parametric(dim):
     return parametric_model(LinearCavityParams(l=0.0, theta=0.5), dim)
+
+
+def random_model(dim, seed):
+    """A Hermitian H and three collapses, all dense and complex, at seeded
+    random rates."""
+    rng = np.random.default_rng(seed)
+    h, *ops_ = (rng.normal(size=(4, dim, dim))
+                + 1j * rng.normal(size=(4, dim, dim)))
+    return ops.LindbladModel(h + h.conj().T,
+                             tuple(zip(rng.uniform(0.1, 2.0, 3), ops_)))
+
+
+class TestRealLiouvillian:
+    @staticmethod
+    def check(model):
+        want = ops.coordinates(model.dim).real_map(model.liouvillian).T
+        got = model.real_liouvillian()
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_equals_real_map_of_liouvillian(self, dim):
+        self.check(random_model(dim, seed=dim))
+
+    @pytest.mark.parametrize("dim", [2, 5, 8])
+    def test_feedback_model_with_eta_below_one(self, dim):
+        # collapses (1, c - iF), ((1 - eta)/eta, F) and the two extra ones
+        base = random_model(dim, seed=10 + dim)
+        f = np.random.default_rng(dim).normal(size=(2, dim, dim))
+        f_op = f[0] + 1j * f[1]
+        model = tj.feedback_master_equation(base, f_op + f_op.conj().T, 0.6)
+        assert len(model.collapses) == 4
+        self.check(model)
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_blocks_do_not_change_the_result(self, dim, monkeypatch):
+        # one row of the Liouvillian per block, or a block that ends mid-way
+        model = random_model(dim, seed=20 + dim)
+        whole = model.real_liouvillian()
+        for block in (1, 3 * dim * dim):
+            monkeypatch.setattr(ops, "_BUILD_BLOCK", block)
+            assert np.array_equal(model.real_liouvillian(), whole)
+
+
+def test_solvers_do_not_form_the_complex_liouvillian(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("the complex Liouvillian was formed")
+
+    monkeypatch.setattr(ops.LindbladModel, "liouvillian", property(forbidden))
+    model = parametric(6)
+    with pytest.raises(AssertionError):
+        model.liouvillian
+    x = ops.quad_x(6)
+    rho = ops.steady_state(model)
+    ops.evolve(model, ops.fock_dm(6, 0), 0.5)
+    ops.two_time_correlation(model, x, x @ rho, [0.0, 0.5])
+    f_op = -0.15 * ops.quad_y(6)
+    model_fb = tj.feedback_master_equation(damped_cavity(6), f_op, 0.8)
+    tj.in_loop_correlation_spectrum(model_fb, ops.destroy(6), f_op, 0.8,
+                                    [0.0, 1.0])
 
 
 class TestModel:
@@ -189,6 +251,18 @@ class TestSteadyState:
         rho = ops.steady_state(self.two_dark_levels(1e-3))
         assert np.allclose(rho, ops.fock_dm(3, 0), atol=1e-10)
 
+    def test_peak_memory_d30(self):
+        # the real generator and its inverse, 6.5 MB each at d = 30, and
+        # the temporaries of one 1-norm
+        model = parametric(30)
+        tracemalloc.start()
+        try:
+            ops.steady_state(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 22e6
+
 
 class TestTwoTimeCorrelation:
     def test_vacuum_correlation_vanishes(self):
@@ -215,8 +289,28 @@ class TestTwoTimeCorrelation:
         tau = np.array([0.0, 0.1, 0.15, 0.15, 0.7, 2.0, 2.05])
         corr = ops.two_time_correlation(model, x, x @ rho, tau)
         dev = ops._vec(x @ rho)
-        want = np.array([np.trace(x @ ops._unvec(
-            dense_propagator(model, t) @ dev, 10)) for t in tau])
+        want = np.array([np.trace(x @ (dense_propagator(model, t) @ dev)
+                                  .reshape((10, 10), order="F"))
+                         for t in tau])
+        assert np.max(np.abs(corr - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_anti_hermitian_deviation_matches_scipy_expm(self):
+        # [x, rho] is anti-Hermitian, so the Hermitian column of the
+        # propagated block is zero; a non-Hermitian left operator and a
+        # complex generator (feedback) exercise both columns of the trace
+        model = tj.feedback_master_equation(damped_cavity(8),
+                                            -0.15 * ops.quad_x(8), 0.8)
+        assert model.liouvillian.imag.any()
+        rho = ops.steady_state(model)
+        x, a = ops.quad_x(8), ops.destroy(8)
+        dev = x @ rho - rho @ x
+        assert np.max(np.abs(dev + dev.conj().T)) < 1e-15
+        tau = np.array([0.0, 0.2, 0.2, 1.0, 3.0])
+        corr = ops.two_time_correlation(model, a, dev, tau)
+        want = np.array([np.trace(a @ (dense_propagator(model, t)
+                                       @ ops._vec(dev)).reshape(
+                                           (8, 8), order="F"))
+                         for t in tau])
         assert np.max(np.abs(corr - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_empty_grid(self):

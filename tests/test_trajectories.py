@@ -33,11 +33,11 @@ def lone_step(kernel, rho, noise):
     """One kernel step of rho alone, as _integrate runs a lone trajectory:
     row 0 of a block of _ROW_PAD copies, the other rows idle. Returns the
     row's state, record and failure code (0 if it stepped cleanly)."""
-    rows = np.tile(kernel.rows(rho), (tj._ROW_PAD, 1))
+    rows = np.tile(kernel.coords.rows(rho), (tj._ROW_PAD, 1))
     noise_rows = np.full(tj._ROW_PAD, kernel.idle_noise)
     noise_rows[0] = noise
     r, record, bad = kernel.step(rows, noise_rows)
-    return kernel.states(r[0]), record[0], 0 if bad is None else bad[0]
+    return kernel.coords.states(r[0]), record[0], 0 if bad is None else bad[0]
 
 
 def _rate_two_atom():
@@ -251,13 +251,13 @@ class TestKernel:
         rows = [ops.fock_dm(2, 1), np.diag([1.0 - eps, eps]), ops.fock_dm(2, 0),
                 0.5 * np.eye(2)] * 2
         kernel = tj._Kernel(atom(), 1e-3, tj.PhotonCounting())
-        r = kernel.rows(np.array(rows))
+        r = kernel.coords.rows(np.array(rows))
         noise = np.zeros(len(rows))          # every emitting row jumps
         r_new, record, bad = kernel.step(r, noise)
         assert list(record) == [1.0, 1.0, 0.0, 1.0] * 2
         assert [tj._failure(code).__class__ if code else None
                 for code in bad] == [None, JumpFromDarkState, None, None] * 2
-        assert np.allclose(kernel.states(r_new[0]), ops.fock_dm(2, 0),
+        assert np.allclose(kernel.coords.states(r_new[0]), ops.fock_dm(2, 0),
                            atol=1e-15)
 
     def test_rows_match_single_steps(self):
@@ -267,11 +267,11 @@ class TestKernel:
         dws = rng.standard_normal(9) * math.sqrt(1e-3)
         kernel = tj._Kernel(cavity(4), 1e-3, tj.HomodyneDiffusive(0.8),
                             tj.Feedback(f_op))
-        r = kernel.rows(np.array(rhos + [rhos[0]] * 7))
+        r = kernel.coords.rows(np.array(rhos + [rhos[0]] * 7))
         r_new, record, _ = kernel.step(r, np.concatenate([dws, np.zeros(7)]))
         for i, (rho, dw) in enumerate(zip(rhos, dws)):
             one, i_sample, _ = lone_step(kernel, rho, dw)
-            assert np.array_equal(one, kernel.states(r_new[i]))
+            assert np.array_equal(one, kernel.coords.states(r_new[i]))
             assert i_sample == record[i]
 
     @staticmethod
@@ -298,12 +298,12 @@ class TestKernel:
         kernel = tj._Kernel(self.jump_model(4), 1e-3, tj.HomodyneJump(beta))
         noise = np.full(16, np.inf)
         noise[list(jumpers)] = 0.0
-        r_new, record, bad = kernel.step(kernel.rows(rhos), noise)
+        r_new, record, bad = kernel.step(kernel.coords.rows(rhos), noise)
         assert bad is None
         assert list(np.flatnonzero(record)) == list(jumpers)
         for i, rho in enumerate(rhos):
             one, dn, _ = lone_step(kernel, rho, noise[i])
-            assert np.array_equal(one, kernel.states(r_new[i]))
+            assert np.array_equal(one, kernel.coords.states(r_new[i]))
             assert dn == record[i]
 
     def test_maps_match_matrix_reference(self):
@@ -323,7 +323,7 @@ class TestKernel:
         jump = c + beta * np.eye(dim)
         rhos = self.random_states(dim, 8, seed=9)
         kernel = tj._Kernel(model, dt, tj.HomodyneJump(beta))
-        r = kernel.rows(rhos)
+        r = kernel.coords.rows(rhos)
         no_jump, _, _ = kernel.step(r, np.full(8, np.inf))
         jumped, record, _ = kernel.step(r, np.zeros(8))
         assert record.all()
@@ -332,7 +332,7 @@ class TestKernel:
                 k * op @ rho @ op.conj().T for k, op in unmonitored)
             ref_j = jump @ rho @ jump.conj().T
             for row, ref in ((row_nj, ref_nj), (row_j, ref_j)):
-                err = kernel.states(row) - ref / np.trace(ref)
+                err = kernel.coords.states(row) - ref / np.trace(ref)
                 assert np.max(np.abs(err)) < 1e-13
         p_jump = dt * np.array([np.trace(jump.conj().T @ jump @ rho).real
                                 for rho in rhos])
@@ -348,11 +348,12 @@ class TestKernel:
         g = rng.standard_normal((7, dim, dim)) + 1j * rng.standard_normal(
             (7, dim, dim))
         herm = g + g.conj().transpose(0, 2, 1)
-        kernel = tj._Kernel(cavity(dim), 1e-3, tj.PhotonCounting())
-        r = kernel.rows(herm)
+        co = tj._Kernel(cavity(dim), 1e-3, tj.PhotonCounting()).coords
+        assert co is ops.coordinates(dim)
+        r = co.rows(herm)
         assert r.shape == (7, dim * dim) and r.dtype == np.float64
-        assert np.array_equal(kernel.states(r), herm)
-        assert np.array_equal(kernel.states(kernel.rows(herm[0])), herm[0])
+        assert np.array_equal(co.states(r), herm)
+        assert np.array_equal(co.states(co.rows(herm[0])), herm[0])
 
     @staticmethod
     def diffusive_model(dim):
@@ -385,14 +386,14 @@ class TestKernel:
         dws = np.random.default_rng(13).standard_normal(8) * math.sqrt(dt)
         kernel = tj._Kernel(model, dt, tj.HomodyneDiffusive(eta),
                             tj.Feedback(f_op))
-        r_new, record, bad = kernel.step(kernel.rows(rhos), dws)
+        r_new, record, bad = kernel.step(kernel.coords.rows(rhos), dws)
         assert bad is None
         for rho, dw, row, rec in zip(rhos, dws, r_new, record):
             dy = se * np.trace((c + cd) @ rho).real * dt + dw
             k = k0 + dy * k1
             ref = k @ rho @ k.conj().T + dt * (
                 (1 - eta) * c @ rho @ cd + rate * op @ rho @ op.conj().T)
-            err = kernel.states(row) - ref / np.trace(ref)
+            err = kernel.coords.states(row) - ref / np.trace(ref)
             assert np.max(np.abs(err)) < 1e-13
             assert abs(rec - dy / dt) < 1e-12
 
@@ -416,7 +417,8 @@ class TestKernel:
         currents_old = se * xbars_old + dws_old / dt
         kernel = tj._Kernel(model, dt, tj.HomodyneDiffusive(eta),
                             tj.Feedback(f_op, tj.Delayed(dt)))
-        r_new, _, bad = kernel.step(kernel.rows(rhos), dws, currents_old)
+        r_new, _, bad = kernel.step(kernel.coords.rows(rhos), dws,
+                                    currents_old)
         assert bad is None
         for i, rho in enumerate(rhos):
             dy = se * np.trace((c + cd) @ rho).real * dt + dws[i]
@@ -426,7 +428,7 @@ class TestKernel:
             theta = dt * currents_old[i] / se
             kick = np.eye(dim) - dt * f_op @ f_op / (2 * eta) - 1j * theta * f_op
             ref = kick @ measured @ kick.conj().T
-            err = kernel.states(r_new[i]) - ref / np.trace(ref)
+            err = kernel.coords.states(r_new[i]) - ref / np.trace(ref)
             assert np.max(np.abs(err)) < 1e-13
 
     def test_delayed_step_matches_twice_normalized_form(self):
@@ -439,7 +441,7 @@ class TestKernel:
         rng = np.random.default_rng(19)
         dws = rng.standard_normal(8) * math.sqrt(dt)
         currents_old = rng.standard_normal(8) / math.sqrt(dt)
-        r = kernel.rows(self.random_states(dim, 8, seed=19))
+        r = kernel.coords.rows(self.random_states(dim, 8, seed=19))
         r_new, _, bad = kernel.step(r, dws, currents_old)
         assert bad is None
         out = r @ kernel.maps
@@ -461,7 +463,7 @@ class TestKernel:
                                 tj.Feedback(f_op))
             n2 = kernel.n2
             mean = kernel.maps[:, :n2] + dt * kernel.maps[:, 2 * n2:3 * n2]
-            drift = np.eye(n2) + dt * kernel.real_map(liouvillian)
+            drift = np.eye(n2) + dt * kernel.coords.real_map(liouvillian)
             gaps.append(np.max(np.abs(mean - drift)))
         assert 0.0099 < gaps[1] / gaps[0] < 0.0101
 
@@ -470,19 +472,19 @@ class TestKernel:
         # the column-stacked Liouvillian in real coordinates acts on rows as
         # the master equation acts on matrices
         model, _ = self.diffusive_model(dim)
-        kernel = tj._Kernel(model, 1e-3, tj.HomodyneDiffusive(0.8))
+        co = tj._Kernel(model, 1e-3, tj.HomodyneDiffusive(0.8)).coords
         rng = np.random.default_rng(dim)
         g = rng.standard_normal((6, dim, dim)) + 1j * rng.standard_normal(
             (6, dim, dim))
         herm = g + g.conj().transpose(0, 2, 1)
-        got = kernel.rows(herm) @ kernel.real_map(model.liouvillian)
-        want = kernel.rows(np.array([master_equation_rhs(model, rho)
-                                     for rho in herm]))
+        got = co.rows(herm) @ co.real_map(model.liouvillian)
+        want = co.rows(np.array([master_equation_rhs(model, rho)
+                                 for rho in herm]))
         assert np.max(np.abs(got - want)) < 1e-13
         # the expectation column of a Hermitian op with complex off-diagonals
         op = herm[0]
         traces = np.array([np.trace(op @ rho).real for rho in herm])
-        got = kernel.rows(herm) @ kernel.expect_col(op)
+        got = co.rows(herm) @ co.expect_col(op)
         assert np.max(np.abs(got - traces)) < 1e-13
 
 
@@ -643,6 +645,14 @@ class TestInLoopSpectrum:
         with pytest.raises(ValueError, match=match):
             tj.in_loop_correlation_spectrum(atom(), ops.sigma_minus(), f_op,
                                             eta, [0.0, 1.0])
+
+    @pytest.mark.parametrize("omega", [1.0, np.zeros((2, 3)), [0.0, np.inf]],
+                             ids=["scalar", "2-d", "inf"])
+    def test_omega_grid_must_be_finite_1d(self, omega):
+        model = tj.feedback_master_equation(atom(), _F, 0.8)
+        with pytest.raises(ValueError, match="omega_grid"):
+            tj.in_loop_correlation_spectrum(model, ops.sigma_minus(), _F, 0.8,
+                                            omega)
 
     def test_f_zero_vacuum_is_shot_noise(self):
         model = cavity(3)
