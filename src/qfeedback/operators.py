@@ -1,18 +1,19 @@
 """Finite-dimensional operator algebra and master-equation machinery.
 
 Operators and density matrices are plain complex ndarrays. One non-Hermitian
-generator, `LindbladModel.no_jump_generator`, and the sandwich superoperator
-`sprepost` build both the deterministic master equation and the conditioned
-(stochastic) evolutions in :mod:`qfeedback.trajectories`.
+generator, `LindbladModel.no_jump_generator`, builds both the deterministic
+master equation and the conditioned (stochastic) evolutions in
+:mod:`qfeedback.trajectories`.
 
 Every superoperator the package applies preserves Hermiticity, so it is one
 real d^2 x d^2 matrix in one coordinate system, `HermitianCoordinates`:
-Re rho_ij (i >= j) and Im rho_ij (i > j). The SME kernel's Kraus maps are
-converted into it (`HermitianCoordinates.real_map`), and the exact solvers
-(`steady_state`, `evolve`, `two_time_correlation`) run on the real generator
-`LindbladModel.real_liouvillian`, built directly in it. The complex
-column-stacked `LindbladModel.liouvillian` remains as the definition that
-real form is checked against; no solver reads it.
+Re rho_ij (i >= j) and Im rho_ij (i > j). Every such matrix is a sum of
+sandwiches a rho b built directly in these coordinates by one method,
+`HermitianCoordinates.sandwich_map`: the SME kernel's Kraus maps and the real
+generator `LindbladModel.real_liouvillian` that the exact solvers
+(`steady_state`, `evolve`, `two_time_correlation`) run on. The complex
+column-stacked `LindbladModel.liouvillian` (from `sprepost`) remains as the
+definition that real form is checked against; no solver reads it.
 """
 
 from __future__ import annotations
@@ -122,14 +123,6 @@ def _check_dims(*ms: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # superoperators
 
-def superop_D(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Lindblad dissipator D[A]rho = A rho A† - (A†A rho + rho A†A)/2."""
-    _check_dims(a, rho)
-    ad = a.conj().T
-    ada = ad @ a
-    return a @ rho @ ad - 0.5 * (ada @ rho + rho @ ada)
-
-
 def sprepost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Superoperator rho -> a rho b on column-stacked matrices: kron(b^T, a),
     the same products np.kron forms, written in C order whatever the layout of
@@ -147,6 +140,10 @@ def _vec(m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # real coordinates of Hermitian matrices
 
+# complex entries of the rows of a map formed at once by sandwich_map (1 MB)
+_BUILD_BLOCK = 1 << 16
+
+
 class HermitianCoordinates:
     """Real coordinates of Hermitian d x d matrices, and the real matrices of
     the maps that preserve Hermiticity.
@@ -158,11 +155,11 @@ class HermitianCoordinates:
     index copies. Coordinate k stands for the basis matrix states(e_k): e_ii,
     e_ij + e_ji or i e_ij - i e_ji (i > j), which is not an orthonormal basis.
 
-    A map that preserves Hermiticity is one real matrix R acting as r @ R;
-    row k of R is the coordinates of the map's image of states(e_k)
-    (`real_map`). A trace or an expectation value is one real column
-    (`expect_col`). Use `coordinates(dim)`, which builds one object per
-    dimension.
+    A map that preserves Hermiticity is one real matrix A acting as
+    A @ rows(rho); column k of A is the coordinates of the map's image of
+    states(e_k). A sum of sandwiches a rho b is built as A by `sandwich_map`.
+    A trace or an expectation value is one real column (`expect_col`). Use
+    `coordinates(dim)`, which builds one object per dimension.
     """
 
     def __init__(self, dim: int):
@@ -207,14 +204,33 @@ class HermitianCoordinates:
         return np.concatenate([x[..., a] + low * x[..., b],
                                1j * (x[..., a[low]] - x[..., b[low]])], -1)
 
-    def real_map(self, sup: np.ndarray) -> np.ndarray:
-        """The real matrix R, in C order, of a Hermiticity-preserving
-        superoperator sup on column-stacked matrices:
-        r @ R = rows(unvec(sup vec(states(r)))). A basis matrix has at most
-        two entries, so this is a gather of at most two columns per
-        coordinate, O(d^4) with no product."""
-        image = self._on_basis(sup[self.vec_ij])  # lower triangle of images
-        return np.vstack([image.real, image[self.lower].imag]).T.copy()
+    def sandwich_map(self, terms) -> np.ndarray:
+        """The real matrix A, new and in C order, of the Hermiticity-preserving
+        map rho -> sum_k a_k rho b_k over the (a, b) pairs in terms:
+        A @ rows(rho) = rows(sum_k a_k rho b_k).
+
+        A coordinate of the image is the real or imaginary part of one entry
+        (a rho b)_ij = sum_kl a_ik rho_kl b_lj with i >= j, so only those
+        d(d + 1)/2 rows of the column-stacked map are formed, _BUILD_BLOCK
+        complex entries at a time, and gathered onto the basis matrices; the
+        complex d^2 x d^2 matrix never is.
+        """
+        dim, n2 = self.dim, self.n2
+        out = np.empty((n2, n2))
+        im_row = len(self.i) + np.cumsum(self.lower) - 1   # rows of Im rho_ij
+        n_re, step = len(self.i), max(1, _BUILD_BLOCK // n2)
+        for start in range(0, n_re, step):
+            block = slice(start, min(start + step, n_re))
+            i, j, low = self.i[block], self.j[block], self.lower[block]
+            # t[p, l, k]: the coefficient of rho_kl in the image's entry
+            # (i_p, j_p), a_{i_p k} b_{l j_p}
+            t = np.zeros((len(i), dim, dim), dtype=complex)
+            for a, b in terms:
+                t += b.T[j][:, :, None] * a[i][:, None, :]
+            z = self._on_basis(t.reshape(len(i), n2))
+            out[block] = z.real
+            out[im_row[block][low]] = z[low].imag
+        return out
 
     def expect_col(self, op: np.ndarray) -> np.ndarray:
         """The column e with r @ e = Tr[op states(r)], for Hermitian op."""
@@ -231,17 +247,13 @@ def coordinates(dim: int) -> HermitianCoordinates:
 # ---------------------------------------------------------------------------
 # Lindblad model
 
-# complex entries of the rows of the Liouvillian formed at once by
-# real_liouvillian (1 MB)
-_BUILD_BLOCK = 1 << 16
-
-
 @dataclass(frozen=True)
 class LindbladModel:
     """Hamiltonian plus weighted collapse operators.
 
     Rates are in inverse time (hbar = 1); collapse entries are
-    (rate, operator) pairs.
+    (rate, operator) pairs, every operator square and of one dimension (else
+    DimensionMismatch).
     """
     hamiltonian: np.ndarray
     collapses: tuple = field(default_factory=tuple)
@@ -249,6 +261,7 @@ class LindbladModel:
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
         object.__setattr__(self, "hamiltonian", h)
+        _check_dims(h)
         if not np.all(np.isfinite(h)):
             raise InvalidState("Hamiltonian must be finite")
         if not is_hermitian(h):
@@ -288,36 +301,13 @@ class LindbladModel:
 
     def real_liouvillian(self) -> np.ndarray:
         """The generator as a new real C-ordered matrix A in the coordinates
-        of `coordinates(dim)`: A @ rows(rho) = rows(L rho), the transpose of
-        real_map(liouvillian).
-
-        Built without the complex d^2 x d^2 matrix: a coordinate of L rho is
-        the real or imaginary part of one entry (L rho)_ij with i >= j, and
-        row vec_ij of a sandwich sprepost(a, b) is a[i, :] (x) b[:, j], so
-        only those d(d + 1)/2 rows of -G rho - rho G† + sum_k r_k L_k rho L_k†
-        are formed, _BUILD_BLOCK complex entries at a time.
-        """
-        co = coordinates(self.dim)
-        dim, n2 = self.dim, co.n2
-        g = self.no_jump_generator
-        g_conj = g.conj()
-        out = np.empty((n2, n2))
-        im_row = len(co.i) + np.cumsum(co.lower) - 1   # rows of Im rho_ij
-        n_re, step = len(co.i), max(1, _BUILD_BLOCK // n2)
-        for start in range(0, n_re, step):
-            block = slice(start, min(start + step, n_re))
-            i, j, low = co.i[block], co.j[block], co.lower[block]
-            # t[p, l, k]: the coefficient of rho_kl in (L rho)_{i_p j_p}
-            t = np.zeros((len(i), dim, dim), dtype=complex)
-            for rate, op in self.collapses:
-                t += (rate * op.conj()[j])[:, :, None] * op[i][:, None, :]
-            p = np.arange(len(i))
-            t[p, j, :] -= g[i]          # (G rho)_ij = sum_k G_ik rho_kj
-            t[p, :, i] -= g_conj[j]     # (rho G†)_ij = sum_l rho_il G*_jl
-            z = co._on_basis(t.reshape(len(i), n2))
-            out[block] = z.real
-            out[im_row[block][low]] = z[low].imag
-        return out
+        of `coordinates(dim)`: A @ rows(rho) = rows(L rho), the sandwiches of
+        -G rho - rho G† + sum_k r_k L_k rho L_k† built by `sandwich_map`
+        without the complex d^2 x d^2 matrix."""
+        g, eye = self.no_jump_generator, np.eye(self.dim)
+        return coordinates(self.dim).sandwich_map(
+            [(op, rate * op.conj().T) for rate, op in self.collapses]
+            + [(-g, eye), (eye, -g.conj().T)])
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ of B states is held as the rows of r in R^{B x d^2}, row b holding the
 coordinates of rho_b in `operators.HermitianCoordinates`, Re rho_ij (i >= j)
 and Im rho_ij (i > j), the one coordinate system the exact solvers of
 :mod:`qfeedback.operators` also run in. Every map a step applies preserves
-Hermiticity, so each is one real d^2 x d^2 matrix: the model's column-stacked
-superoperator in these coordinates (`HermitianCoordinates.real_map`). An
-expectation value or the trace is one real column. The in-loop spectrum is a
-resolvent of the real Liouvillian in the same coordinates.
+Hermiticity, so each is one real d^2 x d^2 matrix: a sum of Kraus sandwiches
+built directly in these coordinates (`HermitianCoordinates.sandwich_map`), as
+the real Liouvillian is. An expectation value or the trace is one real
+column. The in-loop spectrum is a resolvent of the real Liouvillian in the
+same coordinates.
 
 Every step is one product of the rows against Kraus blocks and an
 expectation column, a combination weighted by the noise, and the division by
@@ -206,10 +207,13 @@ class TrajectoryResult:
 
 
 def _padded(*blocks: np.ndarray) -> np.ndarray:
-    """The blocks side by side, then zero columns up to a multiple of
-    _COL_PAD."""
-    m = np.hstack(blocks)
-    return np.pad(m, ((0, 0), (0, -m.shape[1] % _COL_PAD)))
+    """The blocks side by side in a new C-ordered matrix, then zero columns up
+    to a multiple of _COL_PAD. The order holds whatever the blocks' layout:
+    the batch-independence of the products was checked with C-ordered maps."""
+    width = sum(b.shape[1] for b in blocks)
+    m = np.zeros((len(blocks[0]), width + -width % _COL_PAD))
+    np.concatenate(blocks, axis=1, out=m[:, :width])
+    return m
 
 
 class _Kernel:
@@ -219,9 +223,9 @@ class _Kernel:
     the coordinates `coords` (operators.coordinates(d)). Every map the step
     applies preserves Hermiticity, so each is one real matrix R acting as
     r @ R; row k of R is the coordinates of the map's image of the basis
-    matrix coords.states(e_k). The maps are sums of column-stacked Kraus
-    sandwiches (operators.sprepost), converted by coords.real_map. A trace or
-    an expectation value is one real column (coords.expect_col).
+    matrix coords.states(e_k). The maps are sums of Kraus sandwiches, each R
+    the transpose of coords.sandwich_map. A trace or an expectation value is
+    one real column (coords.expect_col).
 
     A step is one product against `maps` ([P0 | P1 | P2 | t | x] or [N | e]),
     plus one against the kick's blocks `kick` under delayed feedback, and one
@@ -247,8 +251,8 @@ class _Kernel:
 
         c = model.collapses[0][1]
         cd, eye = c.conj().T, np.eye(dim)
-        unmonitored = sum((dt * rate) * ops.sprepost(op, op.conj().T)
-                          for rate, op in model.collapses[1:])
+        unmonitored = [(op, (dt * rate) * op.conj().T)
+                       for rate, op in model.collapses[1:]]
         self.kick = None
         if not self.diffusive:
             # photon counting is the jump unraveling with beta = 0
@@ -257,9 +261,9 @@ class _Kernel:
             jump = c + beta * eye
             # [N | e]: the no-jump map and Tr[J†J rho]
             self.maps = _padded(
-                co.real_map(ops.sprepost(m0, m0.conj().T) + unmonitored),
+                co.sandwich_map([(m0, m0.conj().T)] + unmonitored).T,
                 co.expect_col(jump.conj().T @ jump)[:, None])
-            self.jump = _padded(co.real_map(ops.sprepost(jump, jump.conj().T)))
+            self.jump = _padded(co.sandwich_map([(jump, jump.conj().T)]).T)
             self.idle_noise = np.inf            # a uniform draw that never jumps
             return
         eta = detection.eta
@@ -277,19 +281,19 @@ class _Kernel:
         # [P0 | P1 | P2 | t0 t1 t2 | x]
         self.maps = _padded(
             *self._kraus_blocks(eye - dt * generator.no_jump_generator, k1,
-                                unmonitored
-                                + dt * (1 - eta) * ops.sprepost(c, cd)),
+                                unmonitored + [(c, (dt * (1 - eta)) * cd)]),
             co.expect_col(c + cd)[:, None])
         self.idle_noise = 0.0
 
-    def _kraus_blocks(self, k0, k1, extra=0.0):
+    def _kraus_blocks(self, k0, k1, extra=()):
         """[P0 | P1 | P2 | t0 t1 t2]: the real maps with (K0 + w K1) rho
-        (K0 + w K1)† + extra rho = P0 rho + w P1 rho + w^2 P2 rho, and the
-        columns t_k = P_k @ trace_row, with r @ t_k = Tr[P_k rho]."""
+        (K0 + w K1)† + sum_k a_k rho b_k = P0 rho + w P1 rho + w^2 P2 rho for
+        the sandwiches (a_k, b_k) in extra, and the columns
+        t_k = P_k @ trace_row, with r @ t_k = Tr[P_k rho]."""
         co, k0d, k1d = self.coords, k0.conj().T, k1.conj().T
-        blocks = [co.real_map(ops.sprepost(k0, k0d) + extra),
-                  co.real_map(ops.sprepost(k0, k1d) + ops.sprepost(k1, k0d)),
-                  co.real_map(ops.sprepost(k1, k1d))]
+        blocks = [co.sandwich_map([(k0, k0d), *extra]).T,
+                  co.sandwich_map([(k0, k1d), (k1, k0d)]).T,
+                  co.sandwich_map([(k1, k1d)]).T]
         return blocks + [np.stack([b @ co.trace_row for b in blocks], 1)]
 
     def step(self, r: np.ndarray, noise: np.ndarray, old=None):
@@ -373,8 +377,10 @@ def feedback_master_equation(model: LindbladModel, f_op: np.ndarray,
 
     H' = H + (c†F + Fc)/2; collapses become (1, c - iF) plus, for imperfect
     detection, ((1-eta)/eta, F); extra collapses pass through untouched.
+    An F of another dimension than the model raises DimensionMismatch.
     """
     eta, f_op = HomodyneDiffusive(eta).eta, Feedback(f_op).operator
+    ops._check_dims(model.hamiltonian, f_op)
     c = model.collapses[0][1]
     cd = c.conj().T
     h = model.hamiltonian + 0.5 * (cd @ f_op + f_op @ c)
@@ -407,13 +413,15 @@ def in_loop_correlation_spectrum(model_fb: LindbladModel, c: np.ndarray,
     (model_fb.real_liouvillian), with one complex solve per omega.
     With corrected=False the -iF/eta insertion is dropped (the naive
     normally-ordered formula, kept for comparison; it is wrong in a loop).
-    omega_grid must be a finite 1-D array (else ValueError).
+    omega_grid must be a finite 1-D array (else ValueError); c and F must
+    be square matrices of the model's dimension (else DimensionMismatch).
     """
     eta, f_op = HomodyneDiffusive(eta).eta, Feedback(f_op).operator
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1 or not np.all(np.isfinite(omega_grid)):
         raise ValueError("omega_grid must be a finite 1-D array")
     c = np.asarray(c, dtype=complex)
+    ops._check_dims(model_fb.hamiltonian, c, f_op)
     rho_ss = steady_state(model_fb)
     co = ops.coordinates(model_fb.dim)
     cd = c.conj().T

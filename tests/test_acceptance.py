@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from literal_generators import superop_D
 from qfeedback import (
     atom_squash as at,
     intracavity as ic,
@@ -211,8 +212,8 @@ def test_criterion_7_feedback_master_equation_and_spectrum():
         e = np.zeros((2, 2), dtype=complex)
         e[j % 2, j // 2] = 1.0
         m = sm @ e + e @ sm.conj().T
-        out = (ops.superop_D(sm, e) - 1j * lam * (sy2 @ m - m @ sy2)
-               + (lam * lam / eta_det) * ops.superop_D(sy2, e))
+        out = (superop_D(sm, e) - 1j * lam * (sy2 @ m - m @ sy2)
+               + (lam * lam / eta_det) * superop_D(sy2, e))
         manual[:, j] = out.reshape(-1, order="F")
     ok &= np.max(np.abs(model_a.liouvillian - manual)) < 1e-12
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from literal_generators import master_equation_rhs
+from literal_generators import master_equation_rhs, superop_D
 from qfeedback import atom_squash as at, operators as ops
 from qfeedback.errors import NegativePrefactor, UnreachableSqueezing
 
@@ -59,9 +59,9 @@ class TestFeedbackMasterEquation:
             rho = r @ r.conj().T
             rho = rho / np.trace(rho)
             m = sm @ rho + rho @ sm.conj().T
-            expected = (ops.superop_D(sm, rho)
+            expected = (superop_D(sm, rho)
                         - 1j * lam * (sy2 @ m - m @ sy2)
-                        + (lam * lam / he) * ops.superop_D(sy2, rho))
+                        + (lam * lam / he) * superop_D(sy2, rho))
             assert np.max(np.abs(master_equation_rhs(model, rho)
                                  - expected)) < 1e-12
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from literal_generators import real_map, superop_D
 from qfeedback import operators as ops
 from qfeedback import trajectories as tj
 from qfeedback.errors import (
@@ -33,11 +34,11 @@ def atom_decay():
 class TestSuperopD:
     def test_vacuum_is_dark(self):
         rho = ops.fock_dm(2, 0)
-        assert np.allclose(ops.superop_D(ops.destroy(2), rho), 0.0)
+        assert np.allclose(superop_D(ops.destroy(2), rho), 0.0)
 
     def test_one_photon_decay(self):
         rho = ops.fock_dm(2, 1)
-        out = ops.superop_D(ops.destroy(2), rho)
+        out = superop_D(ops.destroy(2), rho)
         expected = ops.fock_dm(2, 0) - ops.fock_dm(2, 1)
         assert np.allclose(out, expected)
 
@@ -48,11 +49,11 @@ class TestSuperopD:
             rho = rng.normal(size=(4, 4))
             rho = rho @ rho.T + 0j
             rho /= np.trace(rho)
-            assert abs(np.trace(ops.superop_D(a, rho))) < 1e-12
+            assert abs(np.trace(superop_D(a, rho))) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            ops.superop_D(ops.destroy(3), ops.fock_dm(2, 0))
+            superop_D(ops.destroy(3), ops.fock_dm(2, 0))
 
     def test_column_stacked_matrices(self):
         # sprepost is np.kron(b^T, a) bit for bit, for any memory layout; the
@@ -65,8 +66,8 @@ class TestSuperopD:
         h = h + h.conj().T
         model = ops.LindbladModel(h, ((0.7, a), (1.3, b)))
         got = model.liouvillian @ rho.reshape(-1, order="F")
-        want = (-1j * (h @ rho - rho @ h) + 0.7 * ops.superop_D(a, rho)
-                + 1.3 * ops.superop_D(b, rho))
+        want = (-1j * (h @ rho - rho @ h) + 0.7 * superop_D(a, rho)
+                + 1.3 * superop_D(b, rho))
         assert np.max(np.abs(got - want.reshape(-1, order="F"))) < 1e-13
         g = 1j * h + 0.35 * a.conj().T @ a + 0.65 * b.conj().T @ b
         assert np.max(np.abs(model.no_jump_generator - g)) < 1e-13
@@ -89,7 +90,7 @@ def random_model(dim, seed):
 class TestRealLiouvillian:
     @staticmethod
     def check(model):
-        want = ops.coordinates(model.dim).real_map(model.liouvillian).T
+        want = real_map(ops.coordinates(model.dim), model.liouvillian).T
         got = model.real_liouvillian()
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -118,14 +119,37 @@ class TestRealLiouvillian:
             assert np.array_equal(model.real_liouvillian(), whole)
 
 
+class TestSandwichMap:
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_matches_column_stacked_reference(self, dim, monkeypatch):
+        # (a, b) and (b†, a†) make a Hermiticity-preserving map; gathering
+        # the columns of its column-stacked matrix gives the transpose
+        rng = np.random.default_rng(30 + dim)
+        a, b = (rng.normal(size=(2, dim, dim))
+                + 1j * rng.normal(size=(2, dim, dim)))
+        terms = [(a, b), (b.conj().T, a.conj().T)]
+        co = ops.coordinates(dim)
+        want = real_map(co, sum(ops.sprepost(x, y) for x, y in terms)).T
+        got = co.sandwich_map(terms)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        # one row per block, or a block that ends mid-way
+        for block in (1, 3 * dim * dim):
+            monkeypatch.setattr(ops, "_BUILD_BLOCK", block)
+            assert np.array_equal(co.sandwich_map(terms), got)
+
+
 def test_solvers_do_not_form_the_complex_liouvillian(monkeypatch):
-    def forbidden(self):
-        raise AssertionError("the complex Liouvillian was formed")
+    def forbidden(*args):
+        raise AssertionError("a complex superoperator was formed")
 
     monkeypatch.setattr(ops.LindbladModel, "liouvillian", property(forbidden))
+    monkeypatch.setattr(ops, "sprepost", forbidden)
     model = parametric(6)
     with pytest.raises(AssertionError):
         model.liouvillian
+    with pytest.raises(AssertionError):
+        ops.sprepost(np.eye(2), np.eye(2))
     x = ops.quad_x(6)
     rho = ops.steady_state(model)
     ops.evolve(model, ops.fock_dm(6, 0), 0.5)
@@ -134,6 +158,15 @@ def test_solvers_do_not_form_the_complex_liouvillian(monkeypatch):
     model_fb = tj.feedback_master_equation(damped_cavity(6), f_op, 0.8)
     tj.in_loop_correlation_spectrum(model_fb, ops.destroy(6), f_op, 0.8,
                                     [0.0, 1.0])
+    # every SME kernel map, on a model with one unmonitored collapse
+    a = ops.destroy(6)
+    model = ops.LindbladModel(0.3 * x, ((1.0, a), (0.5, a.conj().T @ a)))
+    for detection, feedback in [
+            (tj.PhotonCounting(), None), (tj.HomodyneJump(1.0), None),
+            (tj.HomodyneDiffusive(0.8), None),
+            (tj.HomodyneDiffusive(0.8), tj.Feedback(f_op)),
+            (tj.HomodyneDiffusive(0.8), tj.Feedback(f_op, tj.Delayed(1e-3)))]:
+        tj._Kernel(model, 1e-3, detection, feedback)
 
 
 class TestModel:

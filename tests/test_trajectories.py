@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from literal_generators import master_equation_rhs
+from literal_generators import master_equation_rhs, real_map
 from qfeedback import loop, operators as ops, trajectories as tj
 from qfeedback.errors import (DimensionMismatch, JumpFromDarkState,
                               PositivityViolation, TooShort)
@@ -367,6 +367,60 @@ class TestKernel:
         f_op = 0.3 * ops.quad_y(dim) + 0.1 * ops.number(dim)
         return model, f_op
 
+    @pytest.mark.parametrize("detection, feedback", [
+        (tj.PhotonCounting(), None), (tj.HomodyneJump(0.7), None),
+        (tj.HomodyneDiffusive(0.7), None),
+        (tj.HomodyneDiffusive(0.7), tj.Markovian()),
+        (tj.HomodyneDiffusive(0.7), tj.Delayed(1e-2))],
+        ids=["counting", "homodyne-jump", "diffusive", "markovian", "delayed"])
+    def test_maps_match_column_stacked_reference(self, detection, feedback):
+        # every kernel map against the same Kraus sandwiches formed as
+        # column-stacked matrices, weighted there, and gathered by real_map
+        dim, dt = 5, 1e-2
+        model, f_op = self.diffusive_model(dim)
+        fb = None if feedback is None else tj.Feedback(f_op, feedback)
+        kernel = tj._Kernel(model, dt, detection, fb)
+        co, eye = kernel.coords, np.eye(dim)
+        c = model.collapses[0][1]
+        cd = c.conj().T
+
+        def real(*terms):
+            return real_map(co, sum(w * ops.sprepost(a, b.conj().T)
+                                    for w, a, b in terms))
+
+        def kraus(k0, k1, *extra):
+            blocks = [real((1.0, k0, k0), *extra),
+                      real((1.0, k0, k1), (1.0, k1, k0)), real((1.0, k1, k1))]
+            return blocks + [np.stack([b @ co.trace_row for b in blocks], 1)]
+
+        unmonitored = [(dt * r, op, op) for r, op in model.collapses[1:]]
+        if not kernel.diffusive:
+            beta = getattr(detection, "beta", 0.0)
+            m0 = eye - dt * (model.no_jump_generator + beta * c)
+            jump = c + beta * eye
+            pairs = [(kernel.maps, [real((1.0, m0, m0), *unmonitored),
+                                    co.expect_col(jump.conj().T @ jump)]),
+                     (kernel.jump, [real((1.0, jump, jump))])]
+        else:
+            eta = detection.eta
+            k1, generator = math.sqrt(eta) * c, model
+            if isinstance(feedback, tj.Markovian):
+                generator = tj.feedback_master_equation(model, f_op, eta)
+                k1 = k1 - 1j * f_op / math.sqrt(eta)
+            k0 = eye - dt * generator.no_jump_generator
+            pairs = [(kernel.maps, kraus(k0, k1, *unmonitored,
+                                         (dt * (1 - eta), c, c))
+                      + [co.expect_col(c + cd)])]
+            if isinstance(feedback, tj.Delayed):
+                pairs.append((kernel.kick, kraus(
+                    eye - dt / (2 * eta) * f_op @ f_op, -1j * f_op)))
+        for got, blocks in pairs:
+            assert got.flags.c_contiguous
+            want = np.column_stack(blocks)
+            assert np.max(np.abs(got[:, :want.shape[1]] - want)) <= (
+                1e-15 * np.max(np.abs(want)))
+            assert not got[:, want.shape[1]:].any()
+
     def test_diffusive_markovian_map_matches_matrix_reference(self):
         # rho' = K rho K† + dt [(1 - eta) c rho c† + sum_k r_k L_k rho L_k†],
         # normalized, with K = K0 + dy K1, dy = sqrt(eta) <x> dt + dW,
@@ -463,7 +517,7 @@ class TestKernel:
                                 tj.Feedback(f_op))
             n2 = kernel.n2
             mean = kernel.maps[:, :n2] + dt * kernel.maps[:, 2 * n2:3 * n2]
-            drift = np.eye(n2) + dt * kernel.coords.real_map(liouvillian)
+            drift = np.eye(n2) + dt * real_map(kernel.coords, liouvillian)
             gaps.append(np.max(np.abs(mean - drift)))
         assert 0.0099 < gaps[1] / gaps[0] < 0.0101
 
@@ -477,7 +531,7 @@ class TestKernel:
         g = rng.standard_normal((6, dim, dim)) + 1j * rng.standard_normal(
             (6, dim, dim))
         herm = g + g.conj().transpose(0, 2, 1)
-        got = co.rows(herm) @ co.real_map(model.liouvillian)
+        got = co.rows(herm) @ real_map(co, model.liouvillian)
         want = co.rows(np.array([master_equation_rhs(model, rho)
                                  for rho in herm]))
         assert np.max(np.abs(got - want)) < 1e-13

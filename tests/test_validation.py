@@ -9,7 +9,7 @@ from qfeedback import atom_squash as at
 from qfeedback import intracavity as ic
 from qfeedback import loop, operators as ops, qnd, semiclassical as sc
 from qfeedback import trajectories as tj
-from qfeedback.errors import InvalidState
+from qfeedback.errors import DimensionMismatch, InvalidState
 
 NAN, INF = math.nan, math.inf
 
@@ -118,3 +118,25 @@ BAD_STATES = {
 def test_evolve_rejects_invalid_initial_state(name):
     with pytest.raises(InvalidState):
         ops.evolve(_atom(), BAD_STATES[name], 1.0)
+
+
+# operands of mismatched dimension: each one raises DimensionMismatch (exit
+# code 2) before any arithmetic can broadcast it or index past it
+DIMENSION_CASES = {
+    "in_loop_correlation_spectrum.f_op": lambda: (
+        tj.in_loop_correlation_spectrum(_atom(), ops.sigma_minus(),
+                                        np.ones((1, 1)), 0.8, [0.0, 1.0])),
+    "in_loop_correlation_spectrum.c": lambda: (
+        tj.in_loop_correlation_spectrum(_atom(), np.ones((1, 1)),
+                                        ops.sigma_x(), 0.8, [0.0, 1.0])),
+    "feedback_master_equation.f_op": lambda: tj.feedback_master_equation(
+        _atom(), np.eye(3), 0.8),
+    "LindbladModel.hamiltonian": lambda: ops.LindbladModel(np.zeros((2, 3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIMENSION_CASES))
+def test_dimension_mismatch_rejected(name):
+    with pytest.raises(DimensionMismatch) as err:
+        DIMENSION_CASES[name]()
+    assert err.value.exit_code == 2
