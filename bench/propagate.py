@@ -22,10 +22,17 @@ Per side and round:
   call, as in the `analysis` workload;
 - `steady_state_d30_peak_mb`: the tracemalloc peak, in MB, of that call at
   d = 30 (the model built before tracing starts);
+- `steady_state_dense_d30_s`: `steady_state` of a seeded dense model at
+  d = 30 (a random Hermitian H and three random collapses), whose real
+  generator is one invariant block: the cost of the block scan where there is
+  no structure to exploit;
+- `steady_state_atom_s`: `steady_state` of the atom under Markovian homodyne
+  feedback, as in `evolve_atom_s`: the per-call overhead at d = 2;
 - `in_loop_cavity_d10_s`: `in_loop_correlation_spectrum` of the damped cavity
   at d = 10 under Markovian feedback (F = -0.15 y, eta = 0.8) on 100
   frequencies of [0, 2], the feedback model built in the call, as in the
   `analysis` workload;
+- `in_loop_cavity_d16_s`: the same spectrum at d = 16;
 - `fresh_s` and `fresh_rss_mb`: a fresh interpreter that imports
   `qfeedback.operators` and calls `evolve` once (the cavity at d = 12,
   t = 0.6): wall time and peak resident memory of that process.
@@ -60,7 +67,9 @@ import _ab
 IN_PROCESS = ("evolve_cavity_s", "evolve_atom_s", "evolve_d10_s",
               "evolve_d30_s", "correlation_d10_s", "squeezed_bath_t50_s",
               "steady_state_d10_s", "steady_state_d20_s",
-              "steady_state_d30_s", "in_loop_cavity_d10_s")
+              "steady_state_d30_s", "steady_state_dense_d30_s",
+              "steady_state_atom_s", "in_loop_cavity_d10_s",
+              "in_loop_cavity_d16_s")
 METRICS = IN_PROCESS + ("steady_state_d30_peak_mb", "fresh_s", "fresh_rss_mb",
                         "import_s")
 FRESH = ("import numpy as np\n"
@@ -88,9 +97,13 @@ def worker(repeats: int) -> None:
     x10 = ops.quad_x(10)
     rho10 = ops.steady_state(par10)
     tau = np.linspace(0.0, 2.0, 21)
-    cav10 = ops.LindbladModel(np.zeros((10, 10)), ((1.0, ops.destroy(10)),))
-    f10 = -0.15 * ops.quad_y(10)
+    cavs = {d: ops.LindbladModel(np.zeros((d, d)), ((1.0, ops.destroy(d)),))
+            for d in (10, 16)}
     omega = np.linspace(0.0, 2.0, 100)
+    rng = np.random.default_rng(30)
+    h, *cs = rng.normal(size=(4, 30, 30)) + 1j * rng.normal(size=(4, 30, 30))
+    dense30 = ops.LindbladModel(h + h.conj().T,
+                                tuple(zip(rng.uniform(0.1, 2.0, 3), cs)))
 
     cases = {
         "evolve_cavity_s": lambda: [
@@ -107,9 +120,14 @@ def worker(repeats: int) -> None:
         **{f"steady_state_d{d}_s": lambda d=d: [
             ops.steady_state(ic.parametric_model(cav_p, d))]
            for d in (10, 20, 30)},
-        "in_loop_cavity_d10_s": lambda: [tj.in_loop_correlation_spectrum(
-            tj.feedback_master_equation(cav10, f10, 0.8), ops.destroy(10),
-            f10, 0.8, omega).values],
+        "steady_state_dense_d30_s": lambda: [ops.steady_state(dense30)],
+        "steady_state_atom_s": lambda: [ops.steady_state(atom_fb)],
+        **{f"in_loop_cavity_d{d}_s": lambda d=d: [
+            tj.in_loop_correlation_spectrum(
+                tj.feedback_master_equation(cavs[d], -0.15 * ops.quad_y(d),
+                                            0.8),
+                ops.destroy(d), -0.15 * ops.quad_y(d), 0.8, omega).values]
+           for d in (10, 16)},
     }
     out = {"import_s": import_s}
     for name, fn in cases.items():

@@ -89,14 +89,6 @@ def _riccati(params: LinearCavityParams) -> tuple[float, float, float]:
     return m.strength, params.d0, 0.0
 
 
-def conditioned_variance_rhs(params: LinearCavityParams, u: float) -> float:
-    """Riccati right-hand side -2 k0 U + c - s U^2 for the conditioned
-    variance (see _riccati: homodyne U normally ordered, QND V symmetric
-    ordered; the two coincide under (V - 1) -> V, eta -> H)."""
-    s, c, _ = _riccati(params)
-    return -2.0 * params.k0 * u + c - s * u * u
-
-
 def conditioned_variance_trajectory(params: LinearCavityParams, u_init: float,
                                     t_grid) -> np.ndarray:
     """Deterministic relaxation of the conditioned variance from

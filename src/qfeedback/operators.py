@@ -13,7 +13,11 @@ sandwiches a rho b built directly in these coordinates by one method,
 generator `LindbladModel.real_liouvillian` that the exact solvers
 (`steady_state`, `evolve`, `two_time_correlation`) run on. The complex
 column-stacked `LindbladModel.liouvillian` (from `sprepost`) remains as the
-definition that real form is checked against; no solver reads it.
+definition that real form is checked against; no solver reads it. The
+O(d^6) solves (`steady_state` here, the in-loop spectrum in
+:mod:`qfeedback.trajectories`) factor the real generator one invariant block
+at a time (`_invariant_blocks`), the blocks a model's symmetries leave it
+split into.
 """
 
 from __future__ import annotations
@@ -181,6 +185,12 @@ class HermitianCoordinates:
         self.i, self.j, self.lower = i, j, lower
         self.vec_ij, self.vec_ji = i + j * dim, j + i * dim
         self.trace_row = self.expect_col(np.eye(dim))
+        # per entry p = (i, j): the flat indices, in sandwich_map's (p, l, k)
+        # coefficients of every entry, of the d coefficients an identity
+        # factor leaves, k = i (a = I) or l = j (b = I)
+        lead, span = self.n2 * np.arange(len(i)), np.arange(dim)
+        self._eye_left = (lead + i)[:, None] + dim * span
+        self._eye_right = (lead + dim * j)[:, None] + span
         for name in ("gather", "scatter", "sign", "i", "j", "lower", "vec_ij",
                      "vec_ji", "trace_row"):
             getattr(self, name).flags.writeable = False
@@ -207,13 +217,16 @@ class HermitianCoordinates:
     def sandwich_map(self, terms) -> np.ndarray:
         """The real matrix A, new and in C order, of the Hermiticity-preserving
         map rho -> sum_k a_k rho b_k over the (a, b) pairs in terms:
-        A @ rows(rho) = rows(sum_k a_k rho b_k).
+        A @ rows(rho) = rows(sum_k a_k rho b_k). Either factor of a pair, not
+        both, may be None for the identity.
 
         A coordinate of the image is the real or imaginary part of one entry
         (a rho b)_ij = sum_kl a_ik rho_kl b_lj with i >= j, so only those
         d(d + 1)/2 rows of the column-stacked map are formed, _BUILD_BLOCK
         complex entries at a time, and gathered onto the basis matrices; the
-        complex d^2 x d^2 matrix never is.
+        complex d^2 x d^2 matrix never is. A term with an identity factor
+        has d nonzero coefficients per entry, which are added alone; the
+        product of the factors would add exact zeros beside them.
         """
         dim, n2 = self.dim, self.n2
         out = np.empty((n2, n2))
@@ -225,8 +238,14 @@ class HermitianCoordinates:
             # t[p, l, k]: the coefficient of rho_kl in the image's entry
             # (i_p, j_p), a_{i_p k} b_{l j_p}
             t = np.zeros((len(i), dim, dim), dtype=complex)
+            flat, shift = t.reshape(-1), n2 * start
             for a, b in terms:
-                t += b.T[j][:, :, None] * a[i][:, None, :]
+                if a is None:       # t[p, :, i_p] += b_{. j_p}
+                    flat[self._eye_left[block] - shift] += b.T[j]
+                elif b is None:     # t[p, j_p, :] += a_{i_p .}
+                    flat[self._eye_right[block] - shift] += a[i]
+                else:
+                    t += b.T[j][:, :, None] * a[i][:, None, :]
             z = self._on_basis(t.reshape(len(i), n2))
             out[block] = z.real
             out[im_row[block][low]] = z[low].imag
@@ -304,10 +323,10 @@ class LindbladModel:
         of `coordinates(dim)`: A @ rows(rho) = rows(L rho), the sandwiches of
         -G rho - rho G† + sum_k r_k L_k rho L_k† built by `sandwich_map`
         without the complex d^2 x d^2 matrix."""
-        g, eye = self.no_jump_generator, np.eye(self.dim)
+        g = self.no_jump_generator
         return coordinates(self.dim).sandwich_map(
             [(op, rate * op.conj().T) for rate, op in self.collapses]
-            + [(-g, eye), (eye, -g.conj().T)])
+            + [(-g, None), (None, -g.conj().T)])
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +426,94 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float,
     return rho
 
 
+def _invariant_blocks(a: np.ndarray) -> list:
+    """The connected components of the symmetric nonzero pattern of the
+    square real matrix a, each a sorted index array, ordered by their first
+    index: the coordinates split into invariant blocks, so that a has no
+    nonzero entry a[i, j] with i and j in different blocks.
+
+    A frontier search on the boolean adjacency (a != 0) | (a != 0).T reads
+    each index's row of it once, so it costs O(n^2) for n indices.
+    """
+    adj = a != 0
+    adj |= adj.T
+    unseen = np.ones(len(a), dtype=bool)
+    blocks = []
+    while unseen.any():
+        frontier = np.flatnonzero(unseen)[:1]  # the first index not yet seen
+        members = []
+        while frontier.size:
+            unseen[frontier] = False
+            members.append(frontier)
+            frontier = np.flatnonzero(adj[frontier].any(axis=0) & unseen)
+        blocks.append(np.sort(np.concatenate(members)))
+    return blocks
+
+
+def _block(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """a restricted to the rows and columns idx: a itself, not a copy, when
+    idx spans every index."""
+    return a if len(idx) == len(a) else a[np.ix_(idx, idx)]
+
+
+def _stationary_state(a: np.ndarray, co: HermitianCoordinates):
+    """(rho, cond): the stationary state of the real generator a in the
+    coordinates co and the 1-norm condition number of the trace-constrained
+    generator, as described in steady_state, which raises when it does.
+
+    Row 0 of a is replaced by the trace row while the state is solved for and
+    restored before the residual check, so a is the generator again on
+    return. The trace-constrained a is solved one invariant block at a time
+    (_invariant_blocks): each block is inverted, and rho is column 0 of the
+    inverse of the block that holds coordinate 0, zero elsewhere. Both 1-norms
+    of a block-diagonal matrix are maxima over its blocks, so ||a||_1 times
+    the largest ||block^-1||_1 is the 1-norm condition number of the whole;
+    a singular block makes it infinite.
+    """
+    row0 = a[0].copy()
+    a[0] = co.trace_row
+    blocks = _invariant_blocks(a)
+    r = np.zeros(co.n2)
+    try:
+        norm_inv = 0.0
+        for idx in blocks:
+            inv = np.linalg.inv(_block(a, idx))
+            norm_inv = max(norm_inv, np.linalg.norm(inv, 1))
+            if idx[0] == 0:
+                r[idx] = inv[:, 0]
+            del inv         # freed before the next block or the 1-norm below
+        cond = np.linalg.norm(a, 1) * norm_inv
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    a[0] = row0
+    if not cond <= COND_DEGENERATE:
+        raise DegenerateSteadyState(
+            f"trace-constrained Liouvillian has condition number {cond:.3g}"
+            f" > {COND_DEGENERATE:g}: kernel dimension != 1")
+    rho = co.states(r)
+    rho = rho / np.trace(rho).real
+    scale = max(0.5 * np.linalg.norm(a, 1), 1.0)
+    resid = np.max(np.abs(co.states(a @ co.rows(rho))))
+    if resid > 1e-10 * scale:
+        raise DegenerateSteadyState(f"kernel residual {resid} too large")
+    validate_density_matrix(rho)
+    return rho, cond
+
+
 def steady_state(model: LindbladModel) -> np.ndarray:
     """Stationary state: the solution of A rows(rho) = 0 with Tr rho = 1, A the
     model's real_liouvillian.
 
-    Row 0 of A (Re rho_00 of the image) is replaced by the trace functional,
-    in place. L preserves the trace, so that row is a combination of the
-    other diagonal rows, and the new matrix is invertible exactly when the
-    kernel of L is one-dimensional. Raises DegenerateSteadyState when its
-    1-norm condition number exceeds COND_DEGENERATE, or when the residual,
-    the largest entry of L rho, exceeds 1e-10 max(||A||_1 / 2, 1).
+    Row 0 of A (Re rho_00 of the image) is replaced by the trace functional.
+    L preserves the trace, so that row is a combination of the other diagonal
+    rows, and the new matrix is invertible exactly when the kernel of L is
+    one-dimensional. The model's symmetries make that matrix block diagonal
+    up to a permutation of the coordinates, so it is inverted one invariant
+    block at a time (_stationary_state), each block in O(size^3); a model
+    without such structure is one block, inverted whole. Raises
+    DegenerateSteadyState when its 1-norm condition number exceeds
+    COND_DEGENERATE, or when the residual, the largest entry of L rho,
+    exceeds 1e-10 max(||A||_1 / 2, 1).
 
     ||A||_1 <= 2 ||L||_1 for the complex column-stacked L, so that bound is at
     most 1e-10 max(||L||_1, 1): column k of A is the coordinates of
@@ -424,29 +521,8 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     sum |M_ii| is at most ||vec M||_1; states(e_k) is a sum of at most two
     matrices with one entry of modulus 1, so ||vec M||_1 <= 2 ||L||_1.
     """
-    co = coordinates(model.dim)
-    a = model.real_liouvillian()
-    row0 = a[0].copy()
-    a[0] = co.trace_row
-    try:
-        inv = np.linalg.inv(a)
-        cond = np.linalg.norm(a, 1) * np.linalg.norm(inv, 1)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if not cond <= COND_DEGENERATE:
-        raise DegenerateSteadyState(
-            f"trace-constrained Liouvillian has condition number {cond:.3g}"
-            f" > {COND_DEGENERATE:g}: kernel dimension != 1")
-    rho = co.states(inv[:, 0])
-    del inv                 # freed before the 1-norm below allocates |A|
-    rho = rho / np.trace(rho).real
-    a[0] = row0
-    scale = max(0.5 * np.linalg.norm(a, 1), 1.0)
-    resid = np.max(np.abs(co.states(a @ co.rows(rho))))
-    if resid > 1e-10 * scale:
-        raise DegenerateSteadyState(f"kernel residual {resid} too large")
-    validate_density_matrix(rho)
-    return rho
+    return _stationary_state(model.real_liouvillian(),
+                             coordinates(model.dim))[0]
 
 
 def two_time_correlation(model: LindbladModel, left: np.ndarray,

@@ -6,7 +6,9 @@ coordinates (`HermitianCoordinates.sandwich_map`). These write the same
 master equations as products of operators, and convert a column-stacked
 superoperator matrix (`sprepost`, `LindbladModel.liouvillian`) into those
 coordinates by gathering its columns, so tests can check the package's maps
-against independent forms.
+against independent forms. The dense solvers at the end invert or solve the
+whole real generator, against which the package's block-wise solves are
+checked.
 """
 
 import numpy as np
@@ -59,3 +61,37 @@ def squeezed_bath_generator(n_bath: float, m_bath: complex, dim: int,
     out -= 0.5 * m_bath * comm_ad
     out -= 0.5 * np.conj(m_bath) * comm_a
     return out
+
+
+def dense_steady_state(model: ops.LindbladModel):
+    """(rho, cond): the stationary state from the inverse of the whole
+    trace-constrained real generator (row 0 of model.real_liouvillian()
+    replaced by the trace row) and that matrix's 1-norm condition number,
+    the references for the block-wise solve of operators.steady_state."""
+    co = ops.coordinates(model.dim)
+    a = model.real_liouvillian()
+    a[0] = co.trace_row
+    inv = np.linalg.inv(a)
+    rho = co.states(inv[:, 0])
+    return (rho / np.trace(rho).real,
+            np.linalg.norm(a, 1) * np.linalg.norm(inv, 1))
+
+
+def dense_in_loop_spectrum(model_fb: ops.LindbladModel, c: np.ndarray,
+                           f_op: np.ndarray, eta: float,
+                           omega_grid) -> np.ndarray:
+    """The corrected in-loop photocurrent spectrum with one solve per omega
+    on the whole K = A - |rho_ss><tr| (see
+    trajectories.in_loop_correlation_spectrum), rho_ss from
+    dense_steady_state."""
+    co = ops.coordinates(model_fb.dim)
+    rho_ss = dense_steady_state(model_fb)[0]
+    cd = c.conj().T
+    dev = (c - 1j * f_op / eta) @ rho_ss + rho_ss @ (cd + 1j * f_op / eta)
+    dev = co.rows(dev - np.trace(dev).real * rho_ss)
+    x_col = co.expect_col(c + cd)
+    k = model_fb.real_liouvillian() - np.outer(co.rows(rho_ss), co.trace_row)
+    eye = np.eye(len(k))
+    vals = np.array([x_col @ np.linalg.solve(1j * w * eye - k, dev)
+                     for w in omega_grid]).real
+    return 1.0 + 2.0 * eta * vals

@@ -18,6 +18,14 @@ def qnd(l=0.0, theta=0.0, strength=1.0):
                                  measurement=ic.Qnd(strength))
 
 
+def conditioned_variance_rhs(params, u):
+    """Riccati right-hand side -2 k0 U + c - s U^2 for the conditioned
+    variance (see ic._riccati: homodyne U normally ordered, QND V symmetric
+    ordered; the two coincide under (V - 1) -> V, eta -> H)."""
+    s, c, _ = ic._riccati(params)
+    return -2.0 * params.k0 * u + c - s * u * u
+
+
 class TestVarianceNoFeedback:
     def test_threshold_limit(self):
         u = ic.variance_no_feedback(hom(theta=ic.THETA_MAX))
@@ -47,7 +55,7 @@ class TestConditionedVariance:
     def test_riccati_root(self):
         for p in (hom(l=0.5, theta=0.7, eta=0.6), qnd(l=1.0, strength=3.0)):
             uss = ic.conditioned_variance_ss(p)
-            assert abs(ic.conditioned_variance_rhs(p, uss)) < 1e-12
+            assert abs(conditioned_variance_rhs(p, uss)) < 1e-12
 
     def test_attracting_root(self):
         p = hom(l=0.5, theta=0.7, eta=0.6)
@@ -70,7 +78,7 @@ class TestConditionedVariance:
         t = np.linspace(0.5, 10.5, 41)
         for u0 in (uss + 3.0, uss + 0.2, 0.5 * (lowest + uss), lowest):
             assert u0 != uss
-            ref = solve_ivp(lambda _, y: ic.conditioned_variance_rhs(p, y[0]),
+            ref = solve_ivp(lambda _, y: conditioned_variance_rhs(p, y[0]),
                             (t[0], t[-1]), [u0], t_eval=t, rtol=1e-12,
                             atol=1e-14).y[0]
             series = ic.conditioned_variance_trajectory(p, u0, t)
@@ -103,7 +111,7 @@ class TestConditionedVariance:
             p_q = ic.LinearCavityParams(l=l, theta=theta,
                                         measurement=ic.Qnd(h))
             k0, d0 = p_q.k0, p_q.d0
-            lhs = ic.conditioned_variance_rhs(p_q, v)
+            lhs = conditioned_variance_rhs(p_q, v)
             rhs = -2.0 * k0 * v + d0 - h * v * v
             assert abs(lhs - rhs) < 1e-12
 

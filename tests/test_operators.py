@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from literal_generators import real_map, superop_D
+from literal_generators import (
+    dense_in_loop_spectrum,
+    dense_steady_state,
+    real_map,
+    superop_D,
+)
 from qfeedback import operators as ops
 from qfeedback import trajectories as tj
 from qfeedback.errors import (
@@ -137,6 +142,166 @@ class TestSandwichMap:
         for block in (1, 3 * dim * dim):
             monkeypatch.setattr(ops, "_BUILD_BLOCK", block)
             assert np.array_equal(co.sandwich_map(terms), got)
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    def test_identity_factor_adds_its_entries_alone(self, dim, monkeypatch):
+        # None for an identity factor gives the matrix of the dense product
+        # with np.eye bit for bit: that product only adds exact zeros
+        rng = np.random.default_rng(40 + dim)
+        a, b = (rng.normal(size=(2, dim, dim))
+                + 1j * rng.normal(size=(2, dim, dim)))
+        eye = np.eye(dim)
+        co = ops.coordinates(dim)
+        for block in (ops._BUILD_BLOCK, 1, 3 * dim * dim):
+            monkeypatch.setattr(ops, "_BUILD_BLOCK", block)
+            got = co.sandwich_map([(a, b), (b.conj().T, a.conj().T),
+                                   (a, None), (None, a.conj().T)])
+            want = co.sandwich_map([(a, b), (b.conj().T, a.conj().T),
+                                    (a, eye), (eye, a.conj().T)])
+            assert np.array_equal(got, want)
+
+
+def with_trace_row(model):
+    """The trace-constrained real generator that steady_state solves."""
+    a = model.real_liouvillian()
+    a[0] = ops.coordinates(model.dim).trace_row
+    return a
+
+
+def feedback_cavity(dim):
+    return tj.feedback_master_equation(damped_cavity(dim),
+                                       -0.15 * ops.quad_y(dim), 0.8)
+
+
+def feedback_atom():
+    return tj.feedback_master_equation(atom_decay(), -0.38 * ops.sigma_y(),
+                                       0.76)
+
+
+def feedback_k(dim):
+    """K = A - |rho_ss><tr| of the feedback cavity, as the in-loop spectrum
+    forms it."""
+    model = feedback_cavity(dim)
+    co = ops.coordinates(dim)
+    return model.real_liouvillian() - np.outer(
+        co.rows(ops.steady_state(model)), co.trace_row)
+
+
+# name: (the matrix, its block sizes or its number of blocks)
+BLOCK_CASES = {
+    "parametric-d10": (lambda: with_trace_row(parametric(10)),
+                       [30, 25, 25, 20]),
+    "damped-d10": (lambda: damped_cavity(10).real_liouvillian(), 19),
+    "feedback-K-d10": (lambda: feedback_k(10), 4),
+    "dense-d6": (lambda: random_model(6, seed=50).real_liouvillian(), [36]),
+}
+
+
+class TestInvariantBlocks:
+    @staticmethod
+    def check_partition(a, blocks):
+        # sorted blocks that partition range(n), first indices ascending,
+        # with no nonzero entry of a between two of them
+        n = len(a)
+        assert all(np.all(np.diff(b) > 0) for b in blocks)
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n))
+        assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+        label = np.empty(n, dtype=int)
+        for k, b in enumerate(blocks):
+            label[b] = k
+        rows, cols = np.nonzero(a)
+        assert np.array_equal(label[rows], label[cols])
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+    def test_models(self, name):
+        make, sizes = BLOCK_CASES[name]
+        a = make()
+        blocks = ops._invariant_blocks(a)
+        self.check_partition(a, blocks)
+        if isinstance(sizes, int):
+            assert len(blocks) == sizes
+        else:
+            assert [len(b) for b in blocks] == sizes
+
+    def test_pattern_is_symmetrised(self):
+        # one entry above the diagonal joins its row and column; a chain
+        # through later indices joins an earlier one to the first block
+        a = np.eye(6)
+        a[0, 4] = a[5, 2] = a[4, 2] = 0.5
+        blocks = ops._invariant_blocks(a)
+        assert [b.tolist() for b in blocks] == [[0, 2, 4, 5], [1], [3]]
+        self.check_partition(a, blocks)
+
+    def test_zero_matrix_is_singletons(self):
+        blocks = ops._invariant_blocks(np.zeros((3, 3)))
+        assert [b.tolist() for b in blocks] == [[0], [1], [2]]
+
+    def test_one_block_is_not_copied(self):
+        a = random_model(3, seed=51).real_liouvillian()
+        (idx,) = ops._invariant_blocks(a)
+        assert ops._block(a, idx) is a
+
+
+# models on which the block-wise solvers must match the dense references
+BLOCKWISE_CASES = {
+    "parametric-d10": lambda: parametric(10),
+    "parametric-d20": lambda: parametric(20),
+    "feedback-cavity-d10": lambda: feedback_cavity(10),
+    "feedback-atom": feedback_atom,
+    "dense-d4": lambda: random_model(4, seed=60),
+    "dense-d7": lambda: random_model(7, seed=61),
+}
+
+
+def feedback_case(base, f_op, eta):
+    """(model_fb, c, F, eta) for the in-loop spectrum of base's first
+    collapse c under Markovian feedback F."""
+    return (tj.feedback_master_equation(base, f_op, eta), base.collapses[0][1],
+            f_op, eta)
+
+
+def dense_feedback(dim, seed, eta):
+    """A seeded dense model under feedback with a dense Hermitian F."""
+    f = np.random.default_rng(seed).normal(size=(2, dim, dim))
+    f_op = 0.2 * (f[0] + 1j * f[1])
+    return feedback_case(random_model(dim, seed), f_op + f_op.conj().T, eta)
+
+
+# in-loop spectra that must match one solve per omega on the whole K
+SPECTRUM_CASES = {
+    "feedback-cavity-d10": lambda: feedback_case(
+        damped_cavity(10), -0.15 * ops.quad_y(10), 0.8),
+    "feedback-atom": lambda: feedback_case(
+        atom_decay(), -0.38 * ops.sigma_y(), 0.76),
+    "parametric-d10": lambda: feedback_case(
+        parametric(10), -0.2 * ops.quad_x(10), 0.9),
+    "dense-d4": lambda: dense_feedback(4, 60, 0.7),
+    "dense-d7": lambda: dense_feedback(7, 61, 0.5),
+}
+
+
+class TestBlockwiseSolvers:
+    @pytest.mark.parametrize("name", sorted(BLOCKWISE_CASES))
+    def test_steady_state_matches_dense_inverse(self, name):
+        model = BLOCKWISE_CASES[name]()
+        want, want_cond = dense_steady_state(model)
+        co = ops.coordinates(model.dim)
+        a = model.real_liouvillian()
+        rho, cond = ops._stationary_state(a, co)
+        assert np.array_equal(a, model.real_liouvillian())  # row 0 restored
+        assert np.max(np.abs(rho - want)) <= 1e-13 * np.max(np.abs(want))
+        assert abs(cond - want_cond) <= 1e-12 * want_cond
+        assert np.array_equal(ops.steady_state(model), rho)
+
+    @pytest.mark.parametrize("name", sorted(SPECTRUM_CASES))
+    def test_spectrum_matches_dense_solves(self, name):
+        model_fb, c, f_op, eta = SPECTRUM_CASES[name]()
+        omega = np.linspace(0.0, 3.0, 13)
+        got = tj.in_loop_correlation_spectrum(model_fb, c, f_op, eta,
+                                              omega).values
+        want = dense_in_loop_spectrum(model_fb, c, f_op, eta, omega)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_solvers_do_not_form_the_complex_liouvillian(monkeypatch):
@@ -285,8 +450,8 @@ class TestSteadyState:
         assert np.allclose(rho, ops.fock_dm(3, 0), atol=1e-10)
 
     def test_peak_memory_d30(self):
-        # the real generator and its inverse, 6.5 MB each at d = 30, and
-        # the temporaries of one 1-norm
+        # the real generator, 6.5 MB at d = 30, and the temporaries of one
+        # 1-norm; its four invariant blocks are inverted one at a time
         model = parametric(30)
         tracemalloc.start()
         try:
@@ -294,7 +459,7 @@ class TestSteadyState:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 22e6
+        assert peak <= 16e6
 
 
 class TestTwoTimeCorrelation:
