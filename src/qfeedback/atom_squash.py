@@ -146,6 +146,8 @@ def free_squeezing_model(params: FreeSqueezeParams):
 def lambda_for_spectrum(eta_mm: float, eps: float, s_target: float) -> float:
     """Feedback parameter realizing in-loop spectrum S (squeezing branch):
     lambda = eta eps (-1 + sqrt(1 - (1-S)/eps))."""
+    if not math.isfinite(s_target):
+        raise ValueError(f"S = {s_target} must be finite")
     if s_target < 1.0 - eps:
         raise UnreachableSqueezing(
             f"S = {s_target} below the floor 1 - eps = {1.0 - eps}")

@@ -140,6 +140,8 @@ def unconditioned_variance(params: LinearCavityParams, lam: float) -> float:
     """U_lambda = (k0 U0 + lambda^2 / 2 eta) / (k0 + lambda) for a damped mean."""
     if not isinstance(params.measurement, Homodyne):
         raise TypeError("unconditioned_variance applies to homodyne feedback")
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda = {lam} must be finite")
     k0 = params.k0
     if k0 + lam <= 0:
         raise UnstableMean(f"k0 + lambda = {k0 + lam} <= 0")
@@ -150,6 +152,8 @@ def unconditioned_variance(params: LinearCavityParams, lam: float) -> float:
 
 def variance_with_delay(params: LinearCavityParams, lam: float, delay: float) -> float:
     """First-order short-delay correction U_{lambda;T} = U_lambda (1 + lambda T)."""
+    if not math.isfinite(delay):
+        raise ValueError(f"T = {delay} must be finite")
     if abs(lam * delay) >= 0.5:
         raise DelayTooLarge(f"|lambda T| = {abs(lam * delay)} >= 0.5")
     return unconditioned_variance(params, lam) * (1.0 + lam * delay)

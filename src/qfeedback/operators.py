@@ -11,13 +11,15 @@ Re rho_ij (i >= j) and Im rho_ij (i > j). Every such matrix is a sum of
 sandwiches a rho b built directly in these coordinates by one method,
 `HermitianCoordinates.sandwich_map`: the SME kernel's Kraus maps and the real
 generator `LindbladModel.real_liouvillian` that the exact solvers
-(`steady_state`, `evolve`, `two_time_correlation`) run on. The complex
-column-stacked `LindbladModel.liouvillian` (from `sprepost`) remains as the
-definition that real form is checked against; no solver reads it. The
-O(d^6) solves (`steady_state` here, the in-loop spectrum in
-:mod:`qfeedback.trajectories`) factor the real generator one invariant block
-at a time (`_invariant_blocks`), the blocks a model's symmetries leave it
-split into.
+(`steady_state`, `evolve`, `two_time_correlation`) run on. The model builds
+that generator once, on first use, and holds it read-only; the solvers read
+it and never write into it. The complex column-stacked
+`LindbladModel.liouvillian` (from `sprepost`) remains as the definition that
+real form is checked against; no solver reads it. The O(d^6) solves
+(`steady_state` here, the in-loop spectrum in :mod:`qfeedback.trajectories`)
+scan the real generator once for its invariant blocks (`_invariant_blocks`),
+the blocks a model's symmetries leave it split into, and copy and factor it
+one block at a time.
 """
 
 from __future__ import annotations
@@ -192,7 +194,7 @@ class HermitianCoordinates:
         self._eye_left = (lead + i)[:, None] + dim * span
         self._eye_right = (lead + dim * j)[:, None] + span
         for name in ("gather", "scatter", "sign", "i", "j", "lower", "vec_ij",
-                     "vec_ji", "trace_row"):
+                     "vec_ji", "trace_row", "_eye_left", "_eye_right"):
             getattr(self, name).flags.writeable = False
 
     def rows(self, rho: np.ndarray) -> np.ndarray:
@@ -272,13 +274,15 @@ class LindbladModel:
 
     Rates are in inverse time (hbar = 1); collapse entries are
     (rate, operator) pairs, every operator square and of one dimension (else
-    DimensionMismatch).
+    DimensionMismatch). The model holds read-only copies of the operators,
+    and every generator it caches is read-only too, so neither a later edit
+    of the caller's arrays nor a write by a solver can change a cached one.
     """
     hamiltonian: np.ndarray
     collapses: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        h = np.asarray(self.hamiltonian, dtype=complex)
+        h = _read_only(np.array(self.hamiltonian, dtype=complex))
         object.__setattr__(self, "hamiltonian", h)
         _check_dims(h)
         if not np.all(np.isfinite(h)):
@@ -289,7 +293,7 @@ class LindbladModel:
         for k, (rate, op) in enumerate(self.collapses):
             if not 0 <= rate < np.inf:
                 raise InvalidState(f"collapse rate {rate} is not finite and >= 0")
-            op = np.asarray(op, dtype=complex)
+            op = _read_only(np.array(op, dtype=complex))
             _check_dims(h, op)
             if not np.all(np.isfinite(op)):
                 raise InvalidState(f"collapse operator {k} must be finite")
@@ -304,8 +308,9 @@ class LindbladModel:
     def no_jump_generator(self) -> np.ndarray:
         """G = iH + sum_k r_k L_k†L_k / 2 over every collapse, so that the
         generator is rho -> -G rho - rho G† + sum_k r_k L_k rho L_k†."""
-        return 1j * self.hamiltonian + sum((0.5 * rate) * op.conj().T @ op
-                                           for rate, op in self.collapses)
+        return _read_only(1j * self.hamiltonian
+                          + sum((0.5 * rate) * op.conj().T @ op
+                                for rate, op in self.collapses))
 
     @cached_property
     def liouvillian(self) -> np.ndarray:
@@ -316,17 +321,26 @@ class LindbladModel:
         lv -= sprepost(eye, g.conj().T)
         for rate, op in self.collapses:
             lv += sprepost(rate * op, op.conj().T)
-        return lv
+        return _read_only(lv)
 
+    @cached_property
     def real_liouvillian(self) -> np.ndarray:
-        """The generator as a new real C-ordered matrix A in the coordinates
-        of `coordinates(dim)`: A @ rows(rho) = rows(L rho), the sandwiches of
+        """The generator as a real C-ordered matrix A in the coordinates of
+        `coordinates(dim)`: A @ rows(rho) = rows(L rho), the sandwiches of
         -G rho - rho G† + sum_k r_k L_k rho L_k† built by `sandwich_map`
-        without the complex d^2 x d^2 matrix."""
+        without the complex d^2 x d^2 matrix. Built on first use and held,
+        read-only, by the model (d^4 * 8 bytes): the exact solvers read it
+        and never write into it."""
         g = self.no_jump_generator
-        return coordinates(self.dim).sandwich_map(
+        return _read_only(coordinates(self.dim).sandwich_map(
             [(op, rate * op.conj().T) for rate, op in self.collapses]
-            + [(-g, None), (None, -g.conj().T)])
+            + [(-g, None), (None, -g.conj().T)]))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only."""
+    a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +425,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float,
     dim = _check_dims(model.hamiltonian, rho0)
     co = coordinates(dim)
     r0 = co.rows(_hermitian_part(rho0))
-    rho = co.states(_expm_action(model.real_liouvillian(), r0, [t])[0])
+    rho = co.states(_expm_action(model.real_liouvillian, r0, [t])[0])
     tr = np.trace(rho).real
     if not abs(tr - 1.0) <= TOL_TRACE:
         raise PositivityViolation(f"trace drifted to {tr}")
@@ -450,49 +464,53 @@ def _invariant_blocks(a: np.ndarray) -> list:
     return blocks
 
 
-def _block(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """a restricted to the rows and columns idx: a itself, not a copy, when
-    idx spans every index."""
-    return a if len(idx) == len(a) else a[np.ix_(idx, idx)]
-
-
-def _stationary_state(a: np.ndarray, co: HermitianCoordinates):
+def _stationary_state(a: np.ndarray, co: HermitianCoordinates, blocks):
     """(rho, cond): the stationary state of the real generator a in the
     coordinates co and the 1-norm condition number of the trace-constrained
-    generator, as described in steady_state, which raises when it does.
+    generator A' (row 0 of a replaced by the trace row), as described in
+    steady_state, which raises when it does. a is only read; blocks is
+    _invariant_blocks(a).
 
-    Row 0 of a is replaced by the trace row while the state is solved for and
-    restored before the residual check, so a is the generator again on
-    return. The trace-constrained a is solved one invariant block at a time
-    (_invariant_blocks): each block is inverted, and rho is column 0 of the
-    inverse of the block that holds coordinate 0, zero elsewhere. Both 1-norms
-    of a block-diagonal matrix are maxima over its blocks, so ||a||_1 times
-    the largest ||block^-1||_1 is the 1-norm condition number of the whole;
-    a singular block makes it infinite.
+    A' is solved one invariant block of a at a time. The trace row is
+    nonzero only on the diagonal coordinates, and its restriction to a block
+    that holds one is a left null vector of that block. So when the kernel
+    of a is one-dimensional, every diagonal coordinate lies in coordinate
+    0's block, and the blocks of a are invariant blocks of A' too; when it
+    is not, a second block holding populations is singular, and the solve
+    raises. Each block is copied, the trace row put into the copy of
+    coordinate 0's block, and inverted; rho is column 0 of that block's
+    inverse, zero elsewhere. Both 1-norms of a block-diagonal matrix are
+    maxima over its blocks, so ||a||_1 (the residual scale) and ||A'||_1
+    times the largest ||block^-1||_1 (the condition number) are read from
+    the copies; a singular block makes the condition number infinite.
     """
-    row0 = a[0].copy()
-    a[0] = co.trace_row
-    blocks = _invariant_blocks(a)
     r = np.zeros(co.n2)
+    norm_a = norm_con = norm_inv = 0.0
     try:
-        norm_inv = 0.0
         for idx in blocks:
-            inv = np.linalg.inv(_block(a, idx))
+            block = a[np.ix_(idx, idx)]
+            norm = np.linalg.norm(block, 1)
+            norm_a = max(norm_a, norm)
+            if idx[0] == 0:
+                block[0] = co.trace_row[idx]
+                norm = np.linalg.norm(block, 1)
+            norm_con = max(norm_con, norm)
+            inv = np.linalg.inv(block)
+            del block       # freed before the inverse's 1-norm
             norm_inv = max(norm_inv, np.linalg.norm(inv, 1))
             if idx[0] == 0:
                 r[idx] = inv[:, 0]
-            del inv         # freed before the next block or the 1-norm below
-        cond = np.linalg.norm(a, 1) * norm_inv
+            del inv         # freed before the next block
+        cond = norm_con * norm_inv
     except np.linalg.LinAlgError:
         cond = np.inf
-    a[0] = row0
     if not cond <= COND_DEGENERATE:
         raise DegenerateSteadyState(
             f"trace-constrained Liouvillian has condition number {cond:.3g}"
             f" > {COND_DEGENERATE:g}: kernel dimension != 1")
     rho = co.states(r)
     rho = rho / np.trace(rho).real
-    scale = max(0.5 * np.linalg.norm(a, 1), 1.0)
+    scale = max(0.5 * norm_a, 1.0)
     resid = np.max(np.abs(co.states(a @ co.rows(rho))))
     if resid > 1e-10 * scale:
         raise DegenerateSteadyState(f"kernel residual {resid} too large")
@@ -502,18 +520,20 @@ def _stationary_state(a: np.ndarray, co: HermitianCoordinates):
 
 def steady_state(model: LindbladModel) -> np.ndarray:
     """Stationary state: the solution of A rows(rho) = 0 with Tr rho = 1, A the
-    model's real_liouvillian.
+    model's cached real_liouvillian, which is read and not written.
 
     Row 0 of A (Re rho_00 of the image) is replaced by the trace functional.
     L preserves the trace, so that row is a combination of the other diagonal
     rows, and the new matrix is invertible exactly when the kernel of L is
-    one-dimensional. The model's symmetries make that matrix block diagonal
-    up to a permutation of the coordinates, so it is inverted one invariant
-    block at a time (_stationary_state), each block in O(size^3); a model
-    without such structure is one block, inverted whole. Raises
-    DegenerateSteadyState when its 1-norm condition number exceeds
-    COND_DEGENERATE, or when the residual, the largest entry of L rho,
-    exceeds 1e-10 max(||A||_1 / 2, 1).
+    one-dimensional. The model's symmetries make A block diagonal up to a
+    permutation of the coordinates; one scan finds the blocks
+    (_invariant_blocks), and the trace-constrained matrix is inverted one
+    block at a time (_stationary_state), each block copied and inverted in
+    O(size^3), the trace row written into the copy of coordinate 0's block.
+    A model without such structure is one block, copied and inverted whole.
+    Raises DegenerateSteadyState when the 1-norm condition number of the
+    trace-constrained matrix exceeds COND_DEGENERATE, or when the residual,
+    the largest entry of L rho, exceeds 1e-10 max(||A||_1 / 2, 1).
 
     ||A||_1 <= 2 ||L||_1 for the complex column-stacked L, so that bound is at
     most 1e-10 max(||L||_1, 1): column k of A is the coordinates of
@@ -521,8 +541,9 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     sum |M_ii| is at most ||vec M||_1; states(e_k) is a sum of at most two
     matrices with one entry of modulus 1, so ||vec M||_1 <= 2 ||L||_1.
     """
-    return _stationary_state(model.real_liouvillian(),
-                             coordinates(model.dim))[0]
+    a = model.real_liouvillian
+    return _stationary_state(a, coordinates(model.dim),
+                             _invariant_blocks(a))[0]
 
 
 def two_time_correlation(model: LindbladModel, left: np.ndarray,
@@ -546,7 +567,7 @@ def two_time_correlation(model: LindbladModel, left: np.ndarray,
     co = coordinates(_check_dims(model.hamiltonian, mat, left))
     block = np.stack([co.rows(_hermitian_part(mat)),
                       co.rows(_hermitian_part(-1j * mat))], axis=-1)
-    vs = _expm_action(model.real_liouvillian(), block, tau_grid)
+    vs = _expm_action(model.real_liouvillian, block, tau_grid)
     if not np.all(np.isfinite(vs)):
         raise PositivityViolation("two-time propagation diverged")
     # left = P + iQ with P, Q Hermitian: Tr[left X] = e_P . x + i e_Q . x

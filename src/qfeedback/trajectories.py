@@ -410,13 +410,15 @@ def in_loop_correlation_spectrum(model_fb: LindbladModel, c: np.ndarray,
                  = 1 + 2 eta Re Tr{x (i omega - K)^-1 dev},
     since for Hermitian dev the second resolvent term is the adjoint of the
     first, and x is Hermitian. As dev, rho_ss and x are Hermitian and L
-    preserves Hermiticity, K, dev and Tr[x .] are taken in real coordinates:
-    the generator model_fb.real_liouvillian is built once, and both rho_ss
-    (operators._stationary_state) and K come from it. K is block diagonal up
-    to a permutation of the coordinates (operators._invariant_blocks), so
-    (i omega - K) z = dev is solved, one complex solve per omega, only on the
-    blocks where both dev and x have a nonzero coordinate; every other block
-    adds nothing to Tr[x z].
+    preserves Hermiticity, K, dev and Tr[x .] are taken in real coordinates
+    from the model's cached, read-only generator A = model_fb.real_liouvillian.
+    One scan finds its invariant blocks (operators._invariant_blocks), which
+    serve both rho_ss (operators._stationary_state) and K: rho_ss and the
+    trace row are nonzero only in the block that holds coordinate 0, so K has
+    the blocks of A, and (i omega - K) z = dev is solved, one complex solve
+    per omega, only on the blocks where both dev and x have a nonzero
+    coordinate, with K_b = A_b - |rows(rho_ss)_b><tr_b| formed for those
+    blocks alone; every other block adds nothing to Tr[x z].
     With corrected=False the -iF/eta insertion is dropped (the naive
     normally-ordered formula, kept for comparison; it is wrong in a loop).
     omega_grid must be a finite 1-D array (else ValueError); c and F must
@@ -429,8 +431,9 @@ def in_loop_correlation_spectrum(model_fb: LindbladModel, c: np.ndarray,
     c = np.asarray(c, dtype=complex)
     ops._check_dims(model_fb.hamiltonian, c, f_op)
     co = ops.coordinates(model_fb.dim)
-    k = model_fb.real_liouvillian()
-    rho_ss, _ = ops._stationary_state(k, co)
+    a = model_fb.real_liouvillian
+    blocks = ops._invariant_blocks(a)
+    rho_ss, _ = ops._stationary_state(a, co, blocks)
     cd = c.conj().T
     if corrected:
         dev = (c - 1j * f_op / eta) @ rho_ss + rho_ss @ (cd + 1j * f_op / eta)
@@ -438,13 +441,14 @@ def in_loop_correlation_spectrum(model_fb: LindbladModel, c: np.ndarray,
         dev = c @ rho_ss + rho_ss @ cd
     dev = co.rows(dev - np.trace(dev).real * rho_ss)
     x_col = co.expect_col(c + cd)
-    k -= np.outer(co.rows(rho_ss), co.trace_row)
+    r_ss = co.rows(rho_ss)
     vals = np.zeros(len(omega_grid))
-    for idx in ops._invariant_blocks(k):
+    for idx in blocks:
         dev_b, x_b = dev[idx], x_col[idx]
         if not (dev_b.any() and x_b.any()):
             continue
-        k_b, eye = ops._block(k, idx), np.eye(len(idx))
+        k_b = a[np.ix_(idx, idx)] - np.outer(r_ss[idx], co.trace_row[idx])
+        eye = np.eye(len(idx))
         vals += np.array([x_b @ np.linalg.solve(1j * w * eye - k_b, dev_b)
                           for w in omega_grid]).real
     return Spectrum(omega_grid, 1.0 + 2.0 * eta * vals)

@@ -65,11 +65,12 @@ def squeezed_bath_generator(n_bath: float, m_bath: complex, dim: int,
 
 def dense_steady_state(model: ops.LindbladModel):
     """(rho, cond): the stationary state from the inverse of the whole
-    trace-constrained real generator (row 0 of model.real_liouvillian()
-    replaced by the trace row) and that matrix's 1-norm condition number,
-    the references for the block-wise solve of operators.steady_state."""
+    trace-constrained real generator (a copy of model.real_liouvillian with
+    row 0 replaced by the trace row) and that matrix's 1-norm condition
+    number, the references for the block-wise solve of
+    operators.steady_state."""
     co = ops.coordinates(model.dim)
-    a = model.real_liouvillian()
+    a = model.real_liouvillian.copy()
     a[0] = co.trace_row
     inv = np.linalg.inv(a)
     rho = co.states(inv[:, 0])
@@ -90,7 +91,7 @@ def dense_in_loop_spectrum(model_fb: ops.LindbladModel, c: np.ndarray,
     dev = (c - 1j * f_op / eta) @ rho_ss + rho_ss @ (cd + 1j * f_op / eta)
     dev = co.rows(dev - np.trace(dev).real * rho_ss)
     x_col = co.expect_col(c + cd)
-    k = model_fb.real_liouvillian() - np.outer(co.rows(rho_ss), co.trace_row)
+    k = model_fb.real_liouvillian - np.outer(co.rows(rho_ss), co.trace_row)
     eye = np.eye(len(k))
     vals = np.array([x_col @ np.linalg.solve(1j * w * eye - k, dev)
                      for w in omega_grid]).real

@@ -96,8 +96,9 @@ class TestRealLiouvillian:
     @staticmethod
     def check(model):
         want = real_map(ops.coordinates(model.dim), model.liouvillian).T
-        got = model.real_liouvillian()
+        got = model.real_liouvillian
         assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert not got.flags.writeable and model.real_liouvillian is got
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("dim", range(2, 9))
@@ -116,12 +117,13 @@ class TestRealLiouvillian:
 
     @pytest.mark.parametrize("dim", [3, 8])
     def test_blocks_do_not_change_the_result(self, dim, monkeypatch):
-        # one row of the Liouvillian per block, or a block that ends mid-way
-        model = random_model(dim, seed=20 + dim)
-        whole = model.real_liouvillian()
+        # one row of the Liouvillian per block, or a block that ends mid-way;
+        # a new model per block size, since a model caches its first build
+        whole = random_model(dim, seed=20 + dim).real_liouvillian
         for block in (1, 3 * dim * dim):
             monkeypatch.setattr(ops, "_BUILD_BLOCK", block)
-            assert np.array_equal(model.real_liouvillian(), whole)
+            model = random_model(dim, seed=20 + dim)
+            assert np.array_equal(model.real_liouvillian, whole)
 
 
 class TestSandwichMap:
@@ -161,10 +163,20 @@ class TestSandwichMap:
                                     (a, eye), (eye, a.conj().T)])
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_coordinates_are_read_only(self, dim):
+        # the object is shared by every caller of coordinates(dim)
+        co = ops.coordinates(dim)
+        arrays = {name: value for name, value in vars(co).items()
+                  if isinstance(value, np.ndarray)}
+        assert len(arrays) == 11
+        for name, value in arrays.items():
+            assert not value.flags.writeable, name
+
 
 def with_trace_row(model):
     """The trace-constrained real generator that steady_state solves."""
-    a = model.real_liouvillian()
+    a = model.real_liouvillian.copy()
     a[0] = ops.coordinates(model.dim).trace_row
     return a
 
@@ -179,78 +191,25 @@ def feedback_atom():
                                        0.76)
 
 
-def feedback_k(dim):
-    """K = A - |rho_ss><tr| of the feedback cavity, as the in-loop spectrum
-    forms it."""
-    model = feedback_cavity(dim)
-    co = ops.coordinates(dim)
-    return model.real_liouvillian() - np.outer(
+def resolvent_k(model):
+    """K = A - |rho_ss><tr|, as the in-loop spectrum solves it."""
+    co = ops.coordinates(model.dim)
+    return model.real_liouvillian - np.outer(
         co.rows(ops.steady_state(model)), co.trace_row)
 
 
-# name: (the matrix, its block sizes or its number of blocks)
+def generator(model):
+    return model.real_liouvillian
+
+
+# name: (the model, the matrix of it to scan, its block sizes or its number
+# of blocks)
 BLOCK_CASES = {
-    "parametric-d10": (lambda: with_trace_row(parametric(10)),
+    "parametric-d10": (lambda: parametric(10), with_trace_row,
                        [30, 25, 25, 20]),
-    "damped-d10": (lambda: damped_cavity(10).real_liouvillian(), 19),
-    "feedback-K-d10": (lambda: feedback_k(10), 4),
-    "dense-d6": (lambda: random_model(6, seed=50).real_liouvillian(), [36]),
-}
-
-
-class TestInvariantBlocks:
-    @staticmethod
-    def check_partition(a, blocks):
-        # sorted blocks that partition range(n), first indices ascending,
-        # with no nonzero entry of a between two of them
-        n = len(a)
-        assert all(np.all(np.diff(b) > 0) for b in blocks)
-        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n))
-        assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
-        label = np.empty(n, dtype=int)
-        for k, b in enumerate(blocks):
-            label[b] = k
-        rows, cols = np.nonzero(a)
-        assert np.array_equal(label[rows], label[cols])
-
-    @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
-    def test_models(self, name):
-        make, sizes = BLOCK_CASES[name]
-        a = make()
-        blocks = ops._invariant_blocks(a)
-        self.check_partition(a, blocks)
-        if isinstance(sizes, int):
-            assert len(blocks) == sizes
-        else:
-            assert [len(b) for b in blocks] == sizes
-
-    def test_pattern_is_symmetrised(self):
-        # one entry above the diagonal joins its row and column; a chain
-        # through later indices joins an earlier one to the first block
-        a = np.eye(6)
-        a[0, 4] = a[5, 2] = a[4, 2] = 0.5
-        blocks = ops._invariant_blocks(a)
-        assert [b.tolist() for b in blocks] == [[0, 2, 4, 5], [1], [3]]
-        self.check_partition(a, blocks)
-
-    def test_zero_matrix_is_singletons(self):
-        blocks = ops._invariant_blocks(np.zeros((3, 3)))
-        assert [b.tolist() for b in blocks] == [[0], [1], [2]]
-
-    def test_one_block_is_not_copied(self):
-        a = random_model(3, seed=51).real_liouvillian()
-        (idx,) = ops._invariant_blocks(a)
-        assert ops._block(a, idx) is a
-
-
-# models on which the block-wise solvers must match the dense references
-BLOCKWISE_CASES = {
-    "parametric-d10": lambda: parametric(10),
-    "parametric-d20": lambda: parametric(20),
-    "feedback-cavity-d10": lambda: feedback_cavity(10),
-    "feedback-atom": feedback_atom,
-    "dense-d4": lambda: random_model(4, seed=60),
-    "dense-d7": lambda: random_model(7, seed=61),
+    "damped-d10": (lambda: damped_cavity(10), generator, 19),
+    "feedback-K-d10": (lambda: feedback_cavity(10), resolvent_k, 4),
+    "dense-d6": (lambda: random_model(6, seed=50), generator, [36]),
 }
 
 
@@ -280,6 +239,73 @@ SPECTRUM_CASES = {
     "dense-d7": lambda: dense_feedback(7, 61, 0.5),
 }
 
+# the models of both tables, on which A, A' and K must share one partition
+PARTITION_MODELS = {
+    **{f"block-{name}": make for name, (make, _, _) in BLOCK_CASES.items()},
+    **{f"spectrum-{name}": lambda case=case: case()[0]
+       for name, case in SPECTRUM_CASES.items()},
+}
+
+
+class TestInvariantBlocks:
+    @staticmethod
+    def check_partition(a, blocks):
+        # sorted blocks that partition range(n), first indices ascending,
+        # with no nonzero entry of a between two of them
+        n = len(a)
+        assert all(np.all(np.diff(b) > 0) for b in blocks)
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n))
+        assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+        label = np.empty(n, dtype=int)
+        for k, b in enumerate(blocks):
+            label[b] = k
+        rows, cols = np.nonzero(a)
+        assert np.array_equal(label[rows], label[cols])
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+    def test_models(self, name):
+        make, matrix, sizes = BLOCK_CASES[name]
+        a = matrix(make())
+        blocks = ops._invariant_blocks(a)
+        self.check_partition(a, blocks)
+        if isinstance(sizes, int):
+            assert len(blocks) == sizes
+        else:
+            assert [len(b) for b in blocks] == sizes
+
+    def test_pattern_is_symmetrised(self):
+        # one entry above the diagonal joins its row and column; a chain
+        # through later indices joins an earlier one to the first block
+        a = np.eye(6)
+        a[0, 4] = a[5, 2] = a[4, 2] = 0.5
+        blocks = ops._invariant_blocks(a)
+        assert [b.tolist() for b in blocks] == [[0, 2, 4, 5], [1], [3]]
+        self.check_partition(a, blocks)
+
+    def test_zero_matrix_is_singletons(self):
+        blocks = ops._invariant_blocks(np.zeros((3, 3)))
+        assert [b.tolist() for b in blocks] == [[0], [1], [2]]
+
+    @pytest.mark.parametrize("name", sorted(PARTITION_MODELS))
+    def test_one_scan_serves_every_solve(self, name):
+        # the solvers scan A alone and solve A' and K on its blocks
+        model = PARTITION_MODELS[name]()
+        want = [b.tolist() for b in ops._invariant_blocks(generator(model))]
+        for matrix in (with_trace_row, resolvent_k):
+            got = ops._invariant_blocks(matrix(model))
+            assert [b.tolist() for b in got] == want
+
+
+# models on which the block-wise solvers must match the dense references
+BLOCKWISE_CASES = {
+    "parametric-d10": lambda: parametric(10),
+    "parametric-d20": lambda: parametric(20),
+    "feedback-cavity-d10": lambda: feedback_cavity(10),
+    "feedback-atom": feedback_atom,
+    "dense-d4": lambda: random_model(4, seed=60),
+    "dense-d7": lambda: random_model(7, seed=61),
+}
+
 
 class TestBlockwiseSolvers:
     @pytest.mark.parametrize("name", sorted(BLOCKWISE_CASES))
@@ -287,12 +313,20 @@ class TestBlockwiseSolvers:
         model = BLOCKWISE_CASES[name]()
         want, want_cond = dense_steady_state(model)
         co = ops.coordinates(model.dim)
-        a = model.real_liouvillian()
-        rho, cond = ops._stationary_state(a, co)
-        assert np.array_equal(a, model.real_liouvillian())  # row 0 restored
+        a = model.real_liouvillian
+        rho, cond = ops._stationary_state(a, co, ops._invariant_blocks(a))
         assert np.max(np.abs(rho - want)) <= 1e-13 * np.max(np.abs(want))
         assert abs(cond - want_cond) <= 1e-12 * want_cond
         assert np.array_equal(ops.steady_state(model), rho)
+        # every solver reads the cached generator and none writes into it
+        d, c = model.dim, model.collapses[0][1]
+        ops.evolve(model, rho, 0.5)
+        ops.two_time_correlation(model, c, c @ rho, [0.0, 0.5])
+        tj.in_loop_correlation_spectrum(model, c, np.zeros((d, d)), 1.0,
+                                        [0.0, 1.0])
+        assert model.real_liouvillian is a and not a.flags.writeable
+        fresh = ops.LindbladModel(model.hamiltonian, model.collapses)
+        assert np.array_equal(a, fresh.real_liouvillian)
 
     @pytest.mark.parametrize("name", sorted(SPECTRUM_CASES))
     def test_spectrum_matches_dense_solves(self, name):
@@ -343,6 +377,34 @@ class TestModel:
         with pytest.raises(InvalidState, match=f"{named} must be finite"):
             ops.LindbladModel(hamiltonian,
                               ((1.0, ops.sigma_minus()), (1.0, collapse)))
+
+    @staticmethod
+    def generators(model):
+        return (model.hamiltonian, *(op for _, op in model.collapses),
+                model.no_jump_generator, model.liouvillian,
+                model.real_liouvillian)
+
+    def test_caller_arrays_are_copied(self):
+        # one model caches its generators before the caller's arrays are
+        # edited, the other after; both match a model of the original arrays
+        h, a = np.zeros((2, 2), dtype=complex), ops.sigma_minus()
+        want = self.generators(ops.LindbladModel(h.copy(),
+                                                 ((1.0, a.copy()),)))
+        early = ops.LindbladModel(h, ((1.0, a),))
+        late = ops.LindbladModel(h, ((1.0, a),))
+        self.generators(early)
+        h[0, 1] = h[1, 0] = 0.7
+        a[0, 0] = 0.3
+        for model in (early, late):
+            for got, expected in zip(self.generators(model), want):
+                assert np.array_equal(got, expected)
+
+    def test_cached_arrays_are_read_only(self):
+        model = ops.LindbladModel(0.3 * ops.sigma_x(),
+                                  ((1.0, ops.sigma_minus()),))
+        for array in self.generators(model):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
 
 
 # (model, t) pairs on which the Taylor action must match scipy's dense expm:
@@ -450,8 +512,9 @@ class TestSteadyState:
         assert np.allclose(rho, ops.fock_dm(3, 0), atol=1e-10)
 
     def test_peak_memory_d30(self):
-        # the real generator, 6.5 MB at d = 30, and the temporaries of one
-        # 1-norm; its four invariant blocks are inverted one at a time
+        # the real generator, 6.5 MB at d = 30, and the temporaries of its
+        # build; its four invariant blocks are copied and inverted one at a
+        # time, their 1-norms read from the copies
         model = parametric(30)
         tracemalloc.start()
         try:
@@ -459,7 +522,7 @@ class TestSteadyState:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16e6
+        assert peak <= 12e6
 
 
 class TestTwoTimeCorrelation:

@@ -50,6 +50,14 @@ CASES = {
                                                              theta=0.5),
     "Qnd.strength": lambda: ic.Qnd(NAN),
     "Qnd.strength inf": lambda: ic.Qnd(INF),
+    "unconditioned_variance.lam": lambda: ic.unconditioned_variance(
+        ic.LinearCavityParams(l=0.1, theta=0.5), NAN),
+    "unconditioned_variance.lam inf": lambda: ic.unconditioned_variance(
+        ic.LinearCavityParams(l=0.1, theta=0.5), INF),
+    "variance_with_delay.delay": lambda: ic.variance_with_delay(
+        ic.LinearCavityParams(l=0.1, theta=0.5), 0.0, NAN),
+    "variance_with_delay.delay inf": lambda: ic.variance_with_delay(
+        ic.LinearCavityParams(l=0.1, theta=0.5), 0.0, INF),
     "conditioned_variance_trajectory.u_init": lambda: (
         ic.conditioned_variance_trajectory(
             ic.LinearCavityParams(l=0.1, theta=0.5), NAN, np.linspace(0, 1, 3))),
@@ -88,6 +96,10 @@ CASES = {
     "two_time_correlation.tau_grid inf": lambda: ops.two_time_correlation(
         _atom(), ops.sigma_x(), ops.sigma_x(), [0.0, 1.0, INF]),
     "AtomLoopParams.g": lambda: at.AtomLoopParams(1.0, 1.0, NAN),
+    "lambda_for_spectrum.s_target": lambda: at.lambda_for_spectrum(
+        0.8, 0.95, NAN),
+    "lambda_for_spectrum.s_target inf": lambda: at.lambda_for_spectrum(
+        0.8, 0.95, INF),
     "FreeSqueezeParams.big_l": lambda: at.FreeSqueezeParams(1.0, NAN),
     "FreeSqueezeParams.big_l inf": lambda: at.FreeSqueezeParams(1.0, INF),
 }
