@@ -4,13 +4,16 @@ alternating them every round.
 Four unravelings (photon counting, homodyne jump with beta = 1, diffusive
 homodyne with Markovian feedback F = -0.15 y, and the same feedback delayed
 by one step, so every step pays for the kick) on a damped cavity, at d in
-{2, 12} and batch sizes B in {1, 64, 256}. Each case integrates B
-trajectories from a Fock state for STEPS steps with the driver the ensembles
-use: the noise draws, the steps, the positivity gate every
-POSITIVITY_CHECK_EVERY steps and at the end, and whatever renormalization
-each checkout does. Timing the driver rather than one kernel step keeps work
-that moves between the step and the gate on the clock. The time to build the
-kernel is reported next to it.
+{2, 12} with batch sizes B in {1, 64, 256}, and at d = 20 with B in {1, 64}.
+Each case integrates B trajectories from Fock state 3 (state 1 at d = 2)
+for STEPS steps with the driver the ensembles use: the noise draws, the
+steps, the positivity gate every POSITIVITY_CHECK_EVERY steps and at the
+end, and whatever renormalization each checkout does. Timing the driver
+rather than one kernel step keeps work that moves between the step and the
+gate on the clock. The time to build the kernel is reported next to it, and
+so is the number of coordinates the kernel steps per row (its `width`; d^2
+for a kernel without one). A checkout whose `_Kernel` takes the initial
+state gets it; one without that argument is built as before.
 
 Every round runs one fresh worker process per side, and the side that goes
 first alternates, so slow drift of a shared host reaches both sides alike. A
@@ -31,6 +34,7 @@ The change side is this checkout's `src`.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import statistics
@@ -40,8 +44,9 @@ import numpy as np
 
 import _ab
 
-DIMS = (2, 12)
-BATCHES = (1, 64, 256)
+# (d, B); d = 20 measures the jump unravelings of a lone trajectory there
+SIZES = ((2, 1), (2, 64), (2, 256), (12, 1), (12, 64), (12, 256), (20, 1),
+         (20, 64))
 UNRAVELINGS = ("counting", "homodyne_jump", "markovian_feedback",
                "delayed_feedback")
 DT, ETA, STEPS, SEED = 1e-3, 0.8, 200, 2024
@@ -74,9 +79,9 @@ class Case:
         from qfeedback import operators as ops
 
         self.name, self.dim, self.batch = name, dim, batch
+        self.rho0 = ops.fock_dm(dim, min(3, dim - 1))
         self.kernel, self.config = self.build()
         self.seeds = [SEED ^ i for i in range(batch)]
-        self.rho0 = ops.fock_dm(dim, min(3, dim - 1))
         self.best = self.best_build = math.inf
         self.records = self.failed = None
 
@@ -84,8 +89,10 @@ class Case:
         """A kernel for a fresh configuration, and that configuration."""
         from qfeedback import trajectories as tj
         config = config_for(self.name, self.dim)
-        return tj._Kernel(config.model, config.dt, config.detection,
-                          config.feedback), config
+        args = [config.model, config.dt, config.detection, config.feedback]
+        if "rho0" in inspect.signature(tj._Kernel).parameters:
+            args.append(self.rho0)
+        return tj._Kernel(*args), config
 
     def run(self):
         from qfeedback import trajectories as tj
@@ -103,6 +110,7 @@ class Case:
         from qfeedback import trajectories as tj
         out = {"unraveling": self.name, "d": self.dim, "B": self.batch,
                "rows": -(-self.batch // tj._ROW_PAD) * tj._ROW_PAD,
+               "width": getattr(self.kernel, "width", self.dim ** 2),
                "us_per_traj_step": 1e6 * self.best / (STEPS * self.batch),
                "build_ms": 1e3 * self.best_build,
                "failed": int(np.count_nonzero(self.failed))}
@@ -114,7 +122,7 @@ class Case:
 def worker(repeats: int) -> None:
     """Time every case of the checkout on PYTHONPATH; print JSON."""
     cases = [Case(name, dim, batch) for name in UNRAVELINGS
-             for dim in DIMS for batch in BATCHES]
+             for dim, batch in SIZES]
     for case in cases:
         case.records, _, case.failed = case.run()     # warm-up, untimed
     for _ in range(repeats):
@@ -128,6 +136,7 @@ def report(samples: dict, args) -> dict:
     for i, first in enumerate(samples["parent"][0]):
         row = {k: first[k] for k in ("unraveling", "d", "B", "rows")}
         for side, runs in samples.items():
+            row[f"{side}_width"] = runs[0][i]["width"]
             for m in METRICS:
                 row[f"{side}_{m}"] = statistics.median(r[i][m] for r in runs)
             row[f"{side}_failed"] = runs[0][i]["failed"]

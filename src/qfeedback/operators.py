@@ -336,6 +336,12 @@ class LindbladModel:
             [(op, rate * op.conj().T) for rate, op in self.collapses]
             + [(-g, None), (None, -g.conj().T)]))
 
+    @cached_property
+    def real_liouvillian_shift(self) -> tuple:
+        """(mu, ||A - mu I||_1) of A = real_liouvillian (see _taylor_shift),
+        which _expm_action reads; computed once per model, as A is."""
+        return _taylor_shift(self.real_liouvillian)
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     """a, made read-only."""
@@ -365,24 +371,31 @@ _THETA = {1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def _expm_action(lv: np.ndarray, v: np.ndarray, times) -> np.ndarray:
+def _taylor_shift(a: np.ndarray) -> tuple:
+    """(mu, ||a - mu I||_1) for mu = tr(a)/n, without forming a - mu I: the
+    1-norm is the largest column sum of |a| with each diagonal entry's |a_jj|
+    replaced by |a_jj - mu|."""
+    diag = np.diagonal(a)
+    mu = diag.sum() / len(a)
+    sums = np.abs(a).sum(axis=0) - np.abs(diag) + np.abs(diag - mu)
+    return mu, sums.max()
+
+
+def _expm_action(lv: np.ndarray, shift: tuple, v: np.ndarray,
+                 times) -> np.ndarray:
     """exp(t lv) v at each t of the nonnegative ascending `times`, one row per
     t, each propagated from the previous one; v is a vector or a block of
-    columns propagated together.
+    columns propagated together. shift is _taylor_shift(lv); lv is only read.
 
     The truncated Taylor action of Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
     488 (2011), Algorithm 3.2: with mu = tr(lv)/n and A = lv - mu I, a span t
     takes s substeps of at most m Taylor terms of exp(t A / s), (m, s)
     minimising m * ceil(t ||A||_1 / theta_m), each substep stopping once two
     successive terms fall below 2^-53 of the sum, and scaled by e^{t mu / s}.
-    The result is backward stable to unit roundoff; its cost grows linearly
-    with t ||A||_1.
+    Each term applies A as lv @ term - mu term. The result is backward stable
+    to unit roundoff; its cost grows linearly with t ||A||_1.
     """
-    n = lv.shape[0]
-    mu = np.trace(lv) / n
-    a = lv.copy()
-    a[np.diag_indices(n)] -= mu
-    norm = np.linalg.norm(a, 1)
+    mu, norm = shift
     out = np.empty((len(times),) + v.shape, dtype=np.result_type(lv, v))
     start = 0.0
     for i, t in enumerate(times):
@@ -396,7 +409,7 @@ def _expm_action(lv: np.ndarray, v: np.ndarray, times) -> np.ndarray:
                 f = v.copy()
                 term, prev = v, np.abs(v).max()
                 for j in range(1, m + 1):
-                    term = (h / j) * (a @ term)
+                    term = (h / j) * (lv @ term - mu * term)
                     f += term
                     size = np.abs(term).max()
                     if prev + size <= _UNIT_ROUNDOFF * np.abs(f).max():
@@ -425,7 +438,8 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float,
     dim = _check_dims(model.hamiltonian, rho0)
     co = coordinates(dim)
     r0 = co.rows(_hermitian_part(rho0))
-    rho = co.states(_expm_action(model.real_liouvillian, r0, [t])[0])
+    rho = co.states(_expm_action(model.real_liouvillian,
+                                 model.real_liouvillian_shift, r0, [t])[0])
     tr = np.trace(rho).real
     if not abs(tr - 1.0) <= TOL_TRACE:
         raise PositivityViolation(f"trace drifted to {tr}")
@@ -440,27 +454,39 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float,
     return rho
 
 
+def _connected(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The boolean mask of the indices joined to an index of `start` by a
+    path in the symmetric boolean adjacency matrix adj. A frontier search
+    reads each reached index's row of adj once."""
+    unseen = np.ones(len(adj), dtype=bool)
+    frontier = start
+    while frontier.size:
+        unseen[frontier] = False
+        frontier = np.flatnonzero(adj[frontier].any(axis=0) & unseen)
+    return ~unseen
+
+
 def _invariant_blocks(a: np.ndarray) -> list:
     """The connected components of the symmetric nonzero pattern of the
     square real matrix a, each a sorted index array, ordered by their first
     index: the coordinates split into invariant blocks, so that a has no
     nonzero entry a[i, j] with i and j in different blocks.
 
-    A frontier search on the boolean adjacency (a != 0) | (a != 0).T reads
-    each index's row of it once, so it costs O(n^2) for n indices.
+    One _connected search per block on the boolean adjacency
+    (a != 0) | (a != 0).T reads each index's row of it once, so the scan
+    costs O(n^2) for n indices. A block is read off its mask, already in
+    order, so no sort runs (numpy's first sort maps 0.25 MiB of its code
+    into memory).
     """
     adj = a != 0
     adj |= adj.T
     unseen = np.ones(len(a), dtype=bool)
     blocks = []
     while unseen.any():
-        frontier = np.flatnonzero(unseen)[:1]  # the first index not yet seen
-        members = []
-        while frontier.size:
-            unseen[frontier] = False
-            members.append(frontier)
-            frontier = np.flatnonzero(adj[frontier].any(axis=0) & unseen)
-        blocks.append(np.sort(np.concatenate(members)))
+        # the block of the first index not yet seen
+        block = _connected(adj, np.flatnonzero(unseen)[:1])
+        blocks.append(np.flatnonzero(block))
+        unseen &= ~block
     return blocks
 
 
@@ -488,7 +514,8 @@ def _stationary_state(a: np.ndarray, co: HermitianCoordinates, blocks):
     norm_a = norm_con = norm_inv = 0.0
     try:
         for idx in blocks:
-            block = a[np.ix_(idx, idx)]
+            # the whole generator: a plain copy, faster than a gather
+            block = a.copy() if len(idx) == len(a) else a[np.ix_(idx, idx)]
             norm = np.linalg.norm(block, 1)
             norm_a = max(norm_a, norm)
             if idx[0] == 0:
@@ -567,7 +594,8 @@ def two_time_correlation(model: LindbladModel, left: np.ndarray,
     co = coordinates(_check_dims(model.hamiltonian, mat, left))
     block = np.stack([co.rows(_hermitian_part(mat)),
                       co.rows(_hermitian_part(-1j * mat))], axis=-1)
-    vs = _expm_action(model.real_liouvillian, block, tau_grid)
+    vs = _expm_action(model.real_liouvillian, model.real_liouvillian_shift,
+                      block, tau_grid)
     if not np.all(np.isfinite(vs)):
         raise PositivityViolation("two-time propagation diverged")
     # left = P + iQ with P, Q Hermitian: Tr[left X] = e_P . x + i e_Q . x

@@ -12,6 +12,11 @@ the real Liouvillian is. An expectation value or the trace is one real
 column. The in-loop spectrum is a resolvent of the real Liouvillian in the
 same coordinates.
 
+The kernel steps only the invariant blocks of coordinates that its initial
+state touches (see _Kernel): 12 of the 144 coordinates of a d = 12 Fock
+state under counting, 78 under the homodyne unravelings. The positivity gate
+and the snapshots scatter the rows back to all d^2 coordinates.
+
 Every step is one product of the rows against Kraus blocks and an
 expectation column, a combination weighted by the noise, and the division by
 the trace. With G = iH + sum r L†L / 2 over the model's collapses, the
@@ -50,10 +55,12 @@ on a row count padded to a multiple of _ROW_PAD, against a map whose column
 count is padded with zero columns to a multiple of _COL_PAD. With OpenBLAS,
 each row of such a product came out bit-identical whatever the batch it was
 computed in (d = 2-24 with batches of 8-256 rows, and up to 1104 rows at
-d <= 14). Without the row padding, products of very few rows take other code
-paths that round differently; without the column padding, the last columns of
-a real product (a column count of 8k + 1 or 8k + 4) changed in their last bits
-between batches of 8 and of 40 or more rows at d >= 6. A trajectory therefore
+d <= 14; again on the kept coordinates of a Fock state, d = 2-16, 20 and 24
+with batches of 8-256 rows). Without the row padding, products of very few
+rows take other code paths that round differently; without the column
+padding, the last columns of a real product (a column count of 8k + 1 or
+8k + 4) changed in their last bits between batches of 8 and of 40 or more
+rows at d >= 6. A trajectory therefore
 gets bit-identical records and states whether it runs alone (run_trajectory)
 or in a batch of any size (run_ensemble); both run _integrate, the one driver.
 """
@@ -218,15 +225,32 @@ def _padded(*blocks: np.ndarray) -> np.ndarray:
 
 
 class _Kernel:
-    """One unraveling at one dt: its maps as real matrices, and its step.
+    """One unraveling at one dt from one initial state: its maps as real
+    matrices, and its step.
 
-    A batch of B Hermitian states is held as the rows of r in R^{B x d^2} in
-    the coordinates `coords` (operators.coordinates(d)). Every map the step
-    applies preserves Hermiticity, so each is one real matrix R acting as
-    r @ R; row k of R is the coordinates of the map's image of the basis
-    matrix coords.states(e_k). The maps are sums of Kraus sandwiches, each R
-    the transpose of coords.sandwich_map. A trace or an expectation value is
-    one real column (coords.expect_col).
+    A batch of B Hermitian states is held as the rows of r in R^{B x w}: the
+    coordinates `keep` of `coords` (operators.coordinates(d)) that the
+    initial state reaches. Every map the step applies preserves Hermiticity,
+    so each is one real d^2 x d^2 matrix R acting as r @ R; row k of R is the
+    coordinates of the map's image of the basis matrix coords.states(e_k).
+    The maps are sums of Kraus sandwiches, each R the transpose of
+    coords.sandwich_map. A trace or an expectation value is one real column
+    (coords.expect_col).
+
+    The maps share the model's symmetries: with real Kraus operators (the
+    damped cavity under F proportional to y, the atom under sigma_y
+    feedback) Im rho_ij never mixes with Re rho_ij, and under photon counting
+    a diagonal state stays diagonal. The union of the square maps' nonzero
+    patterns splits the coordinates into invariant blocks that no map
+    leaves (as operators._invariant_blocks finds them), and `keep` is the
+    union of the blocks where rows(rho0) is nonzero, found by one search
+    from those coordinates: no state of the trajectory has another nonzero
+    coordinate. Every map, column and the trace row are cut
+    to `keep`, so the step runs on w = len(keep) columns (d of d^2 under
+    counting from a Fock state, d(d + 1)/2 for real Kraus operators); a
+    state that reaches every block keeps them all, keep = arange(d^2).
+    `rows`, `full` and `states` convert between the kept coordinates, all
+    d^2 and matrices.
 
     A step is one product against `maps` ([P0 | P1 | P2 | t | x] or [N | e]),
     plus one against the kick's blocks `kick` under delayed feedback, and one
@@ -240,14 +264,14 @@ class _Kernel:
 
     The unraveling is read from the detection and feedback objects of
     SmeConfig (photon counting as beta = 0). The kernel checks nothing
-    itself: SmeConfig has checked the unraveling.
+    itself: SmeConfig has checked the unraveling, and the drivers rho0.
     """
 
     def __init__(self, model: LindbladModel, dt: float, detection: Detection,
-                 feedback: Optional[Feedback] = None):
+                 feedback: Optional[Feedback], rho0: np.ndarray):
         dim = model.dim
         self.coords = co = ops.coordinates(dim)
-        self.n2, self.dt = co.n2, dt
+        self.dt = dt
         self.diffusive = isinstance(detection, HomodyneDiffusive)
 
         c = model.collapses[0][1]
@@ -260,42 +284,92 @@ class _Kernel:
             beta = detection.beta if isinstance(detection, HomodyneJump) else 0.0
             m0 = eye - dt * (model.no_jump_generator + beta * c)
             jump = c + beta * eye
+            no_jump = co.sandwich_map([(m0, m0.conj().T)] + unmonitored).T
+            jump_map = co.sandwich_map([(jump, jump.conj().T)]).T
+            cut = self._reach(rho0, [no_jump, jump_map])
             # [N | e]: the no-jump map and Tr[J†J rho]
             self.maps = _padded(
-                co.sandwich_map([(m0, m0.conj().T)] + unmonitored).T,
-                co.expect_col(jump.conj().T @ jump)[:, None])
-            self.jump = _padded(co.sandwich_map([(jump, jump.conj().T)]).T)
+                no_jump[cut],
+                co.expect_col(jump.conj().T @ jump)[self.keep, None])
+            self.jump = _padded(jump_map[cut])
             self.idle_noise = np.inf            # a uniform draw that never jumps
             return
         eta = detection.eta
         self.sqrt_eta = math.sqrt(eta)
         k1, generator = self.sqrt_eta * c, model
         f_op = None if feedback is None else feedback.operator
+        kick = []
         if feedback is not None and isinstance(feedback.mode, Delayed):
-            self.kick = _padded(*self._kraus_blocks(
-                eye - dt / (2 * eta) * f_op @ f_op, -1j * f_op))
+            kick = self._kraus_blocks(eye - dt / (2 * eta) * f_op @ f_op,
+                                      -1j * f_op)
         elif feedback is not None:
             # the Markovian feedback SME averages to the feedback master
             # equation; the feedback enters K1 = sqrt(eta) c - iF / sqrt(eta)
             generator = feedback_master_equation(model, f_op, eta)
             k1 = k1 - (1j / self.sqrt_eta) * f_op
+        measure = self._kraus_blocks(
+            eye - dt * generator.no_jump_generator, k1,
+            unmonitored + [(c, (dt * (1 - eta)) * cd)])
+        cut = self._reach(rho0, measure + kick)
         # [P0 | P1 | P2 | t0 t1 t2 | x]
-        self.maps = _padded(
-            *self._kraus_blocks(eye - dt * generator.no_jump_generator, k1,
-                                unmonitored + [(c, (dt * (1 - eta)) * cd)]),
-            co.expect_col(c + cd)[:, None])
+        self.maps = _padded(*self._with_traces(measure, cut),
+                            co.expect_col(c + cd)[self.keep, None])
+        if kick:
+            self.kick = _padded(*self._with_traces(kick, cut))
         self.idle_noise = 0.0
 
+    def _reach(self, rho0, squares):
+        """Set keep, the sorted coordinates joined to a nonzero coordinate of
+        rows(rho0) through the union of the nonzero patterns of the square
+        maps `squares`: the invariant blocks of those maps that rho0 touches,
+        found by one search (operators._connected, the search that
+        operators._invariant_blocks runs per block). Also set `_dropped`, the
+        other coordinates, the width w and the trace row cut to keep. Returns
+        the index that cuts a square map to keep."""
+        co = self.coords
+        adj = np.zeros((co.n2, co.n2), dtype=bool)
+        for m in squares:
+            adj |= m != 0
+        adj |= adj.T
+        reached = ops._connected(adj, np.flatnonzero(co.rows(rho0)))
+        self.keep = np.flatnonzero(reached)
+        self._dropped = np.flatnonzero(~reached)
+        self.width = len(self.keep)
+        self.trace_row = co.trace_row[self.keep]
+        return np.ix_(self.keep, self.keep)
+
     def _kraus_blocks(self, k0, k1, extra=()):
-        """[P0 | P1 | P2 | t0 t1 t2]: the real maps with (K0 + w K1) rho
-        (K0 + w K1)† + sum_k a_k rho b_k = P0 rho + w P1 rho + w^2 P2 rho for
-        the sandwiches (a_k, b_k) in extra, and the columns
-        t_k = P_k @ trace_row, with r @ t_k = Tr[P_k rho]."""
+        """[P0, P1, P2]: the real maps with (K0 + w K1) rho (K0 + w K1)† +
+        sum_k a_k rho b_k = P0 rho + w P1 rho + w^2 P2 rho for the sandwiches
+        (a_k, b_k) in extra, on every coordinate."""
         co, k0d, k1d = self.coords, k0.conj().T, k1.conj().T
-        blocks = [co.sandwich_map([(k0, k0d), *extra]).T,
-                  co.sandwich_map([(k0, k1d), (k1, k0d)]).T,
-                  co.sandwich_map([(k1, k1d)]).T]
-        return blocks + [np.stack([b @ co.trace_row for b in blocks], 1)]
+        return [co.sandwich_map([(k0, k0d), *extra]).T,
+                co.sandwich_map([(k0, k1d), (k1, k0d)]).T,
+                co.sandwich_map([(k1, k1d)]).T]
+
+    def _with_traces(self, blocks, cut):
+        """[P0 | P1 | P2 | t0 t1 t2] cut to keep: the blocks, then the columns
+        t_k = P_k @ trace_row, with r @ t_k = Tr[P_k rho]."""
+        blocks = [b[cut] for b in blocks]
+        return blocks + [np.stack([b @ self.trace_row for b in blocks], 1)]
+
+    def rows(self, rho: np.ndarray) -> np.ndarray:
+        """(..., d, d) Hermitian matrices -> (..., w) kept coordinates. A
+        matrix with a nonzero coordinate outside keep raises ValueError."""
+        r = self.coords.rows(rho)
+        if r[..., self._dropped].any():
+            raise ValueError("the state has coordinates this kernel drops")
+        return r[..., self.keep]
+
+    def full(self, r: np.ndarray) -> np.ndarray:
+        """(..., w) kept coordinates -> (..., d^2) coordinates, 0 off keep."""
+        out = np.zeros(r.shape[:-1] + (self.coords.n2,))
+        out[..., self.keep] = r
+        return out
+
+    def states(self, r: np.ndarray) -> np.ndarray:
+        """(..., w) kept coordinates -> (..., d, d) Hermitian matrices."""
+        return self.coords.states(self.full(r))
 
     def step(self, r: np.ndarray, noise: np.ndarray, old=None):
         """Advance the rows r by one step and renormalize them.
@@ -305,29 +379,29 @@ class _Kernel:
         (r', record, bad): bad is None or per-row failure codes (0 for rows
         that stepped cleanly). A collapsed row comes out non-finite.
         """
-        n2 = self.n2
+        w = self.width
         out = r @ self.maps
         if self.diffusive:
             # dy = sqrt(eta) <x>_c dt + dW
-            dy = (self.sqrt_eta * self.dt) * out[:, 3 * n2 + 3] + noise
+            dy = (self.sqrt_eta * self.dt) * out[:, 3 * w + 3] + noise
             # the kick's division by the trace normalizes both sandwiches
             new = self._combine(out, dy, normalize=old is None)
             if old is not None:
                 theta = (self.dt / self.sqrt_eta) * old
                 new = self._combine(new @ self.kick, theta)
             return new, dy / self.dt, None
-        emit = out[:, n2]                         # Tr[J†J rho]
+        emit = out[:, w]                         # Tr[J†J rho]
         jump = noise < emit * self.dt
-        new, bad = out[:, :n2], None
+        new, bad = out[:, :w], None
         if jump.any():
             hit = np.flatnonzero(jump)
             # the detecting rows, padded like every other product
             block = np.resize(hit, -(-len(hit) // _ROW_PAD) * _ROW_PAD)
-            new[hit] = (r[block] @ self.jump)[:len(hit), :n2]
+            new[hit] = (r[block] @ self.jump)[:len(hit), :w]
             dark = jump & (emit <= ops.TOL_JUMP)
             if dark.any():
                 bad = np.where(dark, _DARK_JUMP, 0)
-        return (new / (new @ self.coords.trace_row)[:, None],
+        return (new / (new @ self.trace_row)[:, None],
                 jump.astype(float), bad)
 
     def _combine(self, out: np.ndarray, w: np.ndarray,
@@ -335,21 +409,21 @@ class _Kernel:
         """P0 rho + w P1 rho + w^2 P2 rho, with one w per row, from
         out = r @ [P0 | P1 | P2 | t0 t1 t2 ...]: the weights (1, w, w^2),
         divided by the trace they give if normalize, applied in one pass."""
-        n2 = self.n2
+        n = self.width
         weights = np.ones((len(w), 3))
         weights[:, 1] = w
         weights[:, 2] = w * w
         if normalize:
-            trace = np.einsum("bk,bk->b", weights, out[:, 3 * n2:3 * n2 + 3])
+            trace = np.einsum("bk,bk->b", weights, out[:, 3 * n:3 * n + 3])
             weights /= trace[:, None]
         return np.einsum("bk,bkn->bn", weights,
-                         out[:, :3 * n2].reshape(len(w), 3, n2))
+                         out[:, :3 * n].reshape(len(w), 3, n))
 
     def check(self, r: np.ndarray) -> np.ndarray:
         """The positivity gate: per-row failure codes, _COLLAPSED for a
         non-finite state, _NEGATIVE for an eigenvalue below POSITIVITY_TOL,
         0 otherwise."""
-        low = np.linalg.eigvalsh(self.coords.states(r))[:, 0]
+        low = np.linalg.eigvalsh(self.states(r))[:, 0]
         return np.where(low >= POSITIVITY_TOL, 0,
                         np.where(np.isnan(low), _COLLAPSED, _NEGATIVE))
 
@@ -459,20 +533,22 @@ def in_loop_correlation_spectrum(model_fb: LindbladModel, c: np.ndarray,
 
 
 def _integrate(kernel: _Kernel, config: SmeConfig, rho0: np.ndarray, seeds):
-    """Advance the trajectories keyed by seeds in lock-step, in one batch.
+    """Advance the trajectories keyed by seeds in lock-step, in one batch,
+    from rho0, the state the kernel was built for.
 
     Returns arrays with one row per seed: the records (B, steps), the
-    snapshot coordinates (B, steps // snapshot_every, d^2) or None, and the
-    failure codes (B,), 0 for a trajectory that succeeded.
+    snapshot coordinates (B, steps // snapshot_every, d^2), 0 off the
+    kernel's kept coordinates, or None, and the failure codes (B,), 0 for a
+    trajectory that succeeded.
     """
     dt, n, snap = config.dt, config.steps, config.snapshot_every
     b_sz = len(seeds)
     rows = -(-b_sz // _ROW_PAD) * _ROW_PAD
-    r0 = kernel.coords.rows(rho0)
+    r0 = kernel.rows(rho0)
     r = np.tile(r0, (rows, 1))
     fail = np.zeros(rows, dtype=np.int8)
     records = np.empty((rows, n))
-    snaps = np.empty((b_sz, n // snap, kernel.n2)) if snap else None
+    snaps = np.zeros((b_sz, n // snap, kernel.coords.n2)) if snap else None
 
     fb = config.feedback
     lag = (int(round(fb.mode.delay / dt))
@@ -506,7 +582,7 @@ def _integrate(kernel: _Kernel, config: SmeConfig, rho0: np.ndarray, seeds):
                 if bad.any():
                     mark(bad)
             if snap and (k + 1) % snap == 0:
-                snaps[:, (k + 1) // snap - 1] = r[:b_sz]
+                snaps[:, (k + 1) // snap - 1, kernel.keep] = r[:b_sz]
     return records[:b_sz], snaps, fail[:b_sz]
 
 
@@ -537,7 +613,8 @@ def run_trajectory(config: SmeConfig, rho0: np.ndarray,
     seed is given. A failed trajectory raises its failure (PositivityViolation
     or JumpFromDarkState)."""
     ops.validate_density_matrix(np.asarray(rho0, dtype=complex))
-    kernel = _Kernel(config.model, config.dt, config.detection, config.feedback)
+    kernel = _Kernel(config.model, config.dt, config.detection,
+                     config.feedback, rho0)
     seeds = [config.seed if seed is None else seed]
     records, snaps, codes = _integrate(kernel, config, rho0, seeds)
     if codes[0]:
@@ -574,7 +651,8 @@ def run_ensemble(config: SmeConfig, n_traj: int, rho0: np.ndarray,
     if config.snapshot_every < 1:
         raise ValueError("run_ensemble needs snapshot_every >= 1")
     ops.validate_density_matrix(np.asarray(rho0, dtype=complex))
-    kernel = _Kernel(config.model, config.dt, config.detection, config.feedback)
+    kernel = _Kernel(config.model, config.dt, config.detection,
+                     config.feedback, rho0)
     if kernel.diffusive:
         welch_segment_length(config.steps, psd_segments)
     seeds = [config.seed ^ i for i in range(n_traj)]

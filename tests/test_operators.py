@@ -286,6 +286,21 @@ class TestInvariantBlocks:
         blocks = ops._invariant_blocks(np.zeros((3, 3)))
         assert [b.tolist() for b in blocks] == [[0], [1], [2]]
 
+    @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+    def test_search_from_several_starts_is_a_union_of_blocks(self, name):
+        # one search from a few indices reaches exactly the blocks that
+        # hold them
+        make, matrix, _ = BLOCK_CASES[name]
+        a = matrix(make())
+        adj = (a != 0) | (a != 0).T
+        blocks = ops._invariant_blocks(a)
+        for start in ([0], [len(a) - 1], [1, len(a) // 2]):
+            want = np.zeros(len(a), dtype=bool)
+            for b in blocks:
+                want[b] = np.isin(b, start).any()
+            got = ops._connected(adj, np.array(start))
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("name", sorted(PARTITION_MODELS))
     def test_one_scan_serves_every_solve(self, name):
         # the solvers scan A alone and solve A' and K on its blocks
@@ -365,7 +380,7 @@ def test_solvers_do_not_form_the_complex_liouvillian(monkeypatch):
             (tj.HomodyneDiffusive(0.8), None),
             (tj.HomodyneDiffusive(0.8), tj.Feedback(f_op)),
             (tj.HomodyneDiffusive(0.8), tj.Feedback(f_op, tj.Delayed(1e-3)))]:
-        tj._Kernel(model, 1e-3, detection, feedback)
+        tj._Kernel(model, 1e-3, detection, feedback, ops.fock_dm(6, 0))
 
 
 class TestModel:
@@ -441,10 +456,37 @@ class TestExpmAction:
         rng = np.random.default_rng(11)
         n = model.dim ** 2
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        got = ops._expm_action(model.liouvillian, v, [t])
+        lv = model.liouvillian
+        got = ops._expm_action(lv, ops._taylor_shift(lv), v, [t])
         want = dense_propagator(model, t) @ v
         assert got.shape == (1, n)
         assert np.max(np.abs(got[0] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", sorted(EXPM_CASES))
+    def test_shift_matches_shifted_copy(self, name):
+        # (mu, ||A - mu I||_1) without the copy, on the complex and the real
+        # generator; the model caches the real one's
+        model, _ = EXPM_CASES[name]()
+        for a in (model.liouvillian, model.real_liouvillian):
+            mu, norm = ops._taylor_shift(a)
+            assert mu == np.trace(a) / len(a)
+            want = np.linalg.norm(a - mu * np.eye(len(a)), 1)
+            assert abs(norm - want) <= 1e-14 * max(want, 1.0)
+        assert model.real_liouvillian_shift == ops._taylor_shift(
+            model.real_liouvillian)
+
+    def test_evolve_copies_no_generator_d30(self):
+        # with the generator and its shift cached, a call traces only
+        # vectors of d^2 = 900 entries, not a d^4 copy (6.5 MB) of A
+        model = parametric(30)
+        ops.evolve(model, ops.fock_dm(30, 0), 0.1)
+        tracemalloc.start()
+        try:
+            ops.evolve(model, ops.fock_dm(30, 0), 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
 
 
 class TestEvolve:

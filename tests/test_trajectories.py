@@ -33,11 +33,11 @@ def lone_step(kernel, rho, noise):
     """One kernel step of rho alone, as _integrate runs a lone trajectory:
     row 0 of a block of _ROW_PAD copies, the other rows idle. Returns the
     row's state, record and failure code (0 if it stepped cleanly)."""
-    rows = np.tile(kernel.coords.rows(rho), (tj._ROW_PAD, 1))
+    rows = np.tile(kernel.rows(rho), (tj._ROW_PAD, 1))
     noise_rows = np.full(tj._ROW_PAD, kernel.idle_noise)
     noise_rows[0] = noise
     r, record, bad = kernel.step(rows, noise_rows)
-    return kernel.coords.states(r[0]), record[0], 0 if bad is None else bad[0]
+    return kernel.states(r[0]), record[0], 0 if bad is None else bad[0]
 
 
 def _rate_two_atom():
@@ -156,7 +156,8 @@ class TestSingleSteps:
 
     def test_jump_from_one_photon(self):
         # a uniform draw of 0 is below any positive detection probability
-        kernel = tj._Kernel(cavity(3), 1e-2, tj.PhotonCounting())
+        kernel = tj._Kernel(cavity(3), 1e-2, tj.PhotonCounting(), None,
+                            ops.fock_dm(3, 1))
         rho, dn, code = lone_step(kernel, ops.fock_dm(3, 1), 0.0)
         assert dn == 1 and code == 0
         assert np.allclose(rho, ops.fock_dm(3, 0), atol=1e-12)
@@ -208,7 +209,7 @@ class TestSingleSteps:
     def test_jump_from_dark_state_raises(self):
         eps = 1e-15                       # Tr[c rho c†] below TOL_JUMP
         rho = np.diag([1.0 - eps, eps]).astype(complex)
-        kernel = tj._Kernel(atom(), 1e-3, tj.PhotonCounting())
+        kernel = tj._Kernel(atom(), 1e-3, tj.PhotonCounting(), None, rho)
         _, dn, code = lone_step(kernel, rho, 0.0)
         assert dn == 1
         assert isinstance(tj._failure(code), JumpFromDarkState)
@@ -216,8 +217,8 @@ class TestSingleSteps:
     def test_no_jump_step_stays_positive(self):
         # the Kraus no-jump map keeps a pure Fock state positive at any beta;
         # a uniform draw of inf never detects
-        kernel = tj._Kernel(cavity(6), 1e-2, tj.HomodyneJump(3.0))
         rho = ops.fock_dm(6, 3)
+        kernel = tj._Kernel(cavity(6), 1e-2, tj.HomodyneJump(3.0), None, rho)
         for _ in range(20):
             rho, dn, code = lone_step(kernel, rho, np.inf)
             assert dn == 0 and code == 0
@@ -233,10 +234,10 @@ class TestSingleSteps:
         ad = a.conj().T
         model = ops.LindbladModel(0.3 * (a + ad),
                                   ((1.0, a), (2.0, ad @ a), (0.5, ad)))
-        kernel = tj._Kernel(model, dt, tj.PhotonCounting())
         psi = np.zeros(4, dtype=complex)
         psi[1], psi[2] = 1.0, 1j
         rho = np.outer(psi, psi.conj()) / 2
+        kernel = tj._Kernel(model, dt, tj.PhotonCounting(), None, rho)
         for _ in range(50):
             rho, dn, code = lone_step(kernel, rho, np.inf)
             assert dn == 0 and code == 0
@@ -250,14 +251,14 @@ class TestKernel:
         eps = 1e-15
         rows = [ops.fock_dm(2, 1), np.diag([1.0 - eps, eps]), ops.fock_dm(2, 0),
                 0.5 * np.eye(2)] * 2
-        kernel = tj._Kernel(atom(), 1e-3, tj.PhotonCounting())
-        r = kernel.coords.rows(np.array(rows))
+        kernel = tj._Kernel(atom(), 1e-3, tj.PhotonCounting(), None, rows[0])
+        r = kernel.rows(np.array(rows))
         noise = np.zeros(len(rows))          # every emitting row jumps
         r_new, record, bad = kernel.step(r, noise)
         assert list(record) == [1.0, 1.0, 0.0, 1.0] * 2
         assert [tj._failure(code).__class__ if code else None
                 for code in bad] == [None, JumpFromDarkState, None, None] * 2
-        assert np.allclose(kernel.coords.states(r_new[0]), ops.fock_dm(2, 0),
+        assert np.allclose(kernel.states(r_new[0]), ops.fock_dm(2, 0),
                            atol=1e-15)
 
     def test_rows_match_single_steps(self):
@@ -266,12 +267,12 @@ class TestKernel:
         rhos = [ops.fock_dm(4, k % 4) for k in range(9)]
         dws = rng.standard_normal(9) * math.sqrt(1e-3)
         kernel = tj._Kernel(cavity(4), 1e-3, tj.HomodyneDiffusive(0.8),
-                            tj.Feedback(f_op))
-        r = kernel.coords.rows(np.array(rhos + [rhos[0]] * 7))
+                            tj.Feedback(f_op), rhos[0])
+        r = kernel.rows(np.array(rhos + [rhos[0]] * 7))
         r_new, record, _ = kernel.step(r, np.concatenate([dws, np.zeros(7)]))
         for i, (rho, dw) in enumerate(zip(rhos, dws)):
             one, i_sample, _ = lone_step(kernel, rho, dw)
-            assert np.array_equal(one, kernel.coords.states(r_new[i]))
+            assert np.array_equal(one, kernel.states(r_new[i]))
             assert i_sample == record[i]
 
     @staticmethod
@@ -295,15 +296,16 @@ class TestKernel:
         # the detecting rows are gathered into a padded block (5 rows -> 8,
         # 10 -> 16) and scattered back; every row matches its lone step
         rhos = self.random_states(4, 16, seed=5)
-        kernel = tj._Kernel(self.jump_model(4), 1e-3, tj.HomodyneJump(beta))
+        kernel = tj._Kernel(self.jump_model(4), 1e-3, tj.HomodyneJump(beta),
+                            None, rhos[0])
         noise = np.full(16, np.inf)
         noise[list(jumpers)] = 0.0
-        r_new, record, bad = kernel.step(kernel.coords.rows(rhos), noise)
+        r_new, record, bad = kernel.step(kernel.rows(rhos), noise)
         assert bad is None
         assert list(np.flatnonzero(record)) == list(jumpers)
         for i, rho in enumerate(rhos):
             one, dn, _ = lone_step(kernel, rho, noise[i])
-            assert np.array_equal(one, kernel.coords.states(r_new[i]))
+            assert np.array_equal(one, kernel.states(r_new[i]))
             assert dn == record[i]
 
     def test_maps_match_matrix_reference(self):
@@ -322,8 +324,8 @@ class TestKernel:
             0.5 * k * op.conj().T @ op for k, op in unmonitored))
         jump = c + beta * np.eye(dim)
         rhos = self.random_states(dim, 8, seed=9)
-        kernel = tj._Kernel(model, dt, tj.HomodyneJump(beta))
-        r = kernel.coords.rows(rhos)
+        kernel = tj._Kernel(model, dt, tj.HomodyneJump(beta), None, rhos[0])
+        r = kernel.rows(rhos)
         no_jump, _, _ = kernel.step(r, np.full(8, np.inf))
         jumped, record, _ = kernel.step(r, np.zeros(8))
         assert record.all()
@@ -332,7 +334,7 @@ class TestKernel:
                 k * op @ rho @ op.conj().T for k, op in unmonitored)
             ref_j = jump @ rho @ jump.conj().T
             for row, ref in ((row_nj, ref_nj), (row_j, ref_j)):
-                err = kernel.coords.states(row) - ref / np.trace(ref)
+                err = kernel.states(row) - ref / np.trace(ref)
                 assert np.max(np.abs(err)) < 1e-13
         p_jump = dt * np.array([np.trace(jump.conj().T @ jump @ rho).real
                                 for rho in rhos])
@@ -348,7 +350,8 @@ class TestKernel:
         g = rng.standard_normal((7, dim, dim)) + 1j * rng.standard_normal(
             (7, dim, dim))
         herm = g + g.conj().transpose(0, 2, 1)
-        co = tj._Kernel(cavity(dim), 1e-3, tj.PhotonCounting()).coords
+        co = tj._Kernel(cavity(dim), 1e-3, tj.PhotonCounting(), None,
+                        ops.fock_dm(dim, 0)).coords
         assert co is ops.coordinates(dim)
         r = co.rows(herm)
         assert r.shape == (7, dim * dim) and r.dtype == np.float64
@@ -379,7 +382,10 @@ class TestKernel:
         dim, dt = 5, 1e-2
         model, f_op = self.diffusive_model(dim)
         fb = None if feedback is None else tj.Feedback(f_op, feedback)
-        kernel = tj._Kernel(model, dt, detection, fb)
+        # a state with every coordinate nonzero: the kernel keeps them all
+        kernel = tj._Kernel(model, dt, detection, fb,
+                            self.random_states(dim, 1, seed=3)[0])
+        assert kernel.width == dim * dim
         co, eye = kernel.coords, np.eye(dim)
         c = model.collapses[0][1]
         cd = c.conj().T
@@ -439,15 +445,15 @@ class TestKernel:
         rhos = self.random_states(dim, 8, seed=13)
         dws = np.random.default_rng(13).standard_normal(8) * math.sqrt(dt)
         kernel = tj._Kernel(model, dt, tj.HomodyneDiffusive(eta),
-                            tj.Feedback(f_op))
-        r_new, record, bad = kernel.step(kernel.coords.rows(rhos), dws)
+                            tj.Feedback(f_op), rhos[0])
+        r_new, record, bad = kernel.step(kernel.rows(rhos), dws)
         assert bad is None
         for rho, dw, row, rec in zip(rhos, dws, r_new, record):
             dy = se * np.trace((c + cd) @ rho).real * dt + dw
             k = k0 + dy * k1
             ref = k @ rho @ k.conj().T + dt * (
                 (1 - eta) * c @ rho @ cd + rate * op @ rho @ op.conj().T)
-            err = kernel.coords.states(row) - ref / np.trace(ref)
+            err = kernel.states(row) - ref / np.trace(ref)
             assert np.max(np.abs(err)) < 1e-13
             assert abs(rec - dy / dt) < 1e-12
 
@@ -470,9 +476,8 @@ class TestKernel:
         xbars_old = rng.standard_normal(8)
         currents_old = se * xbars_old + dws_old / dt
         kernel = tj._Kernel(model, dt, tj.HomodyneDiffusive(eta),
-                            tj.Feedback(f_op, tj.Delayed(dt)))
-        r_new, _, bad = kernel.step(kernel.coords.rows(rhos), dws,
-                                    currents_old)
+                            tj.Feedback(f_op, tj.Delayed(dt)), rhos[0])
+        r_new, _, bad = kernel.step(kernel.rows(rhos), dws, currents_old)
         assert bad is None
         for i, rho in enumerate(rhos):
             dy = se * np.trace((c + cd) @ rho).real * dt + dws[i]
@@ -482,7 +487,7 @@ class TestKernel:
             theta = dt * currents_old[i] / se
             kick = np.eye(dim) - dt * f_op @ f_op / (2 * eta) - 1j * theta * f_op
             ref = kick @ measured @ kick.conj().T
-            err = kernel.coords.states(r_new[i]) - ref / np.trace(ref)
+            err = kernel.states(r_new[i]) - ref / np.trace(ref)
             assert np.max(np.abs(err)) < 1e-13
 
     def test_delayed_step_matches_twice_normalized_form(self):
@@ -490,16 +495,17 @@ class TestKernel:
         # before the kick as well changes the step by rounding only
         dim, dt, eta = 5, 1e-2, 0.7
         model, f_op = self.diffusive_model(dim)
+        rhos = self.random_states(dim, 8, seed=19)
         kernel = tj._Kernel(model, dt, tj.HomodyneDiffusive(eta),
-                            tj.Feedback(f_op, tj.Delayed(dt)))
+                            tj.Feedback(f_op, tj.Delayed(dt)), rhos[0])
         rng = np.random.default_rng(19)
         dws = rng.standard_normal(8) * math.sqrt(dt)
         currents_old = rng.standard_normal(8) / math.sqrt(dt)
-        r = kernel.coords.rows(self.random_states(dim, 8, seed=19))
+        r = kernel.rows(rhos)
         r_new, _, bad = kernel.step(r, dws, currents_old)
         assert bad is None
         out = r @ kernel.maps
-        dy = math.sqrt(eta) * dt * out[:, 3 * kernel.n2 + 3] + dws
+        dy = math.sqrt(eta) * dt * out[:, 3 * kernel.width + 3] + dws
         measured = kernel._combine(out, dy)
         ref = kernel._combine(measured @ kernel.kick,
                               dt / math.sqrt(eta) * currents_old)
@@ -514,8 +520,10 @@ class TestKernel:
         gaps = []
         for dt in (1e-2, 1e-3):
             kernel = tj._Kernel(model, dt, tj.HomodyneDiffusive(eta),
-                                tj.Feedback(f_op))
-            n2 = kernel.n2
+                                tj.Feedback(f_op),
+                                self.random_states(dim, 1, seed=7)[0])
+            n2 = kernel.width
+            assert n2 == dim * dim
             mean = kernel.maps[:, :n2] + dt * kernel.maps[:, 2 * n2:3 * n2]
             drift = np.eye(n2) + dt * real_map(kernel.coords, liouvillian)
             gaps.append(np.max(np.abs(mean - drift)))
@@ -526,7 +534,8 @@ class TestKernel:
         # the column-stacked Liouvillian in real coordinates acts on rows as
         # the master equation acts on matrices
         model, _ = self.diffusive_model(dim)
-        co = tj._Kernel(model, 1e-3, tj.HomodyneDiffusive(0.8)).coords
+        co = tj._Kernel(model, 1e-3, tj.HomodyneDiffusive(0.8), None,
+                        ops.fock_dm(dim, 0)).coords
         rng = np.random.default_rng(dim)
         g = rng.standard_normal((6, dim, dim)) + 1j * rng.standard_normal(
             (6, dim, dim))
@@ -540,6 +549,156 @@ class TestKernel:
         traces = np.array([np.trace(op @ rho).real for rho in herm])
         got = co.rows(herm) @ co.expect_col(op)
         assert np.max(np.abs(got - traces)) < 1e-13
+
+
+def _sme_cavity_unravelings(dim):
+    """The unravelings of the damped cavity in the perfbench `sme-cavity`
+    workload: counting, homodyne jump, Markovian and delayed F = -0.15 y."""
+    f_op = -0.15 * ops.quad_y(dim)
+    return {
+        "cavity_counting": (tj.PhotonCounting(), None),
+        "cavity_homodyne_jump": (tj.HomodyneJump(1.0), None),
+        "cavity_markovian_feedback": (tj.HomodyneDiffusive(0.8),
+                                      tj.Feedback(f_op)),
+        "cavity_delayed_feedback": (tj.HomodyneDiffusive(0.8),
+                                    tj.Feedback(f_op, tj.Delayed(5e-2))),
+    }
+
+
+def _full_step(model, dt, detection, feedback, rho, noise, old=None):
+    """One step of rho in all d^2 coordinates, its Kraus sandwiches built
+    by sandwich_map for this row's noise alone: the jump or the no-jump map,
+    or K rho K† + dt [(1 - eta) c rho c† + sum_k r_k L_k rho L_k†] with
+    K = K0 + dy K1, then the delayed kick; normalized by the trace."""
+    co, dim = ops.coordinates(model.dim), model.dim
+    eye, r = np.eye(dim), co.rows(rho)
+    c = model.collapses[0][1]
+    cd = c.conj().T
+    extra = [(op, dt * rate * op.conj().T) for rate, op in model.collapses[1:]]
+    if not isinstance(detection, tj.HomodyneDiffusive):
+        beta = getattr(detection, "beta", 0.0)
+        jump = c + beta * eye
+        if noise < dt * np.trace(jump.conj().T @ jump @ rho).real:
+            terms = [(jump, jump.conj().T)]
+        else:
+            m0 = eye - dt * (model.no_jump_generator + beta * c)
+            terms = [(m0, m0.conj().T)] + extra
+        new = co.sandwich_map(terms) @ r
+        return new / (new @ co.trace_row)
+    eta = detection.eta
+    k1, generator = math.sqrt(eta) * c, model
+    f_op = None if feedback is None else feedback.operator
+    if feedback is not None and isinstance(feedback.mode, tj.Markovian):
+        generator = tj.feedback_master_equation(model, f_op, eta)
+        k1 = k1 - 1j * f_op / math.sqrt(eta)
+    dy = math.sqrt(eta) * np.trace((c + cd) @ rho).real * dt + noise
+    k = eye - dt * generator.no_jump_generator + dy * k1
+    new = co.sandwich_map([(k, k.conj().T), (c, dt * (1 - eta) * cd)]
+                          + extra) @ r
+    if old is not None:
+        kick = (eye - dt / (2 * eta) * f_op @ f_op
+                - 1j * (dt * old / math.sqrt(eta)) * f_op)
+        new = co.sandwich_map([(kick, kick.conj().T)]) @ new
+    return new / (new @ co.trace_row)
+
+
+class TestReachedCoordinates:
+    """The kernel steps only the invariant blocks its initial state
+    touches, and its results keep all d^2 coordinates."""
+
+    @pytest.mark.parametrize("name, width", [
+        ("cavity_counting", 12), ("cavity_homodyne_jump", 78),
+        ("cavity_markovian_feedback", 78), ("cavity_delayed_feedback", 78)])
+    def test_sme_cavity_widths(self, name, width):
+        # the perfbench sme-cavity operations: d = 12 from Fock 3
+        detection, feedback = _sme_cavity_unravelings(12)[name]
+        kernel = tj._Kernel(cavity(12), 1e-3, detection, feedback,
+                            ops.fock_dm(12, 3))
+        assert kernel.width == width
+        assert kernel.maps.shape[0] == width
+        if kernel.kick is not None:
+            assert kernel.kick.shape[0] == width
+
+    @pytest.mark.parametrize("dim", [2, 5, 9])
+    def test_widths_follow_the_symmetries(self, dim):
+        # counting keeps a Fock state diagonal (d coordinates); real Kraus
+        # operators never mix Im rho_ij into Re rho_ij (d(d + 1)/2); an
+        # imaginary coherence reaches the imaginary parts too (d^2)
+        fock = ops.fock_dm(dim, 1)
+        psi = np.zeros(dim, dtype=complex)
+        psi[0], psi[1] = 1.0, 1j
+        coherent = np.outer(psi, psi.conj()) / 2
+        for name, (det, fb) in _sme_cavity_unravelings(dim).items():
+            want = dim if name == "cavity_counting" else dim * (dim + 1) // 2
+            assert tj._Kernel(cavity(dim), 1e-3, det, fb, fock).width == want
+        for det, fb in list(_sme_cavity_unravelings(dim).values())[1:]:
+            kernel = tj._Kernel(cavity(dim), 1e-3, det, fb, coherent)
+            assert kernel.width == dim * dim
+            assert np.array_equal(kernel.keep, np.arange(dim * dim))
+
+    def test_atom_under_feedback_keeps_three(self):
+        # the in-loop atom of perfbench sme-atom: sigma_y feedback is real
+        # in the Kraus operators, so Im rho_eg is never reached
+        kernel = tj._Kernel(atom(), 2e-3, tj.HomodyneDiffusive(0.76),
+                            tj.Feedback(-0.38 * ops.sigma_y()),
+                            ops.fock_dm(2, 0))
+        assert kernel.width == 3
+
+    def test_rows_reject_dropped_coordinates(self):
+        kernel = tj._Kernel(cavity(4), 1e-3, tj.PhotonCounting(), None,
+                            ops.fock_dm(4, 2))
+        with pytest.raises(ValueError, match="drops"):
+            kernel.rows(0.5 * np.ones((4, 4)))
+
+    @pytest.mark.parametrize("name", list(_sme_cavity_unravelings(6)))
+    def test_snapshots_are_zero_off_the_reached_set(self, name):
+        detection, feedback = _sme_cavity_unravelings(6)[name]
+        rho0 = ops.fock_dm(6, 3)
+        cfg = config(cavity(6), detection, dt=1e-3, steps=120, seed=3,
+                     snapshot_every=30, feedback=feedback)
+        summary = tj.run_ensemble(cfg, 8, rho0, psd_segments=2,
+                                  keep_trajectories=True)
+        kernel = tj._Kernel(cavity(6), 1e-3, detection, feedback, rho0)
+        co = kernel.coords
+        for res in summary.trajectories:
+            assert res.states.shape == (4, 6, 6)
+            r = co.rows(res.states)
+            assert not r[..., kernel._dropped].any()
+            assert r[..., kernel.keep].any(axis=-1).all()
+        assert summary.mean_states.shape == (4, 6, 6)
+
+    @pytest.mark.parametrize("name", list(_sme_cavity_unravelings(6)))
+    def test_reduced_step_matches_full_step(self, name):
+        # one step of eight rows in the kept coordinates against the same
+        # step in all d^2, from Fock and coherent states of the reached set
+        dim, dt = 6, 1e-2
+        detection, feedback = _sme_cavity_unravelings(dim)[name]
+        if feedback is not None:
+            feedback = tj.Feedback(feedback.operator,
+                                   tj.Delayed(dt) if isinstance(
+                                       feedback.mode, tj.Delayed)
+                                   else tj.Markovian())
+        model = cavity(dim)
+        kernel = tj._Kernel(model, dt, detection, feedback,
+                            ops.fock_dm(dim, 3))
+        rng = np.random.default_rng(23)
+        if kernel.width == dim:            # counting: diagonal states
+            rhos = [np.diag(rng.dirichlet(np.ones(dim))) for _ in range(8)]
+        else:                              # real states
+            g = rng.standard_normal((8, dim, dim))
+            rhos = [m @ m.T / np.trace(m @ m.T) for m in g]
+        if kernel.diffusive:
+            noise = rng.standard_normal(8) * math.sqrt(dt)
+        else:                              # half of the rows detect
+            noise = np.where(np.arange(8) % 2 == 0, 0.0, np.inf)
+        old = (rng.standard_normal(8) / math.sqrt(dt)
+               if kernel.kick is not None else None)
+        r_new, _, bad = kernel.step(kernel.rows(np.array(rhos)), noise, old)
+        assert bad is None
+        for i, rho in enumerate(rhos):
+            want = _full_step(model, dt, detection, feedback, rho, noise[i],
+                              None if old is None else old[i])
+            assert np.max(np.abs(kernel.full(r_new[i]) - want)) < 1e-14
 
 
 class TestJumpToDiffusiveConvergence:
@@ -828,15 +987,20 @@ class TestEnsembleContract:
         (tj.HomodyneDiffusive(0.8),
          tj.Feedback(-0.15 * ops.quad_y(12), tj.Delayed(10 * 1e-3))),
         (tj.HomodyneJump(1.0), None),
+        (tj.PhotonCounting(), None),
     ])
     def test_batch_of_48_bit_identical_d12(self, detection, feedback):
         # d = 12: a batch of 48 rows runs each real product through another
         # BLAS code path than the 8-row block of a lone trajectory, which
         # changed the last bits of the maps' last columns until those were
-        # padded to a multiple of 8
+        # padded to a multiple of 8; from Fock 3 the kernel steps 78 (real
+        # Kraus operators) or 12 (counting) of the 144 coordinates
         cfg = config(cavity(12), detection, dt=1e-3, steps=64, seed=5,
                      snapshot_every=32, feedback=feedback)
         rho0 = ops.fock_dm(12, 3)
+        width = 12 if isinstance(detection, tj.PhotonCounting) else 78
+        assert tj._Kernel(cfg.model, cfg.dt, detection, feedback,
+                          rho0).width == width
         batch = tj.run_ensemble(cfg, 48, rho0, psd_segments=2,
                                 keep_trajectories=True)
         for i in (0, 17, 47):
