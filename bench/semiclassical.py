@@ -26,7 +26,9 @@ The in-process timings run in a fresh worker process per side and round: one
 untimed warm-up call, then the best of --repeats calls. Every round runs both
 sides, and the side that goes first alternates, so slow drift of a shared
 host reaches both sides alike. The worker also reports the import time of
-`qfeedback` and whether `scipy.signal` was loaded after all calls.
+`qfeedback`, whether `scipy.signal` was loaded after all calls, and the
+`diverges` verdict of every probe of the map, which the report compares
+between the sides round by round.
 
 Run from the root of a checkout; --parent points at the `src` directory of
 the checkout to compare against (for example an exported copy of the parent
@@ -115,6 +117,8 @@ def worker(repeats: int) -> None:
         "estimate_psd_peak_mb": peak_mb(
             lambda: sc.estimate_psd(series, 0.01, 64)),
         "probes": len(probes),
+        "decisions": [int(sc.diverges(filt, dt, 400.0))
+                      for filt, dt, _ in probes],
         "scipy_signal_loaded": "scipy.signal" in sys.modules,
     }
     print(json.dumps(out))
@@ -133,15 +137,20 @@ def report(samples: dict, args) -> dict:
     for side, runs in samples.items():
         sides[side] = {
             "scipy_signal_loaded": [r["scipy_signal_loaded"] for r in runs],
-            "probes": runs[0]["probes"], **sides[side]}
+            "probes": runs[0]["probes"], "decisions": runs[0]["decisions"],
+            **sides[side]}
     wins = {m: _ab.change_wins(samples, m) for m in METRICS}
+    same = all(p["decisions"] == c["decisions"]
+               for p, c in zip(samples["parent"], samples["change"]))
     _ab.print_summary(sides, wins, args.rounds)
+    print(f"same diverges decisions: {same}")
     return {
         "rounds": args.rounds, "repeats": args.repeats,
         "metric": "seconds (cli_rss_mb: MiB, *_peak_mb: MB of "
                   "tracemalloc peak); in-process timings are the "
                   "best of repeats after one warm-up call, one sample per "
                   "side and round; summary over rounds",
+        "same_decisions": same,
         "change_wins": wins,
         "sides": sides,
     }

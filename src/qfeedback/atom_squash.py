@@ -118,6 +118,11 @@ def _two_lorentzian_power(eta_mm, gx, gy, gz, c_coeff, omega_grid) -> Spectrum:
 def fluorescence_spectrum(params: AtomLoopParams, omega_grid) -> Spectrum:
     """Power spectrum of the fluorescence escaping into unmonitored vacuum
     modes: P(w) = [(1-eta)(gz - C)/(8 pi gz)] [gx/(gx^2+w^2) + gy/(gy^2+w^2)].
+
+    Normalization: the integral of P over all w is (1 - eta)<sigma† sigma>/2.
+    P is half the exact incoherent spectrum of atom_feedback_master_equation,
+    (1 - eta)/pi Re Tr[sigma† (i w - L)^-1 (sigma rho - <sigma> rho)] with
+    rho its steady state, where <sigma> = 0.
     """
     gx, gy, gz, c_coeff = decay_rates(params)
     return _two_lorentzian_power(params.eta_mm, gx, gy, gz, c_coeff, omega_grid)

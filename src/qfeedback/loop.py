@@ -268,30 +268,64 @@ def _nyquist_winding(filt: LoopFilter, extra=None):
     return int(round(total / math.pi))
 
 
+def _critical_gain(gamma_t: float) -> float:
+    """The lower end g_c of the gains g < 1 at which the single-pole loop
+    y' = -gamma y + g gamma y(t - T) is stable, as a function of
+    gamma_t = gamma T (N. D. Hayes, J. London Math. Soc. 25, 226 (1950)):
+    g_c = -sqrt(1 + (xi / gamma_t)^2), xi in (pi/2, pi) solving
+    xi = -gamma_t tan xi. It is -inf at gamma_t = 0 and rises to -1 as
+    gamma_t grows.
+
+    xi is the root of gamma_t sin xi + xi cos xi, which falls from gamma_t at
+    pi/2 to -pi at pi; bisection halves the bracket until its midpoint
+    rounds to one of its ends, so xi is exact to about one ulp."""
+    if gamma_t == 0.0:
+        return -math.inf
+    lo, hi = 0.5 * math.pi, math.pi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if gamma_t * math.sin(mid) + mid * math.cos(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return -math.hypot(1.0, mid / gamma_t)
+
+
 def is_stable(filt: LoopFilter, extra=None) -> bool:
-    """Nyquist criterion: no root of 1 - g H(s) exp(-sT) = 0 with Re[s] >= 0.
+    """Closed-loop stability: no root of 1 - g H(s) exp(-sT) = 0 with
+    Re[s] >= 0.
 
-    The open loop is stable (causal normalized response), so closed-loop
-    stability is equivalent to zero winding of the locus around +1.
+    A SinglePole loop without extra takes Hayes' closed form: stable iff
+    _critical_gain(gamma T) < g < 1. It raises MarginalStability within
+    CRITICAL_TOL of g = 1 and within CRITICAL_TOL |g_c| of g_c: near g_c,
+    |1 - L| at the crossing frequency is about |g - g_c| / |g_c|, and
+    |g_c| ~ pi / (2 gamma T) grows without bound as gamma T shrinks.
 
-    The winding is counted on a contour that runs to the cut
-    2 |g| ft_bound, past which the locus provably cannot wind, and adds the
-    exact phase change beyond it. extra, if given, multiplies the loop
-    transfer and must be the Fourier transform of a nonnegative unit-area
-    response (|extra| <= 1): the contour cut of `_nyquist_winding` is
-    proven only under that bound.
-    extra(0) must be 1 to within 1e-12, else ValueError. A loop within
-    CRITICAL_TOL of the critical point raises MarginalStability.
+    Every other loop takes the Nyquist criterion. The open loop is stable
+    (causal normalized response), so closed-loop stability is equivalent to
+    zero winding of the locus around +1, counted on a contour that runs to
+    the cut 2 |g| ft_bound, past which the locus provably cannot wind, plus
+    the exact phase change beyond it (`_nyquist_winding`). extra, if given,
+    multiplies the loop transfer and must be the Fourier transform of a
+    nonnegative unit-area response (|extra| <= 1): the contour cut is proven
+    only under that bound. extra(0) must be 1 to within 1e-12, else
+    ValueError. A contour within CRITICAL_TOL of the critical point raises
+    MarginalStability.
     """
     if extra is not None and abs(extra(0.0) - 1.0) > 1e-12:
         raise ValueError("extra must be the transform of a unit-area "
                          f"response, but extra(0) = {extra(0.0)}")
-    if (extra is None and filt.delay_T == 0
-            and isinstance(filt.response, SinglePole)):
-        # closed-loop pole at s = gamma (g - 1): analytic shortcut
-        if abs(filt.g - 1.0) < CRITICAL_TOL:
+    if extra is None and isinstance(filt.response, SinglePole):
+        g = filt.g
+        if abs(g - 1.0) < CRITICAL_TOL:
             raise MarginalStability("single-pole loop with g = 1")
-        return filt.g < 1.0
+        g_c = _critical_gain(filt.response.gamma * filt.delay_T)
+        if abs(g - g_c) < CRITICAL_TOL * abs(g_c):
+            raise MarginalStability(
+                f"single-pole loop at its critical gain {g_c}")
+        return g_c < g < 1.0
     return _nyquist_winding(filt, extra) == 0
 
 

@@ -455,9 +455,10 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float,
 
 
 def _connected(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """The boolean mask of the indices joined to an index of `start` by a
-    path in the symmetric boolean adjacency matrix adj. A frontier search
-    reads each reached index's row of adj once."""
+    """The boolean mask of the indices reached from an index of `start` by
+    a path along the edges i -> j where adj[i, j], adj a boolean adjacency
+    matrix (for a symmetric one, the indices joined to start). A frontier
+    search reads each reached index's row of adj once."""
     unseen = np.ones(len(adj), dtype=bool)
     frontier = start
     while frontier.size:

@@ -120,6 +120,15 @@ def _toeplitz(diagonals: np.ndarray, cols: int) -> np.ndarray:
     return sliding_window_view(diagonals, cols)[:, ::-1]
 
 
+def _edge_weights(c: np.ndarray) -> np.ndarray:
+    """The p x p weights W[j, i] = c[p - j + i] for i <= j (else 0), p =
+    len(c) - 1, with which the sample p - j before a block reaches the
+    block's sample i of sum_k c[k] z[n - k] (c[0] never does)."""
+    p = len(c) - 1
+    return np.ascontiguousarray(
+        _toeplitz(np.concatenate([np.zeros(p - 1), c[:0:-1]]), p))
+
+
 def _impulse_response(a: np.ndarray, m: int) -> np.ndarray:
     """The first m samples of the impulse response of 1/a (a[0] = 1).
 
@@ -149,61 +158,77 @@ class _BlockRecursion:
     higher orders take m = max(_BLOCK, p), as each block's carry is an array
     product.
 
-    The maps are built once. Between chunks the object carries the last p
-    inputs, the p outputs carried into the next block (from the carry
-    recursion) and the running flush level, so a run cut into chunks does
-    the same arithmetic as one over the whole input would. A chunk is
-    _CHUNK_BLOCKS blocks, `step` samples, which bounds the working memory.
-    The full input map is formed only for a run with input beyond its first
-    block: a shorter one reads only the map's rows of its own samples.
+    The maps are built once, from the first m samples of the impulse
+    response of 1/a, the only array of that size the object keeps besides
+    them. The map of a block's own inputs is the Toeplitz matrix of b
+    convolved with that response, read as a view without a product. The p
+    inputs and the p outputs before a block reach only its first p samples
+    of b * x - a * y, so their rows are p x p weights (`_edge_weights`)
+    times the response's first p shifts, products of contiguous arrays;
+    the rows of the outputs are the tail map. Between chunks the object
+    carries the last p inputs, the p outputs carried into the next block
+    (from the carry recursion) and the running flush level, so a run cut
+    into chunks does the same arithmetic as one over the whole input would.
+    A chunk is _CHUNK_BLOCKS blocks, `step` samples, which bounds the
+    working memory. The stacked block map `maps` is formed only for a run
+    with input beyond its first block: a shorter one reads only the rows
+    of its own samples.
 
-    Past the input a block's state is its p carried outputs alone. The carry
-    then steps s blocks at a time through last^s (last the p x p carry map),
-    and one product against the span [tail | last tail | ... | last^(s-1)
-    tail] (tail the p x m map from carried outputs to a block's outputs)
-    gives those blocks' outputs, p multiply-adds per sample. s is the
-    largest power of two up to _TAIL_STEP whose span costs no more to build
-    than that product. Once the carry is exactly zero the rest of the output
-    is zero.
+    Past the input a block's state is its p carried outputs alone, and
+    `carries` steps them s blocks at a time through last^s (last the p x p
+    carry map); `span` maps one such carry to the outputs of its s blocks.
 
     Carried outputs below _FLUSH times the running maximum of |heads| are
-    set to zero: every _FLUSH_EVERY blocks inside the carry loops, and all
-    of them before the output products. A decaying response then reaches
-    both as zeros rather than as subnormal floats, which make every product
-    that touches them many times slower. Every value flushed is below
-    _FLUSH of the response's scale; with all heads zero nothing is flushed.
+    set to zero: every _FLUSH_EVERY blocks inside the carry loop of
+    `blocks`, all of them before its output product, and every carry that
+    `carries` yields. A decaying response then reaches the products as
+    zeros rather than as subnormal floats, which make every product that
+    touches them many times slower. Every value flushed is below _FLUSH of
+    the response's scale; with all heads zero nothing is flushed.
     """
 
     def __init__(self, b, a):
         p = max(len(a), len(b)) - 1
-        self.b = np.pad(np.asarray(b, dtype=float), (0, p + 1 - len(b)))
-        a = np.pad(np.asarray(a, dtype=float), (0, p + 1 - len(a)))
+        self.b, padded = np.zeros(p + 1), np.zeros(p + 1)
+        self.b[:len(b)] = b
+        padded[:len(a)] = a
+        a = padded
         m = _BLOCK_SCALAR if p == 1 else max(_BLOCK, p)
         self.p, self.m, self.step = p, m, _CHUNK_BLOCKS * m
-        # block inputs through 1/a to the block's outputs
-        self._h = _toeplitz(np.concatenate([_impulse_response(a, m)[::-1],
-                                            np.zeros(m - 1)]), m)
+        self._impulse = _impulse_response(a, m)
         # rows: the p earlier outputs; columns: the block's outputs
-        self.tail = _toeplitz(np.concatenate([np.zeros(m - 1), -a[:0:-1]]),
-                              m) @ self._h
+        self.tail = _edge_weights(-a) @ self._shifts()
         self.last = np.ascontiguousarray(self.tail[:, m - p:])
         self._inputs = np.zeros(p)   # the last p inputs
         self._carry = np.zeros(p)    # the p outputs before the next block
         self._level = 0.0            # _FLUSH times the largest |head| so far
         self._block = 0              # the index of the next block
 
-    def _input_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo:hi of the map from a block's m + p inputs (the p before
-        it first) to its outputs."""
-        zeros = np.zeros(self.m - 1)
-        diagonals = np.concatenate([zeros, self.b[::-1], zeros])
-        return _toeplitz(diagonals, self.m)[lo:hi] @ self._h
+    def _shifts(self) -> np.ndarray:
+        """The first p rows of the map from a block's samples of
+        b * x - a * y to its outputs: the impulse response shifted by
+        0..p-1 samples."""
+        diagonals = np.concatenate([self._impulse[::-1], np.zeros(self.p - 1)])
+        return np.ascontiguousarray(_toeplitz(diagonals, self.m))
+
+    def _own(self, count: int) -> np.ndarray:
+        """The first `count` rows of the map from a block's own inputs to
+        its outputs (a view): input r reaches output l through
+        (b * impulse)[l - r]."""
+        m = self.m
+        w = np.convolve(self.b, self._impulse)[m - 1::-1]
+        return _toeplitz(np.concatenate([w, np.zeros(m - 1)]), m)[:count]
 
     @cached_property
     def maps(self) -> np.ndarray:
         """The block map: rows the m + p inputs, then the p earlier
         outputs; columns the block's outputs."""
-        return np.vstack([self._input_rows(0, self.m + self.p), self.tail])
+        m, p = self.m, self.p
+        maps = np.empty((m + 2 * p, m))
+        np.matmul(_edge_weights(self.b), self._shifts(), out=maps[:p])
+        maps[p:m + p] = self._own(m)
+        maps[m + p:] = self.tail
+        return maps
 
     def __call__(self, x) -> np.ndarray:
         """The outputs for the next len(x) input samples of the run: len(x)
@@ -219,7 +244,7 @@ class _BlockRecursion:
         padded[p:p + len(x)] = x
         self._inputs = padded[count * m:].copy()
         if self._block == 0 and count == 1:   # no input beyond this block
-            y = np.dot(x, self._input_rows(p, p + len(x)), out=out)
+            y = np.dot(x, self._own(len(x)), out=out)
             self._level = _FLUSH * np.max(np.abs(y[m - p:]))
             self._carry = y[m - p:].copy()
             self._carry[np.abs(self._carry) < self._level] = 0.0
@@ -261,61 +286,42 @@ class _BlockRecursion:
             out = out.reshape(count, m)
         return np.dot(state, maps, out=out).reshape(-1)
 
-    def zero_input(self, out: np.ndarray, s: int) -> None:
-        """Fill the rows of out, groups of s blocks each, with the outputs
-        of the zero-input blocks that follow: carries[j] is the carry into
-        group j."""
-        groups, p = len(out), self.p
-        carries = np.zeros((groups, p))
-        carries[0] = self._carry
-        jump = np.linalg.matrix_power(self.last, s)
-        rows, live = list(carries), 1
-        for j, (prev, cur) in enumerate(zip(rows, rows[1:])):
-            if not prev.any():   # a zero carry stays zero, and so do its outputs
-                break
-            np.dot(prev, jump, out=cur)
-            live += 1
-            if j % (_FLUSH_EVERY // s) == 0:
-                cur[np.abs(cur) < self._level] = 0.0
-        carries = carries[:live]
-        carries[np.abs(carries) < self._level] = 0.0
+    def span(self, s: int) -> np.ndarray:
+        """[tail | last tail | ... | last^(s-1) tail]: the map from the carry
+        into s zero-input blocks to their s m outputs. Its last p columns
+        are last^s, the map from that carry to the one out of the s blocks."""
         span = [self.tail]
         for _ in range(1, s):
             span.append(self.last @ span[-1])
-        np.dot(carries, np.hstack(span), out=out[:live])
-        out[live:] = 0.0
+        return np.hstack(span)
 
-
-def _lfilter(b, a, x, n: Optional[int] = None) -> np.ndarray:
-    """Output from rest of y[n] = sum_k b[k] x[n-k] - sum_{k>=1} a[k] y[n-k]
-    (a[0] = 1) for the 1-D input x followed by zeros: n >= len(x) samples
-    (default len(x)). One pass of a _BlockRecursion over x, chunk by chunk
-    as `simulate` runs it, then its zero-input blocks."""
-    x = np.asarray(x, dtype=float)
-    nx = len(x)
-    n = nx if n is None else n
-    if n < nx:
-        raise ValueError(f"n = {n} is shorter than the {nx} input samples")
-    rec = _BlockRecursion(b, a)
-    m, p = rec.m, rec.p
-    nb = -(-n // m)
-    # the blocks whose state holds an input: block k reads x[km - p:(k + 1)m]
-    nbx = min(nb, -(-(nx + p) // m))
-    # past x, the carry steps s blocks at a time. The span costs (s - 1) p^2 m
-    # multiply-adds to build, at most the nt m p of its product
-    nt = nb - nbx
-    s = _TAIL_STEP
-    while s > 1 and (s - 1) * p > nt:
-        s //= 2
-    groups = -(-nt // s)
-    y = np.empty((nbx + groups * s) * m)
-    for k in range(0, nbx, _CHUNK_BLOCKS):
-        count = min(_CHUNK_BLOCKS, nbx - k)
-        rec.blocks(x[k * m:(k + count) * m], count,
-                   out=y[k * m:(k + count) * m])
-    if nt:
-        rec.zero_input(y[nbx * m:].reshape(groups, s * m), s)
-    return y[:n]
+    def carries(self, span: np.ndarray, count: int):
+        """Yield the carries into the next `count` groups of zero-input
+        blocks, a group the span's s blocks: first the carry out of the
+        blocks run so far, then each one stepped through last^s, the span's
+        last p columns. They come in runs of the groups in _FLUSH_EVERY
+        blocks (at least one), as the rows of an array with each row's
+        largest magnitude. Each run is flushed before it is yielded and
+        before the next is stepped from it. An exactly zero carry ends them,
+        and its run is cut before it, as every output after it is zero."""
+        jump = np.ascontiguousarray(span[:, -self.p:])
+        run = max(1, _FLUSH_EVERY * self.m // span.shape[1])
+        carry = self._carry
+        for lo in range(0, count, run):
+            rows = np.empty((min(run, count - lo), self.p))
+            rows[0] = carry
+            for prev, cur in zip(rows, rows[1:]):
+                np.dot(prev, jump, out=cur)
+            mag = np.abs(rows)
+            rows[mag < self._level] = 0.0
+            zero = ~rows.any(axis=1)
+            if zero.any():
+                cut = np.argmax(zero)
+                if cut:
+                    yield rows[:cut], np.max(mag[:cut], axis=1)
+                return
+            yield rows, np.max(mag, axis=1)
+            carry = rows[-1] @ jump
 
 
 def _loop_difference_eq(filt: LoopFilter, dt: float):
@@ -323,8 +329,8 @@ def _loop_difference_eq(filt: LoopFilter, dt: float):
     w = sqrt(eta1 eta2) X0 + xi2 to the filtered feedback signal y.
 
     The loop is the causal recursion y_n = (h * u)_{n-1-d} with
-    u = w + g y, d = T / dt a whole number of steps; _lfilter evaluates it
-    exactly, from rest.
+    u = w + g y, d = T / dt a whole number of steps; _BlockRecursion
+    evaluates it exactly, from rest.
     """
     d = int(round(filt.delay_T / dt))
     if abs(d * dt - filt.delay_T) > 1e-9 * max(dt, filt.delay_T):
@@ -378,11 +384,14 @@ def simulate(sim: SemiclassicalSim) -> SimRecord:
     s_in = np.sqrt(eta1 * eta2)
     s_out = np.sqrt(eta1 * (1.0 - eta2))
     g_out = filt.g * np.sqrt((1.0 - eta2) / eta2)
-    # the records are the rows of one block: freed together, they leave one
-    # hole that later large arrays can reuse, where two blocks of 8 MB
-    # (10^6 samples) left holes too small for the 13 MB arrays of a d = 30
-    # steady state, which then peaked 15 MiB higher
-    di2, di3 = np.zeros((2, total))
+    # two blocks, not the rows of one: glibc trims a malloc arena only once
+    # its free top reaches twice the largest block it has mapped and freed.
+    # As one block, the records of two simulations alive at once (one's
+    # output held while the next runs) were exactly that size, so whether
+    # freeing them returned the memory hinged on where a small allocation
+    # landed: the analysis benchmark's peak resident memory read 81 or
+    # 93 MiB at random. As two blocks they are twice it
+    di2, di3 = np.zeros(total), np.zeros(total)
 
     # classical input amplitude noise (exact OU discretization)
     if sim.classical_noise is not None:
@@ -426,13 +435,31 @@ def diverges(filt: LoopFilter, dt: float, duration: float) -> bool:
     """Brute-force stability probe: drive the closed loop with an impulse and
     compare late-time to early-time energy. Independent of the Nyquist test.
 
-    The response is _lfilter's output for the one-sample input [1.0] over
-    round(duration / dt) samples, so every block after the first runs the
-    zero-input carry, and below order _BLOCK only the carry rows and the
-    impulse's input row of the block map are built. A response that is not finite (an
-    unstable loop may overflow to inf or nan) or that exceeds
-    DIVERGENCE_LIMIT counts as diverging. ValueError for a non-finite or non-positive dt and for a
-    duration that is not finite or spans fewer than 4 steps.
+    The verdict is that of the whole response y, the outputs of the loop
+    recursion for the one-sample input [1.0] over n = round(duration / dt)
+    samples: diverging if not max |y| <= DIVERGENCE_LIMIT (so also where y
+    is inf or nan, as an unstable loop may overflow), and otherwise if
+    max |y[3n/4:]| > max |y[:n/4]| + 1e-300. ValueError for a non-finite or
+    non-positive dt and for a duration that is not finite or spans fewer
+    than 4 steps.
+
+    The response is computed only where it can settle that verdict, and no
+    array of n samples is formed. The blocks that read the impulse are run
+    exactly; their head samples are a lower bound of the head maximum. Past
+    them the zero-input carries step a group of s blocks at a time
+    (`_BlockRecursion.carries`). Each carry is the p response samples before
+    its group, so a run of carries that is not finite or passes the limit
+    returns True at once; an exactly zero one ends the response. A group's
+    outputs are c @ span, each at most ||c||_inf times the largest column
+    1-norm of span. That bound is enlarged by 1 + 2 (p + 2) eps, eps the
+    machine epsilon, for rounding: Higham's gamma_p for a sum of p products
+    in the outputs and in the norms, and the rounding of the bound's own
+    product. Only these groups' outputs are computed:
+    - those whose bound could pass the limit;
+    - those reaching the tail whose bound could reach the head's lower
+      bound; no other can raise the tail maximum past the head;
+    - if the tail maximum then passes the lower bound, those in the head
+      whose bound passes it, which makes the head maximum exact.
 
     A Sampled response runs as the zero-order-hold recursion
     y_n = sum_k h_k dt u_{n-1-d-k}, one sample of lag more than the
@@ -447,14 +474,60 @@ def diverges(filt: LoopFilter, dt: float, duration: float) -> bool:
     n = int(round(duration / dt))
     if n < 4:
         raise ValueError(f"duration {duration} spans {n} < 4 steps of {dt}")
-    b, a = _loop_difference_eq(filt, dt)
+    rec = _BlockRecursion(*_loop_difference_eq(filt, dt))
+    m, p = rec.m, rec.p
+    head_end, tail_start = n // 4, 3 * n // 4
+    nb = -(-n // m)
+    # the blocks whose state holds the impulse: block k reads x[km - p:]
+    nbx = min(nb, -(-(1 + p) // m))
     with np.errstate(over="ignore", invalid="ignore"):
-        y = np.abs(_lfilter(b, a, [1.0], n))
-    if not np.max(y) <= DIVERGENCE_LIMIT:   # also inf and nan
-        return True
-    head = np.max(y[: n // 4]) + 1e-300
-    tail = np.max(y[3 * n // 4:])
-    return tail > head
+        y = np.abs(rec.blocks(np.ones(1), nbx)[:n])
+        if not np.max(y) <= DIVERGENCE_LIMIT:   # also inf and nan
+            return True
+        head = np.max(y[:head_end])
+        tail = np.max(y[tail_start:], initial=0.0)
+        nt = nb - nbx
+        # past the impulse, the carry steps s blocks at a time. The span
+        # costs (s - 1) p^2 m multiply-adds to build, at most the nt m p of
+        # every group's outputs
+        s = _TAIL_STEP
+        while s > 1 and (s - 1) * p > nt:
+            s //= 2
+        span = rec.span(s)
+        runs, tops = [], []
+        for rows, top in rec.carries(span, -(-nt // s)):
+            if not np.all(top <= DIVERGENCE_LIMIT):
+                return True
+            runs.append(rows)
+            tops.append(top)
+        if not runs:
+            return tail > head + 1e-300
+        carried = np.concatenate(runs)
+        bound = (np.concatenate(tops) * np.linalg.norm(span, 1)
+                 * (1.0 + 2 * (p + 2) * np.finfo(float).eps))
+        starts = nbx * m + s * m * np.arange(len(carried))
+        offsets = np.arange(s * m)
+
+        def peak(groups, lo, hi):
+            """The largest |output| of the groups at samples lo <= i < hi."""
+            out = np.abs(carried[groups] @ span)
+            pos = starts[groups, None] + offsets
+            return np.max(out, where=(pos >= lo) & (pos < min(hi, n)),
+                          initial=0.0)
+
+        wild = ~(bound <= DIVERGENCE_LIMIT)
+        if wild.any():
+            if not peak(wild, 0, n) <= DIVERGENCE_LIMIT:
+                return True
+            head = max(head, peak(wild, 0, head_end))
+            tail = max(tail, peak(wild, tail_start, n))
+        late = ~wild & (starts + s * m > tail_start) & ~(bound < head)
+        if late.any():
+            tail = max(tail, peak(late, tail_start, n))
+        early = ~wild & (starts < head_end) & ~(bound <= head)
+        if tail > head and early.any():
+            head = max(head, peak(early, 0, head_end))
+    return tail > head + 1e-300
 
 
 def _smooth_floor(n: int) -> int:

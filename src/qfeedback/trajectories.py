@@ -240,15 +240,17 @@ class _Kernel:
     The maps share the model's symmetries: with real Kraus operators (the
     damped cavity under F proportional to y, the atom under sigma_y
     feedback) Im rho_ij never mixes with Re rho_ij, and under photon counting
-    a diagonal state stays diagonal. The union of the square maps' nonzero
-    patterns splits the coordinates into invariant blocks that no map
-    leaves (as operators._invariant_blocks finds them), and `keep` is the
-    union of the blocks where rows(rho0) is nonzero, found by one search
-    from those coordinates: no state of the trajectory has another nonzero
-    coordinate. Every map, column and the trace row are cut
-    to `keep`, so the step runs on w = len(keep) columns (d of d^2 under
-    counting from a Fock state, d(d + 1)/2 for real Kraus operators); a
-    state that reaches every block keeps them all, keep = arange(d^2).
+    a diagonal state stays diagonal; and a map that only lowers the Fock
+    level (the damped cavity's jump and no-jump maps) never reaches the
+    levels above rho0's. `keep` is the set of coordinates reachable from
+    those where rows(rho0) is nonzero along the directed nonzero patterns of
+    the square maps, found by one forward search: no state of the
+    trajectory has another nonzero coordinate. Every map, column and the
+    trace row are cut to `keep`, so the step runs on w = len(keep) columns
+    (from Fock k: k + 1 under counting, (k + 1)(k + 2)/2 under the homodyne
+    jump, d(d + 1)/2 for real Kraus operators under diffusive detection
+    with feedback F proportional to y); a state that reaches every
+    coordinate keeps them all, keep = arange(d^2).
     `rows`, `full` and `states` convert between the kept coordinates, all
     d^2 and matrices.
 
@@ -319,18 +321,19 @@ class _Kernel:
         self.idle_noise = 0.0
 
     def _reach(self, rho0, squares):
-        """Set keep, the sorted coordinates joined to a nonzero coordinate of
-        rows(rho0) through the union of the nonzero patterns of the square
-        maps `squares`: the invariant blocks of those maps that rho0 touches,
-        found by one search (operators._connected, the search that
-        operators._invariant_blocks runs per block). Also set `_dropped`, the
-        other coordinates, the width w and the trace row cut to keep. Returns
-        the index that cuts a square map to keep."""
+        """Set keep, the sorted coordinates that a state starting on the
+        nonzero coordinates of rows(rho0) can reach: a step maps r to
+        r @ M for the square maps M in `squares`, so coordinate i reaches j
+        where some M[i, j] != 0, and keep is the forward search along those
+        edges (operators._connected). It is closed under every step, and a
+        map that only lowers the Fock level keeps the levels above rho0's
+        out. Also set `_dropped`, the other coordinates, the width w and the
+        trace row cut to keep. Returns the index that cuts a square map to
+        keep."""
         co = self.coords
         adj = np.zeros((co.n2, co.n2), dtype=bool)
         for m in squares:
             adj |= m != 0
-        adj |= adj.T
         reached = ops._connected(adj, np.flatnonzero(co.rows(rho0)))
         self.keep = np.flatnonzero(reached)
         self._dropped = np.flatnonzero(~reached)

@@ -157,6 +157,34 @@ class TestFluorescenceSpectrum:
         assert np.max(np.abs(s.values - expected)) < 1e-12
         assert np.all(s.values >= 0.0)
 
+    @pytest.mark.parametrize("eta_mm, eps, lam", [
+        (0.8, 0.95, -0.76), (0.8, 0.95, -0.3), (0.5, 0.7, 0.4)])
+    def test_half_the_exact_incoherent_spectrum(self, eta_mm, eps, lam):
+        # the exact incoherent spectrum of the feedback master equation,
+        # (1 - eta)/pi Re Tr[sigma† (i omega - L)^-1 (sigma rho - <sigma> rho)]
+        # with rho its steady state, is twice the closed form, and
+        # integrates to (1 - eta)<sigma† sigma> (here <sigma> = 0)
+        p = at.AtomLoopParams.from_lambda(eta_mm, eps, lam)
+        model = at.atom_feedback_master_equation(p)
+        rho = ops.steady_state(model)
+        sm = ops.sigma_minus()
+        mean = ops.expect(sm, rho)
+        assert abs(mean) < 1e-14
+        omega = np.linspace(-5.0, 5.0, 40)
+        drive = ops._vec(sm @ rho - mean * rho)
+        exact = np.array([
+            np.trace(sm.conj().T @ np.linalg.solve(
+                1j * w * np.eye(4) - model.liouvillian, drive
+            ).reshape(2, 2, order="F")).real
+            for w in omega]) * (1.0 - eta_mm) / math.pi
+        closed = at.fluorescence_spectrum(p, omega).values
+        assert np.max(np.abs(exact - 2.0 * closed)) <= 1e-12 * np.max(exact)
+        # the closed form's integral, (1 - eta)(gz - C)/(4 gz)
+        gx, gy, gz, c = at.decay_rates(p)
+        excited = ops.expect(sm.conj().T @ sm, rho).real
+        assert abs((1.0 - eta_mm) * (gz - c) / (4.0 * gz)
+                   - 0.5 * (1.0 - eta_mm) * excited) < 1e-14
+
     def test_negative_prefactor_guard(self):
         with pytest.raises(NegativePrefactor):
             at._two_lorentzian_power(0.5, 0.5, 0.5, 1.0, 1.1, [0.0])

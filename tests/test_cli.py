@@ -23,6 +23,12 @@ EXIT_CODES = {
 }
 
 
+def jumping(filt, omega, extra=None):
+    """A loop transfer whose locus - 1 steps in phase by 2 rad at omega = 1:
+    every refinement of the Nyquist grid leaves one interval that jumps."""
+    return 1.0 + np.exp(2j * (np.asarray(omega) >= 1.0))
+
+
 def read_csv(path):
     header, rows = [], []
     with open(path) as fh:
@@ -257,19 +263,26 @@ class TestOtherSubcommands:
         assert np.array_equal(marginal, (g == 1.0).astype(float))
         assert np.array_equal(stable, (g < 1.0).astype(float))
 
-    def test_stability_unresolved_contour_exits_3(self, tmp_path, monkeypatch,
-                                                  capsys):
+    def test_qnd_unresolved_contour_exits_3(self, tmp_path, monkeypatch,
+                                            capsys):
         # a locus whose phase steps by 2 rad at omega = 1 never resolves:
-        # a numerical failure, not a marginal gain
-        def jumping(filt, omega, extra=None):
-            return 1.0 + np.exp(2j * (np.asarray(omega) >= 1.0))
-
+        # a numerical failure, not a marginal gain. The QND pair loop still
+        # takes the Nyquist contour
         monkeypatch.setattr(loop, "loop_transfer", jumping)
-        out = tmp_path / "st.csv"
-        assert cli.run(["stability", "--output", str(out)]) == 3
+        out = tmp_path / "q.csv"
+        assert cli.run(["qnd", "--output", str(out)]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "failed to converge" in err
         assert not out.exists()
+
+    def test_stability_takes_no_contour(self, tmp_path, monkeypatch):
+        # the single-pole grid is judged by Hayes' closed form, so a locus
+        # that would never resolve leaves its rows as they were
+        ref, out = tmp_path / "ref.csv", tmp_path / "st.csv"
+        assert cli.run(["stability", "--output", str(ref)]) == 0
+        monkeypatch.setattr(loop, "loop_transfer", jumping)
+        assert cli.run(["stability", "--output", str(out)]) == 0
+        assert read_csv(out)[1:] == read_csv(ref)[1:]
 
     def test_qnd_runs(self, tmp_path):
         out = tmp_path / "q.csv"

@@ -201,6 +201,27 @@ class TestUMin:
             assert ic.u_min(p) <= ic.variance_no_feedback(p) + 1e-12
 
 
+class TestFeedbackMasterEquationBridge:
+    @pytest.mark.parametrize("eta", [1.0, 0.8])
+    def test_unconditioned_variance_is_the_steady_state(self, eta):
+        # the steady state of the feedback master equation with F = -(lam/2) y
+        # at d = 24 has x variance <x^2> - <x>^2 - 1 equal to the closed form
+        # U_lam, for no feedback, lam* / 2, lam* and a destabilizing lam
+        from qfeedback import trajectories as tj
+        p = ic.LinearCavityParams(l=0.0, theta=0.3,
+                                  measurement=ic.Homodyne(eta))
+        dim = 24
+        model = ic.parametric_model(p, dim)
+        x, y = ops.quad_x(dim), ops.quad_y(dim)
+        lam_star = ic.optimal_lambda(p)
+        for lam in (0.0, lam_star / 2.0, lam_star, -0.2):
+            rho = ops.steady_state(
+                tj.feedback_master_equation(model, -0.5 * lam * y, eta))
+            u = (ops.expect(x @ x, rho).real - ops.expect(x, rho).real ** 2
+                 - 1.0)
+            assert abs(u - ic.unconditioned_variance(p, lam)) < 1e-12
+
+
 class TestSqueezedBath:
     def test_nm_zero_plain_decay(self):
         model = ic.squeezed_bath_model(0.0, 0.0, 5)

@@ -146,14 +146,24 @@ class TestIsStable:
     def test_delayed_single_pole_boundary(self):
         self.check_boundary()
 
+    @staticmethod
+    def verdicts(filt):
+        """is_stable's verdict (Hayes' closed form for a single pole) and
+        that of the Nyquist contour, counted by _nyquist_winding itself."""
+        return loop.is_stable(filt), loop._nyquist_winding(filt) == 0
+
     def check_boundary(self):
+        # three ways: Hayes in is_stable, the contour, and critical_gain
         for gamma in (0.01, 0.1, 1.0, 10.0):
             for T in (1e-3, 0.01, 0.1, 1.0, 10.0):
                 g_c = self.critical_gain(gamma, T)
+                assert abs(loop._critical_gain(gamma * T) - g_c) \
+                    <= 1e-13 * abs(g_c)
                 for eps in (1e-3, 1e-6):
-                    assert loop.is_stable(pole_filter(g_c * (1 - eps), gamma, T))
-                    assert not loop.is_stable(
-                        pole_filter(g_c * (1 + eps), gamma, T))
+                    inside = pole_filter(g_c * (1 - eps), gamma, T)
+                    outside = pole_filter(g_c * (1 + eps), gamma, T)
+                    assert self.verdicts(inside) == (True, True)
+                    assert self.verdicts(outside) == (False, False)
 
     def test_random_single_poles_match_critical_gain(self):
         self.check_random_single_poles()
@@ -167,7 +177,8 @@ class TestIsStable:
             T = 10 ** rng.uniform(-2.0, 1.0)
             g = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(0.0, np.log10(400))
             g_c = self.critical_gain(gamma, T)
-            assert loop.is_stable(pole_filter(g, gamma, T)) == (g_c < g < 1)
+            want = g_c < g < 1
+            assert self.verdicts(pole_filter(g, gamma, T)) == (want, want)
 
     def test_boundary_in_small_contour_chunks(self, monkeypatch):
         # every contour spans many chunks, each refined on its own
@@ -178,13 +189,33 @@ class TestIsStable:
         monkeypatch.setattr(loop, "_CONTOUR_CHUNK", 97)
         self.check_random_single_poles()
 
+    def test_single_poles_never_sample_a_contour(self, monkeypatch):
+        # is_stable judges every single pole without extra by Hayes' form
+        def no_contour(*args, **kwargs):
+            raise AssertionError("the Nyquist contour was sampled")
+
+        monkeypatch.setattr(loop, "loop_transfer", no_contour)
+        assert loop.is_stable(pole_filter(-10.0, 0.1, 1.0))
+        assert not loop.is_stable(pole_filter(-10.0, 1.0, 1.0))
+        assert loop.is_stable(pole_filter(-1e4, 1.0, 0.0))
+
+    def test_critical_gain_limits(self):
+        # -inf without delay, about -pi / (2 gamma T) for a short one, and
+        # -1 for a long one, where every |g| < 1 is stable and no other
+        assert loop._critical_gain(0.0) == -np.inf
+        for gamma_t in (1e-6, 1e-9, 1e-300):
+            g_c = loop._critical_gain(gamma_t)
+            assert abs(g_c * gamma_t / (-0.5 * np.pi) - 1.0) < 2.0 * gamma_t
+        assert loop._critical_gain(1e9) == -1.0
+        assert loop._critical_gain(np.inf) == -1.0
+
     def test_long_contour_memory_is_bounded(self):
         # cut 2 |g| gamma = 6000 at spacing pi / 160: about 3e5 samples
         # before refinement, counted a chunk at a time
         g, gamma, T = -300.0, 10.0, 40.0
         tracemalloc.start()
         try:
-            stable = loop.is_stable(pole_filter(g, gamma, T))
+            stable = loop._nyquist_winding(pole_filter(g, gamma, T)) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -201,11 +232,28 @@ class TestIsStable:
             loop.is_stable(loop.LoopFilter(1.0, loop.Sampled(np.ones(5), 0.1),
                                            0.5))
 
+    @pytest.mark.parametrize("gamma, T", [(1.0, 1.0), (0.1, 1e-4),
+                                          (10.0, 100.0)])
+    def test_critical_gain_is_marginal(self, gamma, T):
+        # within CRITICAL_TOL |g_c| of g_c, where |1 - L| at the crossing
+        # frequency is about |g - g_c| / |g_c|, and a verdict just outside
+        g_c = loop._critical_gain(gamma * T)
+        for rel in (0.0, 0.5e-9, -0.5e-9):
+            with pytest.raises(MarginalStability):
+                loop.is_stable(pole_filter(g_c * (1 + rel), gamma, T))
+        assert loop.is_stable(pole_filter(g_c * (1 - 2e-9), gamma, T))
+        assert not loop.is_stable(pole_filter(g_c * (1 + 2e-9), gamma, T))
+
     def test_unresolved_contour_is_not_marginal(self, monkeypatch):
+        # a sampled response still takes the contour through is_stable
         monkeypatch.setattr(loop, "loop_transfer", jumping_transfer)
-        with pytest.raises(NyquistUnresolved) as err:
-            loop.is_stable(pole_filter(-2.0, 1.0, 0.1))
-        assert not isinstance(err.value, MarginalStability)
+        sampled = loop.LoopFilter(-2.0, loop.Sampled([1.0, 0.5], 0.1), 0.1)
+        for judge in (loop.is_stable, loop._nyquist_winding):
+            with pytest.raises(NyquistUnresolved) as err:
+                judge(sampled)
+            assert not isinstance(err.value, MarginalStability)
+        with pytest.raises(NyquistUnresolved):
+            loop._nyquist_winding(pole_filter(-2.0, 1.0, 0.1))
 
     def test_extra_must_have_unit_area(self):
         pair = qnd.QndParams(1.0, 2.0, 1.0).pair_response

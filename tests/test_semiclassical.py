@@ -19,6 +19,54 @@ from qfeedback.errors import (
 )
 
 
+def lfilter(b, a, x, n=None):
+    """Output from rest of y[n] = sum_k b[k] x[n-k] - sum_{k>=1} a[k] y[n-k]
+    (a[0] = 1) for the 1-D input x followed by zeros: n >= len(x) samples
+    (default len(x)). The reference run of a _BlockRecursion: its blocks
+    over x, chunk by chunk as `simulate` runs them, then every output of
+    its zero-input groups, each a carry times the span."""
+    x = np.asarray(x, dtype=float)
+    nx = len(x)
+    n = nx if n is None else n
+    if n < nx:
+        raise ValueError(f"n = {n} is shorter than the {nx} input samples")
+    rec = sc._BlockRecursion(b, a)
+    m, p = rec.m, rec.p
+    nb = -(-n // m)
+    # the blocks whose state holds an input: block k reads x[km - p:(k + 1)m]
+    nbx = min(nb, -(-(nx + p) // m))
+    nt = nb - nbx
+    s = sc._TAIL_STEP
+    while s > 1 and (s - 1) * p > nt:
+        s //= 2
+    groups = -(-nt // s)
+    y = np.zeros((nbx + groups * s) * m)
+    for k in range(0, nbx, sc._CHUNK_BLOCKS):
+        count = min(sc._CHUNK_BLOCKS, nbx - k)
+        rec.blocks(x[k * m:(k + count) * m], count,
+                   out=y[k * m:(k + count) * m])
+    if nt:
+        span = rec.span(s)
+        rows = y[nbx * m:].reshape(groups, s * m)
+        done = 0
+        for carried, _ in rec.carries(span, groups):
+            np.dot(carried, span, out=rows[done:done + len(carried)])
+            done += len(carried)
+    return y[:n]
+
+
+def reference_diverges(filt, dt, duration):
+    """The probe's verdict from the whole impulse response: past
+    DIVERGENCE_LIMIT (or not finite), or a tail maximum above the head's."""
+    n = int(round(duration / dt))
+    b, a = sc._loop_difference_eq(filt, dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.abs(lfilter(b, a, [1.0], n))
+    if not np.max(y) <= sc.DIVERGENCE_LIMIT:
+        return True
+    return np.max(y[3 * n // 4:]) > np.max(y[:n // 4]) + 1e-300
+
+
 def make_sim(g=0.0, gamma=1.0, T=0.0, eta1=1.0, eta2=0.5, noise=None,
              dt=0.01, duration=400.0, seed=123):
     s0x = noise.spectrum if noise is not None else 1.0
@@ -75,7 +123,7 @@ class TestSimulate:
             innov = rng.standard_normal(total)
             drive = np.sqrt(var_ss * (1.0 - decay ** 2)) * innov
             drive[0] += decay * np.sqrt(var_ss) * innov[0]
-            x0 = sc._lfilter([1.0], [1.0, -decay], drive)
+            x0 = lfilter([1.0], [1.0, -decay], drive)
         else:
             x0 = np.zeros(total)
         xi2 = rng.standard_normal(total) / np.sqrt(dt)
@@ -84,7 +132,7 @@ class TestSimulate:
         s_in = np.sqrt(eta1 * eta2)
         s_out = np.sqrt(eta1 * (1.0 - eta2))
         g_out = filt.g * np.sqrt((1.0 - eta2) / eta2)
-        y = sc._lfilter(*sc._loop_difference_eq(filt, dt), s_in * x0 + xi2)
+        y = lfilter(*sc._loop_difference_eq(filt, dt), s_in * x0 + xi2)
         di2 = s_in * x0 + filt.g * y + xi2
         di3 = s_out * x0 + g_out * y + xi3
         assert np.array_equal(rec.di2, di2[burn:])
@@ -143,6 +191,11 @@ class TestClassicalNoise:
         assert np.mean(dev < 3.0) > 0.9
 
 
+# acceptance criterion 4's stability map: gains, and (gamma, T) pairs
+GAINS = (-12.0, -8.0, -4.0, -1.5, -0.8, 0.5, 1.5, 3.0, 6.0, 10.0)
+CONFIGS = ((1.0, 1.0), (0.1, 1.0), (1.0, 0.3), (2.0, 0.2), (1.0, 0.05))
+
+
 class TestDiverges:
     def test_agrees_with_nyquist(self):
         cases = [(-10.0, 1.0, 1.0), (-10.0, 0.1, 1.0), (0.5, 1.0, 3.0),
@@ -154,13 +207,11 @@ class TestDiverges:
 
     def test_stability_map_raises_no_warnings(self):
         # criterion 4's grid: unstable loops overflow without a warning
-        gains = (-12.0, -8.0, -4.0, -1.5, -0.8, 0.5, 1.5, 3.0, 6.0, 10.0)
-        configs = ((1.0, 1.0), (0.1, 1.0), (1.0, 0.3), (2.0, 0.2), (1.0, 0.05))
         checked = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for gamma, T in configs:
-                for g in gains:
+            for gamma, T in CONFIGS:
+                for g in GAINS:
                     filt = loop.LoopFilter(g, loop.SinglePole(gamma), T)
                     try:
                         stable = loop.is_stable(filt)
@@ -179,8 +230,8 @@ class TestDiverges:
         impulse = np.zeros(int(round(400.0 / dt)))
         impulse[0] = 1.0
         b, a = sc._loop_difference_eq(filt, dt)
-        for y in (sc._lfilter(b, a, impulse),
-                  sc._lfilter(b, a, [1.0], len(impulse))):
+        for y in (lfilter(b, a, impulse),
+                  lfilter(b, a, [1.0], len(impulse))):
             assert y.shape == impulse.shape
             subnormal = (y != 0.0) & (np.abs(y) < np.finfo(float).tiny)
             assert not np.any(subnormal)
@@ -206,6 +257,112 @@ class TestDiverges:
                                0.1)
         assert 2.0 * 80.0 * filt.response.ft_bound > 100.0 / 0.02
         assert sc.diverges(filt, 0.02, 400.0) == (not loop.is_stable(filt))
+
+    def test_matches_reference_on_the_stability_map(self):
+        # criterion 4's grid, marginal gains included
+        for gamma, T in CONFIGS:
+            for g in GAINS:
+                filt = loop.LoopFilter(g, loop.SinglePole(gamma), T)
+                assert sc.diverges(filt, T / 64.0, 400.0) \
+                    == reference_diverges(filt, T / 64.0, 400.0), filt
+
+    @pytest.mark.parametrize("filt", [
+        loop.LoopFilter(-3.0, loop.Sampled(np.exp(-0.02 * np.arange(200)),
+                                           0.02), 0.2),
+        loop.LoopFilter(-1.5, loop.Sampled([1.0], 0.02), 0.0),
+        loop.LoopFilter(-80.0, loop.Sampled([1.0, 0.5, 0.25], 0.02), 0.1)],
+        ids=["sampled_200", "one_tap_box", "three_taps"])
+    def test_matches_reference_on_sampled_loops(self, filt):
+        assert sc.diverges(filt, 0.02, 400.0) \
+            == reference_diverges(filt, 0.02, 400.0)
+
+    def test_matches_reference_on_random_loops(self):
+        # 100 single poles, half of them within 5% of Hayes' critical gain
+        # or of g = 1, where the response grows or decays slowly, and 100
+        # sampled responses
+        rng = np.random.default_rng(27)
+        verdicts = []
+        for k in range(200):
+            steps = int(rng.integers(2, 41))
+            if k < 100:
+                gamma = 10 ** rng.uniform(-0.5, 0.5)
+                T = rng.uniform(0.1, 1.0)
+                dt = T / steps
+                if k % 2:
+                    edge = (loop._critical_gain(gamma * T) if k % 4 == 1
+                            else 1.0)
+                    g = edge * (1.0 + rng.choice([-1.0, 1.0])
+                                * 10 ** rng.uniform(-3.0, np.log10(0.05)))
+                else:
+                    g = rng.uniform(-15.0, 3.0)
+                response = loop.SinglePole(gamma)
+            else:
+                dt = 0.02
+                T = dt * int(rng.integers(0, 21))
+                taps = int(rng.integers(1, 301))
+                response = loop.Sampled(rng.random(taps) * np.exp(
+                    -rng.uniform(0.0, 0.1) * np.arange(taps)), dt)
+                g = rng.uniform(-20.0, 1.5)
+            filt = loop.LoopFilter(g, response, T)
+            duration = rng.uniform(20.0, 200.0)
+            verdict = sc.diverges(filt, dt, duration)
+            assert verdict == reference_diverges(filt, dt, duration), filt
+            verdicts.append(verdict)
+        assert 40 <= sum(verdicts) <= 160
+
+    def test_matches_reference_at_the_edges(self):
+        # a response within its first block; one whose carry is zero after
+        # it (no feedback, three taps); one that first passes the limit in
+        # its last group of blocks, after the last carry is checked
+        cases = [(loop.LoopFilter(-0.5, loop.SinglePole(1.0), 0.0), 0.01, 1.0),
+                 (loop.LoopFilter(0.0, loop.Sampled([1.0, 1.0, 1.0], 0.02),
+                                  0.0), 0.02, 400.0)]
+        growing = loop.LoopFilter(1.5, loop.SinglePole(1.0), 0.05)
+        dt = 0.05 / 64.0
+        b, a = sc._loop_difference_eq(growing, dt)
+        y = lfilter(b, a, [1.0], 100_000)
+        first = np.argmax(np.abs(y) > sc.DIVERGENCE_LIMIT)
+        assert first > 0
+        cases.append((growing, dt, (first + 1) * dt))
+        for filt, dt, duration in cases:
+            assert sc.diverges(filt, dt, duration) \
+                == reference_diverges(filt, dt, duration)
+        assert sc.diverges(growing, dt, (first + 1) * dt)
+
+    def test_unstable_loop_stops_early(self, monkeypatch):
+        # criterion 4's g = 3, T = 0.05 loop has 250 groups of 8 blocks
+        # past its first block, and a carry passes the limit within the
+        # first two runs of 8 groups; the stable g = -1.5 loop steps its
+        # carries past the head (62.5 groups) until they are exactly zero
+        counts = []
+        carries = sc._BlockRecursion.carries
+
+        def counted(self, span, count):
+            counts.append(0)
+            for rows, top in carries(self, span, count):
+                counts[-1] += len(rows)
+                yield rows, top
+
+        monkeypatch.setattr(sc._BlockRecursion, "carries", counted)
+        dt = 0.05 / 64.0
+        unstable = loop.LoopFilter(3.0, loop.SinglePole(1.0), 0.05)
+        stable = loop.LoopFilter(-1.5, loop.SinglePole(1.0), 0.05)
+        assert sc.diverges(unstable, dt, 400.0)
+        assert not sc.diverges(stable, dt, 400.0)
+        assert counts[0] <= 16
+        assert 62 < counts[1] < 250
+
+    def test_probe_forms_no_response_array(self):
+        # the stable g = 0.5, T = 0.05 loop's response never reaches zero
+        # in its 512 000 samples (4.1 MB as one array)
+        filt = loop.LoopFilter(0.5, loop.SinglePole(1.0), 0.05)
+        tracemalloc.start()
+        try:
+            assert not sc.diverges(filt, 0.05 / 64.0, 400.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
     @pytest.mark.parametrize("dt, duration", [
         (0.0, 400.0), (-0.01, 400.0), (0.01, 0.02), (0.01, 0.0),
@@ -243,7 +400,7 @@ class TestDelayGrid:
 
 
 def _reference_filters():
-    """{name: (b, a, x)} cases for _lfilter against scipy.signal.lfilter."""
+    """{name: (b, a, x)} cases for lfilter against scipy.signal.lfilter."""
     noise = np.random.default_rng(8).standard_normal(20000)
     cases = []
     for d in (0, 25, 64):
@@ -283,7 +440,7 @@ class TestLfilter:
     def test_matches_scipy(self, name):
         b, a, x = REFERENCE_FILTERS[name]
         ref = signal.lfilter(b, a, x)
-        y = sc._lfilter(b, a, x)
+        y = lfilter(b, a, x)
         assert y.shape == x.shape
         assert np.all(np.isfinite(ref))
         scale = np.max(np.abs(ref))
@@ -297,7 +454,7 @@ class TestLfilter:
         # the impulse alone, followed by len(x) - 1 zeros
         b, a, x = REFERENCE_FILTERS[name]
         ref = signal.lfilter(b, a, x)
-        y = sc._lfilter(b, a, [1.0], len(x))
+        y = lfilter(b, a, [1.0], len(x))
         assert y.shape == x.shape
         assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -309,8 +466,8 @@ class TestLfilter:
         b, a, x = REFERENCE_FILTERS["pole_d64"]
         assert len(a) == 66
         short = x[:length]
-        y = sc._lfilter(b, a, short, 20000)
-        padded = sc._lfilter(b, a, np.pad(short, (0, 20000 - length)))
+        y = lfilter(b, a, short, 20000)
+        padded = lfilter(b, a, np.pad(short, (0, 20000 - length)))
         assert y.shape == (20000,)
         assert np.max(np.abs(y - padded)) <= 1e-12 * np.max(np.abs(padded))
 
@@ -328,7 +485,7 @@ class TestLfilter:
 
     def test_output_shorter_than_input_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
-            sc._lfilter([0.3, 0.2], [1.0, -0.9], np.ones(10), 9)
+            lfilter([0.3, 0.2], [1.0, -0.9], np.ones(10), 9)
 
     def test_ou_initial_state_folds_into_first_sample(self):
         rng = np.random.default_rng(9)
@@ -338,7 +495,7 @@ class TestLfilter:
                                 zi=np.array([decay * x_init]))
         folded = drive.copy()
         folded[0] += decay * x_init
-        y = sc._lfilter([1.0], [1.0, -decay], folded)
+        y = lfilter([1.0], [1.0, -decay], folded)
         assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 

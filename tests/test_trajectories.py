@@ -603,14 +603,18 @@ def _full_step(model, dt, detection, feedback, rho, noise, old=None):
 
 
 class TestReachedCoordinates:
-    """The kernel steps only the invariant blocks its initial state
-    touches, and its results keep all d^2 coordinates."""
+    """The kernel steps only the coordinates its initial state can reach,
+    and its results keep all d^2 coordinates."""
 
     @pytest.mark.parametrize("name, width", [
-        ("cavity_counting", 12), ("cavity_homodyne_jump", 78),
+        ("cavity_counting", 4), ("cavity_homodyne_jump", 10),
         ("cavity_markovian_feedback", 78), ("cavity_delayed_feedback", 78)])
     def test_sme_cavity_widths(self, name, width):
-        # the perfbench sme-cavity operations: d = 12 from Fock 3
+        # the perfbench sme-cavity operations: d = 12 from Fock 3. The jump
+        # and no-jump maps only lower the level, so counting keeps the
+        # diagonal of levels 0-3 and the homodyne jump their real part;
+        # the y feedback raises the level, and diffusive detection keeps
+        # every real coordinate
         detection, feedback = _sme_cavity_unravelings(12)[name]
         kernel = tj._Kernel(cavity(12), 1e-3, detection, feedback,
                             ops.fock_dm(12, 3))
@@ -621,20 +625,23 @@ class TestReachedCoordinates:
 
     @pytest.mark.parametrize("dim", [2, 5, 9])
     def test_widths_follow_the_symmetries(self, dim):
-        # counting keeps a Fock state diagonal (d coordinates); real Kraus
-        # operators never mix Im rho_ij into Re rho_ij (d(d + 1)/2); an
-        # imaginary coherence reaches the imaginary parts too (d^2)
+        # from Fock 1, counting keeps the diagonal of levels 0-1 (2
+        # coordinates) and the homodyne jump their real part (3); real
+        # Kraus operators with the level-raising y feedback keep every real
+        # coordinate (d(d + 1)/2); an imaginary coherence of levels 0-1
+        # reaches their imaginary part too (4 under the jump, d^2 under
+        # diffusive feedback)
         fock = ops.fock_dm(dim, 1)
         psi = np.zeros(dim, dtype=complex)
         psi[0], psi[1] = 1.0, 1j
         coherent = np.outer(psi, psi.conj()) / 2
+        widths = {"cavity_counting": (2, 3), "cavity_homodyne_jump": (3, 4)}
         for name, (det, fb) in _sme_cavity_unravelings(dim).items():
-            want = dim if name == "cavity_counting" else dim * (dim + 1) // 2
-            assert tj._Kernel(cavity(dim), 1e-3, det, fb, fock).width == want
-        for det, fb in list(_sme_cavity_unravelings(dim).values())[1:]:
+            want = widths.get(name, (dim * (dim + 1) // 2, dim * dim))
+            assert tj._Kernel(cavity(dim), 1e-3, det, fb, fock).width == want[0]
             kernel = tj._Kernel(cavity(dim), 1e-3, det, fb, coherent)
-            assert kernel.width == dim * dim
-            assert np.array_equal(kernel.keep, np.arange(dim * dim))
+            assert kernel.width == want[1]
+        assert np.array_equal(kernel.keep, np.arange(dim * dim))
 
     def test_atom_under_feedback_keeps_three(self):
         # the in-loop atom of perfbench sme-atom: sigma_y feedback is real
@@ -670,7 +677,8 @@ class TestReachedCoordinates:
     @pytest.mark.parametrize("name", list(_sme_cavity_unravelings(6)))
     def test_reduced_step_matches_full_step(self, name):
         # one step of eight rows in the kept coordinates against the same
-        # step in all d^2, from Fock and coherent states of the reached set
+        # step in all d^2, from states of the reached set: without feedback
+        # the maps only lower the level, so the states stay on levels 0-3
         dim, dt = 6, 1e-2
         detection, feedback = _sme_cavity_unravelings(dim)[name]
         if feedback is not None:
@@ -682,18 +690,21 @@ class TestReachedCoordinates:
         kernel = tj._Kernel(model, dt, detection, feedback,
                             ops.fock_dm(dim, 3))
         rng = np.random.default_rng(23)
-        if kernel.width == dim:            # counting: diagonal states
-            rhos = [np.diag(rng.dirichlet(np.ones(dim))) for _ in range(8)]
+        levels = dim if feedback is not None else 4
+        rhos = np.zeros((8, dim, dim))
+        if isinstance(detection, tj.PhotonCounting):   # diagonal states
+            for rho in rhos:
+                rho[:levels, :levels] = np.diag(rng.dirichlet(np.ones(levels)))
         else:                              # real states
-            g = rng.standard_normal((8, dim, dim))
-            rhos = [m @ m.T / np.trace(m @ m.T) for m in g]
+            for rho, m in zip(rhos, rng.standard_normal((8, levels, levels))):
+                rho[:levels, :levels] = m @ m.T / np.trace(m @ m.T)
         if kernel.diffusive:
             noise = rng.standard_normal(8) * math.sqrt(dt)
         else:                              # half of the rows detect
             noise = np.where(np.arange(8) % 2 == 0, 0.0, np.inf)
         old = (rng.standard_normal(8) / math.sqrt(dt)
                if kernel.kick is not None else None)
-        r_new, _, bad = kernel.step(kernel.rows(np.array(rhos)), noise, old)
+        r_new, _, bad = kernel.step(kernel.rows(rhos), noise, old)
         assert bad is None
         for i, rho in enumerate(rhos):
             want = _full_step(model, dt, detection, feedback, rho, noise[i],
@@ -994,11 +1005,13 @@ class TestEnsembleContract:
         # BLAS code path than the 8-row block of a lone trajectory, which
         # changed the last bits of the maps' last columns until those were
         # padded to a multiple of 8; from Fock 3 the kernel steps 78 (real
-        # Kraus operators) or 12 (counting) of the 144 coordinates
+        # Kraus operators with y feedback), 10 (homodyne jump) or 4
+        # (counting) of the 144 coordinates
         cfg = config(cavity(12), detection, dt=1e-3, steps=64, seed=5,
                      snapshot_every=32, feedback=feedback)
         rho0 = ops.fock_dm(12, 3)
-        width = 12 if isinstance(detection, tj.PhotonCounting) else 78
+        width = {tj.PhotonCounting: 4, tj.HomodyneJump: 10}.get(
+            type(detection), 78)
         assert tj._Kernel(cfg.model, cfg.dt, detection, feedback,
                           rho0).width == width
         batch = tj.run_ensemble(cfg, 48, rho0, psd_segments=2,
