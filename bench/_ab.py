@@ -1,15 +1,17 @@
 """The A/B driver shared by the bench/ scripts.
 
-A script times one layer of two checkouts. It supplies a worker, which runs
-in a fresh process with one checkout's `src` on PYTHONPATH and prints one JSON
-line; a `run_side` that runs one side once (the worker, plus any fresh-process
+A script times one layer of two checkouts. It supplies its case names and a
+worker, which runs one case in a fresh process with one checkout's `src` on
+PYTHONPATH and prints one JSON line; a `run_side` that runs one side once
+(one worker process per case, merged by `run_cases`, plus any fresh-process
 CLI timing) and returns its sample; and a report that turns both sides'
-samples into the JSON written to --out. This module holds the rest: the
-command line (--parent, --out, --rounds, --repeats and the internal
---worker), the rounds, each of which runs both sides with the side that goes
-first alternating so that slow drift of a shared host reaches both alike,
-best-of timing, quartile summaries, round wins, fresh-process timing and the
-env block.
+samples into the JSON written to --out. Each case gets its own process so
+that its time does not depend on what the cases before it allocated or
+warmed up. This module holds the rest: the command line (--parent, --out,
+--rounds, --repeats and the internal --worker and --case), the rounds, each
+of which runs both sides with the side that goes first alternating so that
+slow drift of a shared host reaches both alike, best-of timing, quartile
+summaries, round wins, fresh-process timing and the env block.
 """
 
 from __future__ import annotations
@@ -82,14 +84,33 @@ def env() -> dict:
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
-def run_worker(script: str, src: str, repeats: int, cwd: str):
-    """Run `script --worker` in a fresh process on `src`; its last JSON line."""
+def run_worker(script: str, src: str, repeats: int, cwd: str, case: str):
+    """Run `script --worker --case case` in a fresh process on `src`; its
+    last JSON line."""
     proc = subprocess.run(
         [sys.executable, os.path.abspath(script), "--worker",
-         "--repeats", str(repeats)],
+         "--repeats", str(repeats), "--case", case],
         env=dict(os.environ, PYTHONPATH=src), cwd=cwd, capture_output=True,
         text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_cases(script: str, src: str, repeats: int, cwd: str, cases) -> dict:
+    """run_worker once per case, each in a fresh process, merged into one
+    sample: dict entries joined key by key, lists concatenated in case
+    order, and any other entry (such as import_s) taken from the first case
+    that reports it."""
+    out = {}
+    for case in cases:
+        for key, value in run_worker(script, src, repeats, cwd,
+                                     case).items():
+            if key not in out:
+                out[key] = value
+            elif isinstance(value, dict):
+                out[key].update(value)
+            elif isinstance(value, list):
+                out[key] += value
+    return out
 
 
 def time_python(args: list, src: str, cwd: str, environ: dict | None = None):
@@ -115,19 +136,19 @@ def time_cli(args: list, src: str, cwd: str, environ: dict | None = None):
 
 
 def main(argv, script: str, doc: str, worker, report, rounds: int,
-         repeats: int, run_side=None, progress=None) -> None:
+         repeats: int, run_side=None, progress=None, cases=()) -> None:
     """The command line of the bench script `script`.
 
-    With --worker, calls worker(repeats); a script without in-process
-    timings passes worker=None and its own run_side. Otherwise runs --rounds
-    rounds of run_side(src, repeats, workdir) on both sides (by default the
-    worker alone; workdir is a temporary directory shared by every run),
-    printing progress(samples) after each, and writes
-    {"env": ..., **report(samples, args)} to --out.
+    With --worker, calls worker(repeats, case) for the --case named; a
+    script without in-process timings passes worker=None and its own
+    run_side. Otherwise runs --rounds rounds of run_side(src, repeats,
+    workdir) on both sides (by default run_cases over `cases`; workdir is a
+    temporary directory shared by every run), printing progress(samples)
+    after each, and writes {"env": ..., **report(samples, args)} to --out.
     """
     if run_side is None:
         def run_side(src, repeats, workdir):
-            return run_worker(script, src, repeats, workdir)
+            return run_cases(script, src, repeats, workdir, cases)
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--parent", help="src directory of the other checkout")
     parser.add_argument("--out", help="JSON file to write")
@@ -135,9 +156,11 @@ def main(argv, script: str, doc: str, worker, report, rounds: int,
     parser.add_argument("--repeats", type=int, default=repeats)
     parser.add_argument("--worker", action="store_true",
                         help=argparse.SUPPRESS)
+    parser.add_argument("--case", choices=cases or None,
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        worker(args.repeats)
+        worker(args.repeats, args.case)
         return
     if not (args.parent and args.out):
         parser.error("--parent and --out are required")

@@ -15,12 +15,11 @@ so is the number of coordinates the kernel steps per row (its `width`; d^2
 for a kernel without one). A checkout whose `_Kernel` takes the initial
 state gets it; one without that argument is built as before.
 
-Every round runs one fresh worker process per side, and the side that goes
-first alternates, so slow drift of a shared host reaches both sides alike. A
-worker runs every case once untimed, then times each case --repeats times
-(one round over all cases per repeat, so a burst of load from other
-processes hits one repeat of a case rather than all of them) and reports the
-best. The summary per case is the median over rounds of microseconds per
+Every round runs one fresh worker process per side and case, so that no
+case's time depends on the cases before it, and the side that goes first
+alternates, so slow drift of a shared host reaches both sides alike. A
+worker runs its case once untimed, then times it --repeats times and reports
+the best. The summary per case is the median over rounds of microseconds per
 trajectory-step and of the build time, and how many rounds the change won.
 
 Run from the root of a checkout; --parent points at the `src` directory of
@@ -51,6 +50,8 @@ UNRAVELINGS = ("counting", "homodyne_jump", "markovian_feedback",
                "delayed_feedback")
 DT, ETA, STEPS, SEED = 1e-3, 0.8, 200, 2024
 METRICS = ("us_per_traj_step", "build_ms")
+CASES = tuple(f"{name}/d{dim}/B{batch}" for name in UNRAVELINGS
+              for dim, batch in SIZES)
 
 
 def config_for(name: str, dim: int):
@@ -119,23 +120,24 @@ class Case:
         return out
 
 
-def worker(repeats: int) -> None:
-    """Time every case of the checkout on PYTHONPATH; print JSON."""
-    cases = [Case(name, dim, batch) for name in UNRAVELINGS
-             for dim, batch in SIZES]
-    for case in cases:
-        case.records, _, case.failed = case.run()     # warm-up, untimed
+def worker(repeats: int, name: str) -> None:
+    """Time the case `name` of the checkout on PYTHONPATH; print JSON."""
+    unraveling, dim, batch = name.split("/")
+    case = Case(unraveling, int(dim[1:]), int(batch[1:]))
+    case.records, _, case.failed = case.run()     # warm-up, untimed
     for _ in range(repeats):
-        for case in cases:
-            case.time_once()
-    print(json.dumps([case.result() for case in cases]))
+        case.time_once()
+    print(json.dumps({"cases": [case.result()]}))
 
 
 def report(samples: dict, args) -> dict:
+    # per side, every round's list of case results
+    cases = {side: [r["cases"] for r in runs]
+             for side, runs in samples.items()}
     results = []
-    for i, first in enumerate(samples["parent"][0]):
+    for i, first in enumerate(cases["parent"][0]):
         row = {k: first[k] for k in ("unraveling", "d", "B", "rows")}
-        for side, runs in samples.items():
+        for side, runs in cases.items():
             row[f"{side}_width"] = runs[0][i]["width"]
             for m in METRICS:
                 row[f"{side}_{m}"] = statistics.median(r[i][m] for r in runs)
@@ -145,7 +147,7 @@ def report(samples: dict, args) -> dict:
         for m in METRICS:
             row[f"change_wins_{m}"] = sum(
                 c[i][m] < p[i][m]
-                for p, c in zip(samples["parent"], samples["change"]))
+                for p, c in zip(cases["parent"], cases["change"]))
         results.append(row)
         print(f"{row['unraveling']:20s} d={row['d']:2d} B={row['B']:3d} "
               + "  ".join(f"{m} {row['parent_' + m]:9.3f} -> "
@@ -155,17 +157,18 @@ def report(samples: dict, args) -> dict:
     return {
         "dt": DT, "steps": STEPS, "seed": SEED, "rounds": args.rounds,
         "repeats": args.repeats,
-        "metric": "per side and round, the best of repeats in one worker: "
-                  "microseconds per trajectory-step of _integrate and kernel "
-                  "build milliseconds; reported as the median over rounds, "
-                  "with the rounds in which the change was faster",
+        "metric": "per side, round and case, the best of repeats in one "
+                  "worker process: microseconds per trajectory-step of "
+                  "_integrate and kernel build milliseconds; reported as the "
+                  "median over rounds, with the rounds in which the change "
+                  "was faster",
         "results": results,
     }
 
 
 def main(argv=None) -> None:
     _ab.main(argv, __file__, __doc__, worker, report, rounds=15,
-             repeats=2)
+             repeats=2, cases=CASES)
 
 
 if __name__ == "__main__":

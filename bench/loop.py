@@ -20,12 +20,13 @@ Timings per side and round:
 - `cli_s` and `cli_rss_mb`: a fresh `python -m qfeedback stability` with
   default settings, wall time and peak resident memory of that process.
 
-The in-process timings run in a fresh worker process per side and round: one
-untimed warm-up call, then the best of --repeats calls. Every round runs both
-sides, and the side that goes first alternates, so slow drift of a shared
-host reaches both sides alike. The worker also reports the import time of
-`qfeedback` and every stable / unstable / marginal decision it saw, and each
-round compares the data rows of the two sides' `stability` CSVs.
+Each in-process case runs in its own fresh worker process per side and
+round, so that no case's time depends on the cases before it: one untimed
+warm-up call, then the best of --repeats calls. Every round runs both sides,
+and the side that goes first alternates, so slow drift of a shared host
+reaches both sides alike. The workers also report the import time of
+`qfeedback` and every stable / unstable / marginal decision they saw, and
+each round compares the data rows of the two sides' `stability` CSVs.
 
 Run from the root of a checkout; --parent points at the `src` directory of
 the checkout to compare against (for example an exported copy of the parent
@@ -52,8 +53,9 @@ GAINS = (-12.0, -8.0, -4.0, -1.5, -0.8, 0.5, 1.5, 3.0, 6.0, 10.0)
 CONFIGS = ((1.0, 1.0), (0.1, 1.0), (1.0, 0.3), (2.0, 0.2), (1.0, 0.05))
 
 
-def worker(repeats: int) -> None:
-    """Time the in-process calls of the checkout on PYTHONPATH; print JSON."""
+def worker(repeats: int, case: str) -> None:
+    """Time the in-process case `case` of the checkout on PYTHONPATH; print
+    JSON."""
     start = time.perf_counter()
     import numpy as np
     from qfeedback import loop, qnd
@@ -86,12 +88,10 @@ def worker(repeats: int) -> None:
     cases = {"stability_grid_s": grid, "criterion4_map_s": cmap,
              "sampled_200_s": sampled, "qnd_default_s": qnd_case,
              "beyond_big_s": beyond}
-    out = {"import_s": import_s}
-    for name, group in cases.items():
-        out[name] = _ab.best_of(lambda: decisions(group), repeats)
-    out["decisions"] = {name: decisions(group)
-                        for name, group in cases.items()}
-    print(json.dumps(out))
+    group = cases[case]
+    print(json.dumps({"import_s": import_s,
+                      case: _ab.best_of(lambda: decisions(group), repeats),
+                      "decisions": {case: decisions(group)}}))
 
 
 def csv_rows(path: str) -> list:
@@ -100,7 +100,7 @@ def csv_rows(path: str) -> list:
 
 
 def run_side(src: str, repeats: int, workdir: str) -> dict:
-    out = _ab.run_worker(__file__, src, repeats, workdir)
+    out = _ab.run_cases(__file__, src, repeats, workdir, IN_PROCESS)
     csv = os.path.join(workdir, "stability.csv")
     out["cli_s"], out["cli_rss_mb"] = _ab.time_cli(
         ["stability", "--output", csv], src, workdir)
@@ -117,8 +117,9 @@ def report(samples: dict, args) -> dict:
     result = {
         "rounds": args.rounds, "repeats": args.repeats,
         "metric": "seconds (cli_rss_mb: MiB); in-process timings are the "
-                  "best of repeats after one warm-up call, one sample per "
-                  "side and round; summary over rounds",
+                  "best of repeats after one warm-up call in a fresh process "
+                  "per case, one sample per side and round; summary over "
+                  "rounds",
         "same_decisions": all(p["decisions"] == c["decisions"]
                               for p, c in pairs),
         "same_csv_rows": all(p["csv_rows"] == c["csv_rows"] for p, c in pairs),
@@ -133,7 +134,8 @@ def report(samples: dict, args) -> dict:
 
 def main(argv=None) -> None:
     _ab.main(argv, __file__, __doc__, worker, report, rounds=10, repeats=3,
-             run_side=run_side, progress=_ab.last_round(METRICS))
+             run_side=run_side, progress=_ab.last_round(METRICS),
+             cases=IN_PROCESS)
 
 
 if __name__ == "__main__":

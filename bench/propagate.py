@@ -33,6 +33,11 @@ a model is not timed as a cache hit on one side alone):
 - `steady_state_dense_d30_peak_mb`: the tracemalloc peak, in MB, of that
   call, traced as `steady_state_d30_peak_mb`: the case where the block the
   trace row is written into is the whole generator;
+- `evolve_dense_d30_s`: `evolve` of that dense model from Fock state 0 to
+  t = 0.2: a vector that reaches every coordinate, so the action copies the
+  whole generator;
+- `evolve_dense_d30_peak_mb`: the tracemalloc peak, in MB, of that call,
+  traced as `steady_state_d30_peak_mb`;
 - `steady_state_atom_s`: `steady_state` of the atom under Markovian homodyne
   feedback, as in `evolve_atom_s`: the per-call overhead at d = 2;
 - `in_loop_cavity_d10_s`: `in_loop_correlation_spectrum` of the damped cavity
@@ -44,13 +49,15 @@ a model is not timed as a cache hit on one side alone):
   `qfeedback.operators` and calls `evolve` once (the cavity at d = 12,
   t = 0.6): wall time and peak resident memory of that process.
 
-The in-process timings run in a fresh worker process per side and round: one
-untimed warm-up call, then the best of --repeats calls. Every round runs both
-sides, and the side that goes first alternates, so slow drift of a shared
-host reaches both sides alike. The worker also reports the import time of
-`qfeedback.operators`, whether scipy was loaded after all calls, and every
-result, from which the report takes each case's largest difference between
-the two sides relative to the largest entry.
+Each in-process case runs in its own fresh worker process per side and
+round, so that no case's time depends on the cases before it: one untimed
+warm-up call, then the best of --repeats calls, and the case's traced peak
+after them where it has one. Every round runs both sides, and the side that
+goes first alternates, so slow drift of a shared host reaches both sides
+alike. The workers also report the import time of `qfeedback.operators`,
+whether scipy was loaded after each case, and every result, from which the
+report takes each case's largest difference between the two sides relative
+to the largest entry.
 
 Run from the root of a checkout; --parent points at the `src` directory of
 the checkout to compare against (for example an exported copy of the parent
@@ -73,13 +80,13 @@ import _ab
 
 IN_PROCESS = ("evolve_cavity_s", "evolve_atom_s", "evolve_d10_s",
               "evolve_d30_s", "correlation_d10_s", "squeezed_bath_t50_s",
-              "steady_state_d10_s", "steady_state_d20_s",
-              "steady_state_d30_s", "steady_state_dense_d30_s",
-              "steady_state_atom_s", "in_loop_cavity_d10_s",
-              "in_loop_cavity_d16_s")
-METRICS = IN_PROCESS + ("steady_state_d30_peak_mb",
-                        "steady_state_dense_d30_peak_mb", "fresh_s",
-                        "fresh_rss_mb", "import_s")
+              "evolve_dense_d30_s", "steady_state_d10_s",
+              "steady_state_d20_s", "steady_state_d30_s",
+              "steady_state_dense_d30_s", "steady_state_atom_s",
+              "in_loop_cavity_d10_s", "in_loop_cavity_d16_s")
+PEAKS = ("steady_state_d30_peak_mb", "steady_state_dense_d30_peak_mb",
+         "evolve_dense_d30_peak_mb")
+METRICS = IN_PROCESS + PEAKS + ("fresh_s", "fresh_rss_mb", "import_s")
 FRESH = ("import numpy as np\n"
          "from qfeedback import operators as ops\n"
          "cav = ops.LindbladModel(np.zeros((12, 12)),"
@@ -87,8 +94,9 @@ FRESH = ("import numpy as np\n"
          "ops.evolve(cav, ops.fock_dm(12, 3), 0.6)\n")
 
 
-def worker(repeats: int) -> None:
-    """Time the in-process calls of the checkout on PYTHONPATH; print JSON."""
+def worker(repeats: int, case: str) -> None:
+    """Time the in-process case `case` of the checkout on PYTHONPATH; print
+    JSON."""
     start = time.perf_counter()
     import numpy as np
     from qfeedback import operators as ops
@@ -124,13 +132,16 @@ def worker(repeats: int) -> None:
     tau = np.linspace(0.0, 2.0, 21)
     omega = np.linspace(0.0, 2.0, 100)
 
-    def peak_mb(model):
-        """The tracemalloc peak of steady_state(model), in MB."""
+    def peak_mb(call, model):
+        """The tracemalloc peak of call(model), in MB."""
         tracemalloc.start()
-        ops.steady_state(model)
+        call(model)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         return peak / 1e6
+
+    def evolve_dense(model):
+        return ops.evolve(model, ops.fock_dm(30, 0), 0.2)
 
     cases = {
         "evolve_cavity_s": lambda: [
@@ -149,6 +160,7 @@ def worker(repeats: int) -> None:
             50.0)],
         **{f"steady_state_d{d}_s": lambda d=d: [ops.steady_state(parametric(d))]
            for d in (10, 20, 30)},
+        "evolve_dense_d30_s": lambda: [evolve_dense(dense30())],
         "steady_state_dense_d30_s": lambda: [ops.steady_state(dense30())],
         "steady_state_atom_s": lambda: [ops.steady_state(atom_fb())],
         **{f"in_loop_cavity_d{d}_s": lambda d=d: [
@@ -157,22 +169,24 @@ def worker(repeats: int) -> None:
                 omega).values]
            for d in (10, 16)},
     }
-    out = {"import_s": import_s}
-    for name, fn in cases.items():
-        out[name] = _ab.best_of(fn, repeats)
-    out["steady_state_d30_peak_mb"] = peak_mb(parametric(30))
-    out["steady_state_dense_d30_peak_mb"] = peak_mb(dense30())
-    results = {}
-    for name, fn in cases.items():
-        flat = np.concatenate([r.ravel() for r in fn()])
-        results[name] = [flat.real.tolist(), flat.imag.tolist()]
-    out["results"] = results
-    out["scipy_loaded"] = "scipy" in sys.modules
+    # case -> (its peak metric, the call traced, the model it is traced on)
+    peaks = {"steady_state_d30_s": (PEAKS[0], ops.steady_state,
+                                    lambda: parametric(30)),
+             "steady_state_dense_d30_s": (PEAKS[1], ops.steady_state,
+                                          dense30),
+             "evolve_dense_d30_s": (PEAKS[2], evolve_dense, dense30)}
+    out = {"import_s": import_s, case: _ab.best_of(cases[case], repeats)}
+    if case in peaks:
+        name, call, make = peaks[case]
+        out[name] = peak_mb(call, make())
+    flat = np.concatenate([r.ravel() for r in cases[case]()])
+    out["results"] = {case: [flat.real.tolist(), flat.imag.tolist()]}
+    out["scipy_loaded"] = {case: "scipy" in sys.modules}
     print(json.dumps(out))
 
 
 def run_side(src: str, repeats: int, workdir: str) -> dict:
-    out = _ab.run_worker(__file__, src, repeats, workdir)
+    out = _ab.run_cases(__file__, src, repeats, workdir, IN_PROCESS)
     out["fresh_s"], out["fresh_rss_mb"] = _ab.time_python(["-c", FRESH], src,
                                                           workdir)
     return out
@@ -192,7 +206,8 @@ def agreement(parent: dict, change: dict) -> dict:
 def report(samples: dict, args) -> dict:
     sides = _ab.sides_summary(samples, METRICS)
     for side, runs in samples.items():
-        sides[side] = {"scipy_loaded": [r["scipy_loaded"] for r in runs],
+        sides[side] = {"scipy_loaded": [any(r["scipy_loaded"].values())
+                                        for r in runs],
                        **sides[side]}
     wins = {m: _ab.change_wins(samples, m) for m in METRICS}
     rel = agreement(samples["parent"][0]["results"],
@@ -202,10 +217,10 @@ def report(samples: dict, args) -> dict:
         print(f"{name:28s} change vs parent: {value:.2e} relative")
     return {
         "rounds": args.rounds, "repeats": args.repeats,
-        "metric": "seconds (fresh_rss_mb: MiB, steady_state_d30_peak_mb and "
-                  "steady_state_dense_d30_peak_mb: MB traced); in-process timings are the best of repeats "
-                  "after one warm-up call, one sample per side and round; "
-                  "summary over rounds",
+        "metric": "seconds (fresh_rss_mb: MiB, *_peak_mb: MB traced); "
+                  "in-process timings are the best of repeats after one "
+                  "warm-up call in a fresh process per case, one sample per "
+                  "side and round; summary over rounds",
         "relative_difference": rel,
         "change_wins": wins,
         "sides": sides,
@@ -214,7 +229,8 @@ def report(samples: dict, args) -> dict:
 
 def main(argv=None) -> None:
     _ab.main(argv, __file__, __doc__, worker, report, rounds=10, repeats=3,
-             run_side=run_side, progress=_ab.last_round(METRICS, 3))
+             run_side=run_side, progress=_ab.last_round(METRICS, 3),
+             cases=IN_PROCESS)
 
 
 if __name__ == "__main__":

@@ -22,13 +22,14 @@ Per side and round:
 - `cli_s` and `cli_rss_mb`: a fresh `python -m qfeedback semiclassical` with
   default settings, wall time and peak resident memory of that process.
 
-The in-process timings run in a fresh worker process per side and round: one
-untimed warm-up call, then the best of --repeats calls. Every round runs both
-sides, and the side that goes first alternates, so slow drift of a shared
-host reaches both sides alike. The worker also reports the import time of
-`qfeedback`, whether `scipy.signal` was loaded after all calls, and the
-`diverges` verdict of every probe of the map, which the report compares
-between the sides round by round.
+Each in-process case runs in its own fresh worker process per side and
+round, so that no case's time depends on the cases before it: one untimed
+warm-up call, then the best of --repeats calls. Every round runs both sides,
+and the side that goes first alternates, so slow drift of a shared host
+reaches both sides alike. The workers also report the import time of
+`qfeedback`, whether `scipy.signal` was loaded after each case, and (the
+`diverges_map_s` case) the `diverges` verdict of every probe of the map,
+which the report compares between the sides round by round.
 
 Run from the root of a checkout; --parent points at the `src` directory of
 the checkout to compare against (for example an exported copy of the parent
@@ -58,8 +59,9 @@ PEAKS = ("simulate_peak_mb", "oracle_simulate_peak_mb", "estimate_psd_peak_mb")
 METRICS = IN_PROCESS + PEAKS + ("cli_s", "cli_rss_mb", "import_s")
 
 
-def worker(repeats: int) -> None:
-    """Time the in-process calls of the checkout on PYTHONPATH; print JSON."""
+def worker(repeats: int, case: str) -> None:
+    """Time the in-process case `case` of the checkout on PYTHONPATH; print
+    JSON."""
     start = time.perf_counter()
     import tracemalloc
 
@@ -103,29 +105,27 @@ def worker(repeats: int) -> None:
             if sc.diverges(filt, dt, 400.0) == stable:
                 raise RuntimeError(f"diverges disagrees with Nyquist: {filt}")
 
-    out = {
-        "import_s": import_s,
-        "simulate_s": _ab.best_of(lambda: sc.simulate(sim), repeats),
-        "oracle_simulate_s": _ab.best_of(lambda: sc.simulate(oracle), repeats),
-        "estimate_psd_s": _ab.best_of(lambda: sc.estimate_psd(series, 0.01, 64),
-                                  repeats),
-        "diverges_map_s": _ab.best_of(lambda: run_map(probes), repeats),
-        **{row: _ab.best_of(lambda: run_map(rows[row]), repeats)
-           for row in ROWS},
-        "simulate_peak_mb": peak_mb(lambda: sc.simulate(sim)),
-        "oracle_simulate_peak_mb": peak_mb(lambda: sc.simulate(oracle)),
-        "estimate_psd_peak_mb": peak_mb(
-            lambda: sc.estimate_psd(series, 0.01, 64)),
-        "probes": len(probes),
-        "decisions": [int(sc.diverges(filt, dt, 400.0))
-                      for filt, dt, _ in probes],
-        "scipy_signal_loaded": "scipy.signal" in sys.modules,
+    cases = {
+        "simulate_s": lambda: sc.simulate(sim),
+        "oracle_simulate_s": lambda: sc.simulate(oracle),
+        "estimate_psd_s": lambda: sc.estimate_psd(series, 0.01, 64),
+        "diverges_map_s": lambda: run_map(probes),
+        **{row: lambda row=row: run_map(rows[row]) for row in ROWS},
     }
+    out = {"import_s": import_s, case: _ab.best_of(cases[case], repeats)}
+    peak = case.removesuffix("_s") + "_peak_mb"
+    if peak in PEAKS:
+        out[peak] = peak_mb(cases[case])
+    if case == "diverges_map_s":
+        out["probes"] = len(probes)
+        out["decisions"] = [int(sc.diverges(filt, dt, 400.0))
+                            for filt, dt, _ in probes]
+    out["scipy_signal_loaded"] = {case: "scipy.signal" in sys.modules}
     print(json.dumps(out))
 
 
 def run_side(src: str, repeats: int, workdir: str) -> dict:
-    out = _ab.run_worker(__file__, src, repeats, workdir)
+    out = _ab.run_cases(__file__, src, repeats, workdir, IN_PROCESS)
     csv = os.path.join(workdir, "semiclassical.csv")
     out["cli_s"], out["cli_rss_mb"] = _ab.time_cli(
         ["semiclassical", "--output", csv], src, workdir)
@@ -136,7 +136,8 @@ def report(samples: dict, args) -> dict:
     sides = _ab.sides_summary(samples, METRICS)
     for side, runs in samples.items():
         sides[side] = {
-            "scipy_signal_loaded": [r["scipy_signal_loaded"] for r in runs],
+            "scipy_signal_loaded": [any(r["scipy_signal_loaded"].values())
+                                    for r in runs],
             "probes": runs[0]["probes"], "decisions": runs[0]["decisions"],
             **sides[side]}
     wins = {m: _ab.change_wins(samples, m) for m in METRICS}
@@ -148,8 +149,9 @@ def report(samples: dict, args) -> dict:
         "rounds": args.rounds, "repeats": args.repeats,
         "metric": "seconds (cli_rss_mb: MiB, *_peak_mb: MB of "
                   "tracemalloc peak); in-process timings are the "
-                  "best of repeats after one warm-up call, one sample per "
-                  "side and round; summary over rounds",
+                  "best of repeats after one warm-up call in a fresh process "
+                  "per case, one sample per side and round; summary over "
+                  "rounds",
         "same_decisions": same,
         "change_wins": wins,
         "sides": sides,
@@ -158,7 +160,8 @@ def report(samples: dict, args) -> dict:
 
 def main(argv=None) -> None:
     _ab.main(argv, __file__, __doc__, worker, report, rounds=10, repeats=3,
-             run_side=run_side, progress=_ab.last_round(METRICS, 3))
+             run_side=run_side, progress=_ab.last_round(METRICS, 3),
+             cases=IN_PROCESS)
 
 
 if __name__ == "__main__":

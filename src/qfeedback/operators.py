@@ -19,7 +19,11 @@ real form is checked against; no solver reads it. The O(d^6) solves
 (`steady_state` here, the in-loop spectrum in :mod:`qfeedback.trajectories`)
 scan the real generator once for its invariant blocks (`_invariant_blocks`),
 the blocks a model's symmetries leave it split into, and copy and factor it
-one block at a time.
+one block at a time. Propagation (`evolve`, `two_time_correlation`) steps
+only the coordinates its vector reaches, found by the forward search
+`_connected` that also cuts the SME kernel to its initial state's reach, and
+copies that square of the generator once: the whole generator when the
+vector reaches every coordinate.
 """
 
 from __future__ import annotations
@@ -146,7 +150,9 @@ def _vec(m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # real coordinates of Hermitian matrices
 
-# complex entries of the rows of a map formed at once by sandwich_map (1 MB)
+# entries of a d^2 x d^2 matrix formed at once: the complex rows of a map
+# that sandwich_map builds (1 MB), the real columns of |A| that _expm_action
+# sums for its 1-norm (0.5 MB)
 _BUILD_BLOCK = 1 << 16
 
 
@@ -336,12 +342,6 @@ class LindbladModel:
             [(op, rate * op.conj().T) for rate, op in self.collapses]
             + [(-g, None), (None, -g.conj().T)]))
 
-    @cached_property
-    def real_liouvillian_shift(self) -> tuple:
-        """(mu, ||A - mu I||_1) of A = real_liouvillian (see _taylor_shift),
-        which _expm_action reads; computed once per model, as A is."""
-        return _taylor_shift(self.real_liouvillian)
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     """a, made read-only."""
@@ -371,33 +371,39 @@ _THETA = {1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def _taylor_shift(a: np.ndarray) -> tuple:
-    """(mu, ||a - mu I||_1) for mu = tr(a)/n, without forming a - mu I: the
-    1-norm is the largest column sum of |a| with each diagonal entry's |a_jj|
-    replaced by |a_jj - mu|."""
-    diag = np.diagonal(a)
-    mu = diag.sum() / len(a)
-    sums = np.abs(a).sum(axis=0) - np.abs(diag) + np.abs(diag - mu)
-    return mu, sums.max()
-
-
-def _expm_action(lv: np.ndarray, shift: tuple, v: np.ndarray,
-                 times) -> np.ndarray:
+def _expm_action(lv: np.ndarray, v: np.ndarray, times) -> np.ndarray:
     """exp(t lv) v at each t of the nonnegative ascending `times`, one row per
     t, each propagated from the previous one; v is a vector or a block of
-    columns propagated together. shift is _taylor_shift(lv); lv is only read.
+    columns propagated together. lv is only read.
+
+    Only the coordinates v reaches are stepped: coordinate j feeds i where
+    lv[i, j] != 0, so the forward search (_connected) along those edges from
+    the nonzero rows of v finds the coordinates exp(t lv) v can be nonzero
+    on. That square of lv is copied once, a plain copy when it is the whole
+    of lv, its 1-norm summed a block of columns at a time, and the result
+    scattered into zeros; a zero v returns zeros.
 
     The truncated Taylor action of Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-    488 (2011), Algorithm 3.2: with mu = tr(lv)/n and A = lv - mu I, a span t
-    takes s substeps of at most m Taylor terms of exp(t A / s), (m, s)
-    minimising m * ceil(t ||A||_1 / theta_m), each substep stopping once two
-    successive terms fall below 2^-53 of the sum, and scaled by e^{t mu / s}.
-    Each term applies A as lv @ term - mu term. The result is backward stable
-    to unit roundoff; its cost grows linearly with t ||A||_1.
+    488 (2011), Algorithm 3.2, on the copy A shifted by mu, the mean of its
+    diagonal: a span t takes s substeps of at most m Taylor terms of
+    exp(t A / s), (m, s) minimising m * ceil(t ||A||_1 / theta_m), each
+    substep stopping once two successive terms fall below 2^-53 of the sum,
+    and scaled by e^{t mu / s}. The result is backward stable to unit
+    roundoff; its cost grows linearly with t ||A||_1.
     """
-    mu, norm = shift
-    out = np.empty((len(times),) + v.shape, dtype=np.result_type(lv, v))
-    start = 0.0
+    out = np.zeros((len(times),) + v.shape, dtype=np.result_type(lv, v))
+    nonzero = np.flatnonzero(np.reshape(v, (len(v), -1)).any(axis=1))
+    if not nonzero.size:
+        return out
+    reach = np.flatnonzero(_connected((lv != 0).T, nonzero))
+    # the whole generator: a plain copy, faster than a gather
+    a = lv.copy() if len(reach) == len(lv) else lv[reach[:, None], reach]
+    mu = a.trace() / len(a)
+    a.reshape(-1)[::len(a) + 1] -= mu     # a is new and C-ordered: a view
+    step = max(1, _BUILD_BLOCK // len(a))  # no |a| temporary of a's size
+    norm = max(np.abs(a[:, k:k + step]).sum(axis=0).max()
+               for k in range(0, len(a), step))
+    v, start = v[reach], 0.0
     for i, t in enumerate(times):
         span, start = t - start, t
         if span > 0:
@@ -409,14 +415,14 @@ def _expm_action(lv: np.ndarray, shift: tuple, v: np.ndarray,
                 f = v.copy()
                 term, prev = v, np.abs(v).max()
                 for j in range(1, m + 1):
-                    term = (h / j) * (lv @ term - mu * term)
+                    term = (h / j) * (a @ term)
                     f += term
                     size = np.abs(term).max()
                     if prev + size <= _UNIT_ROUNDOFF * np.abs(f).max():
                         break
                     prev = size
                 v = scale * f
-        out[i] = v
+        out[i, reach] = v
     return out
 
 
@@ -438,8 +444,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray, t: float,
     dim = _check_dims(model.hamiltonian, rho0)
     co = coordinates(dim)
     r0 = co.rows(_hermitian_part(rho0))
-    rho = co.states(_expm_action(model.real_liouvillian,
-                                 model.real_liouvillian_shift, r0, [t])[0])
+    rho = co.states(_expm_action(model.real_liouvillian, r0, [t])[0])
     tr = np.trace(rho).real
     if not abs(tr - 1.0) <= TOL_TRACE:
         raise PositivityViolation(f"trace drifted to {tr}")
@@ -595,8 +600,7 @@ def two_time_correlation(model: LindbladModel, left: np.ndarray,
     co = coordinates(_check_dims(model.hamiltonian, mat, left))
     block = np.stack([co.rows(_hermitian_part(mat)),
                       co.rows(_hermitian_part(-1j * mat))], axis=-1)
-    vs = _expm_action(model.real_liouvillian, model.real_liouvillian_shift,
-                      block, tau_grid)
+    vs = _expm_action(model.real_liouvillian, block, tau_grid)
     if not np.all(np.isfinite(vs)):
         raise PositivityViolation("two-time propagation diverged")
     # left = P + iQ with P, Q Hermitian: Tr[left X] = e_P . x + i e_Q . x

@@ -12,10 +12,12 @@ the real Liouvillian is. An expectation value or the trace is one real
 column. The in-loop spectrum is a resolvent of the real Liouvillian in the
 same coordinates.
 
-The kernel steps only the invariant blocks of coordinates that its initial
-state touches (see _Kernel): 12 of the 144 coordinates of a d = 12 Fock
-state under counting, 78 under the homodyne unravelings. The positivity gate
-and the snapshots scatter the rows back to all d^2 coordinates.
+The kernel steps only the coordinates that its initial state reaches along
+the directed nonzero patterns of its maps (see _Kernel._reach): of the 144
+coordinates of a d = 12 cavity from Fock 3, 4 under counting, 10 under the
+homodyne unravelings without feedback and 78 under diffusive detection with
+the level-raising feedback F ∝ y. The positivity gate and the snapshots
+scatter the rows back to all d^2 coordinates.
 
 Every step is one product of the rows against Kraus blocks and an
 expectation column, a combination weighted by the noise, and the division by

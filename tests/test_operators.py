@@ -442,6 +442,15 @@ EXPM_CASES = {
 }
 
 
+# (model, d, Fock level, coordinates reached) for a Fock state whose reach is
+# a strict subset: the damped cavity from Fock 3 keeps the populations of
+# levels 0-3, and the parametric cavity from vacuum 42 of its coordinates
+REACH_CASES = {
+    "cavity-d12-fock3": (lambda: damped_cavity(12), 12, 3, 4),
+    "parametric-d12-vacuum": (lambda: parametric(12), 12, 0, 42),
+}
+
+
 def dense_propagator(model, t):
     """scipy's expm(L t); a real L (no feedback) in real arithmetic, the same
     map at a quarter of the cost."""
@@ -457,27 +466,44 @@ class TestExpmAction:
         n = model.dim ** 2
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         lv = model.liouvillian
-        got = ops._expm_action(lv, ops._taylor_shift(lv), v, [t])
+        got = ops._expm_action(lv, v, [t])
         want = dense_propagator(model, t) @ v
         assert got.shape == (1, n)
         assert np.max(np.abs(got[0] - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("name", sorted(EXPM_CASES))
-    def test_shift_matches_shifted_copy(self, name):
-        # (mu, ||A - mu I||_1) without the copy, on the complex and the real
-        # generator; the model caches the real one's
-        model, _ = EXPM_CASES[name]()
-        for a in (model.liouvillian, model.real_liouvillian):
-            mu, norm = ops._taylor_shift(a)
-            assert mu == np.trace(a) / len(a)
-            want = np.linalg.norm(a - mu * np.eye(len(a)), 1)
-            assert abs(norm - want) <= 1e-14 * max(want, 1.0)
-        assert model.real_liouvillian_shift == ops._taylor_shift(
-            model.real_liouvillian)
+    @pytest.mark.parametrize("name", sorted(REACH_CASES))
+    def test_steps_only_the_reach(self, name):
+        # a state that reaches a strict subset of the coordinates: exact
+        # zeros off that subset, found here by iterating the nonzero pattern
+        # to its fixed point, and scipy's expm on it
+        make, dim, level, n_reach = REACH_CASES[name]
+        lv = make().real_liouvillian
+        v = ops.coordinates(dim).rows(ops.fock_dm(dim, level))
+        reached = v != 0
+        while True:
+            grown = reached | ((lv != 0) @ reached)
+            if np.array_equal(grown, reached):
+                break
+            reached = grown
+        assert reached.sum() == n_reach
+        got = ops._expm_action(lv, v, [0.4, 1.0])
+        assert np.all(got[:, ~reached] == 0.0)
+        for row, t in zip(got, (0.4, 1.0)):
+            want = expm(lv * t) @ v
+            assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_zero_vector_returns_zeros(self):
+        lv = damped_cavity(4).real_liouvillian
+        for v in (np.zeros(16), np.zeros((16, 2))):
+            got = ops._expm_action(lv, v, [0.5, 1.0])
+            assert got.shape == (2,) + v.shape
+            assert not got.any()
 
     def test_evolve_copies_no_generator_d30(self):
-        # with the generator and its shift cached, a call traces only
-        # vectors of d^2 = 900 entries, not a d^4 copy (6.5 MB) of A
+        # with the generator cached, a call traces vectors of d^2 = 900
+        # entries, the d^4 boolean pattern of the reach search (0.8 MB),
+        # freed before the copy, and the copy of the vacuum's reach, 240 of
+        # the 900 coordinates, not a d^4 copy (6.5 MB) of A
         model = parametric(30)
         ops.evolve(model, ops.fock_dm(30, 0), 0.1)
         tracemalloc.start()

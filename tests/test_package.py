@@ -192,3 +192,27 @@ def test_readme_quick_start_runs():
     exec(compile(snippet, "README.md", "exec"), namespace)
     assert namespace["s2"].values.shape == (256,)
     assert namespace["summary"].n_success >= 180
+
+
+def test_readme_dotted_names_resolve():
+    # every backticked dotted name in the README that starts with the
+    # package, one of its modules or one of its classes names an attribute
+    # that exists, so a removed name does not linger in the documentation
+    pkg = pathlib.Path(qfeedback.__file__).parent
+    roots = {"qfeedback": qfeedback}
+    for path in sorted(pkg.glob("[!_]*.py")):
+        module = importlib.import_module(f"qfeedback.{path.stem}")
+        roots[path.stem] = module
+        roots.update((name, obj) for name, obj in vars(module).items()
+                     if isinstance(obj, type)
+                     and obj.__module__ == module.__name__)
+    with open(README) as fh:
+        names = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", fh.read())
+    checked = [name for name in names if name.split(".")[0] in roots]
+    assert len(checked) >= 16
+    for name in checked:
+        head, *parts = name.split(".")
+        obj = roots[head]
+        for part in parts:
+            assert hasattr(obj, part), f"README names `{name}`"
+            obj = getattr(obj, part)
