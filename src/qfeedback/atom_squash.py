@@ -41,7 +41,11 @@ class AtomLoopParams:
 
     @classmethod
     def from_lambda(cls, eta_mm: float, eps: float, lam: float) -> "AtomLoopParams":
-        """Build from the feedback parameter instead of the raw gain."""
+        """Build from the feedback parameter instead of the raw gain;
+        lambda must exceed -eta, checked before dividing by eta + lambda."""
+        if not lam > -eta_mm:
+            raise ValueError(
+                f"lambda = {lam} must exceed -eta (eta = {eta_mm})")
         return cls(eta_mm, eps, lam / (eta_mm + lam))
 
 

@@ -41,7 +41,11 @@ class UnstableLoop(QFeedbackError):
 
 
 class MarginalStability(QFeedbackError):
-    """The Nyquist contour passes too close to the critical point to classify."""
+    """The loop sits too close to the edge of stability to classify or to
+    evaluate: |1 - L| < loop.CRITICAL_TOL on the Nyquist contour or at a
+    requested omega (loop._closed_loop), or, in Hayes' single-pole form,
+    g within that tolerance of 1 or within that tolerance times |g_c| of
+    the critical gain g_c."""
 
 
 class NyquistUnresolved(QFeedbackError):

@@ -104,6 +104,8 @@ def conditioned_variance_trajectory(params: LinearCavityParams, u_init: float,
     the repelling fixed point and stays there.
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or not t_grid.size or not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid must be a non-empty, finite 1-D array")
     s, _, floor = _riccati(params)
     if not u_init >= floor:
         raise ValueError(f"initial variance {u_init} must be >= {floor:g}")

@@ -1,8 +1,13 @@
 """Two-mode QND measurement cavity and QND-based feedback spectra.
 
 The coupling H = (chi/2) x_a y_c is used only through its linear
-frequency-domain input-output relations; measurement quality is
-Q = 4 chi / sqrt(gamma kappa).
+frequency-domain input-output relations (quadrature_transfer); measurement
+quality is Q = 4 chi / sqrt(gamma kappa). The feedback spectra compose those
+relations with the loop: the whole meter photocurrent, probe signal and meter
+noise alike, passes the electronic filter G = g h~ e^{-i omega T} and is
+written onto the probe input, so the free beam leaves with
+S_out_x = (1 + g^2 |h~|^2 / Q^2) / |1 - G p~|^2, which falls to the
+measurement noise 1 / |Q p~|^2 as g -> -infinity.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnstableLoop
-from .loop import LoopFilter, Spectrum, _closed_loop, is_stable
+from .loop import (LoopFilter, Spectrum, _closed_loop, is_stable,
+                   loop_transfer)
 
 
 @dataclass(frozen=True)
@@ -49,62 +55,58 @@ def quadrature_transfer(params: QndParams, omega):
 
     Returns (X_block, Y_block), each shaped (..., 2, 2). The X quadrature of
     the probe passes through with unit magnitude (the non-demolition
-    property); its readout appears on the meter output with gain -Q p~
-    relative terms, while the probe phase quadrature absorbs the back-action.
+    property); the meter output reads it with gain x_db = -Q p~, and the
+    probe phase quadrature absorbs the back-action y_bd = Q p~, with p~ the
+    pair response. The diagonal entries are all-pass, of unit magnitude.
     """
     omega = np.asarray(omega, dtype=float)
     k, g = params.kappa, params.gamma
-    q = params.q_factor
-    zk = (k - 2j * omega) / (k + 2j * omega)
-    zg = (g - 2j * omega) / (g + 2j * omega)
+    zk = -(k - 2j * omega) / (k + 2j * omega)
+    zg = -(g - 2j * omega) / (g + 2j * omega)
+    qp = params.q_factor * params.pair_response(omega)
     zero = np.zeros_like(zk)
-    xbb = -zk
-    xdb = -g * k * q / ((k + 2j * omega) * (g + 2j * omega))
-    xdd = -zg
-    x_block = np.stack([
-        np.stack([xbb, zero], axis=-1),
-        np.stack([xdb, xdd], axis=-1),
-    ], axis=-2)
-    ybb = -zk
-    ybd = q * g * k / ((g + 2j * omega) * (k + 2j * omega))
-    ydd = -zg
-    y_block = np.stack([
-        np.stack([ybb, ybd], axis=-1),
-        np.stack([zero, ydd], axis=-1),
-    ], axis=-2)
+    x_block = np.stack([np.stack([zk, zero], axis=-1),
+                        np.stack([-qp, zg], axis=-1)], axis=-2)
+    y_block = np.stack([np.stack([zk, qp], axis=-1),
+                        np.stack([zero, zg], axis=-1)], axis=-2)
     return x_block, y_block
 
 
 def qnd_feedback_output_spectra(params: QndFeedbackParams, omega_grid,
                                 check_stability: bool = True):
     """Output spectra of the squeezed free beam produced by feeding back the
-    QND readout:
+    QND readout, for vacuum inputs (unit spectra).
 
-        S_out_x = (1 + g^2 / Q^2) / |1 - g p~ h~ e^{-i omega T}|^2
-        S_out_y = 1 + |Q p~|^2
+    With (x, y) = quadrature_transfer, the meter readout divided by -Q is
+    R = p~ X_b,in + (x_dd / -Q) X_d,in. The filter G = g h~ e^{-i omega T}
+    acts on all of it, and G R adds to the probe input, so
 
-    for vacuum inputs (unit spectra). The effective loop response is the
-    electronic filter times the two-cavity pair response p~.
+        S_out_x = |x_bb|^2 (1 + |G x_dd / Q|^2) / |1 - G p~|^2
+                = (1 + g^2 |h~|^2 / Q^2) / |1 - g h~ p~ e^{-i omega T}|^2
+        S_out_y = |y_bb|^2 + |y_bd|^2 = 1 + |Q p~|^2.
 
-    check_stability runs the Nyquist test first (UnstableLoop); either way
-    |1 - L| < loop.CRITICAL_TOL on the grid raises MarginalStability.
+    check_stability runs the stability test on the loop G p~ first
+    (UnstableLoop); either way |1 - G p~| < loop.CRITICAL_TOL on the grid
+    raises MarginalStability.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     filt, pair = params.filter, params.qnd.pair_response
     if check_stability and not is_stable(filt, extra=pair):
         raise UnstableLoop(f"QND loop with g = {filt.g} is unstable")
+    x, y = quadrature_transfer(params.qnd, omega_grid)
     q = params.qnd.q_factor
+    meter = loop_transfer(filt, omega_grid) * x[..., 1, 1] / q
     den = np.abs(_closed_loop(filt, omega_grid, extra=pair)) ** 2
-    sx = (1.0 + filt.g ** 2 / q ** 2) / den
-    sy = 1.0 + np.abs(q * pair(omega_grid)) ** 2
+    sx = np.abs(x[..., 0, 0]) ** 2 * (1.0 + np.abs(meter) ** 2) / den
+    sy = np.abs(y[..., 0, 0]) ** 2 + np.abs(y[..., 0, 1]) ** 2
     return Spectrum(omega_grid, sx), Spectrum(omega_grid, sy)
 
 
 def large_gain_limit(params: QndFeedbackParams, omega):
-    """g -> -infinity floor of the output amplitude spectrum:
-    |Q p~(omega) h~(omega)|^-2 (the residual is the measurement noise)."""
-    omega = np.asarray(omega, dtype=float)
-    q = params.qnd.q_factor
-    p = params.qnd.pair_response(omega)
-    h = params.filter.response.ft(omega)
-    return 1.0 / np.abs(q * p * h) ** 2
+    """g -> -infinity limit of qnd_feedback_output_spectra's S_out_x wherever
+    h~(omega) != 0. The filter acts on the whole photocurrent, meter noise
+    included, so the fed-back meter noise |G x_dd / Q|^2 grows with the loop
+    gain |G p~|^2, and their ratio is the floor 1 / |Q p~(omega)|^2 whatever
+    the filter: the residual is the measurement noise."""
+    p = params.qnd
+    return 1.0 / np.abs(p.q_factor * p.pair_response(omega)) ** 2

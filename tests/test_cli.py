@@ -191,6 +191,24 @@ class TestExitCodes:
         assert cli.run(["atom", "--lam", "-0.9",
                         "--output", str(tmp_path / "a.csv")]) == 2
 
+    # lambda = -eta divided by zero before its check ran
+    @pytest.mark.parametrize("args", [
+        pytest.param(["--lam", "-0.8"], id="lam-at-minus-eta"),
+        pytest.param(["--eta", "0", "--lam", "0"], id="eta-and-lam-zero"),
+    ])
+    def test_atom_lambda_at_minus_eta(self, args, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        assert cli.run(["atom"] + args + ["--output", str(out)]) == 2
+        assert "must exceed -eta" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_series_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "i.csv"
+        assert cli.run(["intracavity", "--mode", "series", "--n", "0",
+                        "--output", str(out)]) == 2
+        assert "t_grid must be a non-empty" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", sorted(EXIT_CODES))
     def test_every_error_class(self, name, tmp_path, monkeypatch, capsys):
         exc_type = getattr(errors, name, None) or getattr(builtins, name)
@@ -209,6 +227,36 @@ class TestExitCodes:
                    if isinstance(obj, type) and issubclass(obj, Exception)
                    and not issubclass(obj, Warning)}
         assert defined <= set(EXIT_CODES)
+
+
+def _zero_int_runs():
+    """Every subcommand with one integer option other than seed set to 0,
+    under every choice of its string options (their help lists the choices
+    as 'a | b | c')."""
+    runs = []
+    for sub, opts in cli._OPTIONS.items():
+        choices = [[]]
+        for opt, typ, _, hlp in opts:
+            if typ is str:
+                words = [w.strip() for w in hlp.split("|")]
+                assert len(words) > 1, (sub, opt)
+                choices = [c + [f"--{opt}", w] for c in choices for w in words]
+        for opt, typ, _, _ in opts:
+            if typ is int and opt != "seed":
+                runs += [pytest.param([sub] + c + [f"--{opt}", "0"],
+                                      id="-".join([sub] + c[1::2] + [opt]))
+                         for c in choices]
+    return runs
+
+
+class TestExitCodeContract:
+    """A zero count anywhere exits with a documented code, never a
+    traceback: 0 success, 2 invalid parameters, 3 numerical failure."""
+
+    @pytest.mark.parametrize("args", _zero_int_runs())
+    def test_zero_integer_option(self, args, tmp_path):
+        out = str(tmp_path / "x.csv")
+        assert cli.run(args + ["--output", out]) in (0, 2, 3)
 
 
 class TestOutdirEnv:

@@ -32,6 +32,14 @@ class TestQuadratureTransfer:
         _, yb = qnd.quadrature_transfer(p, 1e-4)
         assert abs(yb[0, 1] - q) / q < 1e-3
 
+    def test_gains_are_the_pair_response(self):
+        p = params(kappa=3.0, gamma=0.5, chi=1.5)
+        omega = np.linspace(-6, 6, 25)
+        xb, yb = qnd.quadrature_transfer(p, omega)
+        qp = p.q_factor * p.pair_response(omega)
+        assert np.array_equal(xb[..., 1, 0], -qp)
+        assert np.array_equal(yb[..., 0, 1], qp)
+
     def test_q_factor(self):
         p = qnd.QndParams(4.0, 1.0, 3.0)
         assert abs(p.q_factor - 6.0) < 1e-14
@@ -96,3 +104,67 @@ class TestFeedbackSpectra:
                                 extra=fb_small.qnd.pair_response)
         pure = 1.0 / np.abs(1.0 - lt) ** 2
         assert np.max(np.abs(sx.values - pure)) < 1e-5
+
+
+def closed_loop_by_solve(fb, omega):
+    """S_out_x and S_out_y from quadrature_transfer's blocks, the loop solved
+    numerically at each omega. Unknowns u = (X_b,in, X_b,out, X_d,out) driven
+    by the free probe input X_f and the meter input X_d,in, both vacuum:
+        X_b,in  = X_f + G X_d,out / (-Q)
+        X_b,out = x_bb X_b,in + x_bd X_d,in
+        X_d,out = x_db X_b,in + x_dd X_d,in
+    The loop feeds back onto X only, so Y_b,in is vacuum."""
+    x, y = qnd.quadrature_transfer(fb.qnd, omega)
+    g = loop.loop_transfer(fb.filter, omega)
+    q = fb.qnd.q_factor
+    m = np.zeros(omega.shape + (3, 3), dtype=complex)
+    b = np.zeros(omega.shape + (3, 2), dtype=complex)
+    m[:, 0, 0], m[:, 0, 2], b[:, 0, 0] = 1.0, g / q, 1.0
+    m[:, 1, 1], m[:, 1, 0], b[:, 1, 1] = 1.0, -x[:, 0, 0], x[:, 0, 1]
+    m[:, 2, 2], m[:, 2, 0], b[:, 2, 1] = 1.0, -x[:, 1, 0], x[:, 1, 1]
+    u = np.linalg.solve(m, b)
+    sx = np.sum(np.abs(u[:, 1, :]) ** 2, axis=-1)
+    sy = np.sum(np.abs(y[:, 0, :]) ** 2, axis=-1)
+    return sx, sy
+
+
+class TestComposition:
+    """The output spectra are quadrature_transfer composed with the loop: the
+    filter acts on the whole photocurrent, meter noise included."""
+
+    def test_matches_independent_solve(self):
+        rng = np.random.default_rng(29)
+        count = 0
+        while count < 40:
+            kappa, gamma, chi = rng.uniform(0.1, 10.0, 3)
+            filt = loop.LoopFilter(rng.uniform(-20.0, 0.9),
+                                   loop.SinglePole(rng.uniform(0.01, 5.0)),
+                                   rng.choice([0.0, rng.uniform(0.0, 0.5)]))
+            fb = qnd.QndFeedbackParams(params(kappa, gamma, chi), filt)
+            if not loop.is_stable(filt, extra=fb.qnd.pair_response):
+                continue
+            omega = rng.uniform(-20.0, 20.0, 16)
+            sx, sy = qnd.qnd_feedback_output_spectra(fb, omega)
+            ref_x, ref_y = closed_loop_by_solve(fb, omega)
+            assert np.allclose(sx.values, ref_x, rtol=1e-12, atol=0)
+            assert np.allclose(sy.values, ref_y, rtol=1e-12, atol=0)
+            count += 1
+
+    def test_out_of_band_leaves_the_beam_alone(self):
+        # a 1e-3 filter passes 1e-3 / omega of the photocurrent above its
+        # band, so the loop neither squeezes nor adds meter noise there
+        fb = qnd.QndFeedbackParams(
+            params(), loop.LoopFilter(-10.0, loop.SinglePole(1e-3)))
+        sx, _ = qnd.qnd_feedback_output_spectra(fb, np.array([2.0, 5.0, 20.0]))
+        assert np.all(np.abs(sx.values - 1.0) < 1e-3)
+
+    def test_floor_is_measurement_noise(self):
+        # acceptance criterion 5's large-gain setup
+        fb = qnd.QndFeedbackParams(
+            params(), loop.LoopFilter(-1e4, loop.SinglePole(1e-6)))
+        omega = np.array([5e-7, 1e-6, 2e-6])
+        floor = qnd.large_gain_limit(fb, omega)
+        q = fb.qnd.q_factor
+        expected = 1.0 / np.abs(q * fb.qnd.pair_response(omega)) ** 2
+        assert np.allclose(floor, expected, rtol=1e-14, atol=0)
+        assert np.all(np.abs(floor * q ** 2 - 1.0) < 1e-6)

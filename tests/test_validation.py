@@ -1,4 +1,5 @@
-"""Parameter validation rejects NaN wherever it rejects an out-of-range value."""
+"""Parameter validation rejects NaN wherever it rejects an out-of-range value,
+and checks a range before the arithmetic it guards."""
 
 import math
 
@@ -61,6 +62,12 @@ CASES = {
     "conditioned_variance_trajectory.u_init": lambda: (
         ic.conditioned_variance_trajectory(
             ic.LinearCavityParams(l=0.1, theta=0.5), NAN, np.linspace(0, 1, 3))),
+    "conditioned_variance_trajectory.t_grid": lambda: (
+        ic.conditioned_variance_trajectory(
+            ic.LinearCavityParams(l=0.1, theta=0.5), 1.0, [0.0, NAN, 1.0])),
+    "conditioned_variance_trajectory.t_grid inf": lambda: (
+        ic.conditioned_variance_trajectory(
+            ic.LinearCavityParams(l=0.1, theta=0.5), 1.0, [0.0, INF])),
     "QndParams.kappa": lambda: qnd.QndParams(NAN, 1.0, 2.0),
     "QndParams.kappa inf": lambda: qnd.QndParams(INF, 1.0, 2.0),
     "QndParams.gamma inf": lambda: qnd.QndParams(1.0, INF, 2.0),
@@ -100,6 +107,8 @@ CASES = {
         0.8, 0.95, NAN),
     "lambda_for_spectrum.s_target inf": lambda: at.lambda_for_spectrum(
         0.8, 0.95, INF),
+    "AtomLoopParams.from_lambda nan": lambda: (
+        at.AtomLoopParams.from_lambda(0.8, 0.95, NAN)),
     "FreeSqueezeParams.big_l": lambda: at.FreeSqueezeParams(1.0, NAN),
     "FreeSqueezeParams.big_l inf": lambda: at.FreeSqueezeParams(1.0, INF),
 }
@@ -109,6 +118,28 @@ CASES = {
 def test_nan_parameter_rejected(name):
     with pytest.raises(ValueError):
         CASES[name]()
+
+
+# out-of-range arguments that once crashed before their check could run:
+# an empty grid was indexed, and lambda = -eta divided by zero
+RANGE_CASES = {
+    "conditioned_variance_trajectory.t_grid empty": lambda: (
+        ic.conditioned_variance_trajectory(
+            ic.LinearCavityParams(l=0.1, theta=0.5), 1.0, np.empty(0))),
+    "conditioned_variance_trajectory.t_grid 2-D": lambda: (
+        ic.conditioned_variance_trajectory(
+            ic.LinearCavityParams(l=0.1, theta=0.5), 1.0, np.zeros((2, 2)))),
+    "AtomLoopParams.from_lambda at -eta": lambda: (
+        at.AtomLoopParams.from_lambda(0.8, 0.95, -0.8)),
+    "AtomLoopParams.from_lambda eta = lam = 0": lambda: (
+        at.AtomLoopParams.from_lambda(0.0, 0.95, 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_CASES))
+def test_out_of_range_rejected(name):
+    with pytest.raises(ValueError):
+        RANGE_CASES[name]()
 
 
 @pytest.mark.parametrize("g, T, arg", [(NAN, 1.0, "g"), (INF, 1.0, "g"),
