@@ -16,6 +16,9 @@ Per side and round:
 - `diverges_map_s`: `diverges` over acceptance criterion 4's stability map
   (10 gains x 5 (gamma, T) configurations, dt = T / 64, 400 time units,
   marginal gains skipped as the criterion skips them);
+- `diverges_sampled_s`: `diverges` on the 200-tap `Sampled` loop that the
+  perfbench `analysis` workload probes (g = -3, h_k = exp(-0.02 k),
+  dt = 0.02, T = 0.2, 400 time units: an order-210 recursion);
 - `diverges_s.gamma<gamma>_T<T>`: the same map's gains at one (gamma, T)
   configuration, so that each response length shows on its own (400 time
   units at dt = T / 64: 25 600 samples at T = 1, 512 000 at T = 0.05);
@@ -29,7 +32,9 @@ and the side that goes first alternates, so slow drift of a shared host
 reaches both sides alike. The workers also report the import time of
 `qfeedback`, whether `scipy.signal` was loaded after each case, and (the
 `diverges_map_s` case) the `diverges` verdict of every probe of the map,
-which the report compares between the sides round by round.
+which the report compares between the sides round by round, and how many
+of the map's probes formed the map that a group's outputs multiply: the
+span, in a checkout whose probe builds one, or else the p x m tail map.
 
 Run from the root of a checkout; --parent points at the `src` directory of
 the checkout to compare against (for example an exported copy of the parent
@@ -54,7 +59,7 @@ GAINS = (-12.0, -8.0, -4.0, -1.5, -0.8, 0.5, 1.5, 3.0, 6.0, 10.0)
 CONFIGS = ((1.0, 1.0), (0.1, 1.0), (1.0, 0.3), (2.0, 0.2), (1.0, 0.05))
 ROWS = tuple(f"diverges_s.gamma{gamma}_T{delay}" for gamma, delay in CONFIGS)
 IN_PROCESS = ("simulate_s", "oracle_simulate_s", "estimate_psd_s",
-              "diverges_map_s") + ROWS
+              "diverges_map_s", "diverges_sampled_s") + ROWS
 PEAKS = ("simulate_peak_mb", "oracle_simulate_peak_mb", "estimate_psd_peak_mb")
 METRICS = IN_PROCESS + PEAKS + ("cli_s", "cli_rss_mb", "import_s")
 
@@ -92,6 +97,8 @@ def worker(repeats: int, case: str) -> None:
                 continue
             rows[row].append((filt, delay / 64.0, stable))
     probes = [probe for row in rows.values() for probe in row]
+    sampled = loop.LoopFilter(
+        -3.0, loop.Sampled(np.exp(-0.02 * np.arange(200)), 0.02), 0.2)
 
     def peak_mb(fn):
         tracemalloc.start()
@@ -110,6 +117,7 @@ def worker(repeats: int, case: str) -> None:
         "oracle_simulate_s": lambda: sc.simulate(oracle),
         "estimate_psd_s": lambda: sc.estimate_psd(series, 0.01, 64),
         "diverges_map_s": lambda: run_map(probes),
+        "diverges_sampled_s": lambda: sc.diverges(sampled, 0.02, 400.0),
         **{row: lambda row=row: run_map(rows[row]) for row in ROWS},
     }
     out = {"import_s": import_s, case: _ab.best_of(cases[case], repeats)}
@@ -120,8 +128,40 @@ def worker(repeats: int, case: str) -> None:
         out["probes"] = len(probes)
         out["decisions"] = [int(sc.diverges(filt, dt, 400.0))
                             for filt, dt, _ in probes]
+        out["probes_forming_output_map"] = forming_output_map(sc, probes)
     out["scipy_signal_loaded"] = {case: "scipy.signal" in sys.modules}
     print(json.dumps(out))
+
+
+def forming_output_map(sc, probes) -> int:
+    """How many of the probes form the map that a group's outputs multiply:
+    the span, where `_BlockRecursion` has one, or else the tail map, which
+    it then forms on first use."""
+    cls = sc._BlockRecursion
+    recs, spans = [], set()
+    init = cls.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        recs.append(self)
+
+    cls.__init__ = recorded
+    has_span = hasattr(cls, "span")
+    if has_span:
+        span = cls.span
+
+        def counted(self, s):
+            spans.add(id(self))
+            return span(self, s)
+
+        cls.span = counted
+    count = 0
+    for filt, dt, _ in probes:
+        start = len(recs)
+        sc.diverges(filt, dt, 400.0)
+        count += any(id(rec) in spans if has_span else "tail" in vars(rec)
+                     for rec in recs[start:])
+    return count
 
 
 def run_side(src: str, repeats: int, workdir: str) -> dict:
@@ -139,6 +179,8 @@ def report(samples: dict, args) -> dict:
             "scipy_signal_loaded": [any(r["scipy_signal_loaded"].values())
                                     for r in runs],
             "probes": runs[0]["probes"], "decisions": runs[0]["decisions"],
+            "probes_forming_output_map":
+                runs[0]["probes_forming_output_map"],
             **sides[side]}
     wins = {m: _ab.change_wins(samples, m) for m in METRICS}
     same = all(p["decisions"] == c["decisions"]

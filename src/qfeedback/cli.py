@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 invalid parameters or config, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import configparser
 import math
 import os
 import sys
@@ -134,6 +133,7 @@ def _dest(opt: str) -> str:
 
 def load_config(path: str, subcommand: str) -> dict:
     """Read the [subcommand] section of an INI config into typed values."""
+    import configparser   # only a run given --config reads one
     cp = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -195,16 +195,25 @@ def _write_csv(path, subcommand, values, source, colnames, columns):
     seed = values.get("seed", "none")
     lines.append(f"# seed: {seed}")
     cols = [np.atleast_1d(np.asarray(c)) for c in columns]
+    # one format for every row: the 17 digits of _fmt for a float column,
+    # str for any other (the names of the atom table)
+    row = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in cols)
     with open(path, "w", newline="") as fh:
         for ln in lines:
             fh.write(ln + "\n")
         fh.write(",".join(colnames) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(row % r + "\n" for r in zip(*(c.tolist() for c in cols)))
     with open(str(path) + ".config", "w") as fh:
         fh.write(f"[{subcommand}]\n")
         for key in sorted(values):
             fh.write(f"{key} = {_fmt(values[key])}  ; {source[key]}\n")
+
+
+def _points(lo, hi, n, opt):
+    """n evenly spaced points from lo to hi; a count below 1 is invalid."""
+    if n < 1:
+        raise ValueError(f"{opt} = {n} must be >= 1")
+    return np.linspace(lo, hi, n)
 
 
 def _output_path(args, subcommand):
@@ -224,7 +233,7 @@ def _run_spectra(v):
     bl = loop.FeedbackBeamline(beta=1.0, eta1=v["eta1"], eta2=v["eta2"],
                                s0x=v["s0x"], s0y=v["s0y"])
     filt = loop.LoopFilter(v["g"], loop.SinglePole(v["gamma"]), v["T"])
-    omega = np.linspace(-v["wmax"], v["wmax"], v["n"])
+    omega = _points(-v["wmax"], v["wmax"], v["n"], "n")
     s2x = loop.in_loop_spectrum(bl, filt, omega)
     s3x = loop.out_of_loop_spectrum(bl, filt, omega)
     s2y, s3y = loop.phase_spectra(bl, omega)
@@ -234,7 +243,7 @@ def _run_spectra(v):
 
 def _run_stability(v):
     from . import loop
-    gains = np.linspace(v["g_min"], v["g_max"], v["n_g"])
+    gains = _points(v["g_min"], v["g_max"], v["n_g"], "n-g")
     stable = np.empty(len(gains))
     marginal = np.zeros(len(gains))
     for i, g in enumerate(gains):
@@ -259,6 +268,8 @@ def _run_semiclassical(v):
     sim = semiclassical.SemiclassicalSim(
         beamline=bl, filter=filt, dt=v["dt"], duration=v["duration"],
         seed=v["seed"], classical_noise=noise)
+    # the segment count is checked before the record is simulated
+    semiclassical.welch_segment_length(sim.samples, v["segments"])
     rec = semiclassical.simulate(sim)
     p2 = semiclassical.estimate_psd(rec.di2, rec.dt, v["segments"])
     p3 = semiclassical.estimate_psd(rec.di3, rec.dt, v["segments"])
@@ -275,7 +286,7 @@ def _run_qnd(v):
     params = qnd.QndFeedbackParams(
         qnd=qnd.QndParams(v["kappa"], v["gamma_m"], v["chi"]),
         filter=loop.LoopFilter(v["g"], loop.SinglePole(v["gamma_f"]), v["T"]))
-    omega = np.linspace(-v["wmax"], v["wmax"], v["n"])
+    omega = _points(-v["wmax"], v["wmax"], v["n"], "n")
     sx, sy = qnd.qnd_feedback_output_spectra(params, omega)
     floor = qnd.large_gain_limit(params, omega)
     return (["omega", "s_out_x", "s_out_y", "large_gain_floor"],
@@ -332,7 +343,7 @@ def _run_intracavity(v):
         return (["t", "u_conditioned"], [t, u])
     if v["mode"] != "sweep":
         raise ValueError(f"unknown mode '{v['mode']}'")
-    lams = np.linspace(v["lam_min"], v["lam_max"], v["n"])
+    lams = _points(v["lam_min"], v["lam_max"], v["n"], "n")
     u = np.array([intracavity.unconditioned_variance(params, float(x))
                   for x in lams])
     u0 = np.full_like(lams, intracavity.variance_no_feedback(params))

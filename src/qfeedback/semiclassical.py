@@ -96,6 +96,11 @@ class SemiclassicalSim:
         if self.beamline.eta2 <= 0.0:
             raise DegenerateSplit("eta2 must be > 0 for the in-loop detector")
 
+    @property
+    def samples(self) -> int:
+        """The length of each record `simulate` returns, after burn-in."""
+        return int(round(self.duration / self.dt))
+
     def _slowest_time(self) -> float:
         noise = self.classical_noise
         return max(1.0 / self.filter.response.gamma, self.filter.delay_T,
@@ -158,25 +163,29 @@ class _BlockRecursion:
     higher orders take m = max(_BLOCK, p), as each block's carry is an array
     product.
 
-    The maps are built once, from the first m samples of the impulse
-    response of 1/a, the only array of that size the object keeps besides
-    them. The map of a block's own inputs is the Toeplitz matrix of b
-    convolved with that response, read as a view without a product. The p
-    inputs and the p outputs before a block reach only its first p samples
-    of b * x - a * y, so their rows are p x p weights (`_edge_weights`)
-    times the response's first p shifts, products of contiguous arrays;
-    the rows of the outputs are the tail map. Between chunks the object
-    carries the last p inputs, the p outputs carried into the next block
-    (from the carry recursion) and the running flush level, so a run cut
-    into chunks does the same arithmetic as one over the whole input would.
-    A chunk is _CHUNK_BLOCKS blocks, `step` samples, which bounds the
-    working memory. The stacked block map `maps` is formed only for a run
-    with input beyond its first block: a shorter one reads only the rows
-    of its own samples.
+    The object keeps the first m samples of the impulse response of 1/a,
+    and builds every map from them on first use. The map of a block's own
+    inputs is the Toeplitz matrix of b convolved with that response, read
+    as a view without a product. The p inputs and the p outputs before a
+    block reach only its first p samples of b * x - a * y, so their rows
+    are p x p weights (`_edge_weights`) times the response's first p
+    shifts, products of contiguous arrays; the rows of the outputs are the
+    tail map. Between chunks the object carries the last p inputs, the p
+    outputs carried into the next block (from the carry recursion) and the
+    running flush level, so a run cut into chunks does the same arithmetic
+    as one over the whole input would. A chunk is _CHUNK_BLOCKS blocks,
+    `step` samples, which bounds the working memory. The stacked block map
+    `maps` is formed only for a run with input beyond its first block: a
+    shorter one reads only the rows of its own samples. The carry loop of
+    `blocks` steps through the last p columns of the tail rows of `maps`.
 
     Past the input a block's state is its p carried outputs alone, and
-    `carries` steps them s blocks at a time through last^s (last the p x p
-    carry map); `span` maps one such carry to the outputs of its s blocks.
+    `carries` steps them s blocks at a time through last^s (`powers`, last
+    the p x p carry map, read from the last p shifts alone). `outputs` maps
+    such carries to the outputs of their s blocks, each block's carry times
+    the tail map, and `output_bound` bounds those outputs from the powers
+    alone, so that a caller that needs only the bound never forms the tail
+    map.
 
     Carried outputs below _FLUSH times the running maximum of |heads| are
     set to zero: every _FLUSH_EVERY blocks inside the carry loop of
@@ -189,27 +198,24 @@ class _BlockRecursion:
 
     def __init__(self, b, a):
         p = max(len(a), len(b)) - 1
-        self.b, padded = np.zeros(p + 1), np.zeros(p + 1)
+        self.b, self.a = np.zeros(p + 1), np.zeros(p + 1)
         self.b[:len(b)] = b
-        padded[:len(a)] = a
-        a = padded
+        self.a[:len(a)] = a
         m = _BLOCK_SCALAR if p == 1 else max(_BLOCK, p)
         self.p, self.m, self.step = p, m, _CHUNK_BLOCKS * m
-        self._impulse = _impulse_response(a, m)
-        # rows: the p earlier outputs; columns: the block's outputs
-        self.tail = _edge_weights(-a) @ self._shifts()
-        self.last = np.ascontiguousarray(self.tail[:, m - p:])
+        self._impulse = _impulse_response(self.a, m)
+        self._powers = []            # last, last^2, ... as `powers` built them
         self._inputs = np.zeros(p)   # the last p inputs
         self._carry = np.zeros(p)    # the p outputs before the next block
         self._level = 0.0            # _FLUSH times the largest |head| so far
         self._block = 0              # the index of the next block
 
-    def _shifts(self) -> np.ndarray:
-        """The first p rows of the map from a block's samples of
-        b * x - a * y to its outputs: the impulse response shifted by
-        0..p-1 samples."""
+    def _shifts(self, first: int = 0) -> np.ndarray:
+        """Columns first..m-1 of the first p rows of the map from a block's
+        samples of b * x - a * y to its outputs: the impulse response
+        shifted by 0..p-1 samples."""
         diagonals = np.concatenate([self._impulse[::-1], np.zeros(self.p - 1)])
-        return np.ascontiguousarray(_toeplitz(diagonals, self.m))
+        return np.ascontiguousarray(_toeplitz(diagonals, self.m)[:, first:])
 
     def _own(self, count: int) -> np.ndarray:
         """The first `count` rows of the map from a block's own inputs to
@@ -218,6 +224,19 @@ class _BlockRecursion:
         m = self.m
         w = np.convolve(self.b, self._impulse)[m - 1::-1]
         return _toeplitz(np.concatenate([w, np.zeros(m - 1)]), m)[:count]
+
+    @cached_property
+    def tail(self) -> np.ndarray:
+        """The zero-input map from the p outputs before a block (rows) to
+        its m outputs (columns)."""
+        return _edge_weights(-self.a) @ self._shifts()
+
+    @cached_property
+    def last(self) -> np.ndarray:
+        """The p x p carry map, from the p outputs before a zero-input block
+        to its last p outputs: the last p columns of `tail`, formed alone as
+        a p x p product of the last p columns of the shifts."""
+        return _edge_weights(-self.a) @ self._shifts(self.m - self.p)
 
     @cached_property
     def maps(self) -> np.ndarray:
@@ -254,6 +273,7 @@ class _BlockRecursion:
         state[:, :m + p] = sliding_window_view(padded, m + p)[::m]
         del padded
         maps = self.maps
+        last = np.ascontiguousarray(maps[m + p:, m - p:])
         heads = state[:, :m + p] @ maps[:m + p, m - p:]
         # tails[k]: the p outputs before block k, block k - 1's head plus its
         # own tails carried through `last`
@@ -264,7 +284,7 @@ class _BlockRecursion:
         np.maximum(floor, self._level, out=floor)
         before = np.concatenate([[self._level], floor[:-1]])
         if p == 1:   # a scalar recursion: Python floats beat 1x1 array products
-            lam = float(self.last[0, 0])
+            lam = float(last[0, 0])
             carries = list(accumulate(heads[:, 0].tolist(),
                                       lambda t, z: z + t * lam,
                                       initial=float(self._carry[0])))
@@ -274,7 +294,7 @@ class _BlockRecursion:
             rows = list(tails) + [np.empty(p)]
             rows[0][:] = self._carry
             for j, (prev, cur, head) in enumerate(zip(rows, rows[1:], heads)):
-                np.dot(prev, self.last, out=cur)
+                np.dot(prev, last, out=cur)
                 cur += head
                 if (self._block + j) % _FLUSH_EVERY == 0:   # off subnormals
                     cur[np.abs(cur) < floor[j]] = 0.0
@@ -286,26 +306,61 @@ class _BlockRecursion:
             out = out.reshape(count, m)
         return np.dot(state, maps, out=out).reshape(-1)
 
-    def span(self, s: int) -> np.ndarray:
-        """[tail | last tail | ... | last^(s-1) tail]: the map from the carry
-        into s zero-input blocks to their s m outputs. Its last p columns
-        are last^s, the map from that carry to the one out of the s blocks."""
-        span = [self.tail]
-        for _ in range(1, s):
-            span.append(self.last @ span[-1])
-        return np.hstack(span)
+    def powers(self, s: int) -> list:
+        """[last, last^2, ..., last^s], each power the one before times
+        last. The object keeps them, so later calls only extend the list."""
+        powers = self._powers or [self.last]
+        while len(powers) < s:
+            powers.append(powers[-1] @ self.last)
+        self._powers = powers
+        return powers[:s]
 
-    def carries(self, span: np.ndarray, count: int):
-        """Yield the carries into the next `count` groups of zero-input
-        blocks, a group the span's s blocks: first the carry out of the
-        blocks run so far, then each one stepped through last^s, the span's
-        last p columns. They come in runs of the groups in _FLUSH_EVERY
-        blocks (at least one), as the rows of an array with each row's
-        largest magnitude. Each run is flushed before it is yielded and
-        before the next is stepped from it. An exactly zero carry ends them,
-        and its run is cut before it, as every output after it is zero."""
-        jump = np.ascontiguousarray(span[:, -self.p:])
-        run = max(1, _FLUSH_EVERY * self.m // span.shape[1])
+    def outputs(self, carried: np.ndarray, s: int) -> np.ndarray:
+        """The s m outputs of each group of s zero-input blocks whose carry
+        is a row of `carried`: block k's carry is the group's times last^k
+        (`powers`), and its outputs are that carry times `tail`."""
+        steps = np.hstack([np.eye(self.p)] + self.powers(s - 1))
+        carries = (carried @ steps).reshape(-1, self.p)
+        return (carries @ self.tail).reshape(len(carried), s * self.m)
+
+    def output_bound(self, s: int) -> float:
+        """An upper bound of |y| / ||c||_inf over the outputs y that
+        `outputs` computes from a carry c in floating point, taken from the
+        powers of last and the impulse response h alone, without `tail`.
+
+        Block k's outputs are fl(fl(c @ P_k) @ tail), P_0 = I and P_k the
+        computed power. With gamma = p eps (eps the machine epsilon), at
+        least Higham's gamma_p for a sum of p products:
+        - |fl(c @ P_k)| <= (1 + gamma) ||c||_inf ||P_k||_1 elementwise;
+        - tail = fl(W @ shifts), W the p x p edge weights of -a, whose
+          column i sums C_i = |a_(i+1)| + ... + |a_p|; so ||tail||_1 <=
+          (1 + gamma) tau, tau = max_l sum_i C_i |h[l - i]|;
+        - |fl(x @ tail)| <= (1 + gamma) ||x||_inf ||tail||_1.
+        So |y| <= (1 + gamma)^3 Q tau ||c||_inf, Q the largest of 1 and
+        ||P_k||_1 for 0 < k < s. The bound's own evaluation rounds sums and
+        products of nonnegative floats at most 3p + 1 times on any path (the
+        sums of the norm and of tau, two products, and the product with
+        ||c||_inf), so the factor 1 + 8 (p + 1) eps covers both (1 + gamma)^3
+        and that rounding."""
+        p, m = self.p, self.m
+        eps = np.finfo(float).eps
+        weights = np.cumsum(np.abs(self.a[:0:-1]))[::-1]
+        tau = float(np.max(np.convolve(weights, np.abs(self._impulse))[:m]))
+        q = max([1.0] + [float(np.linalg.norm(power, 1))
+                         for power in self.powers(s - 1)])
+        return q * tau * (1.0 + 8 * (p + 1) * eps)
+
+    def carries(self, s: int, count: int):
+        """Yield the carries into the next `count` groups of s zero-input
+        blocks: first the carry out of the blocks run so far, then each one
+        stepped through last^s. They come in runs of the groups in
+        _FLUSH_EVERY blocks (at least one), as the rows of an array with
+        each row's largest magnitude. Each run is flushed before it is
+        yielded and before the next is stepped from it. An exactly zero
+        carry ends them, and its run is cut before it, as every output after
+        it is zero."""
+        jump = self.powers(s)[-1]
+        run = max(1, _FLUSH_EVERY // s)
         carry = self._carry
         for lo in range(0, count, run):
             rows = np.empty((min(run, count - lo), self.p))
@@ -375,7 +430,7 @@ def simulate(sim: SemiclassicalSim) -> SimRecord:
     if not is_stable(sim.filter):
         raise UnstableLoop(f"g = {sim.filter.g} loop is unstable")
     filt, dt = sim.filter, sim.dt
-    n = int(round(sim.duration / dt))
+    n = sim.samples
     burn = int(round(10.0 * sim._slowest_time() / dt))
     total = n + burn
     rng = Generator(Philox(key=sim.seed))
@@ -418,7 +473,8 @@ def simulate(sim: SemiclassicalSim) -> SimRecord:
         in2 = di2[lo:lo + len(xi2)]   # s_in x0 until the loop's share is added
         y = closed(in2 + xi2)
         in2 += filt.g * y
-        if np.max(np.abs(in2)) > DIVERGENCE_LIMIT:
+        if not (-DIVERGENCE_LIMIT <= in2.min()
+                and in2.max() <= DIVERGENCE_LIMIT):   # also inf and nan
             raise DivergenceDetected("in-loop amplitude exceeded 1e6")
         in2 += xi2
         y *= g_out
@@ -446,20 +502,21 @@ def diverges(filt: LoopFilter, dt: float, duration: float) -> bool:
     The response is computed only where it can settle that verdict, and no
     array of n samples is formed. The blocks that read the impulse are run
     exactly; their head samples are a lower bound of the head maximum. Past
-    them the zero-input carries step a group of s blocks at a time
-    (`_BlockRecursion.carries`). Each carry is the p response samples before
-    its group, so a run of carries that is not finite or passes the limit
-    returns True at once; an exactly zero one ends the response. A group's
-    outputs are c @ span, each at most ||c||_inf times the largest column
-    1-norm of span. That bound is enlarged by 1 + 2 (p + 2) eps, eps the
-    machine epsilon, for rounding: Higham's gamma_p for a sum of p products
-    in the outputs and in the norms, and the rounding of the bound's own
-    product. Only these groups' outputs are computed:
+    them the zero-input carries step a group of s blocks at a time through
+    last^s (`_BlockRecursion.carries`). Each carry is the p response samples
+    before its group, so a run of carries that is not finite or passes the
+    limit returns True at once; an exactly zero one ends the response. Every
+    output of a group is at most its carry's largest magnitude times
+    `_BlockRecursion.output_bound`, which holds for the outputs as computed
+    and needs only the p x p powers of the carry map. Only these groups'
+    outputs are computed:
     - those whose bound could pass the limit;
     - those reaching the tail whose bound could reach the head's lower
       bound; no other can raise the tail maximum past the head;
     - if the tail maximum then passes the lower bound, those in the head
       whose bound passes it, which makes the head maximum exact.
+    The tail map, which those outputs multiply, is formed once, in a probe
+    that computes some group's outputs, and in no other.
 
     A Sampled response runs as the zero-order-hold recursion
     y_n = sum_k h_k dt u_{n-1-d-k}, one sample of lag more than the
@@ -487,15 +544,14 @@ def diverges(filt: LoopFilter, dt: float, duration: float) -> bool:
         head = np.max(y[:head_end])
         tail = np.max(y[tail_start:], initial=0.0)
         nt = nb - nbx
-        # past the impulse, the carry steps s blocks at a time. The span
-        # costs (s - 1) p^2 m multiply-adds to build, at most the nt m p of
-        # every group's outputs
+        # past the impulse, the carry steps s blocks at a time. The powers
+        # of last cost (s - 1) p^3 multiply-adds, at most the nt p^2 of
+        # stepping every block's carry
         s = _TAIL_STEP
         while s > 1 and (s - 1) * p > nt:
             s //= 2
-        span = rec.span(s)
         runs, tops = [], []
-        for rows, top in rec.carries(span, -(-nt // s)):
+        for rows, top in rec.carries(s, -(-nt // s)):
             if not np.all(top <= DIVERGENCE_LIMIT):
                 return True
             runs.append(rows)
@@ -503,30 +559,30 @@ def diverges(filt: LoopFilter, dt: float, duration: float) -> bool:
         if not runs:
             return tail > head + 1e-300
         carried = np.concatenate(runs)
-        bound = (np.concatenate(tops) * np.linalg.norm(span, 1)
-                 * (1.0 + 2 * (p + 2) * np.finfo(float).eps))
+        bound = np.concatenate(tops) * rec.output_bound(s)
         starts = nbx * m + s * m * np.arange(len(carried))
-        offsets = np.arange(s * m)
 
-        def peak(groups, lo, hi):
-            """The largest |output| of the groups at samples lo <= i < hi."""
-            out = np.abs(carried[groups] @ span)
-            pos = starts[groups, None] + offsets
-            return np.max(out, where=(pos >= lo) & (pos < min(hi, n)),
-                          initial=0.0)
+        def peaks(groups, *ranges):
+            """The largest |output| of the groups at samples lo <= i < hi,
+            for each (lo, hi) of ranges."""
+            out = np.abs(rec.outputs(carried[groups], s))
+            pos = starts[groups, None] + np.arange(s * m)
+            return [np.max(out, where=(pos >= lo) & (pos < hi), initial=0.0)
+                    for lo, hi in ranges]
 
         wild = ~(bound <= DIVERGENCE_LIMIT)
         if wild.any():
-            if not peak(wild, 0, n) <= DIVERGENCE_LIMIT:
+            whole, in_head, in_tail = peaks(wild, (0, n), (0, head_end),
+                                            (tail_start, n))
+            if not whole <= DIVERGENCE_LIMIT:
                 return True
-            head = max(head, peak(wild, 0, head_end))
-            tail = max(tail, peak(wild, tail_start, n))
+            head, tail = max(head, in_head), max(tail, in_tail)
         late = ~wild & (starts + s * m > tail_start) & ~(bound < head)
         if late.any():
-            tail = max(tail, peak(late, tail_start, n))
+            tail = max(tail, *peaks(late, (tail_start, n)))
         early = ~wild & (starts < head_end) & ~(bound <= head)
         if tail > head and early.any():
-            head = max(head, peak(early, 0, head_end))
+            head = max(head, *peaks(early, (0, head_end)))
     return tail > head + 1e-300
 
 

@@ -250,13 +250,66 @@ def _zero_int_runs():
 
 
 class TestExitCodeContract:
-    """A zero count anywhere exits with a documented code, never a
-    traceback: 0 success, 2 invalid parameters, 3 numerical failure."""
+    """A zero count anywhere is an invalid parameter: exit 2, never a
+    traceback or an empty table."""
 
     @pytest.mark.parametrize("args", _zero_int_runs())
     def test_zero_integer_option(self, args, tmp_path):
-        out = str(tmp_path / "x.csv")
-        assert cli.run(args + ["--output", out]) in (0, 2, 3)
+        out = tmp_path / "x.csv"
+        assert cli.run(args + ["--output", str(out)]) == 2
+        assert not out.exists()
+
+    def test_zero_segments_exit_before_simulating(self, tmp_path,
+                                                  monkeypatch, capsys):
+        from qfeedback import semiclassical
+
+        def refuse(sim):
+            raise AssertionError("simulated before the segment check")
+
+        monkeypatch.setattr(semiclassical, "simulate", refuse)
+        out = tmp_path / "sc.csv"
+        assert cli.run(["semiclassical", "--segments", "0",
+                        "--output", str(out)]) == 2
+        assert "n_segments must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def per_value_files(subcommand, values, source, colnames, columns):
+    """The CSV and .config text of a run with every value formatted on its
+    own by cli._fmt: the reference of the CSV writer."""
+    fmt = cli._fmt
+    csv = [f"# qfeedback {cli.__version__}", f"# subcommand: {subcommand}"]
+    csv += [f"# config: {key} = {fmt(values[key])} [{source[key]}]"
+            for key in sorted(values)]
+    csv += [f"# seed: {values.get('seed', 'none')}", ",".join(colnames)]
+    cols = [np.atleast_1d(np.asarray(c)) for c in columns]
+    csv += [",".join(fmt(v) for v in row) for row in zip(*cols)]
+    config = [f"[{subcommand}]"] + [
+        f"{key} = {fmt(values[key])}  ; {source[key]}" for key in sorted(values)]
+    return "\n".join(csv) + "\n", "\n".join(config) + "\n"
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("args", [[sub] for sub in cli._OPTIONS] + [
+        ["atom", "--compare-l", "0.3", "--lambda-opt"],
+        ["intracavity", "--mode", "series"]],
+        ids=lambda args: "-".join(a.lstrip("-") for a in args))
+    def test_matches_the_per_value_formatter(self, args, tmp_path,
+                                             monkeypatch):
+        # one format string per row writes the bytes that formatting each
+        # value on its own wrote
+        write, runs = cli._write_csv, []
+
+        def recorded(path, *run):
+            runs.append(run)
+            write(path, *run)
+
+        monkeypatch.setattr(cli, "_write_csv", recorded)
+        out = tmp_path / "x.csv"
+        assert cli.run(args + ["--output", str(out)]) == 0
+        csv, config = per_value_files(*runs[0])
+        assert out.read_bytes() == csv.encode()
+        assert (tmp_path / "x.csv.config").read_bytes() == config.encode()
 
 
 class TestOutdirEnv:

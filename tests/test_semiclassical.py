@@ -24,7 +24,7 @@ def lfilter(b, a, x, n=None):
     (a[0] = 1) for the 1-D input x followed by zeros: n >= len(x) samples
     (default len(x)). The reference run of a _BlockRecursion: its blocks
     over x, chunk by chunk as `simulate` runs them, then every output of
-    its zero-input groups, each a carry times the span."""
+    its zero-input groups, from each group's carry (`outputs`)."""
     x = np.asarray(x, dtype=float)
     nx = len(x)
     n = nx if n is None else n
@@ -46,11 +46,10 @@ def lfilter(b, a, x, n=None):
         rec.blocks(x[k * m:(k + count) * m], count,
                    out=y[k * m:(k + count) * m])
     if nt:
-        span = rec.span(s)
         rows = y[nbx * m:].reshape(groups, s * m)
         done = 0
-        for carried, _ in rec.carries(span, groups):
-            np.dot(carried, span, out=rows[done:done + len(carried)])
+        for carried, _ in rec.carries(s, groups):
+            rows[done:done + len(carried)] = rec.outputs(carried, s)
             done += len(carried)
     return y[:n]
 
@@ -147,6 +146,21 @@ class TestSimulate:
         with pytest.raises(ValueError, match="single-pole loops only"):
             sc.SemiclassicalSim(beamline=bl, filter=filt, dt=dt,
                                 duration=400.0, seed=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_chunk_raises(self, bad, monkeypatch):
+        # a loop output that is not finite reaches the in-loop amplitude;
+        # nan passes a check of max |in2| > limit, as np.max returns nan
+        call = sc._BlockRecursion.__call__
+
+        def poisoned(self, x):
+            y = call(self, x)
+            y[len(y) // 2] = bad
+            return y
+
+        monkeypatch.setattr(sc._BlockRecursion, "__call__", poisoned)
+        with pytest.raises(DivergenceDetected):
+            sc.simulate(make_sim(g=-1.0, duration=200.0))
 
     def test_noise_cross_independence(self):
         rec = sc.simulate(make_sim(g=0.0, eta1=0.0, seed=5))
@@ -337,9 +351,9 @@ class TestDiverges:
         counts = []
         carries = sc._BlockRecursion.carries
 
-        def counted(self, span, count):
+        def counted(self, s, count):
             counts.append(0)
-            for rows, top in carries(self, span, count):
+            for rows, top in carries(self, s, count):
                 counts[-1] += len(rows)
                 yield rows, top
 
@@ -351,6 +365,65 @@ class TestDiverges:
         assert not sc.diverges(stable, dt, 400.0)
         assert counts[0] <= 16
         assert 62 < counts[1] < 250
+
+    def test_tail_map_formed_only_to_compute_outputs(self, monkeypatch):
+        # criterion 4's probes: a probe forms the p x m tail map, once, only
+        # where some group's outputs are computed; every other probe settles
+        # from its carries and the p x p powers
+        recs, computing = [], set()
+        init, outputs = sc._BlockRecursion.__init__, sc._BlockRecursion.outputs
+
+        def recorded(self, b, a):
+            init(self, b, a)
+            recs.append(self)
+
+        def counted(self, carried, s):
+            computing.add(id(self))
+            return outputs(self, carried, s)
+
+        monkeypatch.setattr(sc._BlockRecursion, "__init__", recorded)
+        monkeypatch.setattr(sc._BlockRecursion, "outputs", counted)
+        probes = formed = 0
+        for gamma, T in CONFIGS:
+            for g in GAINS:
+                filt = loop.LoopFilter(g, loop.SinglePole(gamma), T)
+                try:
+                    stable = loop.is_stable(filt)
+                except MarginalStability:
+                    continue
+                start = len(recs)
+                assert sc.diverges(filt, T / 64.0, 400.0) == (not stable)
+                (rec,) = recs[start:]
+                built = "tail" in vars(rec)
+                assert built == (id(rec) in computing), filt
+                assert "maps" not in vars(rec)
+                probes += 1
+                formed += built
+        print(f"tail map formed in {formed} of {probes} probes")
+        assert probes >= 45
+        assert formed <= 1
+
+    @pytest.mark.parametrize("filt, dt", [
+        pytest.param(loop.LoopFilter(g, loop.SinglePole(gamma), T), T / 64.0,
+                     id=f"g{g}_gamma{gamma}_T{T}")
+        for gamma, T in CONFIGS[::2] for g in (-4.0, -0.8, 1.5)] + [
+        pytest.param(loop.LoopFilter(
+            -3.0, loop.Sampled(np.exp(-0.02 * np.arange(200)), 0.02), 0.2),
+            0.02, id="sampled_200"),
+        pytest.param(loop.LoopFilter(
+            -2.0, loop.Sampled([1.0, 0.5, 0.25], 0.02), 0.1),
+            0.02, id="three_taps")])
+    def test_output_bound_holds_for_the_worst_carry(self, filt, dt):
+        # the carry of signs that makes one output the largest column
+        # 1-norm of the group map stays within the bound
+        rec = sc._BlockRecursion(*sc._loop_difference_eq(filt, dt))
+        for s in (1, 2, 8):
+            columns = rec.outputs(np.eye(rec.p), s)
+            worst = np.sign(columns[:, np.argmax(np.sum(np.abs(columns), 0))])
+            bound = rec.output_bound(s)
+            peak = np.max(np.abs(rec.outputs(worst[None], s)))
+            assert peak <= bound
+            assert np.max(np.sum(np.abs(columns), 0)) <= bound
 
     def test_probe_forms_no_response_array(self):
         # the stable g = 0.5, T = 0.05 loop's response never reaches zero
