@@ -92,8 +92,8 @@ def _riccati(params: LinearCavityParams) -> tuple[float, float, float]:
 def conditioned_variance_trajectory(params: LinearCavityParams, u_init: float,
                                     t_grid) -> np.ndarray:
     """Deterministic relaxation of the conditioned variance from
-    U(t_grid[0]) = u_init >= floor (see _riccati); independent of the
-    feedback strength.
+    U(t_grid[0]) = u_init >= floor (see _riccati) along a non-decreasing
+    t_grid; independent of the feedback strength.
 
     The Riccati equation is dU/dt = -s (U - u+)(U - u-) with roots u+ > u-,
     so with E = exp(-s (u+ - u-) t) the exact solution is
@@ -104,8 +104,9 @@ def conditioned_variance_trajectory(params: LinearCavityParams, u_init: float,
     the repelling fixed point and stays there.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or not t_grid.size or not np.all(np.isfinite(t_grid)):
-        raise ValueError("t_grid must be a non-empty, finite 1-D array")
+    if not (t_grid.ndim == 1 and t_grid.size and np.all(np.isfinite(t_grid))
+            and np.all(np.diff(t_grid) >= 0)):     # backwards leaves the floor
+        raise ValueError("t_grid must be a non-empty, finite, ascending grid")
     s, _, floor = _riccati(params)
     if not u_init >= floor:
         raise ValueError(f"initial variance {u_init} must be >= {floor:g}")

@@ -191,7 +191,7 @@ def _contour(cut: float, lag: float):
     repeats: omega = 0, the linear grid of spacing pi / (4 lag) below cut
     (none at lag 0) and geomspace(cut 1e-9, cut, 3000). Yields them in
     consecutive chunks of at most _CONTOUR_CHUNK samples, so that no more
-    are held at once."""
+    are held at once. Sorted by hand: np.unique would import numpy.ma."""
     spacing = math.pi / (4.0 * lag) if lag > 0 else 0.0
     n_lin = math.ceil(cut / spacing) if lag > 0 else 1
     geom = np.geomspace(cut * 1e-9, cut, 3000)
@@ -199,7 +199,8 @@ def _contour(cut: float, lag: float):
     while i < n_lin or j < len(geom):
         lin = np.arange(i, min(i + _CONTOUR_CHUNK, n_lin)) * spacing
         log = geom[j:j + _CONTOUR_CHUNK]
-        chunk = np.unique(np.concatenate([lin, log]))[:_CONTOUR_CHUNK]
+        merged = np.sort(np.concatenate([lin, log]))
+        chunk = merged[np.diff(merged, prepend=-np.inf) != 0][:_CONTOUR_CHUNK]
         i += np.count_nonzero(lin <= chunk[-1])
         j += np.count_nonzero(log <= chunk[-1])
         yield chunk

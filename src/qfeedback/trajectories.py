@@ -51,8 +51,8 @@ from a state with Tr[J rho J†] <= TOL_JUMP marks the row failed with a code,
 which the drivers turn into the trajectory's error.
 
 Randomness comes from the counter-based Philox generator; trajectory i of an
-ensemble uses the stream keyed by seed XOR i, drawn in time chunks (array draws
-continue a stream exactly, so chunking does not change it). Every product runs
+ensemble uses the stream keyed by seed XOR i, drawn whole into its record row,
+which the steps overwrite with the photocurrent or dN. Every product runs
 on a row count padded to a multiple of _ROW_PAD, against a map whose column
 count is padded with zero columns to a multiple of _COL_PAD. With OpenBLAS,
 each row of such a product came out bit-identical whatever the batch it was
@@ -90,7 +90,6 @@ POSITIVITY_CHECK_EVERY = 50
 
 _ROW_PAD = 8                 # products run on a multiple of this many rows
 _COL_PAD = 8                 # ... against maps padded to this many columns
-_NOISE_CHUNK = 1 << 18       # noise values drawn at once per batch
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
 # per-row failure codes
@@ -539,7 +538,10 @@ def in_loop_correlation_spectrum(model_fb: LindbladModel, c: np.ndarray,
 
 def _integrate(kernel: _Kernel, config: SmeConfig, rho0: np.ndarray, seeds):
     """Advance the trajectories keyed by seeds in lock-step, in one batch,
-    from rho0, the state the kernel was built for.
+    from rho0, the state the kernel was built for. Each trajectory's noise is
+    drawn whole into its record row (padding rows idle); step k reads dW or
+    a uniform draw from column k and overwrites it with the photocurrent or
+    dN, so column k - lag holds the delayed kick's photocurrent.
 
     Returns arrays with one row per seed: the records (B, steps), the
     snapshot coordinates (B, steps // snapshot_every, d^2), 0 off the
@@ -555,13 +557,14 @@ def _integrate(kernel: _Kernel, config: SmeConfig, rho0: np.ndarray, seeds):
     records = np.empty((rows, n))
     snaps = np.zeros((b_sz, n // snap, kernel.coords.n2)) if snap else None
 
-    fb = config.feedback
-    lag = (int(round(fb.mode.delay / dt))
-           if fb is not None and isinstance(fb.mode, Delayed) else 0)
+    lag = 0 if kernel.kick is None else round(config.feedback.mode.delay / dt)
 
-    gens = [Generator(Philox(key=s & _SEED_MASK)) for s in seeds]
-    chunk = min(n, max(1, _NOISE_CHUNK // rows))
-    draws = np.full((chunk, rows), kernel.idle_noise)     # padding rows idle
+    for row, s in zip(records, seeds):
+        g = Generator(Philox(key=s & _SEED_MASK))
+        (g.standard_normal if kernel.diffusive else g.random)(out=row)
+    records[b_sz:] = kernel.idle_noise
+    if kernel.diffusive:
+        records *= math.sqrt(dt)                         # dW
 
     def mark(bad):
         hit = bad != 0
@@ -571,15 +574,8 @@ def _integrate(kernel: _Kernel, config: SmeConfig, rho0: np.ndarray, seeds):
 
     with np.errstate(all="ignore"):
         for k in range(n):
-            j = k % chunk
-            if j == 0:
-                m = min(chunk, n - k)
-                for i, g in enumerate(gens):
-                    draws[:m, i] = (g.standard_normal(m) if kernel.diffusive
-                                    else g.random(m))
-                noise = draws * math.sqrt(dt) if kernel.diffusive else draws
             old = records[:, k - lag] if lag and k >= lag else None
-            r, records[:, k], bad = kernel.step(r, noise[j], old)
+            r, records[:, k], bad = kernel.step(r, records[:, k], old)
             if bad is not None:
                 mark(bad)
             if (k + 1) % POSITIVITY_CHECK_EVERY == 0 or k + 1 == n:
@@ -674,7 +670,8 @@ def run_ensemble(config: SmeConfig, n_traj: int, rho0: np.ndarray,
     c = config.model.collapses[0][1]
     good = snaps[ok]                             # (n_ok, n_snap, d^2)
     xbars = good @ kernel.coords.expect_col(c + c.conj().T)
-    psd = (estimate_psd(records[ok], config.dt, psd_segments)
+    pooled = records if len(ok) == n_traj else records[ok]     # no copy
+    psd = (estimate_psd(pooled, config.dt, psd_segments)
            if kernel.diffusive else None)
     return EnsembleSummary(
         state_times=_state_times(config),

@@ -259,6 +259,15 @@ class TestExitCodeContract:
         assert cli.run(args + ["--output", str(out)]) == 2
         assert not out.exists()
 
+    def test_descending_series_exits_2(self, tmp_path, capsys):
+        # a negative duration would run the Riccati closed form backwards,
+        # below the homodyne floor
+        out = tmp_path / "i.csv"
+        assert cli.run(["intracavity", "--mode", "series", "--t-max", "-5",
+                        "--u-init", "0.5", "--output", str(out)]) == 2
+        assert "ascending" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_segments_exit_before_simulating(self, tmp_path,
                                                   monkeypatch, capsys):
         from qfeedback import semiclassical

@@ -91,6 +91,19 @@ class TestConditionedVariance:
                                                     np.linspace(0, 1e3, 11))
         assert np.array_equal(series, np.full(11, -1.0))
 
+    @pytest.mark.parametrize("t", [np.linspace(0.0, -5.0, 11),
+                                   np.array([0.0, 1.0, 0.5])])
+    def test_descending_grid_rejected(self, t):
+        # backwards from u_init = 0.5 the closed form falls below the
+        # homodyne floor of -1 by t = -5
+        with pytest.raises(ValueError, match="ascending"):
+            ic.conditioned_variance_trajectory(hom(), 0.5, t)
+
+    def test_repeated_times_allowed(self):
+        series = ic.conditioned_variance_trajectory(hom(), 0.5,
+                                                    [0.0, 1.0, 1.0])
+        assert series[1] == series[2]
+
     def test_qnd_strong_measurement(self):
         p = ic.LinearCavityParams(l=0.0, theta=ic.THETA_MAX,
                                   measurement=ic.Qnd(1e6))

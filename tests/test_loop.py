@@ -222,6 +222,45 @@ class TestIsStable:
         assert stable == (self.critical_gain(gamma, T) < g < 1)
         assert peak < 12e6
 
+    @staticmethod
+    def unique_contour(cut, lag):
+        """The contour's chunks merged by np.unique: the reference."""
+        spacing = np.pi / (4.0 * lag) if lag > 0 else 0.0
+        n_lin = int(np.ceil(cut / spacing)) if lag > 0 else 1
+        geom = np.geomspace(cut * 1e-9, cut, 3000)
+        i = j = 0
+        while i < n_lin or j < len(geom):
+            lin = np.arange(i, min(i + loop._CONTOUR_CHUNK, n_lin)) * spacing
+            log = geom[j:j + loop._CONTOUR_CHUNK]
+            chunk = np.unique(np.concatenate([lin, log]))[:loop._CONTOUR_CHUNK]
+            i += np.count_nonzero(lin <= chunk[-1])
+            j += np.count_nonzero(log <= chunk[-1])
+            yield chunk
+
+    @pytest.mark.parametrize("chunk", [97, None])
+    @pytest.mark.parametrize("cut, lag", [(1.0, 0.0), (20.0, 0.1),
+                                          (500.0, 3.0), (6000.0, 40.0),
+                                          (2.0, 1e3)])
+    def test_contour_chunks_match_unique(self, cut, lag, chunk, monkeypatch):
+        if chunk:
+            monkeypatch.setattr(loop, "_CONTOUR_CHUNK", chunk)
+        got, want = list(loop._contour(cut, lag)), list(
+            self.unique_contour(cut, lag))
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_contour_drops_repeated_samples(self, monkeypatch):
+        # a log grid on the linear one's samples 1, ..., 3000: every
+        # sample both grids share appears once
+        monkeypatch.setattr(loop, "_CONTOUR_CHUNK", 97)
+        monkeypatch.setattr(np, "geomspace",
+                            lambda lo, hi, n: np.arange(1.0, n + 1))
+        got = np.concatenate(list(loop._contour(3000.0, np.pi / 4)))
+        assert np.array_equal(got, np.arange(3001.0))
+        assert all(np.array_equal(a, b) for a, b in zip(
+            loop._contour(3000.0, np.pi / 4),
+            self.unique_contour(3000.0, np.pi / 4)))
+
     def test_unit_gain_with_delay_is_marginal(self):
         # gains within CRITICAL_TOL of 1 are marginal too, as the T = 0 shortcut
         for g in (1.0, 1.0 - 1e-10, 1.0 + 1e-10):

@@ -101,6 +101,25 @@ def test_closed_form_subcommands_skip_the_sme_engine(sub, module, tmp_path):
                          "numpy.random"}
 
 
+def test_qnd_subcommand_leaves_numpy_ma_unloaded(tmp_path):
+    # the QND stability check samples the Nyquist contour; merging its grids
+    # with np.unique would import numpy.ma (about 13 ms per process). The
+    # process runs the package as `python -m qfeedback qnd` does
+    out = tmp_path / "qnd.csv"
+    code = ("import runpy, sys\n"
+            f"sys.argv = ['qfeedback', 'qnd', '--output', {str(out)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('qfeedback', run_name='__main__',"
+            " alter_sys=True)\n"
+            "except SystemExit as stop:\n"
+            "    assert not stop.code, stop.code\n"
+            "print('qfeedback.qnd' in sys.modules, 'numpy.ma' in sys.modules)")
+    proc = run_python(["-c", code], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True False"
+    assert out.exists()
+
+
 def test_atom_subcommand_skips_trajectories(tmp_path):
     loaded = subcommand_modules("atom", tmp_path)
     assert "qfeedback.atom_squash" in loaded

@@ -1,6 +1,7 @@
 """Stochastic master equations: steps, ensembles, feedback, in-loop spectrum."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -972,6 +973,41 @@ class TestEnsembleContract:
         assert np.array_equal(a.psd.values, again.psd.values)
         assert np.array_equal(a.xbar_variance, again.xbar_variance)
 
+    def test_record_is_the_seeded_stream(self):
+        # a monitored collapse of zero gives <x>_c = 0, so dy = dW exactly:
+        # trajectory i's record is stream seed ^ i scaled by sqrt(dt) / dt,
+        # bit for bit, for each of 300 trajectories of 1000 steps
+        model = ops.LindbladModel(
+            ops.sigma_x(), ((1.0, np.zeros((2, 2))), (0.5, ops.sigma_minus())))
+        dt, steps = 2e-3, 1000
+        cfg = config(model, tj.HomodyneDiffusive(0.8), dt=dt, steps=steps,
+                     seed=2024, snapshot_every=steps)
+        summary = tj.run_ensemble(cfg, 300, ops.fock_dm(2, 0),
+                                  keep_trajectories=True)
+        assert summary.n_success == 300
+        for i, res in enumerate(summary.trajectories):
+            g = np.random.Generator(np.random.Philox(key=2024 ^ i))
+            expected = g.standard_normal(steps) * math.sqrt(dt) / dt
+            assert np.array_equal(res.record, expected)
+
+    def test_atom_ensemble_memory(self):
+        # the d = 2 feedback atom at B = 256 and 1000 steps holds 2.1 MB of
+        # records; the driver keeps no noise buffer beside them, and the PSD
+        # reads them without a copy
+        eta = 0.8 * 0.95
+        cfg = config(atom(), tj.HomodyneDiffusive(eta), dt=2e-3, steps=1000,
+                     snapshot_every=250,
+                     feedback=tj.Feedback(-0.5 * eta * ops.sigma_y()))
+        rho0 = ops.fock_dm(2, 0)
+        tracemalloc.start()
+        try:
+            summary = tj.run_ensemble(cfg, 256, rho0, keep_trajectories=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary.n_success == 256
+        assert peak < 5e6
+
     @pytest.mark.parametrize("detection, feedback", [
         (tj.HomodyneDiffusive(0.8), tj.Feedback(-0.15 * ops.quad_y(4))),
         (tj.HomodyneDiffusive(0.8),
@@ -1079,8 +1115,9 @@ class _DarkStream:
     def __init__(self, bit_generator):
         pass
 
-    def random(self, m):
-        return np.full(m, -1.0)
+    def random(self, *, out):
+        out.fill(-1.0)
+        return out
 
 
 class TestFailurePath:
