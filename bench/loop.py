@@ -1,4 +1,4 @@
-"""Time the Nyquist stability layer of two checkouts, alternating them every round.
+"""Time the stability layer of two checkouts, alternating them every round.
 
 Timings per side and round:
 
@@ -11,6 +11,7 @@ Timings per side and round:
   benchmark workload (g = -3, h_k = exp(-0.02 k), dt = 0.02, T = 0.2);
 - `qnd_default_s`: `is_stable` on the QND pair loop with the defaults of
   `qfeedback qnd` (kappa = gamma_m = 1, chi = 2, g = -10, gamma_f = 0.05);
+- `qnd_delayed_s`: the same QND loop with the delay T = 0.5;
 - `beyond_big_s`: `is_stable` on four loops whose contour cut 2|g|·ft_bound
   lies beyond `big` = 100·max(rate, 1, 1/T) (rate gamma or 1/dt), where a
   contour truncated at `big` stops short of it: the single pole gamma = 3.2,
@@ -36,6 +37,8 @@ commit):
 
 The change side is this checkout's `src`. The JSON written to --out holds
 both sides' samples, medians and quartiles, and how many rounds each side won.
+The QND pair goes to `is_stable` as its pole rates `QndParams.pair_poles`, or,
+on a checkout that predates them, as the callable `pair_response`.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import time
 import _ab
 
 IN_PROCESS = ("stability_grid_s", "criterion4_map_s", "sampled_200_s",
-              "qnd_default_s", "beyond_big_s")
+              "qnd_default_s", "qnd_delayed_s", "beyond_big_s")
 METRICS = IN_PROCESS + ("cli_s", "cli_rss_mb", "import_s")
 GAINS = (-12.0, -8.0, -4.0, -1.5, -0.8, 0.5, 1.5, 3.0, 6.0, 10.0)
 CONFIGS = ((1.0, 1.0), (0.1, 1.0), (1.0, 0.3), (2.0, 0.2), (1.0, 0.05))
@@ -64,30 +67,31 @@ def worker(repeats: int, case: str) -> None:
 
     def decisions(cases):
         out = []
-        for filt, extra in cases:
+        for args in cases:
             try:
-                out.append(int(loop.is_stable(filt, extra)))
+                out.append(int(loop.is_stable(*args)))
             except MarginalStability:
                 out.append(-1)
         return out
 
-    grid = [(loop.LoopFilter(float(g), loop.SinglePole(1.0), 0.1), None)
+    grid = [(loop.LoopFilter(float(g), loop.SinglePole(1.0), 0.1),)
             for g in np.linspace(-10.0, 2.0, 49)]
-    cmap = [(loop.LoopFilter(g, loop.SinglePole(gamma), delay), None)
+    cmap = [(loop.LoopFilter(g, loop.SinglePole(gamma), delay),)
             for gamma, delay in CONFIGS for g in GAINS]
     sampled = [(loop.LoopFilter(
-        -3.0, loop.Sampled(np.exp(-0.02 * np.arange(200)), 0.02), 0.2), None)]
-    pair = qnd.QndParams(1.0, 1.0, 2.0).pair_response
+        -3.0, loop.Sampled(np.exp(-0.02 * np.arange(200)), 0.02), 0.2),)]
+    params = qnd.QndParams(1.0, 1.0, 2.0)
+    pair = getattr(params, "pair_poles", params.pair_response)
     qnd_case = [(loop.LoopFilter(-10.0, loop.SinglePole(0.05), 0.0), pair)]
+    qnd_delayed = [(loop.LoopFilter(-10.0, loop.SinglePole(0.05), 0.5), pair)]
     beyond = [
-        (loop.LoopFilter(-301.0, loop.SinglePole(3.2), 4.4), None),
-        (loop.LoopFilter(-80.0, loop.Sampled([1.0, 0.5, 0.25], 0.02), 0.1),
-         None),
-        (loop.LoopFilter(-30.0, loop.Sampled([1.0], 0.02), 0.0), None),
+        (loop.LoopFilter(-301.0, loop.SinglePole(3.2), 4.4),),
+        (loop.LoopFilter(-80.0, loop.Sampled([1.0, 0.5, 0.25], 0.02), 0.1),),
+        (loop.LoopFilter(-30.0, loop.Sampled([1.0], 0.02), 0.0),),
         (loop.LoopFilter(-1e4, loop.SinglePole(1.0), 0.0), pair)]
     cases = {"stability_grid_s": grid, "criterion4_map_s": cmap,
              "sampled_200_s": sampled, "qnd_default_s": qnd_case,
-             "beyond_big_s": beyond}
+             "qnd_delayed_s": qnd_delayed, "beyond_big_s": beyond}
     group = cases[case]
     print(json.dumps({"import_s": import_s,
                       case: _ab.best_of(lambda: decisions(group), repeats),

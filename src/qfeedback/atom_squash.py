@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .errors import NegativePrefactor, UnreachableSqueezing
+from .errors import UnreachableSqueezing
 from .loop import Spectrum
 from .operators import LindbladModel
 
@@ -110,9 +110,9 @@ def steady_state_bloch(params: AtomLoopParams):
 
 
 def _two_lorentzian_power(eta_mm, gx, gy, gz, c_coeff, omega_grid) -> Spectrum:
+    """Both callers have gz - C >= 0, lambda^2 / (2 eta eps) in the loop and
+    eta ((L + 1/L) / 2 - 1) in free squeezing; the clamp absorbs rounding."""
     omega_grid = np.asarray(omega_grid, dtype=float)
-    if gz - c_coeff < -1e-12:
-        raise NegativePrefactor(f"gamma_z = {gz} < C = {c_coeff}")
     pref = (1.0 - eta_mm) * max(gz - c_coeff, 0.0) / (8.0 * math.pi * gz)
     vals = pref * (gx / (gx * gx + omega_grid ** 2)
                    + gy / (gy * gy + omega_grid ** 2))

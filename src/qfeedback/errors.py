@@ -42,15 +42,17 @@ class UnstableLoop(QFeedbackError):
 
 class MarginalStability(QFeedbackError):
     """The loop sits too close to the edge of stability to classify or to
-    evaluate: |1 - L| < loop.CRITICAL_TOL on the Nyquist contour or at a
-    requested omega (loop._closed_loop), or, in Hayes' single-pole form,
-    g within that tolerance of 1 or within that tolerance times |g_c| of
-    the critical gain g_c."""
+    evaluate: |1 - L| < loop.CRITICAL_TOL at a requested omega
+    (loop._closed_loop) or on a Sampled loop's Nyquist contour, or, in the
+    closed form for a cascade of real poles and a delay, g within that
+    tolerance of 1 or within that tolerance times |g_c| of the critical
+    gain g_c, which is |1 - L| < CRITICAL_TOL at the crossing frequency."""
 
 
 class NyquistUnresolved(QFeedbackError):
-    """The Nyquist contour's phase kept jumping between samples after every
-    refinement, so its winding number is unknown."""
+    """A Sampled loop's Nyquist contour kept its phase jumping between
+    samples after every refinement, so its winding number is unknown. Loops
+    of real poles never sample the contour."""
 
 
 class DegenerateSplit(QFeedbackError):
@@ -72,10 +74,6 @@ class SemiclassicalInexpressible(QFeedbackError, ValueError):
     exit_code = 2
 
 
-class ComplexRoot(QFeedbackError):
-    """Closed-form square root has a negative argument (out-of-domain parameters)."""
-
-
 class UnstableMean(QFeedbackError):
     """Fed-back mean is not damped (k0 + lambda <= 0)."""
 
@@ -93,10 +91,6 @@ class UnphysicalBath(QFeedbackError, ValueError):
 class UnreachableSqueezing(QFeedbackError, ValueError):
     """Requested in-loop noise level below the detector-efficiency floor."""
     exit_code = 2
-
-
-class NegativePrefactor(QFeedbackError):
-    """Fluorescence-spectrum prefactor is negative (out-of-domain rates)."""
 
 
 class ParseError(QFeedbackError, ValueError):

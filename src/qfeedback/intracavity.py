@@ -15,12 +15,7 @@ from typing import Union
 import numpy as np
 
 from . import operators as ops
-from .errors import (
-    ComplexRoot,
-    DelayTooLarge,
-    UnphysicalBath,
-    UnstableMean,
-)
+from .errors import DelayTooLarge, UnphysicalBath, UnstableMean
 from .operators import LindbladModel
 
 THETA_MAX = 1.0 - 1e-6
@@ -130,13 +125,12 @@ def conditioned_variance_ss(params: LinearCavityParams) -> float:
 def optimal_lambda(params: LinearCavityParams) -> float:
     """Feedback strength that cancels the noise in the conditioned mean, at
     which the unconditioned variance equals the conditioned one:
-    lambda* = s u+ = -k0 + sqrt(k0^2 + s c) (homodyne: s c = 2 eta k0 U0)."""
+    lambda* = s u+ = -k0 + sqrt(k0^2 + s c) (homodyne: s c = 2 eta k0 U0).
+    The root's argument is positive: QND has c = 1 + l > 0, and homodyne
+    s c = eta (l - theta) >= -theta, so k0^2 + s c >= ((1 - theta) / 2)^2."""
     s, c, _ = _riccati(params)
     k0 = params.k0
-    arg = k0 * k0 + s * c
-    if arg < 0:
-        raise ComplexRoot(f"k0^2 + s c = {arg} < 0")
-    return -k0 + math.sqrt(arg)
+    return -k0 + math.sqrt(k0 * k0 + s * c)
 
 
 def unconditioned_variance(params: LinearCavityParams, lam: float) -> float:

@@ -162,24 +162,21 @@ class Spectrum:
 # ---------------------------------------------------------------------------
 # transfer and stability
 
-def loop_transfer(filt: LoopFilter, omega, extra=None):
-    """Round-loop transfer g * h~(omega) * exp(-i omega T).
-
-    extra, if given, is an additional frequency response multiplied in (used
-    for the QND cavity pair response). It must be the Fourier transform of a
-    nonnegative unit-area response, so |extra(omega)| <= 1 = extra(0).
-    """
+def loop_transfer(filt: LoopFilter, omega, poles=()):
+    """Round-loop transfer g * h~(omega) * exp(-i omega T), times the
+    cascade of single poles at the rates in poles (the QND cavity pair's
+    rates, say), each SinglePole(r).ft, so r must be finite and > 0."""
     omega = np.asarray(omega, dtype=float)
     out = filt.g * filt.response.ft(omega) * np.exp(-1j * omega * filt.delay_T)
-    if extra is not None:
-        out = out * extra(omega)
+    for r in poles:
+        out = out * SinglePole(r).ft(omega)
     return out
 
 
-def _closed_loop(filt: LoopFilter, omega, extra=None):
+def _closed_loop(filt: LoopFilter, omega, poles=()):
     """The closed-loop denominator 1 - L(omega), with the one marginal
     guard: MarginalStability where |1 - L| < CRITICAL_TOL."""
-    den = 1.0 - loop_transfer(filt, omega, extra)
+    den = 1.0 - loop_transfer(filt, omega, poles)
     if np.any(np.abs(den) < CRITICAL_TOL):
         raise MarginalStability(
             f"|1 - loop transfer| < {CRITICAL_TOL} at a requested omega")
@@ -206,12 +203,12 @@ def _contour(cut: float, lag: float):
         yield chunk
 
 
-def _phase_change(filt: LoopFilter, omegas: np.ndarray, extra=None):
+def _phase_change(filt: LoopFilter, omegas: np.ndarray, poles=()):
     """The phase change of 1 - L over the sorted samples omegas, refined
     until it changes by at most 0.5 between samples, and 1 - L at the last
     sample. Each refinement puts a sample midway in every interval that
     jumps; NyquistUnresolved if one still jumps after 30."""
-    den = _closed_loop(filt, omegas, extra)
+    den = _closed_loop(filt, omegas, poles)
     for _ in range(30):
         steps = np.angle(den[1:] / den[:-1])
         bad = np.nonzero(np.abs(steps) > 0.5)[0]
@@ -219,19 +216,20 @@ def _phase_change(filt: LoopFilter, omegas: np.ndarray, extra=None):
             return np.sum(steps), den[-1]
         mids = 0.5 * (omegas[bad] + omegas[bad + 1])
         omegas = np.insert(omegas, bad + 1, mids)
-        den = np.insert(den, bad + 1, _closed_loop(filt, mids, extra))
+        den = np.insert(den, bad + 1, _closed_loop(filt, mids, poles))
     raise NyquistUnresolved("Nyquist contour failed to converge")
 
 
-def _nyquist_winding(filt: LoopFilter, extra=None):
+def _nyquist_winding(filt: LoopFilter, poles=()):
     """Winding number of the open-loop locus around the critical point +1,
-    that of 1 - L around 0.
+    that of 1 - L around 0, for the loop transfer with the pole cascade
+    poles multiplied in.
 
-    h(t) and the extra response are real, so L(-omega) = conj L(omega) and
-    the winding over the whole axis is the phase change of 1 - L over
+    h(t) and the cascade are real, so L(-omega) = conj L(omega) and the
+    winding over the whole axis is the phase change of 1 - L over
     omega >= 0 divided by pi.
 
-    The response's `ft_bound` B bounds |omega h~(omega)| and |extra| <= 1,
+    The response's `ft_bound` B bounds |omega h~(omega)| and |cascade| <= 1,
     so at omega >= cut = 2 |g| B, |L| <= 1/2 and Re(1 - L) >= 1/2: beyond
     the cut the locus cannot reach or wind around the critical point, and
     its phase change out to omega -> infinity, where L -> 0, is exactly
@@ -262,72 +260,88 @@ def _nyquist_winding(filt: LoopFilter, extra=None):
     total, start = 0.0, []
     for omegas in _contour(cut, lag):
         change, end = _phase_change(filt, np.concatenate([start, omegas]),
-                                    extra)
+                                    poles)
         total += change
         start = omegas[-1:]
     total += np.angle(1.0 / end)
     return int(round(total / math.pi))
 
 
-def _critical_gain(gamma_t: float) -> float:
-    """The lower end g_c of the gains g < 1 at which the single-pole loop
-    y' = -gamma y + g gamma y(t - T) is stable, as a function of
-    gamma_t = gamma T (N. D. Hayes, J. London Math. Soc. 25, 226 (1950)):
-    g_c = -sqrt(1 + (xi / gamma_t)^2), xi in (pi/2, pi) solving
-    xi = -gamma_t tan xi. It is -inf at gamma_t = 0 and rises to -1 as
-    gamma_t grows.
+def _critical_gain(poles, delay: float) -> float:
+    """The lower end g_c of the stable gains g < 1 of the loop
+    L(i omega) = g prod_k r_k / (r_k + i omega) exp(-i omega T), r_k the
+    rates in poles and T = delay.
 
-    xi is the root of gamma_t sin xi + xi cos xi, which falls from gamma_t at
-    pi/2 to -pi at pi; bisection halves the bracket until its midpoint
-    rounds to one of its ends, so xi is exact to about one ulp."""
-    if gamma_t == 0.0:
+    |L| and arg L both fall strictly as omega grows, so the locus can
+    circle +1 only by crossing the positive real axis beyond 1, and of all
+    such crossings the first has the largest |L|. For g < 0 it lies at the
+    root omega0 of the phase phi(omega) = sum_k atan(omega / r_k) +
+    omega T = pi, so g_c = -prod_k sqrt(1 + (omega0 / r_k)^2); with one pole
+    this is N. D. Hayes' form (J. London Math. Soc. 25, 226 (1950)) at
+    xi = omega0 T. With T = 0 and at most two poles phi stays below pi, and
+    g_c = -inf.
+
+    phi is pi or more at hi = pi / T and, for n >= 3 poles, at
+    max(r) tan(pi / n), where every term is at least pi / n. Halving hi
+    until phi falls below pi brackets omega0 in [hi / 2, hi] (at once for
+    one pole), where phi lies in (0, 2 pi) as phi(2 omega) <= 2 phi(omega).
+    There phi < pi exactly when Im[exp(i omega T) prod_k (r_k + i omega)]
+    > 0, for one pole Hayes' r sin(omega T) + omega cos(omega T), whose
+    cosine keeps full accuracy where omega T nears pi / 2. Bisection on
+    that sign halves the bracket until its midpoint rounds to one of its
+    ends, so omega0 is exact to about one ulp."""
+    hi = math.pi / delay if delay else math.inf
+    if len(poles) >= 3:
+        hi = min(hi, max(poles) * math.tan(math.pi / len(poles)))
+    if hi == math.inf:
         return -math.inf
-    lo, hi = 0.5 * math.pi, math.pi
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if gamma_t * math.sin(mid) + mid * math.cos(mid) > 0.0:
+    lo = 0.5 * hi
+    while lo * delay + sum(math.atan(lo / r) for r in poles) > math.pi:
+        lo, hi = 0.5 * lo, lo
+    cos, sin = math.cos, math.sin
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        x = mid * delay
+        re, im = cos(x), sin(x)
+        for r in poles:
+            re, im = re * r - im * mid, re * mid + im * r
+        if im > 0.0:
             lo = mid
         else:
             hi = mid
-    return -math.hypot(1.0, mid / gamma_t)
+    return -math.prod(math.hypot(1.0, mid / r) for r in poles)
 
 
-def is_stable(filt: LoopFilter, extra=None) -> bool:
-    """Closed-loop stability: no root of 1 - g H(s) exp(-sT) = 0 with
-    Re[s] >= 0.
+def is_stable(filt: LoopFilter, poles=()) -> bool:
+    """Closed-loop stability: no root of 1 - g H(s) exp(-sT) prod_k
+    r_k / (s + r_k) = 0 with Re[s] >= 0, poles holding the rates r_k of an
+    extra cascade of single poles (the QND cavity pair's, say), each a valid
+    SinglePole rate, finite and > 0, else ValueError.
 
-    A SinglePole loop without extra takes Hayes' closed form: stable iff
-    _critical_gain(gamma T) < g < 1. It raises MarginalStability within
-    CRITICAL_TOL of g = 1 and within CRITICAL_TOL |g_c| of g_c: near g_c,
-    |1 - L| at the crossing frequency is about |g - g_c| / |g_c|, and
-    |g_c| ~ pi / (2 gamma T) grows without bound as gamma T shrinks.
+    A SinglePole loop, with or without extra poles, takes one closed form
+    at any delay T >= 0: stable iff _critical_gain(poles, T) < g < 1, the
+    filter's rate counted among the poles. It raises MarginalStability
+    within CRITICAL_TOL of g = 1 and within CRITICAL_TOL |g_c| of g_c: at
+    the crossing frequency omega0, |1 - L| = |g - g_c| / |g_c| exactly, and
+    |g_c| grows without bound as the phase lag shrinks (about pi / (2 gamma
+    T) for one pole and a short delay).
 
-    Every other loop takes the Nyquist criterion. The open loop is stable
+    A Sampled loop takes the Nyquist criterion. The open loop is stable
     (causal normalized response), so closed-loop stability is equivalent to
     zero winding of the locus around +1, counted on a contour that runs to
     the cut 2 |g| ft_bound, past which the locus provably cannot wind, plus
-    the exact phase change beyond it (`_nyquist_winding`). extra, if given,
-    multiplies the loop transfer and must be the Fourier transform of a
-    nonnegative unit-area response (|extra| <= 1): the contour cut is proven
-    only under that bound. extra(0) must be 1 to within 1e-12, else
-    ValueError. A contour within CRITICAL_TOL of the critical point raises
-    MarginalStability.
+    the exact phase change beyond it (`_nyquist_winding`). A contour within
+    CRITICAL_TOL of the critical point raises MarginalStability.
     """
-    if extra is not None and abs(extra(0.0) - 1.0) > 1e-12:
-        raise ValueError("extra must be the transform of a unit-area "
-                         f"response, but extra(0) = {extra(0.0)}")
-    if extra is None and isinstance(filt.response, SinglePole):
-        g = filt.g
-        if abs(g - 1.0) < CRITICAL_TOL:
-            raise MarginalStability("single-pole loop with g = 1")
-        g_c = _critical_gain(filt.response.gamma * filt.delay_T)
-        if abs(g - g_c) < CRITICAL_TOL * abs(g_c):
-            raise MarginalStability(
-                f"single-pole loop at its critical gain {g_c}")
-        return g_c < g < 1.0
-    return _nyquist_winding(filt, extra) == 0
+    poles = tuple(SinglePole(r).gamma for r in poles)
+    if isinstance(filt.response, Sampled):
+        return _nyquist_winding(filt, poles) == 0
+    g = filt.g
+    if abs(g - 1.0) < CRITICAL_TOL:
+        raise MarginalStability("loop with g = 1")
+    g_c = _critical_gain((filt.response.gamma, *poles), filt.delay_T)
+    if abs(g - g_c) < CRITICAL_TOL * abs(g_c):
+        raise MarginalStability(f"loop at its critical gain {g_c}")
+    return g_c < g < 1.0
 
 
 def max_bandwidth(g: float, T: float) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnstableLoop
-from .loop import (LoopFilter, Spectrum, _closed_loop, is_stable,
+from .loop import (LoopFilter, SinglePole, Spectrum, _closed_loop, is_stable,
                    loop_transfer)
 
 
@@ -37,11 +37,16 @@ class QndParams:
     def q_factor(self) -> float:
         return 4.0 * self.chi / np.sqrt(self.gamma * self.kappa)
 
+    @property
+    def pair_poles(self) -> tuple[float, float]:
+        """Rates (kappa/2, gamma/2) of the probe-meter pair's two real poles."""
+        return 0.5 * self.kappa, 0.5 * self.gamma
+
     def pair_response(self, omega):
-        """p~(omega) = gamma kappa / [(kappa + 2 i omega)(gamma + 2 i omega)]."""
-        omega = np.asarray(omega, dtype=float)
-        return (self.gamma * self.kappa
-                / ((self.kappa + 2j * omega) * (self.gamma + 2j * omega)))
+        """p~(omega) = gamma kappa / [(kappa + 2 i omega)(gamma + 2 i omega)],
+        the transform of the cascade of pair_poles."""
+        return np.prod([SinglePole(r).ft(omega) for r in self.pair_poles],
+                       axis=0)
 
 
 @dataclass(frozen=True)
@@ -86,17 +91,17 @@ def qnd_feedback_output_spectra(params: QndFeedbackParams, omega_grid,
         S_out_y = |y_bb|^2 + |y_bd|^2 = 1 + |Q p~|^2.
 
     check_stability runs the stability test on the loop G p~ first
-    (UnstableLoop); either way |1 - G p~| < loop.CRITICAL_TOL on the grid
-    raises MarginalStability.
+    (UnstableLoop), loop.is_stable with the pair's two poles; either way
+    |1 - G p~| < loop.CRITICAL_TOL on the grid raises MarginalStability.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
-    filt, pair = params.filter, params.qnd.pair_response
-    if check_stability and not is_stable(filt, extra=pair):
+    filt, pair = params.filter, params.qnd.pair_poles
+    if check_stability and not is_stable(filt, pair):
         raise UnstableLoop(f"QND loop with g = {filt.g} is unstable")
     x, y = quadrature_transfer(params.qnd, omega_grid)
     q = params.qnd.q_factor
     meter = loop_transfer(filt, omega_grid) * x[..., 1, 1] / q
-    den = np.abs(_closed_loop(filt, omega_grid, extra=pair)) ** 2
+    den = np.abs(_closed_loop(filt, omega_grid, pair)) ** 2
     sx = np.abs(x[..., 0, 0]) ** 2 * (1.0 + np.abs(meter) ** 2) / den
     sy = np.abs(y[..., 0, 0]) ** 2 + np.abs(y[..., 0, 1]) ** 2
     return Spectrum(omega_grid, sx), Spectrum(omega_grid, sy)

@@ -7,7 +7,7 @@ import pytest
 
 from literal_generators import master_equation_rhs, superop_D
 from qfeedback import atom_squash as at, operators as ops
-from qfeedback.errors import NegativePrefactor, UnreachableSqueezing
+from qfeedback.errors import UnreachableSqueezing
 
 
 REF = at.AtomLoopParams.from_lambda(0.8, 0.95, -0.8 * 0.95)
@@ -184,10 +184,6 @@ class TestFluorescenceSpectrum:
         excited = ops.expect(sm.conj().T @ sm, rho).real
         assert abs((1.0 - eta_mm) * (gz - c) / (4.0 * gz)
                    - 0.5 * (1.0 - eta_mm) * excited) < 1e-14
-
-    def test_negative_prefactor_guard(self):
-        with pytest.raises(NegativePrefactor):
-            at._two_lorentzian_power(0.5, 0.5, 0.5, 1.0, 1.1, [0.0])
 
 
 class TestFreeSqueezing:

@@ -22,7 +22,7 @@ def coherent(eta1=1.0, eta2=0.5):
     return loop.FeedbackBeamline(beta=1.0, eta1=eta1, eta2=eta2)
 
 
-def jumping_transfer(filt, omega, extra=None):
+def jumping_transfer(filt, omega, poles=()):
     """A loop transfer whose locus - 1 steps in phase by 2 rad at omega = 1:
     every refinement of the Nyquist grid leaves one interval that jumps."""
     omega = np.asarray(omega, dtype=float)
@@ -157,7 +157,7 @@ class TestIsStable:
         for gamma in (0.01, 0.1, 1.0, 10.0):
             for T in (1e-3, 0.01, 0.1, 1.0, 10.0):
                 g_c = self.critical_gain(gamma, T)
-                assert abs(loop._critical_gain(gamma * T) - g_c) \
+                assert abs(loop._critical_gain((gamma,), T) - g_c) \
                     <= 1e-13 * abs(g_c)
                 for eps in (1e-3, 1e-6):
                     inside = pole_filter(g_c * (1 - eps), gamma, T)
@@ -190,7 +190,7 @@ class TestIsStable:
         self.check_random_single_poles()
 
     def test_single_poles_never_sample_a_contour(self, monkeypatch):
-        # is_stable judges every single pole without extra by Hayes' form
+        # is_stable judges every single pole by the closed form
         def no_contour(*args, **kwargs):
             raise AssertionError("the Nyquist contour was sampled")
 
@@ -201,13 +201,14 @@ class TestIsStable:
 
     def test_critical_gain_limits(self):
         # -inf without delay, about -pi / (2 gamma T) for a short one, and
-        # -1 for a long one, where every |g| < 1 is stable and no other
-        assert loop._critical_gain(0.0) == -np.inf
+        # -1 for a long one, where every |g| < 1 is stable and no other;
+        # gamma T = gamma_t at T = 1
+        assert loop._critical_gain((1.0,), 0.0) == -np.inf
         for gamma_t in (1e-6, 1e-9, 1e-300):
-            g_c = loop._critical_gain(gamma_t)
+            g_c = loop._critical_gain((gamma_t,), 1.0)
             assert abs(g_c * gamma_t / (-0.5 * np.pi) - 1.0) < 2.0 * gamma_t
-        assert loop._critical_gain(1e9) == -1.0
-        assert loop._critical_gain(np.inf) == -1.0
+        assert loop._critical_gain((1e9,), 1.0) == -1.0
+        assert loop._critical_gain((np.inf,), 1.0) == -1.0
 
     def test_long_contour_memory_is_bounded(self):
         # cut 2 |g| gamma = 6000 at spacing pi / 160: about 3e5 samples
@@ -276,7 +277,7 @@ class TestIsStable:
     def test_critical_gain_is_marginal(self, gamma, T):
         # within CRITICAL_TOL |g_c| of g_c, where |1 - L| at the crossing
         # frequency is about |g - g_c| / |g_c|, and a verdict just outside
-        g_c = loop._critical_gain(gamma * T)
+        g_c = loop._critical_gain((gamma,), T)
         for rel in (0.0, 0.5e-9, -0.5e-9):
             with pytest.raises(MarginalStability):
                 loop.is_stable(pole_filter(g_c * (1 + rel), gamma, T))
@@ -294,12 +295,74 @@ class TestIsStable:
         with pytest.raises(NyquistUnresolved):
             loop._nyquist_winding(pole_filter(-2.0, 1.0, 0.1))
 
-    def test_extra_must_have_unit_area(self):
-        pair = qnd.QndParams(1.0, 2.0, 1.0).pair_response
-        filt = pole_filter(-10.0, 0.05, 0.1)
-        assert loop.is_stable(filt, extra=pair)
-        with pytest.raises(ValueError, match="unit-area"):
-            loop.is_stable(filt, extra=lambda w: 2.0 * pair(w))
+    def test_poles_must_be_finite_and_positive(self):
+        for rate in (0.0, -1.0, np.inf, np.nan):
+            for filt in (pole_filter(-10.0, 0.05, 0.1),
+                         loop.LoopFilter(-2.0, loop.Sampled([1.0, 0.5], 0.1))):
+                with pytest.raises(ValueError, match="finite and > 0"):
+                    loop.is_stable(filt, (0.5, rate))
+                with pytest.raises(ValueError, match="finite and > 0"):
+                    loop.loop_transfer(filt, [0.0, 1.0], (rate,))
+
+
+def qnd_loop(rng):
+    """A seeded QND loop: the filter and the pair's pole rates. kappa and
+    gamma_m in 10^(+-1), gamma_f in [0.1, 31.6], T = 0 in a fifth of the
+    loops and in [0.01, 3.2] otherwise, g mostly in -[0.32, 100]."""
+    kappa, gamma_m, chi = 10 ** rng.uniform(-1.0, 1.0, 3)
+    gamma_f = 10 ** rng.uniform(-1.0, 1.5)
+    T = 0.0 if rng.random() < 0.2 else 10 ** rng.uniform(-2.0, 0.5)
+    g = (-10 ** rng.uniform(-0.5, 2.0) if rng.random() < 0.9
+         else rng.uniform(0.0, 2.0))
+    poles = qnd.QndParams(kappa, gamma_m, chi).pair_poles
+    return pole_filter(g, gamma_f, T), poles
+
+
+def stable_by_roots(filt, poles):
+    """At T = 0: no root of prod_k (s + r_k) - g prod_k r_k with Re >= 0."""
+    rates = np.array([filt.response.gamma, *poles])
+    coeffs = np.poly(-rates)
+    coeffs[-1] -= filt.g * np.prod(rates)
+    return bool(np.all(np.roots(coeffs).real < 0.0))
+
+
+class TestPoleCascade:
+    """is_stable's closed form for a single pole times the QND pair against
+    the Nyquist contour and, without delay, the polynomial's roots."""
+
+    def test_qnd_loops_agree_three_ways(self):
+        rng = np.random.default_rng(33)
+        n_stable = n_roots = 0
+        for _ in range(400):
+            filt, poles = qnd_loop(rng)
+            stable = loop.is_stable(filt, poles)
+            assert stable == (loop._nyquist_winding(filt, poles) == 0)
+            if filt.delay_T == 0.0:
+                assert stable == stable_by_roots(filt, poles)
+                n_roots += 1
+            n_stable += stable
+        assert 100 < n_stable < 300 and n_roots > 50
+
+    @pytest.mark.parametrize("gamma_f, T", [(0.05, 0.0), (0.05, 0.5),
+                                            (3.0, 1e-3)])
+    def test_critical_gain_is_marginal(self, gamma_f, T):
+        poles = qnd.QndParams(1.0, 1.0, 2.0).pair_poles
+        g_c = loop._critical_gain((gamma_f, *poles), T)
+        for rel in (0.0, 0.5e-9, -0.5e-9):
+            with pytest.raises(MarginalStability):
+                loop.is_stable(pole_filter(g_c * (1 + rel), gamma_f, T), poles)
+        assert loop.is_stable(pole_filter(g_c * (1 - 2e-9), gamma_f, T), poles)
+        assert not loop.is_stable(pole_filter(g_c * (1 + 2e-9), gamma_f, T),
+                                  poles)
+        for eps in (1e-3, 1e-6):
+            for sign in (1.0, -1.0):
+                filt = pole_filter(g_c * (1 + sign * eps), gamma_f, T)
+                assert (loop._nyquist_winding(filt, poles) == 0) == (sign < 0)
+
+    def test_no_delay_two_poles_never_cross(self):
+        # the phase of a single pole times one more stays below pi
+        assert loop._critical_gain((1.0, 0.5), 0.0) == -np.inf
+        assert loop.is_stable(pole_filter(-1e6, 1.0, 0.0), (0.5,))
 
 
 class TestMaxBandwidth:

@@ -40,6 +40,15 @@ class TestQuadratureTransfer:
         assert np.array_equal(xb[..., 1, 0], -qp)
         assert np.array_equal(yb[..., 0, 1], qp)
 
+    def test_pair_response_is_the_pole_cascade(self):
+        # the transform of the cascade of pair_poles = (kappa/2, gamma/2)
+        p = params(kappa=3.0, gamma=0.5, chi=1.5)
+        assert p.pair_poles == (1.5, 0.25)
+        omega = np.linspace(-6, 6, 25)
+        direct = 1.5 / ((3.0 + 2j * omega) * (0.5 + 2j * omega))
+        assert np.allclose(p.pair_response(omega), direct, rtol=1e-15, atol=0)
+        assert p.pair_response(0.0) == 1.0
+
     def test_q_factor(self):
         p = qnd.QndParams(4.0, 1.0, 3.0)
         assert abs(p.q_factor - 6.0) < 1e-14
@@ -100,8 +109,7 @@ class TestFeedbackSpectra:
         fb_small = qnd.QndFeedbackParams(params(chi=500.0), self.filt(-0.5))
         omega = np.linspace(-2, 2, 21)
         sx, _ = qnd.qnd_feedback_output_spectra(fb_small, omega)
-        lt = loop.loop_transfer(fb_small.filter, omega,
-                                extra=fb_small.qnd.pair_response)
+        lt = loop.loop_transfer(fb_small.filter, omega, fb_small.qnd.pair_poles)
         pure = 1.0 / np.abs(1.0 - lt) ** 2
         assert np.max(np.abs(sx.values - pure)) < 1e-5
 
@@ -141,7 +149,7 @@ class TestComposition:
                                    loop.SinglePole(rng.uniform(0.01, 5.0)),
                                    rng.choice([0.0, rng.uniform(0.0, 0.5)]))
             fb = qnd.QndFeedbackParams(params(kappa, gamma, chi), filt)
-            if not loop.is_stable(filt, extra=fb.qnd.pair_response):
+            if not loop.is_stable(filt, fb.qnd.pair_poles):
                 continue
             omega = rng.uniform(-20.0, 20.0, 16)
             sx, sy = qnd.qnd_feedback_output_spectra(fb, omega)

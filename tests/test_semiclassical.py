@@ -303,7 +303,7 @@ class TestDiverges:
                 T = rng.uniform(0.1, 1.0)
                 dt = T / steps
                 if k % 2:
-                    edge = (loop._critical_gain(gamma * T) if k % 4 == 1
+                    edge = (loop._critical_gain((gamma,), T) if k % 4 == 1
                             else 1.0)
                     g = edge * (1.0 + rng.choice([-1.0, 1.0])
                                 * 10 ** rng.uniform(-3.0, np.log10(0.05)))
