@@ -74,15 +74,6 @@ class SemiclassicalInexpressible(QFeedbackError, ValueError):
     exit_code = 2
 
 
-class UnstableMean(QFeedbackError):
-    """Fed-back mean is not damped (k0 + lambda <= 0)."""
-
-
-class DelayTooLarge(QFeedbackError, ValueError):
-    """Short-delay correction requested outside its validity domain."""
-    exit_code = 2
-
-
 class UnphysicalBath(QFeedbackError, ValueError):
     """Squeezed-bath parameters violate |M|^2 <= N(N+1)."""
     exit_code = 2

@@ -4,10 +4,18 @@ Time is measured in units of the cavity decay rate. The x-quadrature obeys an
 Ornstein-Uhlenbeck equation with drift k0 = (1 + theta)/2 and diffusion
 D0 = 1 + l; conditioning adds a deterministic Riccati term. U denotes the
 normally ordered variance (V - 1), negative iff squeezed.
+
+Feedback of the measured current onto x, of strength lambda and delay T >= 0,
+adds -lambda x(t - T) to the drift. The unconditioned variance is exact for
+homodyne and QND measurement and any delay that leaves the mean damped, from
+the stationary autocovariance of the linear delay equation (Kuechler &
+Mensch, Stochastics Stoch. Rep. 40, 23 (1992)); the loop module's one
+stability rule decides when that is.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -15,7 +23,8 @@ from typing import Union
 import numpy as np
 
 from . import operators as ops
-from .errors import DelayTooLarge, UnphysicalBath, UnstableMean
+from .errors import UnphysicalBath, UnstableLoop
+from .loop import LoopFilter, SinglePole, is_stable
 from .operators import LindbladModel
 
 THETA_MAX = 1.0 - 1e-6
@@ -133,27 +142,40 @@ def optimal_lambda(params: LinearCavityParams) -> float:
     return -k0 + math.sqrt(k0 * k0 + s * c)
 
 
-def unconditioned_variance(params: LinearCavityParams, lam: float) -> float:
-    """U_lambda = (k0 U0 + lambda^2 / 2 eta) / (k0 + lambda) for a damped mean."""
-    if not isinstance(params.measurement, Homodyne):
-        raise TypeError("unconditioned_variance applies to homodyne feedback")
-    if not math.isfinite(lam):
-        raise ValueError(f"lambda = {lam} must be finite")
+def unconditioned_variance(params: LinearCavityParams, lam: float,
+                           delay: float = 0.0) -> float:
+    """Stationary x variance under feedback of strength lambda delayed by
+    T = delay, in the ordering of conditioned_variance_ss (homodyne U = V - 1,
+    QND V), so it equals that at lambda = optimal_lambda and T = 0.
+
+    x obeys dx = -k0 x dt - lambda x(t - T) dt + noise. Its mean is damped
+    iff s + k0 + lambda e^{-sT} = 0 has no root with Re s >= 0, the
+    characteristic equation of the loop of gain g = -lambda / k0 around
+    SinglePole(k0) with delay T, so loop.is_stable decides: UnstableLoop
+    outside, MarginalStability at g = 1. The stationary autocovariance R of
+    y' = -k0 y - lambda y(t - T) + unit white noise is (Kuechler & Mensch,
+    Stochastics Stoch. Rep. 40, 23 (1992))
+        R(0) = (1 + lambda S) / (2 (k0 + lambda C)),
+        R(T) = (C - k0 S) / (2 (k0 + lambda C)),
+    with w = sqrt(k0^2 - lambda^2), C = cosh wT and S = sinh(wT) / w, both
+    real for imaginary w, and S = T at w = 0. The x diffusion D0 and the
+    fed-back measurement noise lambda^2 / s (s = eta or H, see _riccati)
+    enter through R(0). The homodyne current also carries the vacuum noise
+    that drives x, which adds 2 lambda R(T), and U = V - 1; since
+    2 lambda R(T) - 1 = -2 k0 R(0), both measurements give
+        (c + lambda^2 / s) R(0),
+    with the Riccati constant c (homodyne D0 - 2 k0 = 2 k0 U0, QND D0). At
+    T = 0 this is (k0 U0 + lambda^2 / 2 eta) / (k0 + lambda) for homodyne."""
     k0 = params.k0
-    if k0 + lam <= 0:
-        raise UnstableMean(f"k0 + lambda = {k0 + lam} <= 0")
-    eta = params.measurement.eta
-    u0 = variance_no_feedback(params)
-    return (k0 * u0 + lam * lam / (2.0 * eta)) / (k0 + lam)
-
-
-def variance_with_delay(params: LinearCavityParams, lam: float, delay: float) -> float:
-    """First-order short-delay correction U_{lambda;T} = U_lambda (1 + lambda T)."""
-    if not math.isfinite(delay):
-        raise ValueError(f"T = {delay} must be finite")
-    if abs(lam * delay) >= 0.5:
-        raise DelayTooLarge(f"|lambda T| = {abs(lam * delay)} >= 0.5")
-    return unconditioned_variance(params, lam) * (1.0 + lam * delay)
+    if not is_stable(LoopFilter(-lam / k0, SinglePole(k0), delay)):
+        raise UnstableLoop(f"feedback lambda = {lam} with delay {delay}"
+                           " leaves the mean undamped")
+    w = cmath.sqrt(k0 - lam) * cmath.sqrt(k0 + lam)     # no overflow in lam^2
+    cosh = cmath.cosh(w * delay).real
+    sinh_w = (cmath.sinh(w * delay) / w).real if w else delay
+    r0 = (1.0 + lam * sinh_w) / (2.0 * (k0 + lam * cosh))
+    s, c, _ = _riccati(params)
+    return (c + lam * lam / s) * r0
 
 
 def u_min(params: LinearCavityParams) -> float:

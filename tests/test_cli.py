@@ -12,13 +12,12 @@ from qfeedback import atom_squash as at
 EXIT_CODES = {
     "ValueError": 2, "TypeError": 2,
     "DimensionMismatch": 2, "InvalidState": 2, "DegenerateSplit": 2,
-    "TooShort": 2, "SemiclassicalInexpressible": 2, "DelayTooLarge": 2,
-    "UnphysicalBath": 2, "UnreachableSqueezing": 2, "ParseError": 2,
-    "UnknownKey": 2,
+    "TooShort": 2, "SemiclassicalInexpressible": 2, "UnphysicalBath": 2,
+    "UnreachableSqueezing": 2, "ParseError": 2, "UnknownKey": 2,
     "QFeedbackError": 3, "JumpFromDarkState": 3, "PositivityViolation": 3,
     "DegenerateSteadyState": 3, "UnstableLoop": 3, "MarginalStability": 3,
     "NyquistUnresolved": 3,
-    "DivergenceDetected": 3, "UnstableMean": 3,
+    "DivergenceDetected": 3,
 }
 
 
@@ -136,6 +135,14 @@ class TestExitCodes:
                         "--output", str(tmp_path / "s.csv")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_undamped_intracavity_mean_exits_3(self, tmp_path, capsys):
+        # lambda = -2 < -k0 = -0.75: the fed-back mean grows, an unstable loop
+        out = tmp_path / "i.csv"
+        assert cli.run(["intracavity", "--lam-min", "-2",
+                        "--output", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fractional_delay_rejected(self, tmp_path, capsys):
         out = tmp_path / "sc.csv"

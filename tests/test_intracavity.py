@@ -1,11 +1,14 @@
-"""Riccati conditioned variance, optimal feedback, squeezed bath."""
+"""Riccati conditioned variance, optimal feedback, the exact unconditioned
+variance with and without delay, squeezed bath."""
+
+import math
 
 import numpy as np
 import pytest
 
 from literal_generators import master_equation_rhs, squeezed_bath_generator
 from qfeedback import intracavity as ic, operators as ops
-from qfeedback.errors import DelayTooLarge, UnphysicalBath, UnstableMean
+from qfeedback.errors import UnphysicalBath, UnstableLoop
 
 
 def hom(l=0.0, theta=0.5, eta=1.0):
@@ -150,10 +153,12 @@ class TestOptimalLambda:
         assert abs(0.5 * (lo + hi) - lam_star) < 1e-8
 
     def test_optimum_equals_conditioned(self):
-        p = hom(l=0.3, theta=0.7, eta=0.9)
-        lam_star = ic.optimal_lambda(p)
-        assert abs(ic.unconditioned_variance(p, lam_star)
-                   - ic.conditioned_variance_ss(p)) < 1e-12
+        # homodyne U and QND V alike
+        for p in (hom(l=0.3, theta=0.7, eta=0.9),
+                  qnd(l=0.0, theta=0.3, strength=2.0)):
+            lam_star = ic.optimal_lambda(p)
+            assert abs(ic.unconditioned_variance(p, lam_star)
+                       - ic.conditioned_variance_ss(p)) < 1e-12
 
 
 class TestUnconditionedVariance:
@@ -170,7 +175,7 @@ class TestUnconditionedVariance:
 
     def test_unstable_mean(self):
         p = hom(theta=0.5)
-        with pytest.raises(UnstableMean):
+        with pytest.raises(UnstableLoop):
             ic.unconditioned_variance(p, -2.0)
 
     def test_no_classical_squeezing(self):
@@ -180,22 +185,75 @@ class TestUnconditionedVariance:
                     eta=rng.uniform(0.1, 1.0))
             lam = rng.uniform(-p.k0 + 1e-3, 3.0)
             assert ic.unconditioned_variance(p, lam) >= -1e-12
+        # lambda^2 overflows: +inf, not NaN
+        assert ic.unconditioned_variance(hom(theta=0.0), 1e200) >= -1e-12
 
 
 class TestDelay:
     def test_no_delay(self):
-        p = hom(l=0.2, theta=0.4)
-        assert ic.variance_with_delay(p, -0.2, 0.0) == \
-            ic.unconditioned_variance(p, -0.2)
+        # at T = 0 the closed form is the Markovian
+        # (k0 U0 + lambda^2 / 2 eta) / (k0 + lambda); that sum cancels near
+        # U = 0, so the difference is measured against the size of its terms
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            p = hom(l=rng.uniform(0.0, 2.0), theta=rng.uniform(0.0, 0.99),
+                    eta=rng.uniform(0.05, 1.0))
+            lam = rng.uniform(-p.k0 + 1e-3, 3.0)
+            k0, eta = p.k0, p.measurement.eta
+            markov = ((k0 * ic.variance_no_feedback(p) + lam * lam / (2 * eta))
+                      / (k0 + lam))
+            size = (p.d0 + lam * lam / eta) / (2.0 * (k0 + lam))
+            assert abs(ic.unconditioned_variance(p, lam) - markov) \
+                < 1e-14 * size
 
-    def test_short_delay_factor(self):
-        p = hom(l=0.2, theta=0.4)
-        assert abs(ic.variance_with_delay(p, -0.2, 0.1)
-                   - ic.unconditioned_variance(p, -0.2) * 0.98) < 1e-14
+    @pytest.mark.parametrize("theta, lam, delay", [
+        (0.3, -0.3, 1.0),             # w real
+        (0.3, 0.9, 0.5),              # w imaginary, |lambda| > k0
+        (0.3, None, 0.7),             # w = 0: lambda = k0
+        (ic.THETA_MAX, 2.0, 0.3)])    # k0 = 1 up to 5e-7
+    def test_autocovariance_matches_quadrature(self, theta, lam, delay):
+        # R(0) = (1/pi) int_0^inf |i w + k0 + lambda e^{-i w T}|^-2 dw, read
+        # from the QND variance V = (D0 + lambda^2 / H) R(0) at l = 0, H = 1
+        from scipy.integrate import quad
+        p = qnd(l=0.0, theta=theta, strength=1.0)
+        k0 = p.k0
+        lam = k0 if lam is None else lam
+        r0 = ic.unconditioned_variance(p, lam, delay) / (1.0 + lam * lam)
+        def integrand(w):
+            return abs(1j * w + k0 + lam * np.exp(-1j * w * delay)) ** -2
 
-    def test_too_large(self):
-        with pytest.raises(DelayTooLarge):
-            ic.variance_with_delay(hom(), -1.0, 0.6)
+        ref = quad(integrand, 0.0, np.inf, limit=2000)[0] / math.pi
+        assert abs(r0 - ref) < 1e-8
+
+    def test_delayed_sme_tells_exact_from_first_order(self):
+        # homodyne SME of the parametric cavity under feedback delayed by
+        # T = 1 at lambda* = -0.3: the exact variance is -0.2401, the
+        # first-order U_lambda (1 + lambda T) = -0.21. Each trajectory's
+        # <x^2>_c, averaged over t >= 5, gives one estimate of U + 1 + <x>^2
+        from qfeedback import trajectories as tj
+        p = hom(l=0.0, theta=0.3, eta=1.0)
+        lam, delay, dim = ic.optimal_lambda(p), 1.0, 8
+        exact = ic.unconditioned_variance(p, lam, delay)
+        assert abs(exact + 0.2401) < 1e-4
+        cfg = tj.SmeConfig(
+            model=ic.parametric_model(p, dim),
+            detection=tj.HomodyneDiffusive(1.0), dt=2e-3, steps=10_000,
+            seed=1000, snapshot_every=10,
+            feedback=tj.Feedback(-0.5 * lam * ops.quad_y(dim),
+                                 tj.Delayed(delay)))
+        summary = tj.run_ensemble(cfg, 64, ops.fock_dm(dim, 0),
+                                  keep_trajectories=True)
+        assert summary.n_failed == 0
+        late = summary.state_times >= 5.0
+        states = np.array([r.states[late] for r in summary.trajectories])
+        x = ops.quad_x(dim)
+        mean_x = np.einsum("ntij,ji->nt", states, x).real
+        mean_xx = np.einsum("ntij,ji->nt", states, x @ x).real
+        per_traj = mean_xx.mean(axis=1) - mean_x.mean() ** 2 - 1.0
+        u = per_traj.mean()
+        stderr = per_traj.std(ddof=1) / math.sqrt(len(per_traj))
+        assert abs(u - exact) < 4.0 * stderr
+        assert abs(u - (-0.21)) > 8.0 * stderr
 
 
 class TestUMin:
@@ -233,6 +291,26 @@ class TestFeedbackMasterEquationBridge:
             u = (ops.expect(x @ x, rho).real - ops.expect(x, rho).real ** 2
                  - 1.0)
             assert abs(u - ic.unconditioned_variance(p, lam)) < 1e-12
+
+    def test_qnd_unconditioned_variance_is_the_steady_state(self):
+        # QND: the monitored collapse sqrt(H)/2 x leads the parametric model,
+        # and F = -(lam / (2 sqrt H)) y feeds back its current (eta = 1). At
+        # lam* the steady state's x variance converges with d to V = V_c:
+        # 0.453473 at d = 24 and 0.4532278 at d = 32
+        from qfeedback import trajectories as tj
+        h = 2.0
+        p = qnd(l=0.0, theta=0.3, strength=h)
+        dim = 32
+        x, y = ops.quad_x(dim), ops.quad_y(dim)
+        cavity = ic.parametric_model(p, dim)
+        model = ops.LindbladModel(
+            cavity.hamiltonian, ((1.0, 0.5 * math.sqrt(h) * x),
+                                 *cavity.collapses))
+        lam_star = ic.optimal_lambda(p)
+        f_op = -(lam_star / (2.0 * math.sqrt(h))) * y
+        rho = ops.steady_state(tj.feedback_master_equation(model, f_op, 1.0))
+        v = ops.expect(x @ x, rho).real - ops.expect(x, rho).real ** 2
+        assert abs(v - ic.unconditioned_variance(p, lam_star)) < 1e-5
 
 
 class TestSqueezedBath:

@@ -102,9 +102,11 @@ def test_closed_form_subcommands_skip_the_sme_engine(sub, module, tmp_path):
 
 
 def test_qnd_subcommand_leaves_numpy_ma_unloaded(tmp_path):
-    # the QND stability check samples the Nyquist contour; merging its grids
-    # with np.unique would import numpy.ma (about 13 ms per process). The
-    # process runs the package as `python -m qfeedback qnd` does
+    # numpy.ma costs about 13 ms per process. The process runs the package
+    # as `python -m qfeedback qnd` does, whose stability check takes the
+    # closed form, and then judges the benchmark's 200-tap sampled loop,
+    # whose Nyquist contour merges its grids by hand: np.unique would import
+    # numpy.ma
     out = tmp_path / "qnd.csv"
     code = ("import runpy, sys\n"
             f"sys.argv = ['qfeedback', 'qnd', '--output', {str(out)!r}]\n"
@@ -113,6 +115,10 @@ def test_qnd_subcommand_leaves_numpy_ma_unloaded(tmp_path):
             " alter_sys=True)\n"
             "except SystemExit as stop:\n"
             "    assert not stop.code, stop.code\n"
+            "import numpy as np\n"
+            "from qfeedback import loop\n"
+            "taps = loop.Sampled(np.exp(-0.02 * np.arange(200)), 0.02)\n"
+            "assert loop.is_stable(loop.LoopFilter(-3.0, taps, 0.2))\n"
             "print('qfeedback.qnd' in sys.modules, 'numpy.ma' in sys.modules)")
     proc = run_python(["-c", code], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr

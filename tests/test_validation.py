@@ -55,9 +55,9 @@ CASES = {
         ic.LinearCavityParams(l=0.1, theta=0.5), NAN),
     "unconditioned_variance.lam inf": lambda: ic.unconditioned_variance(
         ic.LinearCavityParams(l=0.1, theta=0.5), INF),
-    "variance_with_delay.delay": lambda: ic.variance_with_delay(
+    "unconditioned_variance.delay": lambda: ic.unconditioned_variance(
         ic.LinearCavityParams(l=0.1, theta=0.5), 0.0, NAN),
-    "variance_with_delay.delay inf": lambda: ic.variance_with_delay(
+    "unconditioned_variance.delay inf": lambda: ic.unconditioned_variance(
         ic.LinearCavityParams(l=0.1, theta=0.5), 0.0, INF),
     "conditioned_variance_trajectory.u_init": lambda: (
         ic.conditioned_variance_trajectory(
