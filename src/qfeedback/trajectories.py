@@ -16,8 +16,8 @@ The kernel steps only the coordinates that its initial state reaches along
 the directed nonzero patterns of its maps (see _Kernel._reach): of the 144
 coordinates of a d = 12 cavity from Fock 3, 4 under counting, 10 under the
 homodyne unravelings without feedback and 78 under diffusive detection with
-the level-raising feedback F ∝ y. The positivity gate and the snapshots
-scatter the rows back to all d^2 coordinates.
+the level-raising feedback F ∝ y. The snapshots scatter the rows back to all
+d^2 coordinates.
 
 Every step is one product of the rows against Kraus blocks and an
 expectation column, a combination weighted by the noise, and the division by
@@ -48,11 +48,20 @@ Every map is completely positive, so one tolerance, POSITIVITY_TOL, gates
 every unraveling, every POSITIVITY_CHECK_EVERY steps and at the end. An
 eigenvalue below it, a state made non-finite by a collapsed trace, or a jump
 from a state with Tr[J rho J†] <= TOL_JUMP marks the row failed with a code,
-which the drivers turn into the trajectory's error.
+which the drivers turn into the trajectory's error. The gate builds each
+state's matrix from the kept coordinates, only on the basis levels they
+touch (4 of 12 for the d = 12 cavity from Fock 3 under counting and under the
+homodyne jump): the other levels add eigenvalues of exactly 0, which pass the
+tolerance. The matrices are real symmetric when no imaginary coordinate is
+kept, as for the d = 2 atom under sigma_y feedback.
 
 Randomness comes from the counter-based Philox generator; trajectory i of an
-ensemble uses the stream keyed by seed XOR i, drawn whole into its record row,
-which the steps overwrite with the photocurrent or dN. Every product runs
+ensemble uses the stream of Philox(key=(seed XOR i) mod 2^64), drawn whole
+into its record row, which the steps overwrite with the photocurrent or dN.
+One generator draws every row: before each, its bit_generator.state is set to
+that key, counter 0 and an empty buffer, the state Philox(key=...) starts in,
+so the streams are those of one generator per trajectory, bit for bit,
+without seeding a SeedSequence per trajectory. Every product runs
 on a row count padded to a multiple of _ROW_PAD, against a map whose column
 count is padded with zero columns to a multiple of _COL_PAD. With OpenBLAS,
 each row of such a product came out bit-identical whatever the batch it was
@@ -328,9 +337,9 @@ class _Kernel:
         where some M[i, j] != 0, and keep is the forward search along those
         edges (operators._connected). It is closed under every step, and a
         map that only lowers the Fock level keeps the levels above rho0's
-        out. Also set `_dropped`, the other coordinates, the width w and the
-        trace row cut to keep. Returns the index that cuts a square map to
-        keep."""
+        out. Also set `_dropped`, the other coordinates, the width w, the
+        trace row cut to keep and the gate's index (_gate_index). Returns
+        the index that cuts a square map to keep."""
         co = self.coords
         adj = np.zeros((co.n2, co.n2), dtype=bool)
         for m in squares:
@@ -340,7 +349,34 @@ class _Kernel:
         self._dropped = np.flatnonzero(~reached)
         self.width = len(self.keep)
         self.trace_row = co.trace_row[self.keep]
+        self._gate_index()
         return np.ix_(self.keep, self.keep)
+
+    def _gate_index(self):
+        """Set how check builds its matrices from the kept coordinates: on
+        the basis levels that some kept coordinate touches, real symmetric
+        if none of them is imaginary, else complex Hermitian (_gate_shape
+        and _gate_dtype). Entry _gate_dst[k] of a flat matrix's float view
+        is kept coordinate _gate_src[k] times _gate_sign[k]."""
+        co, dim = self.coords, self.coords.dim
+        kept = np.full(co.n2, -1)
+        kept[self.keep] = np.arange(self.width)
+        # the float slots of a (d, d) complex matrix that a kept
+        # coordinate fills (the imaginary slots of the diagonal have none)
+        slot = np.flatnonzero(co.sign)
+        src = kept[co.scatter[slot]]
+        slot, src = slot[src >= 0], src[src >= 0]
+        row, col, imag = np.unravel_index(slot, (dim, dim, 2))
+        # every slot's mirror is filled too, so the rows name every level
+        touched = np.zeros(dim, dtype=bool)
+        touched[row] = True
+        level = np.cumsum(touched) - 1          # a level's place among them
+        m = int(level[-1]) + 1
+        self._gate_shape = (m, m)
+        self._gate_dtype = complex if imag.any() else float
+        self._gate_src, self._gate_sign = src, co.sign[slot]
+        entry = level[row] * m + level[col]
+        self._gate_dst = 2 * entry + imag if imag.any() else entry
 
     def _kraus_blocks(self, k0, k1, extra=()):
         """[P0, P1, P2]: the real maps with (K0 + w K1) rho (K0 + w K1)† +
@@ -412,24 +448,43 @@ class _Kernel:
                  normalize: bool = True) -> np.ndarray:
         """P0 rho + w P1 rho + w^2 P2 rho, with one w per row, from
         out = r @ [P0 | P1 | P2 | t0 t1 t2 ...]: the weights (1, w, w^2),
-        divided by the trace they give if normalize, applied in one pass."""
+        divided by the trace t0 + w (t1 + w t2) if normalize, applied in
+        one pass."""
         n = self.width
-        weights = np.ones((len(w), 3))
-        weights[:, 1] = w
-        weights[:, 2] = w * w
+        weights = np.empty((len(w), 3))
         if normalize:
-            trace = np.einsum("bk,bk->b", weights, out[:, 3 * n:3 * n + 3])
-            weights /= trace[:, None]
+            t = out[:, 3 * n:3 * n + 3]
+            np.divide(1.0, t[:, 0] + w * (t[:, 1] + w * t[:, 2]),
+                      out=weights[:, 0])
+        else:
+            weights[:, 0] = 1.0
+        np.multiply(w, weights[:, 0], out=weights[:, 1])
+        np.multiply(w, weights[:, 1], out=weights[:, 2])
         return np.einsum("bk,bkn->bn", weights,
                          out[:, :3 * n].reshape(len(w), 3, n))
 
     def check(self, r: np.ndarray) -> np.ndarray:
-        """The positivity gate: per-row failure codes, _COLLAPSED for a
-        non-finite state, _NEGATIVE for an eigenvalue below POSITIVITY_TOL,
-        0 otherwise."""
-        low = np.linalg.eigvalsh(self.states(r))[:, 0]
-        return np.where(low >= POSITIVITY_TOL, 0,
-                        np.where(np.isnan(low), _COLLAPSED, _NEGATIVE))
+        """The positivity gate: per-row failure codes, _COLLAPSED for a row
+        with a non-finite coordinate, _NEGATIVE for a state with an
+        eigenvalue below POSITIVITY_TOL, 0 otherwise.
+
+        The matrices are built straight from the kept coordinates on the m
+        basis levels those coordinates touch (see _gate_index): m = 4 of 12
+        for the d = 12 cavity from Fock 3 under counting and under the
+        homodyne jump. Every other level's row and column of the state are
+        0, so they add eigenvalues of exactly 0, which pass POSITIVITY_TOL:
+        a finite row gets the code of its full d x d matrix. The matrices
+        are real symmetric when the kernel keeps no imaginary coordinate.
+        A non-finite row is zeroed before the diagonalization, as eigvalsh
+        may raise LinAlgError on it or return finite eigenvalues."""
+        finite = np.isfinite(r).all(axis=1)
+        mats = np.zeros((len(r),) + self._gate_shape, self._gate_dtype)
+        flat = mats.reshape(len(r), -1).view(float)
+        flat[:, self._gate_dst] = r[:, self._gate_src] * self._gate_sign
+        flat[~finite] = 0.0
+        low = np.linalg.eigvalsh(mats)[:, 0]
+        return np.where(~finite, _COLLAPSED,
+                        np.where(low >= POSITIVITY_TOL, 0, _NEGATIVE))
 
 
 def _failure(code: int) -> Exception:
@@ -559,9 +614,18 @@ def _integrate(kernel: _Kernel, config: SmeConfig, rho0: np.ndarray, seeds):
 
     lag = 0 if kernel.kick is None else round(config.feedback.mode.delay / dt)
 
+    # one generator, re-keyed before each row to the state Philox(key=s)
+    # starts in: Philox(key=s) itself first seeds a SeedSequence from OS
+    # entropy, which the key then replaces
+    bits = Philox(0)
+    state = bits.state
+    key = state["state"]["key"]
+    rng = Generator(bits)
+    draw = rng.standard_normal if kernel.diffusive else rng.random
     for row, s in zip(records, seeds):
-        g = Generator(Philox(key=s & _SEED_MASK))
-        (g.standard_normal if kernel.diffusive else g.random)(out=row)
+        key[:] = s & _SEED_MASK, 0
+        bits.state = state
+        draw(out=row)
     records[b_sz:] = kernel.idle_noise
     if kernel.diffusive:
         records *= math.sqrt(dt)                         # dW

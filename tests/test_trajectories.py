@@ -713,6 +713,68 @@ class TestReachedCoordinates:
             assert np.max(np.abs(kernel.full(r_new[i]) - want)) < 1e-14
 
 
+def _gate_cases():
+    """name -> (model, detection, feedback, rho0, gate matrix size m, gate
+    dtype): the four perfbench sme-cavity unravelings (d = 12, Fock 3), the
+    sme-atom one, and two that keep an imaginary coordinate: the atom and
+    the d = 6 cavity's homodyne jump from (|0> + i|1>)/sqrt(2)."""
+    psi = np.zeros(6, dtype=complex)
+    psi[0], psi[1] = 1.0, 1j
+    coherent = np.outer(psi, psi.conj()) / 2
+    atom_fb = (tj.HomodyneDiffusive(0.76), tj.Feedback(-0.38 * ops.sigma_y()))
+    cases = {name: (cavity(12), det, fb, ops.fock_dm(12, 3), m, float)
+             for (name, (det, fb)), m in zip(
+                 _sme_cavity_unravelings(12).items(), (4, 4, 12, 12))}
+    cases["atom_feedback"] = (atom(), *atom_fb, ops.fock_dm(2, 0), 2, float)
+    cases["atom_feedback_imaginary"] = (atom(), *atom_fb, coherent[:2, :2],
+                                        2, complex)
+    cases["cavity_homodyne_jump_imaginary"] = (
+        cavity(6), tj.HomodyneJump(1.0), None, coherent, 2, complex)
+    return cases
+
+
+class TestPositivityGate:
+    """The gate diagonalizes only the levels the kept coordinates touch,
+    in real arithmetic when no imaginary coordinate is kept."""
+
+    @pytest.mark.parametrize("name", list(_gate_cases()))
+    def test_codes_match_full_matrices(self, name):
+        model, detection, feedback, rho0, m, dtype = _gate_cases()[name]
+        kernel = tj._Kernel(model, 1e-3, detection, feedback, rho0)
+        assert kernel._gate_shape == (m, m) and kernel._gate_dtype is dtype
+        # a mixed state of the reached set: 100 steps of 8 rows
+        rng = np.random.default_rng(11)
+        r = np.tile(kernel.rows(rho0), (8, 1))
+        for _ in range(100):
+            noise = (rng.standard_normal(8) * math.sqrt(kernel.dt)
+                     if kernel.diffusive else rng.random(8))
+            old = (rng.standard_normal(8) / math.sqrt(kernel.dt)
+                   if kernel.kick is not None else None)
+            r, _, _ = kernel.step(r, noise, old)
+        rho = kernel.states(r[0])
+        # the touched levels, and the state shifted so that its lowest
+        # eigenvalue on them is -1e-6 (fails) or -1e-9 (passes)
+        touched = (kernel.states(np.ones(kernel.width)) != 0).any(axis=0)
+        levels = np.flatnonzero(touched)
+        assert len(levels) == m
+        low = np.linalg.eigvalsh(rho[np.ix_(levels, levels)])[0]
+        proj = np.diag(touched.astype(float))
+        below = kernel.rows(rho - (low + 1e-6) * proj)
+        above = kernel.rows(rho - (low + 1e-9) * proj)
+        finite = np.array([r[0], below, above])
+        # eigvalsh of the full complex matrices, the gate before the cut
+        full = np.linalg.eigvalsh(kernel.states(finite))[:, 0]
+        want = np.where(full >= tj.POSITIVITY_TOL, 0, tj._NEGATIVE)
+        assert list(want) == [0, tj._NEGATIVE, 0]
+        # non-finite rows: one NaN, one inf, all NaN, all -inf; eigvalsh
+        # of such matrices may raise LinAlgError or return finite values
+        bad = np.tile(r[0], (4, 1))
+        bad[0, 0], bad[1, -1], bad[2], bad[3] = np.nan, np.inf, np.nan, -np.inf
+        codes = kernel.check(np.concatenate([finite, bad]))
+        assert np.array_equal(codes[:3], want)
+        assert (codes[3:] == tj._COLLAPSED).all()
+
+
 class TestJumpToDiffusiveConvergence:
     def test_ks_distance_decreases_in_beta(self):
         # binned scaled counts (N - beta^2 tau)/(beta tau) from a vacuum
@@ -990,6 +1052,32 @@ class TestEnsembleContract:
             expected = g.standard_normal(steps) * math.sqrt(dt) / dt
             assert np.array_equal(res.record, expected)
 
+    @pytest.mark.parametrize("detection", [tj.HomodyneDiffusive(0.8),
+                                           tj.PhotonCounting()])
+    def test_rows_are_the_masked_key_streams(self, detection, monkeypatch):
+        # seeds that need the 64-bit mask (above 2^64, negative) between
+        # ones that do not: each row's draws (dW or the uniform jump draws)
+        # are those of Generator(Philox(key=s & _SEED_MASK)), bit for bit
+        dt, steps = 1e-3, 300
+        seeds = [2 ** 64 + 7, 2024, -5, 2 ** 70 - 1, 3]
+        cfg = config(atom(), detection, dt=dt, steps=steps)
+        rho0 = ops.fock_dm(2, 1)
+        kernel = tj._Kernel(cfg.model, dt, detection, None, rho0)
+        drawn = []
+        step = kernel.step
+
+        def tap(r, noise, old=None):
+            drawn.append(noise.copy())
+            return step(r, noise, old)
+
+        monkeypatch.setattr(kernel, "step", tap)
+        tj._integrate(kernel, cfg, rho0, seeds)
+        for row, s in zip(np.transpose(drawn), seeds):
+            g = np.random.Generator(np.random.Philox(key=s & tj._SEED_MASK))
+            want = (g.standard_normal(steps) * math.sqrt(dt)
+                    if kernel.diffusive else g.random(steps))
+            assert np.array_equal(row, want)
+
     def test_atom_ensemble_memory(self):
         # the d = 2 feedback atom at B = 256 and 1000 steps holds 2.1 MB of
         # records; the driver keeps no noise buffer beside them, and the PSD
@@ -1134,16 +1222,18 @@ class TestFailurePath:
             tj.run_trajectory(self.cfg(), ops.fock_dm(3, 0))
 
     def test_one_failed_seed_is_listed(self, monkeypatch):
-        # the streams are made in seed order: only trajectory 0 is forced
-        made = []
+        # the rows are drawn in seed order: only trajectory 0 is forced
+        class FirstDark(np.random.Generator):
+            drawn = 0
 
-        def first_dark(bit_generator):
-            made.append(bit_generator)
-            if len(made) == 1:
-                return _DarkStream(bit_generator)
-            return np.random.Generator(bit_generator)
+            def random(self, *, out):
+                FirstDark.drawn += 1
+                if FirstDark.drawn == 1:
+                    out.fill(-1.0)
+                    return out
+                return super().random(out=out)
 
-        monkeypatch.setattr(tj, "Generator", first_dark)
+        monkeypatch.setattr(tj, "Generator", FirstDark)
         summary = tj.run_ensemble(self.cfg(), 10, ops.fock_dm(3, 0),
                                   keep_trajectories=True)
         assert (summary.n_success, summary.n_failed) == (9, 1)
@@ -1151,6 +1241,25 @@ class TestFailurePath:
         assert row == 0 and isinstance(err, JumpFromDarkState)
         assert [r.diagnostics["seed"] for r in summary.trajectories] == [
             9 ^ i for i in range(1, 10)]
+
+    def test_collapsed_trace_is_reported(self, monkeypatch):
+        # trajectory 0's state goes non-finite every step, as after a
+        # collapsed trace: the gate fails it with the collapse, also at
+        # d = 12, where eigvalsh of such a matrix may raise LinAlgError
+        step = tj._Kernel.step
+
+        def collapse_first(kernel, r, noise, old=None):
+            new, record, bad = step(kernel, r, noise, old)
+            new[0] = np.nan
+            return new, record, bad
+
+        monkeypatch.setattr(tj._Kernel, "step", collapse_first)
+        cfg = config(cavity(12), tj.HomodyneJump(1.0), dt=1e-3, steps=100,
+                     seed=9, snapshot_every=50)
+        summary = tj.run_ensemble(cfg, 10, ops.fock_dm(12, 3))
+        [(row, err)] = summary.failures
+        assert row == 0 and isinstance(err, PositivityViolation)
+        assert "collapsed" in str(err)
 
     def test_abort_keeps_the_failure_type(self, monkeypatch):
         monkeypatch.setattr(tj, "Generator", _DarkStream)
